@@ -19,10 +19,8 @@ from .classifiers import (
     classify_nb,
     feature_strength,
     m_estimate,
-    read_model,
     train_dl,
     train_nb,
-    write_model,
 )
 from .corpus import (
     Corpus,
@@ -71,6 +69,7 @@ from .evaluation import (
     write_grid_csv,
 )
 from .analysis import (
+    ADJACENCY_CELLS,
     AblationReport,
     AdjacencyResult,
     ContextReport,
@@ -81,7 +80,10 @@ from .analysis import (
     content_ablation,
     context_report,
     evidence_profile,
+    evidence_profiles,
     selection_comparison,
+    selection_criteria,
+    shift_criteria,
     shift_study,
     space_distribution_summary,
 )

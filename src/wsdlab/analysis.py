@@ -11,24 +11,18 @@ exact schemas are listed in the package README.
 from __future__ import annotations
 
 import csv
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence, TextIO
 
-from .classifiers import SmoothingParams
-from .corpus import CATEGORIES, Corpus, extract_occurrences
-from .criteria import (
-    DEFAULT_FILTER_SETS,
-    Criterion,
-    FilterSets,
-    format_criterion,
-    parse_criterion,
-)
+from .corpus import CATEGORIES
+from .criteria import Criterion, parse_criterion
 from .evaluation import (
     DecisionRecord,
-    FoldPlan,
     GridResult,
-    cross_validate,
-    kfold_split,
+    WordResult,
+    cell_name,
+    macro_average,
 )
 
 EVIDENCE_PROFILE_HEADER = ("category", "tag", "uses", "correct", "precision_pct", "usage_pct")
@@ -200,6 +194,23 @@ def content_ablation(
     return AblationReport(baseline_filter, variant_filter, cells)
 
 
+def evidence_profiles(grid_result: GridResult) -> dict[str, EvidenceProfile]:
+    """One evidence profile per category, over the decision records of all
+    its words (a decision-list grid run with records kept)."""
+    records: dict[str, list[DecisionRecord]] = {}
+    for result in grid_result.results:
+        records.setdefault(result.category, []).extend(result.records)
+    return {category: evidence_profile(rows) for category, rows in sorted(records.items())}
+
+
+def _mean(results: Sequence[WordResult]) -> float:
+    return sum(result.precision for result in results) / len(results)
+
+
+def _word_counts(results: Sequence[WordResult]) -> dict[str, int]:
+    return dict(Counter(result.category for result in results))
+
+
 @dataclass(frozen=True)
 class SelectionRow:
     criterion: str
@@ -210,60 +221,23 @@ class SelectionRow:
 @dataclass(frozen=True)
 class SelectionReport:
     rows: tuple[SelectionRow, ...]
-    fold_plans: tuple[FoldPlan, ...]
 
 
-def selection_comparison(
-    corpus: Corpus,
-    targets: Sequence[tuple[str, str]],
-    base_criterion: Criterion,
-    classifier: str,
-    smoothing: SmoothingParams = SmoothingParams(),
-    k: int = 10,
-    seed: int = 0,
-    *,
-    filter_sets: FilterSets = DEFAULT_FILTER_SETS,
-    content_mode: str = "reindex",
-) -> SelectionReport:
-    """Evaluate one criterion under the all/content/selected filters.
-
-    The fold plan per word is computed once and shared by the three runs, so
-    the comparison differs in the filter alone.
-    """
+def selection_criteria(base_criterion: Criterion) -> list[Criterion]:
+    """One criterion under the all/content/selected filters."""
     if base_criterion.filter != "all":
         raise ValueError("the base criterion must use filter 'all'")
-    plans = _plans_for(corpus, targets, k, seed)
-    rows = []
-    for filter_name in ("all", "content", "selected"):
-        criterion = replace(base_criterion, filter=filter_name)
-        by_category: dict[str, list[float]] = {}
-        for plan in plans:
-            result = cross_validate(
-                corpus, plan, criterion, classifier, smoothing,
-                filter_sets=filter_sets, content_mode=content_mode, keep_records=False,
-            )
-            by_category.setdefault(result.category, []).append(result.precision)
-        rows.append(
-            SelectionRow(
-                criterion=format_criterion(criterion),
-                by_category={c: sum(v) / len(v) for c, v in sorted(by_category.items())},
-                word_counts={c: len(v) for c, v in sorted(by_category.items())},
-            )
-        )
-    return SelectionReport(tuple(rows), tuple(plans))
+    return [replace(base_criterion, filter=name) for name in ("all", "content", "selected")]
 
 
-def _plans_for(
-    corpus: Corpus, targets: Sequence[tuple[str, str]], k: int, seed: int
-) -> list[FoldPlan]:
-    plans = []
-    for lemma, category in sorted(targets):
-        occurrences = extract_occurrences(corpus, lemma, category)
-        if len(occurrences) >= k:
-            plans.append(kfold_split(occurrences, k, seed))
-    if not plans:
-        raise ValueError(f"no target has at least k={k} occurrences")
-    return plans
+def selection_comparison(grid_result: GridResult) -> SelectionReport:
+    """Per-category macro precision of each criterion of a grid run over
+    ``selection_criteria``.  grid_search gives every criterion of a word the
+    same folds, so the rows differ in the filter alone."""
+    return SelectionReport(tuple(
+        SelectionRow(criterion, macro_average(results), _word_counts(results))
+        for criterion, results in grid_result.by_criterion().items()
+    ))
 
 
 @dataclass(frozen=True)
@@ -283,46 +257,33 @@ class ShiftReport:
         return row.by_category[category] - zero.by_category[category]
 
 
-def shift_study(
-    corpus: Corpus,
-    targets: Sequence[tuple[str, str]],
-    criterion: Criterion,
-    shifts: Sequence[int],
-    classifier: str,
-    smoothing: SmoothingParams = SmoothingParams(),
-    k: int = 10,
-    seed: int = 0,
-    *,
-    filter_sets: FilterSets = DEFAULT_FILTER_SETS,
-    content_mode: str = "reindex",
-) -> ShiftReport:
-    """Evaluate a criterion at each window shift with identical folds.
+def shift_criteria(criterion: Criterion, shifts: Sequence[int]) -> list[Criterion]:
+    """The criterion at each window shift, in the given order.
 
     Shift 0 must be included: it is the reference every delta is taken
-    against.  Each row carries per-category macro precisions plus an ``all``
-    aggregate over every target word.
+    against.  A repeated shift is an error, as its rows would merge.
     """
+    problems = []
     if 0 not in shifts:
-        raise ValueError("the shift list must include 0 (the symmetric reference)")
-    plans = _plans_for(corpus, targets, k, seed)
+        problems.append("the shift list must include 0 (the symmetric reference)")
+    repeated = sorted({shift for shift in shifts if shifts.count(shift) > 1})
+    if repeated:
+        problems.append(f"the shift list repeats {', '.join(map(str, repeated))}")
+    if problems:
+        raise ValueError("; ".join(problems))
+    return [replace(criterion, shift=shift) for shift in shifts]
+
+
+def shift_study(grid_result: GridResult) -> ShiftReport:
+    """Per-category macro precision of each criterion of a grid run over
+    ``shift_criteria``, plus an ``all`` aggregate over every target word."""
     rows = []
-    for shift in shifts:
-        shifted = replace(criterion, shift=shift)
-        by_category: dict[str, list[float]] = {}
-        for plan in plans:
-            result = cross_validate(
-                corpus, plan, shifted, classifier, smoothing,
-                filter_sets=filter_sets, content_mode=content_mode, keep_records=False,
-            )
-            by_category.setdefault(result.category, []).append(result.precision)
-            by_category.setdefault("all", []).append(result.precision)
-        rows.append(
-            ShiftRow(
-                shift=shift,
-                by_category={c: sum(v) / len(v) for c, v in sorted(by_category.items())},
-                word_counts={c: len(v) for c, v in sorted(by_category.items())},
-            )
-        )
+    for criterion, results in grid_result.by_criterion().items():
+        by_category = macro_average(results)
+        by_category["all"] = _mean(results)
+        word_counts = _word_counts(results)
+        word_counts["all"] = len(results)
+        rows.append(ShiftRow(parse_criterion(criterion).shift, by_category, word_counts))
     return ShiftReport(tuple(rows))
 
 
@@ -331,6 +292,7 @@ ANCHORED_COMBINATION = tuple(
     for order in (2, 3, 4, 5)
 )
 PLAIN_BIGRAM = Criterion(2, "lemma", "leftright", "all", size=4)
+ADJACENCY_CELLS = (ANCHORED_COMBINATION, PLAIN_BIGRAM)
 
 
 @dataclass(frozen=True)
@@ -343,42 +305,19 @@ class AdjacencyResult:
         return self.plain_precision - self.combined_precision
 
 
-def adjacency_experiment(
-    corpus: Corpus,
-    targets: Sequence[tuple[str, str]],
-    classifier: str,
-    smoothing: SmoothingParams = SmoothingParams(),
-    k: int = 10,
-    seed: int = 0,
-    *,
-    filter_sets: FilterSets = DEFAULT_FILTER_SETS,
-    content_mode: str = "reindex",
-) -> AdjacencyResult:
-    """Compare target-containing n-grams against free bigrams.
+def adjacency_experiment(grid_result: GridResult) -> AdjacencyResult:
+    """Compare target-containing n-grams against free bigrams, from a grid
+    run over ``ADJACENCY_CELLS``.
 
     Configuration (a) combines anchored 2..5-grams over windows 1..4, so every
     feature's span contains the target; configuration (b) is the plain
     left/right bigram criterion over a window of 4.  Identical folds; macro
     precision over all targets.
     """
-    plans = _plans_for(corpus, targets, k, seed)
-    combined = [
-        cross_validate(
-            corpus, plan, ANCHORED_COMBINATION, classifier, smoothing,
-            filter_sets=filter_sets, content_mode=content_mode, keep_records=False,
-        ).precision
-        for plan in plans
-    ]
-    plain = [
-        cross_validate(
-            corpus, plan, PLAIN_BIGRAM, classifier, smoothing,
-            filter_sets=filter_sets, content_mode=content_mode, keep_records=False,
-        ).precision
-        for plan in plans
-    ]
+    by_criterion = grid_result.by_criterion()
     return AdjacencyResult(
-        combined_precision=sum(combined) / len(combined),
-        plain_precision=sum(plain) / len(plain),
+        combined_precision=_mean(by_criterion[cell_name(ANCHORED_COMBINATION)]),
+        plain_precision=_mean(by_criterion[cell_name(PLAIN_BIGRAM)]),
     )
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Sequence, TextIO
+from typing import Mapping, Sequence
 
 from .criteria import Feature, FeatureVector
 
@@ -32,6 +32,8 @@ class SmoothingParams:
     prior_mode: str = "feature-values"
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.m):
+            raise ValueError("smoothing strength m must be finite")
         if self.m < 0:
             raise ValueError("smoothing strength m must be >= 0")
         if self.prior_mode not in PRIOR_MODES:
@@ -245,93 +247,3 @@ def classify_dl(model: DLModel, vector: FeatureVector) -> Prediction:
     entry = model.entries[best_rank]
     return Prediction(entry.sense, entry.strength, best_feature, False)
 
-
-# --- plain-text model serialization -----------------------------------------
-#
-# Line-oriented, tab-separated, UTF-8.  First line: "wsdlab-model<TAB><kind>
-# <TAB>1" (format version 1).  Feature keys sit in the last column of their
-# line; they cannot contain tabs or newlines because corpus fields cannot.
-
-FORMAT_VERSION = "1"
-
-
-def write_model(model: NBModel | DLModel, stream: TextIO) -> None:
-    if isinstance(model, NBModel):
-        stream.write(f"wsdlab-model\tnb\t{FORMAT_VERSION}\n")
-        stream.write(f"m\t{model.smoothing.m!r}\n")
-        stream.write(f"prior_mode\t{model.smoothing.prior_mode}\n")
-        stream.write(f"fallback\t{model.fallback}\n")
-        stream.write(f"vocab\t{model.vocab_size}\n")
-        for sense in model.senses:
-            stream.write(f"prior\t{sense}\t{model.priors[sense]!r}\n")
-        for sense in model.senses:
-            stream.write(f"total\t{sense}\t{model.sense_totals[sense]}\n")
-        for key in sorted(model.cond_counts):
-            for sense, count in sorted(model.cond_counts[key].items()):
-                stream.write(f"count\t{sense}\t{count}\t{key}\n")
-    elif isinstance(model, DLModel):
-        stream.write(f"wsdlab-model\tdl\t{FORMAT_VERSION}\n")
-        stream.write(f"m\t{model.smoothing.m!r}\n")
-        stream.write(f"prior_mode\t{model.smoothing.prior_mode}\n")
-        stream.write(f"fallback\t{model.fallback}\n")
-        stream.write("senses\t" + "\t".join(model.senses) + "\n")
-        for entry in model.entries:
-            stream.write(
-                f"entry\t{entry.strength!r}\t{entry.count}\t{entry.sense}\t{entry.key}\n"
-            )
-    else:
-        raise TypeError(f"cannot serialize {type(model).__name__}")
-
-
-def read_model(stream: TextIO) -> NBModel | DLModel:
-    lines = [line.rstrip("\n") for line in stream]
-    if not lines:
-        raise ValueError("empty model file")
-    header = lines[0].split("\t")
-    if len(header) != 3 or header[0] != "wsdlab-model" or header[2] != FORMAT_VERSION:
-        raise ValueError(f"unrecognized model header {lines[0]!r}")
-    kind = header[1]
-    fields: dict[str, str] = {}
-    priors: dict[str, float] = {}
-    totals: dict[str, int] = {}
-    cond: dict[str, dict[str, int]] = {}
-    entries: list[DLEntry] = []
-    senses: tuple[str, ...] = ()
-    for line in lines[1:]:
-        parts = line.split("\t")
-        tag = parts[0]
-        if tag in ("m", "prior_mode", "fallback", "vocab"):
-            fields[tag] = parts[1]
-        elif tag == "prior":
-            priors[parts[1]] = float(parts[2])
-        elif tag == "total":
-            totals[parts[1]] = int(parts[2])
-        elif tag == "count":
-            sense, count, key = parts[1], int(parts[2]), "\t".join(parts[3:])
-            cond.setdefault(key, {})[sense] = count
-        elif tag == "senses":
-            senses = tuple(parts[1:])
-        elif tag == "entry":
-            strength, count, sense, key = parts[1], parts[2], parts[3], "\t".join(parts[4:])
-            entries.append(DLEntry(key, sense, float(strength), int(count)))
-        else:
-            raise ValueError(f"unrecognized model line {line!r}")
-    smoothing = SmoothingParams(float(fields["m"]), fields["prior_mode"])
-    if kind == "nb":
-        return NBModel(
-            senses=tuple(sorted(priors)),
-            priors=priors,
-            cond_counts=cond,
-            sense_totals=totals,
-            vocab_size=int(fields["vocab"]),
-            fallback=fields["fallback"],
-            smoothing=smoothing,
-        )
-    if kind == "dl":
-        return DLModel(
-            senses=senses,
-            entries=tuple(entries),
-            fallback=fields["fallback"],
-            smoothing=smoothing,
-        )
-    raise ValueError(f"unrecognized model kind {kind!r}")

@@ -1,10 +1,13 @@
 """Command-line front end.
 
 Subcommands: stats, evaluate, grid, evidence, ablation, selection, shift,
-adjacency, pseudoword.  Every run writes its report CSVs plus a ``run.meta``
-JSON capturing the full configuration, so any run can be replayed exactly.
-Exit codes: 0 success, 2 bad configuration, 3 corpus parse error, 4 empty
-result set.
+adjacency, pseudoword.  Each evaluation subcommand is a list of grid cells
+plus the reports it reduces the results to: all seven run through one
+``grid_search`` call, so all honour ``--jobs`` and report the words they skip
+(too few occurrences for k folds) on stderr and in ``run.meta``.  Every run
+writes its report CSVs plus a ``run.meta`` JSON capturing the full
+configuration, so any run can be replayed exactly.  Exit codes: 0 success,
+2 bad configuration, 3 corpus parse error, 4 empty result set.
 """
 
 from __future__ import annotations
@@ -12,17 +15,23 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 from . import __version__
 from .analysis import (
+    ADJACENCY_CELLS,
     adjacency_experiment,
     content_ablation,
     context_report,
-    evidence_profile,
+    evidence_profiles,
     selection_comparison,
+    selection_criteria,
+    shift_criteria,
     shift_study,
     write_ablation_csv,
     write_adjacency_csv,
@@ -38,7 +47,6 @@ from .classifiers import SmoothingParams, PRIOR_MODES
 from .corpus import (
     CorpusParseError,
     category_averages,
-    extract_occurrences,
     generate_pseudoword_corpus,
     parse_corpus,
     parse_pseudoword_config,
@@ -47,27 +55,19 @@ from .corpus import (
     word_stats,
 )
 from .criteria import (
-    CriterionParseError,
     CONTENT_MODES,
+    Criterion,
+    CriterionGrid,
     default_grid,
     parse_criterion,
     parse_grid_config,
 )
-from .evaluation import (
-    cross_validate,
-    grid_search,
-    kfold_split,
-    write_grid_csv,
-)
+from .evaluation import Cell, GridResult, grid_search, write_grid_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_PARSE = 3
 EXIT_EMPTY = 4
-
-EVAL_COMMANDS = ("evaluate", "grid", "evidence", "ablation", "selection",
-                 "shift", "adjacency")
-COMMANDS = ("stats",) + EVAL_COMMANDS + ("pseudoword",)
 
 STATS_HEADER = ("word", "category", "frequency", "senses", "entropy", "mfs")
 
@@ -92,6 +92,96 @@ class RunConfig:
     diagnostics: list[str] = field(default_factory=list)
 
 
+def _criteria(config: RunConfig) -> tuple[Criterion, ...]:
+    """The ``--criterion`` parts; several are combined with '+'."""
+    if not config.criterion:
+        raise ValueError("a criterion is required (--criterion)")
+    return tuple(parse_criterion(part) for part in config.criterion.split("+"))
+
+
+def _criterion(config: RunConfig) -> Criterion:
+    parts = _criteria(config)
+    if len(parts) != 1:
+        raise ValueError(f"{config.subcommand} takes a single criterion")
+    return parts[0]
+
+
+def _evidence_cells(config: RunConfig) -> list[Criterion]:
+    criterion = _criterion(config)
+    if criterion.order != 1:
+        raise ValueError("evidence profiles need a unigram criterion")
+    return [criterion]
+
+
+def _grid_cells(config: RunConfig) -> CriterionGrid:
+    if config.grid in (None, "default"):
+        return default_grid()
+    path = Path(config.grid)
+    if not path.is_file():
+        raise ValueError(f"grid config file not found: {config.grid}")
+    return parse_grid_config(path.read_text(encoding="utf-8"))
+
+
+def _grid_reports(result: GridResult) -> dict[str, tuple]:
+    report = context_report(result)
+    return {
+        "grid.csv": (write_grid_csv, result.results),
+        "context.csv": (write_context_csv, report),
+        "context_curves.csv": (write_context_curves_csv, report),
+    }
+
+
+def _evidence_reports(result: GridResult) -> dict[str, tuple]:
+    profiles = evidence_profiles(result)
+    return {
+        "evidence_profile.csv": (write_evidence_profile_csv, profiles),
+        "evidence_space.csv": (write_evidence_space_csv, profiles),
+        "evidence_summary.csv": (write_evidence_summary_csv, profiles),
+    }
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One evaluation subcommand: the grid cells it cross-validates, and its
+    reduction of the results to reports, as ``{file name: (writer, data)}``.
+    Reducers and writers are looked up as module attributes when a run
+    reduces, not when this table is built, so wrappers installed on those
+    attributes (as perfbench's tracer does) see every call."""
+
+    cells: Callable[[RunConfig], CriterionGrid | list[Cell]]
+    reports: Callable[[GridResult], dict[str, tuple]]
+    classifier: str | None = None  # fixed classifier, overriding --classifier
+    keep_records: bool = False
+
+
+EXPERIMENTS = {
+    "evaluate": Experiment(
+        lambda config: [_criteria(config)],
+        lambda result: {"evaluate.csv": (write_grid_csv, result.results)},
+    ),
+    "grid": Experiment(_grid_cells, _grid_reports),
+    "evidence": Experiment(_evidence_cells, _evidence_reports,
+                           classifier="dl", keep_records=True),
+    "ablation": Experiment(
+        _grid_cells,
+        lambda result: {"ablation.csv": (write_ablation_csv, content_ablation(result))},
+    ),
+    "selection": Experiment(
+        lambda config: selection_criteria(_criterion(config)),
+        lambda result: {"selection.csv": (write_selection_csv, selection_comparison(result))},
+    ),
+    "shift": Experiment(
+        lambda config: shift_criteria(_criterion(config), config.shifts),
+        lambda result: {"shift.csv": (write_shift_csv, shift_study(result))},
+    ),
+    "adjacency": Experiment(
+        lambda config: list(ADJACENCY_CELLS),
+        lambda result: {"adjacency.csv": (write_adjacency_csv, adjacency_experiment(result))},
+    ),
+}
+COMMANDS = ("stats", *EXPERIMENTS, "pseudoword")
+
+
 def validate_config(config: RunConfig) -> list[str]:
     """All configuration violations at once, not just the first."""
     problems = list(config.diagnostics)
@@ -113,14 +203,16 @@ def validate_config(config: RunConfig) -> list[str]:
     elif not config.targets.is_file():
         problems.append(f"targets file not found: {config.targets}")
 
-    if config.subcommand in EVAL_COMMANDS:
+    if config.subcommand in EXPERIMENTS:
         if config.classifier not in ("nb", "dl"):
             problems.append(
                 f"unknown classifier {config.classifier!r}: valid ids are nb, dl"
             )
         if config.k < 2:
             problems.append("k must be >= 2")
-        if config.m < 0:
+        if not math.isfinite(config.m):
+            problems.append("smoothing strength m must be finite")
+        elif config.m < 0:
             problems.append("smoothing strength m must be >= 0")
         if config.prior_mode not in PRIOR_MODES:
             problems.append(f"prior mode must be one of {PRIOR_MODES}")
@@ -128,35 +220,11 @@ def validate_config(config: RunConfig) -> list[str]:
             problems.append("jobs must be >= 1")
         if config.content_mode not in CONTENT_MODES:
             problems.append(f"content mode must be one of {CONTENT_MODES}")
-    if config.subcommand in ("evaluate", "evidence", "selection", "shift"):
-        if config.criterion:
-            try:
-                for part in config.criterion.split("+"):
-                    parse_criterion(part)
-            except CriterionParseError as exc:
-                problems.append(str(exc))
-    if config.subcommand in ("grid", "ablation") and config.grid not in (None, "default"):
-        if not Path(config.grid).is_file():
-            problems.append(f"grid config file not found: {config.grid}")
-    if config.subcommand == "shift" and 0 not in config.shifts:
-        problems.append("the shift list must include 0")
-    if config.subcommand == "evidence" and config.criterion:
-        if "+" in config.criterion:
-            problems.append("evidence profiles take a single unigram criterion")
-        else:
-            try:
-                parsed = parse_criterion(config.criterion)
-                if parsed.order != 1:
-                    problems.append("evidence profiles need a unigram criterion")
-            except CriterionParseError:
-                pass  # already reported above
+        try:
+            EXPERIMENTS[config.subcommand].cells(config)
+        except ValueError as exc:
+            problems.extend(str(exc).splitlines())
     return problems
-
-
-def _load_grid(config: RunConfig):
-    if config.grid in (None, "default"):
-        return default_grid()
-    return parse_grid_config(Path(config.grid).read_text(encoding="utf-8"))
 
 
 def _write(path: Path, writer_fn) -> None:
@@ -193,6 +261,72 @@ def _format_stat(value) -> str:
     return "" if value is None else f"{value:.6f}"
 
 
+def _pseudoword(config: RunConfig) -> int:
+    pw_config = parse_pseudoword_config(config.config.read_text(encoding="utf-8"))
+    seed = config.seed if config.seed is not None else pw_config.seed
+    corpus = generate_pseudoword_corpus(pw_config, seed)
+    outdir = config.output
+    outdir.mkdir(parents=True, exist_ok=True)
+    (outdir / "corpus.tsv").write_text(serialize_corpus(corpus), encoding="utf-8")
+    (outdir / "targets.tsv").write_text(
+        f"{pw_config.target_lemma}\t{pw_config.category}\n", encoding="utf-8"
+    )
+    _write_meta(config, outdir, {"pseudoword_seed": seed,
+                                 "occurrences": len(corpus.documents)})
+    return EXIT_OK
+
+
+def _stats(config: RunConfig, corpus, targets) -> int:
+    stats = word_stats(corpus, targets)
+    averages = category_averages(stats)
+
+    def write_stats(stream) -> None:
+        writer = csv.writer(stream, lineterminator="\n")
+        writer.writerow(STATS_HEADER)
+        for row in stats:
+            writer.writerow(
+                (row.lemma, row.category, row.frequency, row.senses,
+                 _format_stat(row.entropy), _format_stat(row.mfs))
+            )
+        for category, avg in averages.items():
+            writer.writerow(
+                ("AVERAGE", category, f"{avg.frequency:.1f}", f"{avg.senses:.1f}",
+                 f"{avg.entropy:.6f}", f"{avg.mfs:.6f}")
+            )
+
+    config.output.mkdir(parents=True, exist_ok=True)
+    _write(config.output / "stats.csv", write_stats)
+    _write_meta(config, config.output, {})
+    return EXIT_OK
+
+
+def _evaluate(config: RunConfig, corpus, targets) -> int:
+    """The shared path of every evaluation subcommand."""
+    experiment = EXPERIMENTS[config.subcommand]
+    result = grid_search(
+        corpus, targets, experiment.cells(config),
+        experiment.classifier or config.classifier,
+        SmoothingParams(config.m, config.prior_mode), config.k, config.seed,
+        jobs=config.jobs, content_mode=config.content_mode,
+        keep_records=experiment.keep_records,
+    )
+    for item in result.skipped:
+        print(f"warning: skipping {item.lemma} ({item.category}): {item.reason}",
+              file=sys.stderr)
+    if not result.results:
+        print("error: no target word has enough occurrences", file=sys.stderr)
+        return EXIT_EMPTY
+    reports = experiment.reports(result)
+    config.output.mkdir(parents=True, exist_ok=True)
+    for name, (writer, data) in reports.items():
+        _write(config.output / name, partial(writer, data))
+    _write_meta(config, config.output, {
+        "classifier": result.classifier,
+        "skipped": [f"{s.lemma} ({s.category})" for s in result.skipped],
+    })
+    return EXIT_OK
+
+
 def run(config: RunConfig) -> int:
     """Execute one subcommand; returns the process exit code."""
     problems = validate_config(config)
@@ -200,22 +334,8 @@ def run(config: RunConfig) -> int:
         for problem in problems:
             print(f"error: {problem}", file=sys.stderr)
         return EXIT_CONFIG
-
-    outdir = config.output
-    smoothing = SmoothingParams(config.m, config.prior_mode)
-
     if config.subcommand == "pseudoword":
-        pw_config = parse_pseudoword_config(config.config.read_text(encoding="utf-8"))
-        seed = config.seed if config.seed is not None else pw_config.seed
-        corpus = generate_pseudoword_corpus(pw_config, seed)
-        outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / "corpus.tsv").write_text(serialize_corpus(corpus), encoding="utf-8")
-        (outdir / "targets.tsv").write_text(
-            f"{pw_config.target_lemma}\t{pw_config.category}\n", encoding="utf-8"
-        )
-        _write_meta(config, outdir, {"pseudoword_seed": seed,
-                                     "occurrences": len(corpus.documents)})
-        return EXIT_OK
+        return _pseudoword(config)
 
     try:
         corpus = parse_corpus(config.corpus.read_text(encoding="utf-8"))
@@ -230,163 +350,9 @@ def run(config: RunConfig) -> int:
     if not targets:
         print("error: the targets file lists no targets", file=sys.stderr)
         return EXIT_EMPTY
-
-    meta_extra: dict = {}
-
     if config.subcommand == "stats":
-        stats = word_stats(corpus, targets)
-        averages = category_averages(stats)
-
-        def write_stats(stream) -> None:
-            writer = csv.writer(stream, lineterminator="\n")
-            writer.writerow(STATS_HEADER)
-            for row in stats:
-                writer.writerow(
-                    (row.lemma, row.category, row.frequency, row.senses,
-                     _format_stat(row.entropy), _format_stat(row.mfs))
-                )
-            for category, avg in averages.items():
-                writer.writerow(
-                    ("AVERAGE", category, f"{avg.frequency:.1f}", f"{avg.senses:.1f}",
-                     f"{avg.entropy:.6f}", f"{avg.mfs:.6f}")
-                )
-
-        outdir.mkdir(parents=True, exist_ok=True)
-        _write(outdir / "stats.csv", write_stats)
-        _write_meta(config, outdir, meta_extra)
-        return EXIT_OK
-
-    if config.subcommand == "evaluate":
-        criteria = [parse_criterion(part) for part in config.criterion.split("+")]
-        results = []
-        skipped = []
-        for lemma, category in sorted(targets):
-            occurrences = extract_occurrences(corpus, lemma, category)
-            if len(occurrences) < config.k:
-                skipped.append((lemma, category, len(occurrences)))
-                continue
-            plan = kfold_split(occurrences, config.k, config.seed)
-            results.append(
-                cross_validate(corpus, plan, criteria, config.classifier, smoothing,
-                               content_mode=config.content_mode, keep_records=False)
-            )
-        for lemma, category, n in skipped:
-            print(f"warning: skipping {lemma} ({category}): {n} occurrences < k",
-                  file=sys.stderr)
-        if not results:
-            print("error: no target word has enough occurrences", file=sys.stderr)
-            return EXIT_EMPTY
-        outdir.mkdir(parents=True, exist_ok=True)
-        _write(outdir / "evaluate.csv", lambda s: write_grid_csv(results, s))
-        meta_extra["skipped"] = [f"{lemma} ({category})" for lemma, category, _ in skipped]
-        _write_meta(config, outdir, meta_extra)
-        return EXIT_OK
-
-    if config.subcommand in ("grid", "ablation"):
-        grid = _load_grid(config)
-        result = grid_search(
-            corpus, targets, grid, config.classifier, smoothing,
-            config.k, config.seed, jobs=config.jobs, content_mode=config.content_mode,
-        )
-        for item in result.skipped:
-            print(f"warning: skipping {item.lemma} ({item.category}): {item.reason}",
-                  file=sys.stderr)
-        if not result.results:
-            print("error: no target word has enough occurrences", file=sys.stderr)
-            return EXIT_EMPTY
-        outdir.mkdir(parents=True, exist_ok=True)
-        meta_extra["skipped"] = [f"{s.lemma} ({s.category})" for s in result.skipped]
-        if config.subcommand == "grid":
-            _write(outdir / "grid.csv", lambda s: write_grid_csv(result.results, s))
-            report = context_report(result)
-            _write(outdir / "context.csv", lambda s: write_context_csv(report, s))
-            _write(outdir / "context_curves.csv",
-                   lambda s: write_context_curves_csv(report, s))
-        else:
-            try:
-                report = content_ablation(result)
-            except ValueError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_CONFIG
-            _write(outdir / "ablation.csv", lambda s: write_ablation_csv(report, s))
-        _write_meta(config, outdir, meta_extra)
-        return EXIT_OK
-
-    if config.subcommand == "evidence":
-        criterion = parse_criterion(config.criterion)
-        profiles = {}
-        records_by_category: dict[str, list] = {}
-        skipped = []
-        for lemma, category in sorted(targets):
-            occurrences = extract_occurrences(corpus, lemma, category)
-            if len(occurrences) < config.k:
-                skipped.append((lemma, category))
-                continue
-            plan = kfold_split(occurrences, config.k, config.seed)
-            result = cross_validate(corpus, plan, criterion, "dl", smoothing,
-                                    content_mode=config.content_mode)
-            records_by_category.setdefault(category, []).extend(result.records)
-        if not records_by_category:
-            print("error: no target word has enough occurrences", file=sys.stderr)
-            return EXIT_EMPTY
-        for category, records in sorted(records_by_category.items()):
-            profiles[category] = evidence_profile(records)
-        outdir.mkdir(parents=True, exist_ok=True)
-        _write(outdir / "evidence_profile.csv",
-               lambda s: write_evidence_profile_csv(profiles, s))
-        _write(outdir / "evidence_space.csv",
-               lambda s: write_evidence_space_csv(profiles, s))
-        _write(outdir / "evidence_summary.csv",
-               lambda s: write_evidence_summary_csv(profiles, s))
-        meta_extra["skipped"] = [f"{lemma} ({category})" for lemma, category in skipped]
-        _write_meta(config, outdir, meta_extra)
-        return EXIT_OK
-
-    if config.subcommand == "selection":
-        criterion = parse_criterion(config.criterion)
-        try:
-            report = selection_comparison(
-                corpus, targets, criterion, config.classifier, smoothing,
-                config.k, config.seed, content_mode=config.content_mode,
-            )
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_EMPTY
-        outdir.mkdir(parents=True, exist_ok=True)
-        _write(outdir / "selection.csv", lambda s: write_selection_csv(report, s))
-        _write_meta(config, outdir, meta_extra)
-        return EXIT_OK
-
-    if config.subcommand == "shift":
-        criterion = parse_criterion(config.criterion)
-        try:
-            report = shift_study(
-                corpus, targets, criterion, config.shifts, config.classifier,
-                smoothing, config.k, config.seed, content_mode=config.content_mode,
-            )
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_EMPTY
-        outdir.mkdir(parents=True, exist_ok=True)
-        _write(outdir / "shift.csv", lambda s: write_shift_csv(report, s))
-        _write_meta(config, outdir, meta_extra)
-        return EXIT_OK
-
-    if config.subcommand == "adjacency":
-        try:
-            result = adjacency_experiment(
-                corpus, targets, config.classifier, smoothing,
-                config.k, config.seed, content_mode=config.content_mode,
-            )
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_EMPTY
-        outdir.mkdir(parents=True, exist_ok=True)
-        _write(outdir / "adjacency.csv", lambda s: write_adjacency_csv(result, s))
-        _write_meta(config, outdir, meta_extra)
-        return EXIT_OK
-
-    raise AssertionError(f"unhandled subcommand {config.subcommand}")
+        return _stats(config, corpus, targets)
+    return _evaluate(config, corpus, targets)
 
 
 def _add_common(parser: argparse.ArgumentParser, *, evaluation: bool) -> None:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
 from .corpus import Corpus, Occurrence, Token
@@ -199,46 +199,54 @@ def _parse_int_list(value: str) -> tuple[int, ...]:
 
 def parse_grid_config(text: str) -> CriterionGrid:
     """Parse a grid config file: ``orders/tags/positionings/filters/sizes``
-    keys with comma-separated values (sizes also accept ``1-8`` ranges)."""
+    keys with comma-separated values (sizes also accept ``1-8`` ranges).
+
+    Every value is checked; all problems are raised together in one
+    ``ValueError``, one per line of its message.
+    """
     raw: dict[str, str] = {}
+    problems: list[str] = []
     for number, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         key, sep, value = stripped.partition("=")
         if not sep:
-            raise ValueError(f"grid config line {number}: expected 'key = value'")
+            problems.append(f"grid config line {number}: expected 'key = value'")
+            continue
         raw[key.strip()] = value.strip()
-    known = {"orders", "tags", "positionings", "filters", "sizes"}
-    unknown = sorted(set(raw) - known)
+    fields = {"orders": "order", "tags": "tag", "positionings": "positioning",
+              "filters": "filter", "sizes": "size"}
+    unknown = sorted(set(raw) - set(fields))
     if unknown:
-        raise ValueError(f"unknown grid config keys: {', '.join(unknown)}")
+        problems.append(f"unknown grid config keys: {', '.join(unknown)}")
     kwargs: dict = {}
-    if "orders" in raw:
-        kwargs["orders"] = _parse_int_list(raw["orders"])
-    if "sizes" in raw:
-        kwargs["sizes"] = _parse_int_list(raw["sizes"])
-    if "tags" in raw:
-        kwargs["tags"] = tuple(t for t in (s.strip() for s in raw["tags"].split(",")) if t)
-    if "positionings" in raw:
-        kwargs["positionings"] = tuple(
-            "ordered" if p == "position" else p
-            for p in (s.strip() for s in raw["positionings"].split(","))
-            if p
-        )
-    if "filters" in raw:
-        kwargs["filters"] = tuple(
-            f for f in (s.strip() for s in raw["filters"].split(",")) if f
-        )
-    grid = CriterionGrid(**kwargs)
-    # Validate through the Criterion constructor using the first combination.
-    enumerate_grid(
-        CriterionGrid(
-            grid.orders[:1], grid.tags[:1], grid.positionings[:1],
-            grid.filters[:1], grid.sizes[:1],
-        )
-    )
-    return grid
+    for key in (key for key in fields if key in raw):
+        if key in ("orders", "sizes"):
+            try:
+                kwargs[key] = _parse_int_list(raw[key])
+            except ValueError as exc:
+                problems.append(f"grid config {key}: {exc}")
+            continue
+        values = tuple(v for v in (s.strip() for s in raw[key].split(",")) if v)
+        if key == "positionings":
+            values = tuple("ordered" if v == "position" else v for v in values)
+        kwargs[key] = values
+    probe = Criterion(1, TAGS[0], POSITIONINGS[0], FILTERS[0], 1)
+    for key, values in kwargs.items():
+        if not values:
+            problems.append(f"grid parameter set {key!r} is empty")
+        for value in values:
+            try:
+                replace(probe, **{fields[key]: value})
+            except ValueError as exc:
+                problems.append(f"grid config {key}: {exc}")
+        repeated = sorted({str(v) for v in values if values.count(v) > 1})
+        if repeated:
+            problems.append(f"grid config {key}: repeated {', '.join(repeated)}")
+    if problems:
+        raise ValueError("\n".join(problems))
+    return CriterionGrid(**kwargs)
 
 
 @dataclass(frozen=True)

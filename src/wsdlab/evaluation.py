@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import multiprocessing
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -20,7 +21,6 @@ from .classifiers import (
     SmoothingParams,
     classify_dl,
     classify_nb,
-    majority_sense,
     train_dl,
     train_nb,
 )
@@ -37,7 +37,7 @@ from .criteria import (
     parse_criterion,
 )
 
-CLASSIFIERS = ("nb", "dl", "mfs")
+CLASSIFIERS = ("nb", "dl")
 
 GRID_CSV_HEADER = ("word", "category", "criterion", "size", "classifier",
                    "precision", "fold_precisions")
@@ -51,10 +51,6 @@ class FoldPlan:
     seed: int
     occurrences: tuple[Occurrence, ...]
     assignment: tuple[int, ...]
-
-    @property
-    def as_mapping(self) -> dict[Occurrence, int]:
-        return dict(zip(self.occurrences, self.assignment))
 
     def test_indices(self, fold: int) -> tuple[int, ...]:
         return tuple(i for i, f in enumerate(self.assignment) if f == fold)
@@ -137,9 +133,6 @@ def _classify_fold(
     if classifier == "dl":
         model = train_dl(training, smoothing)
         return [classify_dl(model, v) for v in test_vectors]
-    if classifier == "mfs":
-        fallback = majority_sense([sense for _, sense in training])
-        return [Prediction(fallback, 0.0, None, True) for _ in test_vectors]
     raise ValueError(f"unknown classifier {classifier!r}; expected one of {CLASSIFIERS}")
 
 
@@ -217,7 +210,7 @@ def cross_validate(
     return WordResult(
         lemma=occurrences[0].lemma,
         category=occurrences[0].category,
-        criterion="+".join(format_criterion(c) for c in criteria),
+        criterion=cell_name(criteria),
         classifier=classifier,
         precision=total_correct / len(occurrences),
         fold_precisions=tuple(fold_precisions),
@@ -236,34 +229,12 @@ class GridResult:
     k: int
     seed: int
 
-    def by_word(self) -> dict[tuple[str, str], list[WordResult]]:
-        grouped: dict[tuple[str, str], list[WordResult]] = {}
+    def by_criterion(self) -> dict[str, list[WordResult]]:
+        """Results per criterion name, in grid order, each list word-ascending."""
+        grouped: dict[str, list[WordResult]] = {}
         for result in self.results:
-            grouped.setdefault((result.lemma, result.category), []).append(result)
+            grouped.setdefault(result.criterion, []).append(result)
         return grouped
-
-    def best_by_word(self) -> dict[tuple[str, str], WordResult]:
-        """Per word, the best criterion: highest precision, ties to the
-        smaller context size, then to grid order."""
-        best: dict[tuple[str, str], WordResult] = {}
-        for key, rows in self.by_word().items():
-            chosen = rows[0]
-            chosen_size = parse_criterion(chosen.criterion).size
-            for row in rows[1:]:
-                size = parse_criterion(row.criterion).size
-                if row.precision > chosen.precision or (
-                    row.precision == chosen.precision and size < chosen_size
-                ):
-                    chosen, chosen_size = row, size
-            best[key] = chosen
-        return best
-
-    def category_averages(self) -> dict[tuple[str, str], float]:
-        """Macro (unweighted over words) precision per (category, criterion)."""
-        sums: dict[tuple[str, str], list[float]] = {}
-        for result in self.results:
-            sums.setdefault((result.category, result.criterion), []).append(result.precision)
-        return {key: sum(values) / len(values) for key, values in sorted(sums.items())}
 
 
 def macro_average(results: Sequence[WordResult]) -> dict[str, float]:
@@ -274,6 +245,26 @@ def macro_average(results: Sequence[WordResult]) -> dict[str, float]:
     for result in results:
         groups.setdefault(result.category, []).append(result.precision)
     return {category: sum(vals) / len(vals) for category, vals in sorted(groups.items())}
+
+
+# One grid cell: a criterion, or several combined into one feature vector.
+Cell = Criterion | Sequence[Criterion]
+
+
+def cell_name(cell: Cell) -> str:
+    """The criterion string of a cell; combined criteria are joined by '+'."""
+    parts = (cell,) if isinstance(cell, Criterion) else cell
+    return "+".join(format_criterion(c) for c in parts)
+
+
+def worker_count(jobs: int, cells: int) -> int:
+    """Pool size for ``cells`` cells: at most ``jobs``, the cells, and the
+    CPUs this process may run on; at least 1."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not available on every platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(jobs, cells, cpus))
 
 
 # Worker-pool state: populated in the parent before forking so child
@@ -297,14 +288,14 @@ def _eval_cell(cell: tuple[int, int]) -> WordResult:
         state["smoothing"],
         filter_sets=state["filter_sets"],
         content_mode=state["content_mode"],
-        keep_records=False,
+        keep_records=state["keep_records"],
     )
 
 
 def grid_search(
     corpus: Corpus,
     targets: Sequence[tuple[str, str]],
-    grid: CriterionGrid | Sequence[Criterion],
+    grid: CriterionGrid | Sequence[Cell],
     classifier: str,
     smoothing: SmoothingParams = SmoothingParams(),
     k: int = 10,
@@ -313,12 +304,15 @@ def grid_search(
     jobs: int = 1,
     filter_sets: FilterSets = DEFAULT_FILTER_SETS,
     content_mode: str = "reindex",
+    keep_records: bool = False,
 ) -> GridResult:
-    """Cross-validate every (target word, criterion) pair.
+    """Cross-validate every (target word, cell) pair.
 
-    Words with fewer occurrences than k are skipped with a warning record
-    rather than failing the run.  Results are ordered word-ascending then
-    grid-order, independent of the worker count.
+    A cell is a criterion or a sequence of criteria combined into one
+    feature vector.  Words with fewer occurrences than k are skipped with a
+    warning record rather than failing the run.  Results are ordered
+    word-ascending then grid-order, independent of the worker count; decision
+    records are kept only when ``keep_records`` is set.
     """
     criteria = enumerate_grid(grid) if isinstance(grid, CriterionGrid) else list(grid)
     if not criteria:
@@ -348,31 +342,29 @@ def grid_search(
         "smoothing": smoothing,
         "filter_sets": filter_sets,
         "content_mode": content_mode,
+        "keep_records": keep_records,
     }
-    if jobs > 1 and cells:
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:
-            context = None
-        if context is not None:
-            with ProcessPoolExecutor(
-                max_workers=jobs,
-                mp_context=context,
-                initializer=_init_pool,
-                initargs=(state,),
-            ) as pool:
-                results = list(pool.map(_eval_cell, cells, chunksize=8))
-        else:
-            _init_pool(state)
-            results = [_eval_cell(cell) for cell in cells]
-    else:
+    workers = worker_count(jobs, len(cells))
+    try:
+        context = multiprocessing.get_context("fork") if workers > 1 else None
+    except ValueError:  # no fork on this platform: run serially
+        context = None
+    if context is None:
         _init_pool(state)
         results = [_eval_cell(cell) for cell in cells]
+    else:
+        with ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=context,
+            initializer=_init_pool,
+            initargs=(state,),
+        ) as pool:
+            results = list(pool.map(_eval_cell, cells, chunksize=8))
 
     return GridResult(
         results=tuple(results),
         skipped=tuple(skipped),
-        criteria=tuple(format_criterion(c) for c in criteria),
+        criteria=tuple(cell_name(c) for c in criteria),
         classifier=classifier,
         k=k,
         seed=seed,

@@ -5,14 +5,17 @@ lines as they complete.
 """
 
 import json
+import os
 import random
 import subprocess
 import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import wsdlab
 from wsdlab import (
     FeatureVector,
     Feature,
@@ -137,7 +140,7 @@ def test_criterion_06_fold_laws():
     )
     occurrences = extract_occurrences(corpus, "w", "noun")
     plan = kfold_split(occurrences, 10, 0)
-    fold_of = plan.as_mapping
+    fold_of = dict(zip(plan.occurrences, plan.assignment))
     assert len(fold_of) == 200  # partition covers every occurrence exactly once
     sizes = Counter(plan.assignment)
     assert sorted(sizes) == list(range(10))
@@ -256,9 +259,13 @@ def _build_three_category_workspace(root):
 
 
 def _run_cli(root, *args):
+    # The subprocess runs in ``root``, so the package goes on its path by its
+    # absolute location.
+    src = str(Path(wsdlab.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, "-m", "wsdlab", *args],
-        cwd=root, capture_output=True, text=True,
+        cwd=root, capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
 
 

@@ -3,6 +3,7 @@ import io
 import pytest
 
 from wsdlab import (
+    ADJACENCY_CELLS,
     PseudowordConfig,
     adjacency_experiment,
     content_ablation,
@@ -11,10 +12,13 @@ from wsdlab import (
     evidence_profile,
     extract_occurrences,
     generate_pseudoword_corpus,
+    grid_search,
     kfold_split,
     mfs_baseline,
     parse_criterion,
     selection_comparison,
+    selection_criteria,
+    shift_criteria,
     shift_study,
     space_distribution_summary,
 )
@@ -39,6 +43,24 @@ def pseudo_corpus(seed=17, **kwargs):
     corpus = generate_pseudoword_corpus(config, seed)
     target = (config.target_lemma, config.category)
     return corpus, target
+
+
+def selection(corpus, target, base):
+    return selection_comparison(
+        grid_search(corpus, [target], selection_criteria(base), "nb", k=10, seed=0)
+    )
+
+
+def shifts(corpus, target, criterion, values):
+    return shift_study(
+        grid_search(corpus, [target], shift_criteria(criterion, values), "nb", k=10, seed=0)
+    )
+
+
+def adjacency(corpus, target):
+    return adjacency_experiment(
+        grid_search(corpus, [target], ADJACENCY_CELLS, "nb", k=10, seed=0)
+    )
 
 
 def record(tag, offset, correct, fallback=False, n=0):
@@ -191,7 +213,7 @@ def test_selection_preserved_signal():
     # signal tokens are NCOM: every filter keeps them, so all three rows match
     corpus, target = pseudo_corpus(signal_pos="NCOM", vocabulary=1)
     base = parse_criterion("[1gr|lemma|ordered|all]@1")
-    report = selection_comparison(corpus, [target], base, "nb", k=10, seed=0)
+    report = selection(corpus, target, base)
     assert [row.criterion for row in report.rows] == [
         "[1gr|lemma|ordered|all]@1",
         "[1gr|lemma|ordered|content]@1",
@@ -207,7 +229,7 @@ def test_selection_removed_signal_drops_to_baseline():
     corpus, target = pseudo_corpus(signal_pos="DET", vocabulary=1, counts=(60, 40))
     occurrences = extract_occurrences(corpus, *target)
     base = parse_criterion("[1gr|lemma|ordered|all]@1")
-    report = selection_comparison(corpus, [target], base, "nb", k=10, seed=0)
+    report = selection(corpus, target, base)
     rows = {row.criterion.split("|")[-1].split("]")[0]: row for row in report.rows}
     assert rows["all"].by_category["noun"] == 1.0
     assert rows["selected"].by_category["noun"] == pytest.approx(
@@ -218,26 +240,25 @@ def test_selection_removed_signal_drops_to_baseline():
 def test_selection_requires_all_filter_base():
     corpus, target = pseudo_corpus()
     with pytest.raises(ValueError, match="all"):
-        selection_comparison(
-            corpus, [target], parse_criterion("[1gr|lemma|ordered|content]@1"), "nb"
-        )
+        selection_criteria(parse_criterion("[1gr|lemma|ordered|content]@1"))
 
 
 def test_selection_shares_fold_plans():
     corpus, target = pseudo_corpus()
     base = parse_criterion("[1gr|lemma|ordered|all]@1")
-    report = selection_comparison(corpus, [target], base, "nb", k=10, seed=0)
-    occurrences = extract_occurrences(corpus, *target)
-    assert report.fold_plans == (kfold_split(occurrences, 10, 0),)
-    assert hash(report.fold_plans[0]) == hash(kfold_split(occurrences, 10, 0))
+    report = selection(corpus, target, base)
+    plan = kfold_split(extract_occurrences(corpus, *target), 10, 0)
+    for row, criterion in zip(report.rows, selection_criteria(base), strict=True):
+        alone = grid_search(corpus, [target], [criterion], "nb", k=10, seed=0)
+        assert row.criterion == alone.criteria[0]
+        assert row.by_category == {"noun": alone.results[0].precision}
+        assert alone.results[0] == cross_validate(corpus, plan, criterion, "nb",
+                                                  keep_records=False)
 
 
 def test_selection_csv_schema():
     corpus, target = pseudo_corpus(vocabulary=1)
-    report = selection_comparison(
-        corpus, [target], parse_criterion("[1gr|lemma|ordered|all]@1"), "nb",
-        k=10, seed=0,
-    )
+    report = selection(corpus, target, parse_criterion("[1gr|lemma|ordered|all]@1"))
     buffer = io.StringIO()
     write_selection_csv(report, buffer)
     lines = buffer.getvalue().splitlines()
@@ -251,7 +272,7 @@ def test_shift_study_finds_forward_signal():
     # signal lives at +2 only; a +1-shifted window @1 covers [0+1-1, 1+1] = {1, 2}
     corpus, target = pseudo_corpus(signal_offsets=(2,), vocabulary=1)
     criterion = parse_criterion("[1gr|lemma|ordered|all]@1")
-    report = shift_study(corpus, [target], criterion, [0, 1], "nb", k=10, seed=0)
+    report = shifts(corpus, target, criterion, [0, 1])
     by_shift = {row.shift: row.by_category["noun"] for row in report.rows}
     assert by_shift[1] == 1.0
     assert by_shift[1] > by_shift[0]
@@ -261,7 +282,7 @@ def test_shift_study_finds_forward_signal():
 def test_shift_study_symmetric_signal_is_flat():
     corpus, target = pseudo_corpus(signal_offsets=(-1, 1), vocabulary=1)
     criterion = parse_criterion("[1gr|lemma|ordered|all]@2")
-    report = shift_study(corpus, [target], criterion, [0, 1, -1], "nb", k=10, seed=0)
+    report = shifts(corpus, target, criterion, [0, 1, -1])
     for shift in (1, -1):
         assert abs(report.delta_vs_zero(shift, "noun")) <= 0.05
 
@@ -269,24 +290,22 @@ def test_shift_study_symmetric_signal_is_flat():
 def test_shift_study_single_zero_row():
     corpus, target = pseudo_corpus(vocabulary=1)
     criterion = parse_criterion("[1gr|lemma|ordered|all]@1")
-    report = shift_study(corpus, [target], criterion, [0], "nb", k=10, seed=0)
+    report = shifts(corpus, target, criterion, [0])
     assert len(report.rows) == 1
     assert report.delta_vs_zero(0, "noun") == 0.0
 
 
 def test_shift_study_requires_zero():
-    corpus, target = pseudo_corpus()
+    criterion = parse_criterion("[1gr|lemma|ordered|all]@1")
     with pytest.raises(ValueError, match="include 0"):
-        shift_study(corpus, [target], parse_criterion("[1gr|lemma|ordered|all]@1"),
-                    [1, 2], "nb")
+        shift_criteria(criterion, [1, 2])
+    with pytest.raises(ValueError, match="repeats 1"):
+        shift_criteria(criterion, [0, 1, 1])
 
 
 def test_shift_csv_schema():
     corpus, target = pseudo_corpus(vocabulary=1)
-    report = shift_study(
-        corpus, [target], parse_criterion("[1gr|lemma|ordered|all]@1"),
-        [0, 1], "nb", k=10, seed=0,
-    )
+    report = shifts(corpus, target, parse_criterion("[1gr|lemma|ordered|all]@1"), [0, 1])
     buffer = io.StringIO()
     write_shift_csv(report, buffer)
     lines = buffer.getvalue().splitlines()
@@ -298,7 +317,7 @@ def test_shift_csv_schema():
 
 def test_adjacency_adjacent_signal_ties():
     corpus, target = pseudo_corpus(signal_offsets=(-1,), vocabulary=1)
-    result = adjacency_experiment(corpus, [target], "nb", k=10, seed=0)
+    result = adjacency(corpus, target)
     assert result.combined_precision == 1.0
     assert result.plain_precision == 1.0
     assert result.delta == pytest.approx(0.0)
@@ -311,7 +330,7 @@ def test_adjacency_distant_signal_favors_plain_bigram():
     corpus, target = pseudo_corpus(
         signal_offsets=(-3,), vocabulary=40, counts=(100, 100)
     )
-    result = adjacency_experiment(corpus, [target], "nb", k=10, seed=0)
+    result = adjacency(corpus, target)
     assert result.plain_precision >= 0.9
     assert result.combined_precision <= 0.7
     assert result.delta >= 0.2
@@ -319,7 +338,7 @@ def test_adjacency_distant_signal_favors_plain_bigram():
 
 def test_adjacency_csv_schema():
     corpus, target = pseudo_corpus(vocabulary=1)
-    result = adjacency_experiment(corpus, [target], "nb", k=10, seed=0)
+    result = adjacency(corpus, target)
     buffer = io.StringIO()
     write_adjacency_csv(result, buffer)
     lines = buffer.getvalue().splitlines()

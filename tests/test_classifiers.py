@@ -1,4 +1,3 @@
-import io
 import math
 import random
 
@@ -14,10 +13,8 @@ from wsdlab import (
     classify_nb,
     feature_strength,
     m_estimate,
-    read_model,
     train_dl,
     train_nb,
-    write_model,
 )
 from oracles import dl_scan_oracle, nb_posterior_oracle
 
@@ -290,6 +287,9 @@ def test_smoothing_params_validation():
         SmoothingParams(-0.5)
     with pytest.raises(ValueError):
         SmoothingParams(1.0, "bogus")
+    for m in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            SmoothingParams(m)
 
 
 @settings(max_examples=40, deadline=None)
@@ -306,29 +306,3 @@ def test_classifiers_never_abstain(data):
     assert classify_nb(nb, query).sense in nb.senses
     assert classify_dl(dl, query).sense in dl.senses
 
-
-# --- serialization --------------------------------------------------------------------
-
-def test_nb_model_round_trips():
-    model = train_nb(toy_training(), SmoothingParams(0.25, "senses"))
-    buffer = io.StringIO()
-    write_model(model, buffer)
-    buffer.seek(0)
-    assert read_model(buffer) == model
-
-
-def test_dl_model_round_trips():
-    rng = random.Random(5)
-    model, _ = _random_dl_case(rng)
-    buffer = io.StringIO()
-    write_model(model, buffer)
-    buffer.seek(0)
-    restored = read_model(buffer)
-    assert restored == model
-
-
-def test_read_model_rejects_garbage():
-    with pytest.raises(ValueError):
-        read_model(io.StringIO("not a model\n"))
-    with pytest.raises(ValueError):
-        read_model(io.StringIO(""))

@@ -1,10 +1,19 @@
+import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import wsdlab as package
 from wsdlab.cli import RunConfig, validate_config
+from test_acceptance import SMALL_GRID, _build_three_category_workspace
+
+# The subprocesses run in other directories, so the package is put on their
+# path by its absolute location.
+SRC = str(Path(package.__file__).resolve().parent.parent)
 
 PW_CONFIG = """
 sources = banane, porte
@@ -19,9 +28,10 @@ seed = 5
 
 
 def wsdlab(*args, cwd):
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, "-m", "wsdlab", *args],
-        cwd=cwd, capture_output=True, text=True,
+        cwd=cwd, capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
 
 
@@ -203,6 +213,116 @@ def test_evidence_rejects_non_unigram(workspace):
     )
     assert result.returncode == 2
     assert "unigram" in result.stderr
+
+
+def test_validate_config_rejects_bad_evaluation_inputs(tmp_path):
+    grid = tmp_path / "bad.grid"
+    grid.write_text("tags = lemma, bogus\nsizes = 1, 0\norders = 1, 1\n")
+    cases = {
+        "selection": (dict(criterion="[1gr|lemma|ordered|content]@1"), ["filter 'all'"]),
+        "shift": (dict(criterion="[1gr|lemma|ordered|all]@1", shifts=(0, 1, 1)),
+                  ["repeats 1"]),
+        "evaluate": (dict(criterion="[1gr|lemma|ordered|all]@1", m=float("nan")),
+                     ["m must be finite"]),
+        "grid": (dict(grid=str(grid)),
+                 ["orders: repeated 1", "unknown tag 'bogus'", "context size must be >= 1"]),
+        "ablation": (dict(grid=str(grid), m=-1.0),
+                     ["m must be >= 0", "orders: repeated 1", "unknown tag 'bogus'",
+                      "context size must be >= 1"]),
+    }
+    for subcommand, (fields, expected) in cases.items():
+        config = RunConfig(subcommand=subcommand, output=tmp_path / "out",
+                           corpus=grid, targets=grid, **fields)
+        problems = validate_config(config)
+        assert len(problems) == len(expected), (subcommand, problems)
+        for problem, text in zip(problems, expected):
+            assert text in problem, (subcommand, problems)
+
+
+def test_bad_grid_values_exit_2_before_work(workspace):
+    (workspace / "bad.grid").write_text("tags = lemma, bogus\nsizes = 1, 0\n")
+    result = wsdlab("grid", "--corpus", "gen/corpus.tsv", "--targets", "gen/targets.tsv",
+                    "--grid", "bad.grid", "-o", "nothing8", cwd=workspace)
+    assert result.returncode == 2
+    assert "bogus" in result.stderr and "context size must be >= 1" in result.stderr
+    assert not (workspace / "nothing8").exists()
+
+
+# Report sha256s of every evaluation subcommand, recorded before the
+# subcommands were moved onto one grid_search call; the same at every --jobs.
+GOLDEN = {
+    ("cli", "evaluate"): {"evaluate.csv": "4b2fbf572eba6a39b2e0a588efe7b372a841f01011e3c7ecece8640d6d48e7e0"},
+    ("cli", "grid"): {
+        "context.csv": "8a0f6f80d53092d624cb833eea5c2bfd2378a24af089bad64743137f7119fa45",
+        "context_curves.csv": "4acab87ddee9ebf89223cdc988e111d7b6a6e2462fe0ec9c43c9d986da2aad2e",
+        "grid.csv": "ff47ba19e1013ae1160ac5dcedea1cbe20f0ceed592efecc6d13e4db25a5d38d",
+    },
+    ("cli", "evidence"): {
+        "evidence_profile.csv": "31e513d692a5b73496ed4cc64e3752b060ee8a2d7923e74d3bf0f3369111e5ab",
+        "evidence_space.csv": "d84026c40b31743224b9f9c7bf46593a2d034924e341c1e5d02d7675a53eb73b",
+        "evidence_summary.csv": "cd39ca6e1a1fe1dc83345d0428de17e1c5f0bc3aa6288beca91baa34d581ab64",
+    },
+    ("cli", "ablation"): {"ablation.csv": "4bdde24ee5ee4129dd9c3f145b892bb2247186c3f165c288aaa1d8a4fd8e9e8b"},
+    ("cli", "selection"): {"selection.csv": "a642fab6a04696ae277688cd65a3e6d68153582ba99283519610bf30b08c6f6c"},
+    ("cli", "shift"): {"shift.csv": "d77407a099312e0901cdc99054d5d1e9bf7598e2b91406ed88133410cd357181"},
+    ("cli", "adjacency"): {"adjacency.csv": "d403e10848dd031ff860d8b6799be1b3a244016a06351462d365773c09dcd2bb"},
+    ("three", "evaluate"): {"evaluate.csv": "a7701a4d97b3d22471d46c87e16bded181bc7e7a7f73d79a7f6e8fd0bb57a166"},
+    ("three", "grid"): {
+        "context.csv": "fc21ed69caa228e06e7f18bfc39a4958ee3b468520c006fb250f2330bab92789",
+        "context_curves.csv": "2e5d46c3eefcb1924c305783d609663d942212988834e7fa01012778121ea84e",
+        "grid.csv": "3cb3d44bc0ac51a3917cd9b9cf4cf8ef3560f42e7ffb6b010abc338b33d4573f",
+    },
+    ("three", "evidence"): {
+        "evidence_profile.csv": "141baa321fe6cdc3543d6a7adad52a47ccdf819bdc4d55679ed865eefb7edc7c",
+        "evidence_space.csv": "d0992f88e3f4566e6cf06743ad805f84b6e1ad2216944cbb9e04308a7f460954",
+        "evidence_summary.csv": "a4dc51d97ba5a5f3a70fabc074e4d12d5466ac66e54d059b35032de978f66e0a",
+    },
+    ("three", "ablation"): {"ablation.csv": "074acd208a64459447fb3fe8e7c5c221023fa9a36b17c0130bc8ca73eff67c3d"},
+    ("three", "selection"): {"selection.csv": "4537c599c2c0bcdca33b0d81000b373dea3041434b5ae18b253870486427d726"},
+    ("three", "shift"): {"shift.csv": "6c1b7babe6538d6702cfeceb97de3d75536fe48764033e77175702b2bfc87bef"},
+    ("three", "adjacency"): {"adjacency.csv": "7dd3547435f25baeb61d6a284f404dd830593b22d64acc1a08ea6cbaecc2f15a"},
+}
+
+GOLDEN_ARGS = {
+    "evaluate": ["--criterion", "[1gr|lemma|ordered|all]@2+[2gr|lemma|leftright|all]@3"],
+    "grid": ["--grid", "small.grid"],
+    "evidence": [],
+    "ablation": ["--grid", "small.grid", "--classifier", "dl"],
+    "selection": [],
+    "shift": ["--shifts", "0,1,-1"],
+    "adjacency": [],
+}
+
+
+@pytest.fixture(scope="module")
+def three_categories(tmp_path_factory):
+    root = tmp_path_factory.mktemp("three")
+    _build_three_category_workspace(root)
+    return root
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("subcommand", list(GOLDEN_ARGS))
+@pytest.mark.parametrize("space", ["cli", "three"])
+def test_evaluation_reports_match_golden_bytes(space, subcommand, jobs, request):
+    if space == "cli":
+        root = request.getfixturevalue("workspace")
+        inputs = ("--corpus", "gen/corpus.tsv", "--targets", "gen/targets.tsv")
+        (root / "small.grid").write_text(
+            "orders = 1,2\ntags = lemma\npositionings = ordered,leftright\n"
+            "filters = all,content\nsizes = 1,2\n"
+        )
+    else:
+        root = request.getfixturevalue("three_categories")
+        inputs = ("--corpus", "corpus.tsv", "--targets", "targets.tsv")
+        assert (root / "small.grid").read_text() == SMALL_GRID
+    out = f"golden-{subcommand}-{jobs}"
+    result = wsdlab(subcommand, *inputs, "--seed", "7", "--jobs", jobs,
+                    *GOLDEN_ARGS[subcommand], "-o", out, cwd=root)
+    assert result.returncode == 0, result.stderr
+    hashes = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+              for path in (root / out).glob("*.csv")}
+    assert hashes == GOLDEN[(space, subcommand)]
 
 
 def test_version_flag(workspace):

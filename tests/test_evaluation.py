@@ -1,4 +1,5 @@
 import io
+import os
 from collections import Counter
 
 import pytest
@@ -19,7 +20,7 @@ from wsdlab import (
     parse_criterion,
     write_grid_csv,
 )
-from wsdlab.evaluation import GRID_CSV_HEADER, WordResult
+from wsdlab.evaluation import GRID_CSV_HEADER, WordResult, worker_count
 
 
 def make_occurrences(senses):
@@ -131,22 +132,12 @@ def test_destroyed_signal_with_constant_fillers_is_exactly_mfs():
 def test_monosemous_word_scores_one():
     corpus, occurrences = make_occurrences(["only"] * 30)
     plan = kfold_split(occurrences, 10, 0)
-    for classifier in ("nb", "dl", "mfs"):
+    for classifier in ("nb", "dl"):
         result = cross_validate(
             corpus, plan, parse_criterion("[1gr|lemma|ordered|all]@1"),
             classifier, keep_records=False,
         )
         assert result.precision == 1.0
-
-
-def test_mfs_classifier_matches_baseline_stat():
-    corpus, occurrences = make_occurrences(["a"] * 140 + ["b"] * 60)
-    plan = kfold_split(occurrences, 10, 5)
-    result = cross_validate(
-        corpus, plan, parse_criterion("[1gr|lemma|ordered|all]@1"), "mfs",
-        keep_records=False,
-    )
-    assert result.precision == pytest.approx(mfs_baseline(occurrences), abs=1e-12)
 
 
 def test_every_occurrence_classified_once():
@@ -237,27 +228,6 @@ def test_grid_search_shapes_and_order():
     assert result.skipped == ()
 
 
-def test_grid_search_best_prefers_precision_then_smaller_size():
-    from wsdlab.evaluation import GridResult
-
-    def row(size, precision):
-        return WordResult("mot", "noun", f"[1gr|lemma|ordered|all]@{size}", "nb",
-                          precision, (precision,), ())
-
-    peaked = GridResult(
-        results=(row(1, 0.7), row(2, 0.9), row(3, 0.9), row(4, 0.8)),
-        skipped=(), criteria=(), classifier="nb", k=10, seed=0,
-    )
-    best = peaked.best_by_word()[("mot", "noun")]
-    assert best.criterion == "[1gr|lemma|ordered|all]@2"  # max wins, tie to smaller S
-
-    flat = GridResult(
-        results=(row(3, 0.8), row(1, 0.8), row(2, 0.8)),
-        skipped=(), criteria=(), classifier="nb", k=10, seed=0,
-    )
-    assert flat.best_by_word()[("mot", "noun")].criterion == "[1gr|lemma|ordered|all]@1"
-
-
 def test_grid_search_skips_small_words():
     corpus, _ = signal_corpus(counts=(30, 30))
     result = grid_search(
@@ -286,8 +256,31 @@ def test_grid_search_category_averages():
     result = grid_search(
         corpus, [("bananeporte", "noun")], small_grid(), "nb", k=10, seed=0
     )
-    averages = result.category_averages()
-    assert averages[("noun", "[1gr|lemma|ordered|all]@1")] == 1.0
+    averages = macro_average(result.by_criterion()["[1gr|lemma|ordered|all]@1"])
+    assert averages == {"noun": 1.0}
+
+
+def test_grid_search_combined_cells_and_records():
+    corpus, occurrences = signal_corpus(counts=(30, 30))
+    plan = kfold_split(occurrences, 10, 0)
+    parts = (parse_criterion("[1gr|lemma|ordered|all]@1"),
+             parse_criterion("[2gr|lemma|leftright|all]@2"))
+    result = grid_search(corpus, [("bananeporte", "noun")], [parts, parts[0]], "dl",
+                         k=10, seed=0, keep_records=True)
+    assert result.criteria == ("[1gr|lemma|ordered|all]@1+[2gr|lemma|leftright|all]@2",
+                               "[1gr|lemma|ordered|all]@1")
+    assert list(result.results) == [cross_validate(corpus, plan, parts, "dl"),
+                                    cross_validate(corpus, plan, parts[0], "dl")]
+    without = grid_search(corpus, [("bananeporte", "noun")], [parts], "dl", k=10, seed=0)
+    assert without.results[0].records == ()
+
+
+def test_worker_count_is_bounded():
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert worker_count(1, 100) == 1
+    assert worker_count(4, 3) == min(3, cpus)
+    assert worker_count(10**6, 10**6) == cpus
+    assert worker_count(8, 0) == 1
 
 
 def test_grid_search_validation():
