@@ -339,7 +339,7 @@ def run(config: RunConfig) -> int:
 
     try:
         corpus = parse_corpus(config.corpus.read_text(encoding="utf-8"))
-    except CorpusParseError as exc:
+    except (CorpusParseError, UnicodeDecodeError) as exc:
         print(f"error: corpus {config.corpus}: {exc}", file=sys.stderr)
         return EXIT_PARSE
     try:

@@ -20,6 +20,9 @@ CATEGORIES = ("noun", "adjective", "verb")
 # Document id assigned to tokens that appear before any "#doc " header.
 IMPLICIT_DOC_ID = "doc0"
 
+# The tag columns of a token, in file order; none may be empty.
+TOKEN_FIELDS = ("mform", "lemma", "ems", "cgems")
+
 
 class CorpusParseError(ValueError):
     """Raised on malformed corpus input; carries the 1-based line number."""
@@ -40,10 +43,10 @@ class Token:
     sense: str | None = None
 
     def __post_init__(self) -> None:
-        for name in ("mform", "lemma", "ems", "cgems"):
-            if not getattr(self, name):
-                raise ValueError(f"token field {name!r} must be non-empty")
-        if self.sense == "":
+        if not (self.mform and self.lemma and self.ems and self.cgems and self.sense != ""):
+            for name in TOKEN_FIELDS:
+                if not getattr(self, name):
+                    raise ValueError(f"token field {name!r} must be non-empty")
             raise ValueError("sense must be None when absent, not empty")
 
 
@@ -60,15 +63,23 @@ class Document:
 class Corpus:
     documents: tuple[Document, ...]
     _by_id: dict = field(init=False, repr=False, compare=False)
+    # lemma -> (document id, token index, sense) of its sense-tagged tokens,
+    # in corpus order.
+    _tagged: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "documents", tuple(self.documents))
         by_id: dict[str, Document] = {}
+        tagged: dict[str, list[tuple[str, int, str]]] = {}
         for doc in self.documents:
             if doc.id in by_id:
                 raise ValueError(f"duplicate document id {doc.id!r}")
             by_id[doc.id] = doc
+            for index, tok in enumerate(doc.tokens):
+                if tok.sense is not None:
+                    tagged.setdefault(tok.lemma, []).append((doc.id, index, tok.sense))
         object.__setattr__(self, "_by_id", by_id)
+        object.__setattr__(self, "_tagged", tagged)
 
     def document(self, doc_id: str) -> Document:
         return self._by_id[doc_id]
@@ -126,9 +137,11 @@ def parse_corpus(source: str | TextIO | Iterable[str]) -> Corpus:
     """Parse vertical corpus text into a Corpus.
 
     ``source`` may be a string, an open text file, or any iterable of lines.
-    Raises CorpusParseError on a wrong column count or an empty tag field.
+    Raises CorpusParseError on a wrong column count, an empty tag field or a
+    repeated document id.
     """
     documents: list[Document] = []
+    seen_ids: set[str] = set()
     current_id: str | None = None
     current_tokens: list[Token] = []
 
@@ -142,6 +155,9 @@ def parse_corpus(source: str | TextIO | Iterable[str]) -> Corpus:
         if line.startswith("#doc "):
             flush()
             current_id = line[len("#doc "):]
+            if current_id in seen_ids:
+                raise CorpusParseError(number, f"duplicate document id {current_id!r}")
+            seen_ids.add(current_id)
             current_tokens = []
             continue
         fields = line.split("\t")
@@ -149,15 +165,19 @@ def parse_corpus(source: str | TextIO | Iterable[str]) -> Corpus:
             raise CorpusParseError(
                 number, f"expected 5 tab-separated columns, got {len(fields)}"
             )
-        for position, name in enumerate(("mform", "lemma", "ems", "cgems")):
-            if not fields[position]:
-                raise CorpusParseError(number, f"empty {name} field (column {position + 1})")
+        try:
+            token = Token(fields[0], fields[1], fields[2], fields[3], fields[4] or None)
+        except ValueError:
+            # The sense is None when empty, so one of the tag columns is.
+            position = fields.index("")
+            raise CorpusParseError(
+                number, f"empty {TOKEN_FIELDS[position]} field (column {position + 1})"
+            ) from None
         if current_id is None:
             current_id = IMPLICIT_DOC_ID
+            seen_ids.add(current_id)
             current_tokens = []
-        current_tokens.append(
-            Token(fields[0], fields[1], fields[2], fields[3], fields[4] or None)
-        )
+        current_tokens.append(token)
     flush()
     return Corpus(tuple(documents))
 
@@ -182,12 +202,10 @@ def extract_occurrences(corpus: Corpus, lemma: str, category: str) -> tuple[Occu
     """
     if category not in CATEGORIES:
         raise ValueError(f"unknown category {category!r}; expected one of {CATEGORIES}")
-    found = []
-    for doc in corpus.documents:
-        for index, tok in enumerate(doc.tokens):
-            if tok.lemma == lemma and tok.sense is not None:
-                found.append(Occurrence(doc.id, index, lemma, category, tok.sense))
-    return tuple(found)
+    return tuple(
+        Occurrence(doc_id, index, lemma, category, sense)
+        for doc_id, index, sense in corpus._tagged.get(lemma, ())
+    )
 
 
 def sense_distribution(occurrences: Sequence[Occurrence]) -> dict[str, float]:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
@@ -241,7 +242,7 @@ def parse_grid_config(text: str) -> CriterionGrid:
                 replace(probe, **{fields[key]: value})
             except ValueError as exc:
                 problems.append(f"grid config {key}: {exc}")
-        repeated = sorted({str(v) for v in values if values.count(v) > 1})
+        repeated = sorted({str(v) for v, n in Counter(values).items() if n > 1})
         if repeated:
             problems.append(f"grid config {key}: repeated {', '.join(repeated)}")
     if problems:
@@ -336,6 +337,21 @@ def _consecutive_runs(entries: list[tuple[int, Token]]) -> list[list[tuple[int, 
     return runs
 
 
+def _survivors(
+    tokens: Sequence[Token], positions: range, allowed: frozenset[str], limit: int
+) -> list[tuple[int, Token]]:
+    """The first ``limit`` tokens at ``positions`` whose cgems is allowed,
+    each with its rank among them (1 for the nearest)."""
+    kept: list[tuple[int, Token]] = []
+    if limit > 0:
+        for p in positions:
+            if tokens[p].cgems in allowed:
+                kept.append((len(kept) + 1, tokens[p]))
+                if len(kept) == limit:
+                    break
+    return kept
+
+
 def extract_features(
     corpus: Corpus,
     occurrence: Occurrence,
@@ -356,35 +372,24 @@ def extract_features(
     tokens = doc.tokens
     index = occurrence.token_index
     allowed = filter_sets.tags_for(criterion.filter, occurrence.category)
-
-    # Indexed context, offsets relative to the target.  With a word filter in
-    # reindex mode, offsets count surviving tokens only.
-    if allowed is None:
-        left = [(-(k + 1), tokens[index - 1 - k]) for k in range(index)]
-        right = [(k + 1, tokens[index + 1 + k]) for k in range(len(tokens) - index - 1)]
-    elif content_mode == "reindex":
-        kept_left = [t for t in tokens[:index] if t.cgems in allowed]
-        left = [(-(k + 1), t) for k, t in enumerate(reversed(kept_left))]
-        kept_right = [t for t in tokens[index + 1:] if t.cgems in allowed]
-        right = [(k + 1, t) for k, t in enumerate(kept_right)]
-    else:
-        left = [
-            (-(k + 1), tokens[index - 1 - k])
-            for k in range(index)
-            if tokens[index - 1 - k].cgems in allowed
-        ]
-        right = [
-            (k + 1, tokens[index + 1 + k])
-            for k in range(len(tokens) - index - 1)
-            if tokens[index + 1 + k].cgems in allowed
-        ]
-
     low = -criterion.size + criterion.shift
     high = criterion.size + criterion.shift
-    window = sorted(
-        [(o, t) for o, t in left if low <= o <= high]
-        + [(o, t) for o, t in right if low <= o <= high]
-    )
+
+    # The window in ascending offset order, offsets relative to the target;
+    # only the tokens the window can reach are visited.  With a word filter
+    # in reindex mode, offsets count surviving tokens only.
+    if allowed is None or content_mode == "keep_gaps":
+        reach = range(max(index + low, 0), min(index + high, len(tokens) - 1) + 1)
+        window = [
+            (p - index, tokens[p])
+            for p in reach
+            if p != index and (allowed is None or tokens[p].cgems in allowed)
+        ]
+    else:
+        left = _survivors(tokens, range(index - 1, -1, -1), allowed, -low)
+        right = _survivors(tokens, range(index + 1, len(tokens)), allowed, high)
+        window = [(-k, t) for k, t in reversed(left) if -k <= high]
+        window += [(k, t) for k, t in right if k >= low]
 
     features: list[Feature] = []
 

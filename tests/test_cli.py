@@ -141,6 +141,25 @@ def test_corpus_parse_error_exits_3(workspace):
     assert not (workspace / "nothing3").exists()
 
 
+@pytest.mark.parametrize("name, content, expected", [
+    ("dup.tsv", "#doc a\nx\tx\tA\tB\t\n#doc a\ny\ty\tA\tB\t\n".encode(),
+     "dup.tsv: line 3: duplicate document id 'a'"),
+    ("dup0.tsv", "x\tx\tA\tB\t\n#doc doc0\ny\ty\tA\tB\t\n".encode(),
+     "dup0.tsv: line 2: duplicate document id 'doc0'"),
+    ("latin1.tsv", "#doc d\nd\u00e9j\u00e0\tx\tA\tB\t\n".encode("latin-1"),
+     "latin1.tsv: 'utf-8' codec can't decode"),
+])
+def test_bad_corpus_exits_3_with_its_path(workspace, name, content, expected):
+    (workspace / name).write_bytes(content)
+    result = wsdlab(
+        "stats", "--corpus", name, "--targets", "gen/targets.tsv",
+        "-o", "nothing-" + name, cwd=workspace,
+    )
+    assert result.returncode == 3
+    assert f"error: corpus {expected}" in result.stderr
+    assert not (workspace / ("nothing-" + name)).exists()
+
+
 def test_empty_targets_exits_4(workspace):
     empty = workspace / "empty.tsv"
     empty.write_text("# nothing here\n", encoding="utf-8")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import occurrences_scan
 from wsdlab import (
     Corpus,
     CorpusParseError,
@@ -49,6 +50,9 @@ def test_parse_empty_tag_field():
     with pytest.raises(CorpusParseError) as err:
         parse_corpus("mot\t\tA\tB\t")
     assert "lemma" in str(err.value)
+    assert str(err.value) == "line 1: empty lemma field (column 2)"
+    with pytest.raises(CorpusParseError, match="^line 2: empty cgems field \\(column 4\\)$"):
+        parse_corpus("#doc d\nmot\tmot\tA\t\t")
 
 
 def test_parse_documents_and_blank_lines(table_corpus):
@@ -62,6 +66,22 @@ def test_parse_documents_and_blank_lines(table_corpus):
 def test_parse_duplicate_document_ids_rejected():
     with pytest.raises(ValueError, match="duplicate document id"):
         parse_corpus("#doc a\nx\tx\tA\tB\t\n#doc a\ny\ty\tA\tB\t")
+
+
+@pytest.mark.parametrize("text, line", [
+    ("#doc a\nx\tx\tA\tB\t\n#doc a\ny\ty\tA\tB\t", 3),
+    ("x\tx\tA\tB\t\n\n#doc doc0\ny\ty\tA\tB\t", 3),
+    ("#doc a\n#doc b\n#doc a\n", 3),
+])
+def test_parse_duplicate_document_id_reports_its_line(text, line):
+    with pytest.raises(CorpusParseError, match="duplicate document id") as err:
+        parse_corpus(text)
+    assert err.value.line_number == line
+
+
+def test_corpus_rejects_duplicate_document_ids():
+    with pytest.raises(ValueError, match="duplicate document id"):
+        Corpus((Document("a", ()), Document("a", ())))
 
 
 def test_tokens_before_first_header_get_implicit_document():
@@ -128,6 +148,29 @@ def test_extract_occurrences_count_matches_tagged_tokens(table_corpus):
 def test_extract_occurrences_rejects_unknown_category(table_corpus):
     with pytest.raises(ValueError, match="category"):
         extract_occurrences(table_corpus, "mettre", "adverb")
+
+
+_indexed_token = st.builds(
+    Token,
+    mform=st.just("f"),
+    lemma=st.sampled_from(("a", "b", "c")),
+    ems=st.just("E"),
+    cgems=st.just("C"),
+    sense=st.one_of(st.none(), st.sampled_from(("s1", "s2"))),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    documents=st.lists(st.lists(_indexed_token, max_size=8), max_size=5),
+    lemma=st.sampled_from(("a", "b", "c", "absent")),
+    category=st.sampled_from(("noun", "adjective", "verb")),
+)
+def test_extract_occurrences_equals_corpus_scan(documents, lemma, category):
+    corpus = Corpus(tuple(Document(f"d{n}", tuple(t)) for n, t in enumerate(documents)))
+    assert extract_occurrences(corpus, lemma, category) == occurrences_scan(
+        corpus, lemma, category
+    )
 
 
 # --- distribution / entropy / baseline ---------------------------------------

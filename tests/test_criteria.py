@@ -1,13 +1,18 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import features_full_context
 from wsdlab import (
+    Corpus,
     Criterion,
     CriterionGrid,
     CriterionParseError,
+    Document,
     Feature,
     FeatureVector,
+    Occurrence,
+    Token,
     combine_features,
     default_grid,
     enumerate_grid,
@@ -367,6 +372,73 @@ def test_adjacent_unigram_equivalent_to_anchored_bigram():
 
 def _feature(key):
     return Feature(key, (1,), ("N",))
+
+
+# cgems values inside and outside the content set and every selected set.
+_CGEMS = ("NCOM", "ADJ", "VINF", "DET", "PREP", "SUB", "PCTFORTE", "PONCT", "X")
+_context_token = st.builds(
+    Token,
+    mform=st.sampled_from(("a", "b_", "c\\")),
+    lemma=st.sampled_from(("a", "b", "c")),
+    ems=st.sampled_from(("E1", "E2")),
+    cgems=st.sampled_from(_CGEMS),
+)
+
+
+@st.composite
+def _window_criterion(draw):
+    anchored = draw(st.booleans())
+    return Criterion(
+        order=draw(st.integers(2 if anchored else 1, 3)),
+        tag=draw(st.sampled_from(("mform", "lemma", "ems", "cgems"))),
+        positioning=draw(st.sampled_from(("ordered", "leftright", "unordered"))),
+        filter=draw(st.sampled_from(("all", "content", "selected"))),
+        size=draw(st.integers(1, 8)),
+        shift=draw(st.integers(-10, 10)),
+        anchored=anchored,
+    )
+
+
+@st.composite
+def _context_around_target(draw):
+    """A document of 0..40 context tokens with the target at any position."""
+    length = draw(st.integers(0, 40))
+    context = draw(st.lists(_context_token, min_size=length, max_size=length))
+    index = draw(st.integers(0, len(context)))
+    target = Token("t", "t", "E1", draw(st.sampled_from(_CGEMS)), "s")
+    return tuple(context[:index]) + (target,) + tuple(context[index:]), index
+
+
+# Context alternating content and closed-class tokens; the shifted examples
+# below put the whole window on one side of the target.
+_SHIFTED = (
+    tuple(Token(f"w{n}", f"w{n}", "E1", ("NCOM", "DET")[n % 2]) for n in range(6))
+    + (Token("t", "t", "E1", "NCOM", "s"),)
+    + tuple(Token(f"w{n}", f"w{n}", "E1", ("DET", "NCOM")[n % 2]) for n in range(7, 13)),
+    6,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    document=_context_around_target(),
+    criterion=_window_criterion(),
+    category=st.sampled_from(("noun", "adjective", "verb")),
+    content_mode=st.sampled_from(("reindex", "keep_gaps")),
+)
+@example(_SHIFTED, Criterion(2, "lemma", "leftright", "content", 3), "noun", "reindex")
+@example(_SHIFTED, Criterion(1, "lemma", "ordered", "content", 1, -2), "noun", "reindex")
+@example(_SHIFTED, Criterion(1, "lemma", "ordered", "content", 1, 2), "noun", "reindex")
+@example(_SHIFTED, Criterion(2, "lemma", "ordered", "content", 2, -3, True), "noun", "reindex")
+@example(_SHIFTED, Criterion(1, "lemma", "ordered", "content", 1, -2), "noun", "keep_gaps")
+@example(_SHIFTED, Criterion(1, "lemma", "ordered", "all", 2, 5), "noun", "reindex")
+def test_extraction_equals_full_context_reference(document, criterion, category, content_mode):
+    tokens, index = document
+    corpus = Corpus((Document("d", tokens),))
+    occurrence = Occurrence("d", index, "t", category, "s")
+    assert extract_features(
+        corpus, occurrence, criterion, content_mode=content_mode
+    ) == features_full_context(corpus, occurrence, criterion, content_mode=content_mode)
 
 
 def test_combine_single_vector_is_identity(table_corpus):
