@@ -48,7 +48,6 @@ from .criteria import (
     CriterionParseError,
     Feature,
     FeatureVector,
-    FilterSets,
     combine_features,
     default_grid,
     enumerate_grid,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from typing import Mapping, Sequence, TextIO
 
 from .corpus import CATEGORIES
-from .criteria import Criterion, parse_criterion
+from .criteria import Criterion, CriterionGrid, parse_criterion
 from .evaluation import (
     DecisionRecord,
     GridResult,
@@ -108,16 +108,14 @@ def evidence_profile(records: Sequence[DecisionRecord]) -> EvidenceProfile:
     )
 
 
-def space_distribution_summary(
-    profile: EvidenceProfile, top_per_tag: int = 2
-) -> dict[str, tuple[int, ...]]:
-    """Per tag, the offsets carrying the most decisions, usage ties going to
-    the offset closer to the target."""
+def space_distribution_summary(profile: EvidenceProfile) -> dict[str, tuple[int, ...]]:
+    """Per tag, the two offsets carrying the most decisions, usage ties going
+    to the offset closer to the target."""
     summary: dict[str, tuple[int, ...]] = {}
     for tag in sorted(profile.tag_uses):
         offsets = [o for (t, o) in profile.offset_uses if t == tag]
         offsets.sort(key=lambda o: (-profile.offset_uses[(tag, o)], abs(o), o))
-        summary[tag] = tuple(offsets[:top_per_tag])
+        summary[tag] = tuple(offsets[:2])
     return summary
 
 
@@ -140,20 +138,28 @@ class AblationCell:
 
 @dataclass(frozen=True)
 class AblationReport:
-    baseline_filter: str
-    variant_filter: str
     cells: dict[tuple[str, int], AblationCell]
 
 
-def content_ablation(
-    grid_result: GridResult,
-    baseline_filter: str = "all",
-    variant_filter: str = "content",
-) -> AblationReport:
-    """Precision change per (category, n-gram order) between criterion pairs
-    that differ only in their word filter.
+ABLATION_FILTERS = ("all", "content")
 
-    Every baseline criterion must have its filtered partner in the grid (and
+
+def ablation_grid(grid: CriterionGrid) -> CriterionGrid:
+    """The grid itself, once it is known to pair every criterion under both
+    ``ABLATION_FILTERS``."""
+    missing = [name for name in ABLATION_FILTERS if name not in grid.filters]
+    if missing:
+        raise ValueError(
+            f"ablation compares filters all and content: the grid lacks {', '.join(missing)}"
+        )
+    return grid
+
+
+def content_ablation(grid_result: GridResult) -> AblationReport:
+    """Precision change per (category, n-gram order) from the ``all`` filter
+    to the ``content`` filter, over criterion pairs that differ only in it.
+
+    Every ``all`` criterion must have its ``content`` partner in the grid (and
     vice versa); missing partners are an error.
     """
     indexed: dict[tuple, dict[str, float]] = {}
@@ -166,22 +172,18 @@ def content_ablation(
     missing = []
     diffs: dict[tuple[str, int], list[tuple[float, float]]] = {}
     for key, by_filter in sorted(indexed.items()):
-        has_base = baseline_filter in by_filter
-        has_variant = variant_filter in by_filter
-        if not (has_base or has_variant):
+        pair = [by_filter[name] for name in ABLATION_FILTERS if name in by_filter]
+        if not pair:
             continue
-        if not (has_base and has_variant) and baseline_filter != variant_filter:
+        if len(pair) == 1:
             missing.append(key)
             continue
         _, category, order = key[0], key[1], key[2]
-        diffs.setdefault((category, order), []).append(
-            (by_filter[baseline_filter], by_filter[variant_filter])
-        )
+        diffs.setdefault((category, order), []).append(tuple(pair))
     if missing:
         shown = ", ".join(str(k) for k in missing[:5])
         raise ValueError(
-            f"{len(missing)} criterion pair(s) missing a "
-            f"{baseline_filter}/{variant_filter} partner: {shown}"
+            f"{len(missing)} criterion pair(s) missing a all/content partner: {shown}"
         )
     if not diffs:
         raise ValueError("grid contains no matched filter pairs")
@@ -191,7 +193,7 @@ def content_ablation(
         baseline_mean = sum(b for b, _ in pairs) / len(pairs)
         variant_mean = sum(v for _, v in pairs) / len(pairs)
         cells[cell_key] = AblationCell(len(pairs), baseline_mean, variant_mean)
-    return AblationReport(baseline_filter, variant_filter, cells)
+    return AblationReport(cells)
 
 
 def evidence_profiles(grid_result: GridResult) -> dict[str, EvidenceProfile]:
@@ -414,13 +416,13 @@ def write_evidence_space_csv(
 
 
 def write_evidence_summary_csv(
-    profiles: Mapping[str, EvidenceProfile], stream: TextIO, top_per_tag: int = 2
+    profiles: Mapping[str, EvidenceProfile], stream: TextIO
 ) -> None:
     """Dominant evidence offsets per tag (the most-used positions)."""
     writer = _writer(stream)
     writer.writerow(EVIDENCE_SUMMARY_HEADER)
     for category in sorted(profiles, key=_category_order):
-        summary = space_distribution_summary(profiles[category], top_per_tag)
+        summary = space_distribution_summary(profiles[category])
         for tag, offsets in summary.items():
             writer.writerow((category, tag, ";".join(f"{o:+d}" for o in offsets)))
 

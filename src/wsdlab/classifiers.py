@@ -86,20 +86,15 @@ class DLEntry:
 
 @dataclass(frozen=True)
 class DLModel:
-    """Decision list: entries sorted by (strength desc, count desc, key asc)
-    plus the most-frequent-sense fallback."""
+    """Decision list: entries sorted by (strength desc, count desc, key asc),
+    each key's position in that order, and the most-frequent-sense
+    fallback."""
 
     senses: tuple[str, ...]
     entries: tuple[DLEntry, ...]
+    ranks: dict[str, int]
     fallback: str
     smoothing: SmoothingParams
-
-    def rank_index(self) -> dict[str, int]:
-        cached = self.__dict__.get("_rank_cache")
-        if cached is None:
-            cached = {entry.key: rank for rank, entry in enumerate(self.entries)}
-            object.__setattr__(self, "_rank_cache", cached)
-        return cached
 
 
 def majority_sense(senses: Sequence[str]) -> str:
@@ -226,6 +221,7 @@ def train_dl(
     return DLModel(
         senses=senses,
         entries=tuple(entries),
+        ranks={entry.key: rank for rank, entry in enumerate(entries)},
         fallback=majority_sense([s for v, s in training]),
         smoothing=smoothing,
     )
@@ -235,7 +231,7 @@ def classify_dl(model: DLModel, vector: FeatureVector) -> Prediction:
     """Decide by the highest-ranked entry whose key appears in the vector;
     that feature is attached as evidence.  No match falls back to the
     training most-frequent sense."""
-    ranks = model.rank_index()
+    ranks = model.ranks
     best_rank = None
     best_feature = None
     for feat in vector:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from dataclasses import dataclass, field
 from functools import partial
@@ -25,6 +24,7 @@ from typing import Callable
 from . import __version__
 from .analysis import (
     ADJACENCY_CELLS,
+    ablation_grid,
     adjacency_experiment,
     content_ablation,
     context_report,
@@ -62,7 +62,7 @@ from .criteria import (
     parse_criterion,
     parse_grid_config,
 )
-from .evaluation import Cell, GridResult, grid_search, write_grid_csv
+from .evaluation import CLASSIFIERS, Cell, GridResult, grid_search, write_grid_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -163,7 +163,7 @@ EXPERIMENTS = {
     "evidence": Experiment(_evidence_cells, _evidence_reports,
                            classifier="dl", keep_records=True),
     "ablation": Experiment(
-        _grid_cells,
+        lambda config: ablation_grid(_grid_cells(config)),
         lambda result: {"ablation.csv": (write_ablation_csv, content_ablation(result))},
     ),
     "selection": Experiment(
@@ -204,18 +204,15 @@ def validate_config(config: RunConfig) -> list[str]:
         problems.append(f"targets file not found: {config.targets}")
 
     if config.subcommand in EXPERIMENTS:
-        if config.classifier not in ("nb", "dl"):
-            problems.append(
-                f"unknown classifier {config.classifier!r}: valid ids are nb, dl"
-            )
+        if config.classifier not in CLASSIFIERS:
+            problems.append(f"unknown classifier {config.classifier!r}: "
+                            f"valid ids are {', '.join(CLASSIFIERS)}")
         if config.k < 2:
             problems.append("k must be >= 2")
-        if not math.isfinite(config.m):
-            problems.append("smoothing strength m must be finite")
-        elif config.m < 0:
-            problems.append("smoothing strength m must be >= 0")
-        if config.prior_mode not in PRIOR_MODES:
-            problems.append(f"prior mode must be one of {PRIOR_MODES}")
+        try:
+            SmoothingParams(config.m, config.prior_mode)
+        except ValueError as exc:
+            problems.append(str(exc))
         if config.jobs < 1:
             problems.append("jobs must be >= 1")
         if config.content_mode not in CONTENT_MODES:
@@ -451,7 +448,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return run(config)
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print("error: " + str(exc).replace("\n", "\nerror: "), file=sys.stderr)
         return EXIT_CONFIG
 
 

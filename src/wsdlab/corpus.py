@@ -389,66 +389,70 @@ class PseudowordConfig:
         return self.target if self.target else "".join(self.sources)
 
 
-def _parse_csv_list(value: str) -> list[str]:
-    return [item.strip() for item in value.split(",") if item.strip()]
+def _parse_csv_list(value: str) -> tuple[str, ...]:
+    return tuple(item.strip() for item in value.split(",") if item.strip())
+
+
+def _parse_int_csv_list(value: str) -> tuple[int, ...]:
+    return tuple(int(item) for item in _parse_csv_list(value))
+
+
+# Each pseudo-word config key with the converter from its text value.
+_PSEUDOWORD_KEYS = {
+    "sources": _parse_csv_list,
+    "counts": _parse_int_csv_list,
+    "signal_offsets": _parse_int_csv_list,
+    "signal_mode": str,
+    "signal_values": _parse_csv_list,
+    "noise": float,
+    "vocabulary": int,
+    "width": int,
+    "category": str,
+    "target": str,
+    "target_pos": str,
+    "signal_pos": str,
+    "filler_pos": _parse_csv_list,
+    "seed": int,
+}
 
 
 def parse_pseudoword_config(text: str) -> PseudowordConfig:
-    """Parse the flat ``key = value`` pseudo-word config format."""
+    """Parse the flat ``key = value`` pseudo-word config format.
+
+    Malformed lines, unknown keys, a missing ``sources`` key and values that
+    do not convert are raised together in one ``ValueError``, one per line of
+    its message.
+    """
     raw: dict[str, str] = {}
+    problems: list[str] = []
     for number, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         key, sep, value = stripped.partition("=")
         if not sep:
-            raise ValueError(f"config line {number}: expected 'key = value', got {line!r}")
+            problems.append(f"config line {number}: expected 'key = value', got {line!r}")
+            continue
         raw[key.strip()] = value.strip()
 
-    known = {
-        "sources", "counts", "signal_offsets", "signal_mode", "signal_values",
-        "noise", "vocabulary", "width", "category", "target", "target_pos",
-        "signal_pos", "filler_pos", "seed",
-    }
-    unknown = sorted(set(raw) - known)
+    unknown = sorted(set(raw) - set(_PSEUDOWORD_KEYS))
     if unknown:
-        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+        problems.append(f"unknown config keys: {', '.join(unknown)}")
     if "sources" not in raw:
-        raise ValueError("config is missing the required 'sources' key")
+        problems.append("config is missing the required 'sources' key")
+    kwargs: dict = {}
+    for key, convert in _PSEUDOWORD_KEYS.items():
+        if key in raw:
+            try:
+                kwargs[key] = convert(raw[key])
+            except ValueError as exc:
+                problems.append(f"config {key}: {exc}")
+    if problems:
+        raise ValueError("\n".join(problems))
 
-    sources = tuple(_parse_csv_list(raw["sources"]))
-    if "counts" in raw:
-        counts = tuple(int(c) for c in _parse_csv_list(raw["counts"]))
-        if len(counts) == 1:
-            counts = counts * len(sources)
-    else:
-        counts = (100,) * len(sources)
-
-    kwargs: dict = {"sources": sources, "counts": counts}
-    if "signal_offsets" in raw:
-        kwargs["signal_offsets"] = tuple(int(o) for o in _parse_csv_list(raw["signal_offsets"]))
-    if "signal_mode" in raw:
-        kwargs["signal_mode"] = raw["signal_mode"]
-    if "signal_values" in raw:
-        kwargs["signal_values"] = tuple(_parse_csv_list(raw["signal_values"]))
-    if "noise" in raw:
-        kwargs["noise"] = float(raw["noise"])
-    if "vocabulary" in raw:
-        kwargs["vocabulary"] = int(raw["vocabulary"])
-    if "width" in raw:
-        kwargs["width"] = int(raw["width"])
-    if "category" in raw:
-        kwargs["category"] = raw["category"]
-    if "target" in raw:
-        kwargs["target"] = raw["target"]
-    if "target_pos" in raw:
-        kwargs["target_pos"] = raw["target_pos"]
-    if "signal_pos" in raw:
-        kwargs["signal_pos"] = raw["signal_pos"]
-    if "filler_pos" in raw:
-        kwargs["filler_pos"] = tuple(_parse_csv_list(raw["filler_pos"]))
-    if "seed" in raw:
-        kwargs["seed"] = int(raw["seed"])
+    counts = kwargs.get("counts", (100,))
+    if len(counts) == 1:
+        kwargs["counts"] = counts * len(kwargs["sources"])
     return PseudowordConfig(**kwargs)
 
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 import re
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
 from .corpus import Corpus, Occurrence, Token
@@ -39,7 +39,7 @@ POSITIONINGS = ("ordered", "leftright", "unordered")
 FILTERS = ("all", "content", "selected")
 CONTENT_MODES = ("reindex", "keep_gaps")
 
-# Coarse tags counted as content words (open classes); configurable via FilterSets.
+# Coarse tags counted as content words (open classes).
 CONTENT_TAGS = frozenset({"NCOM", "NPRO", "ADJ", "ADV", "VCON", "VINF", "VPAR"})
 
 # Per-category tag lists for the "selected" filter: the coarse parts-of-speech
@@ -108,7 +108,7 @@ _SUFFIX_RE = re.compile(r"^(\d+)(?:shift([+-]\d+))?(anchored)?$")
 
 def parse_criterion(text: str) -> Criterion:
     """Parse the criterion grammar; accepts ``position`` as an alias of
-    ``ordered``."""
+    ``ordered``.  The parameter values are checked by ``Criterion``."""
     stripped = text.strip()
     if not stripped.startswith("[") or "]@" not in stripped:
         raise CriterionParseError(f"expected '[...]@<size>' syntax in {text!r}")
@@ -123,17 +123,8 @@ def parse_criterion(text: str) -> Criterion:
     if not match:
         raise CriterionParseError(f"bad n-gram parameter {par1!r} (expected e.g. '2gr')")
     order = int(match.group(1))
-    if tag not in TAGS:
-        raise CriterionParseError(f"bad tag parameter {tag!r} (expected one of {TAGS})")
     if positioning == "position":
         positioning = "ordered"
-    if positioning not in POSITIONINGS:
-        raise CriterionParseError(
-            f"bad positioning parameter {positioning!r} "
-            f"(expected one of {POSITIONINGS + ('position',)})"
-        )
-    if filt not in FILTERS:
-        raise CriterionParseError(f"bad filter parameter {filt!r} (expected one of {FILTERS})")
     suffix_match = _SUFFIX_RE.match(suffix)
     if not suffix_match:
         raise CriterionParseError(f"bad size/shift/anchored suffix {suffix!r}")
@@ -251,31 +242,6 @@ def parse_grid_config(text: str) -> CriterionGrid:
 
 
 @dataclass(frozen=True)
-class FilterSets:
-    """Coarse-tag sets backing the content and selected word filters."""
-
-    content: frozenset[str] = CONTENT_TAGS
-    selected: Mapping[str, frozenset[str]] = field(
-        default_factory=lambda: dict(SELECTED_TAGS)
-    )
-
-    def tags_for(self, filter_name: str, category: str) -> frozenset[str] | None:
-        """Allowed cgems set for a filter, or None when all tokens pass."""
-        if filter_name == "all":
-            return None
-        if filter_name == "content":
-            return self.content
-        if filter_name == "selected":
-            if category not in self.selected:
-                raise ValueError(f"no selected tag set for category {category!r}")
-            return self.selected[category]
-        raise ValueError(f"unknown filter {filter_name!r}")
-
-
-DEFAULT_FILTER_SETS = FilterSets()
-
-
-@dataclass(frozen=True)
 class Feature:
     """One piece of contextual evidence: an identity key plus the window
     offsets and coarse tags of the tokens it was built from."""
@@ -357,7 +323,6 @@ def extract_features(
     occurrence: Occurrence,
     criterion: Criterion,
     *,
-    filter_sets: FilterSets = DEFAULT_FILTER_SETS,
     content_mode: str = "reindex",
 ) -> FeatureVector:
     """Extract the feature vector a criterion yields for one occurrence.
@@ -371,7 +336,12 @@ def extract_features(
     doc = corpus.document(occurrence.document_id)
     tokens = doc.tokens
     index = occurrence.token_index
-    allowed = filter_sets.tags_for(criterion.filter, occurrence.category)
+    if criterion.filter == "all":
+        allowed = None
+    elif criterion.filter == "content":
+        allowed = CONTENT_TAGS
+    else:
+        allowed = SELECTED_TAGS[occurrence.category]
     low = -criterion.size + criterion.shift
     high = criterion.size + criterion.shift
 

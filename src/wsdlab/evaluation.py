@@ -26,10 +26,8 @@ from .classifiers import (
 )
 from .corpus import Corpus, Occurrence, extract_occurrences
 from .criteria import (
-    DEFAULT_FILTER_SETS,
     Criterion,
     CriterionGrid,
-    FilterSets,
     combine_features,
     enumerate_grid,
     extract_features,
@@ -127,13 +125,9 @@ def _classify_fold(
     test_vectors: list,
     smoothing: SmoothingParams,
 ) -> list[Prediction]:
-    if classifier == "nb":
-        model = train_nb(training, smoothing)
-        return [classify_nb(model, v) for v in test_vectors]
-    if classifier == "dl":
-        model = train_dl(training, smoothing)
-        return [classify_dl(model, v) for v in test_vectors]
-    raise ValueError(f"unknown classifier {classifier!r}; expected one of {CLASSIFIERS}")
+    train, classify = (train_nb, classify_nb) if classifier == "nb" else (train_dl, classify_dl)
+    model = train(training, smoothing)
+    return [classify(model, v) for v in test_vectors]
 
 
 def cross_validate(
@@ -143,7 +137,6 @@ def cross_validate(
     classifier: str,
     smoothing: SmoothingParams = SmoothingParams(),
     *,
-    filter_sets: FilterSets = DEFAULT_FILTER_SETS,
     content_mode: str = "reindex",
     keep_records: bool = True,
 ) -> WordResult:
@@ -162,15 +155,13 @@ def cross_validate(
     occurrences = plan.occurrences
     if len(criteria) == 1:
         vectors = [
-            extract_features(corpus, occ, criteria[0],
-                             filter_sets=filter_sets, content_mode=content_mode)
+            extract_features(corpus, occ, criteria[0], content_mode=content_mode)
             for occ in occurrences
         ]
     else:
         vectors = [
             combine_features([
-                extract_features(corpus, occ, criterion,
-                                 filter_sets=filter_sets, content_mode=content_mode)
+                extract_features(corpus, occ, criterion, content_mode=content_mode)
                 for criterion in criteria
             ])
             for occ in occurrences
@@ -220,14 +211,12 @@ def cross_validate(
 
 @dataclass(frozen=True)
 class GridResult:
-    """Full (word x criterion) precision matrix plus run coordinates."""
+    """Full (word x criterion) precision matrix plus the skipped words."""
 
     results: tuple[WordResult, ...]
     skipped: tuple[SkippedWord, ...]
     criteria: tuple[str, ...]
     classifier: str
-    k: int
-    seed: int
 
     def by_criterion(self) -> dict[str, list[WordResult]]:
         """Results per criterion name, in grid order, each list word-ascending."""
@@ -286,7 +275,6 @@ def _eval_cell(cell: tuple[int, int]) -> WordResult:
         state["criteria"][criterion_index],
         state["classifier"],
         state["smoothing"],
-        filter_sets=state["filter_sets"],
         content_mode=state["content_mode"],
         keep_records=state["keep_records"],
     )
@@ -302,7 +290,6 @@ def grid_search(
     seed: int = 0,
     *,
     jobs: int = 1,
-    filter_sets: FilterSets = DEFAULT_FILTER_SETS,
     content_mode: str = "reindex",
     keep_records: bool = False,
 ) -> GridResult:
@@ -340,7 +327,6 @@ def grid_search(
         "criteria": criteria,
         "classifier": classifier,
         "smoothing": smoothing,
-        "filter_sets": filter_sets,
         "content_mode": content_mode,
         "keep_records": keep_records,
     }
@@ -366,8 +352,6 @@ def grid_search(
         skipped=tuple(skipped),
         criteria=tuple(cell_name(c) for c in criteria),
         classifier=classifier,
-        k=k,
-        seed=seed,
     )
 
 

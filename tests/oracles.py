@@ -14,7 +14,8 @@ import math
 from wsdlab.corpus import CATEGORIES, Occurrence
 from wsdlab.criteria import (
     CONTENT_MODES,
-    DEFAULT_FILTER_SETS,
+    CONTENT_TAGS,
+    SELECTED_TAGS,
     Feature,
     FeatureVector,
     _consecutive_runs,
@@ -81,9 +82,7 @@ def occurrences_scan(corpus, lemma, category):
     return tuple(found)
 
 
-def features_full_context(
-    corpus, occurrence, criterion, *, filter_sets=DEFAULT_FILTER_SETS, content_mode="reindex"
-):
+def features_full_context(corpus, occurrence, criterion, *, content_mode="reindex"):
     """Feature extraction from the document's whole filtered left and right
     context, cut down to the window afterwards."""
     if content_mode not in CONTENT_MODES:
@@ -91,7 +90,9 @@ def features_full_context(
     doc = corpus.document(occurrence.document_id)
     tokens = doc.tokens
     index = occurrence.token_index
-    allowed = filter_sets.tags_for(criterion.filter, occurrence.category)
+    allowed = {
+        "all": None, "content": CONTENT_TAGS, "selected": SELECTED_TAGS[occurrence.category]
+    }[criterion.filter]
 
     if allowed is None:
         left = [(-(k + 1), tokens[index - 1 - k]) for k in range(index)]

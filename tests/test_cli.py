@@ -213,6 +213,17 @@ def test_validate_config_lists_all_problems(tmp_path):
     assert "targets file not found" in text
 
 
+def test_pseudoword_reports_every_bad_value_with_its_key(tmp_path):
+    (tmp_path / "bad.cfg").write_text("sources = a, b\ncounts = x\nnoise = lots\n")
+    result = wsdlab("pseudoword", "--config", "bad.cfg", "-o", "gen", cwd=tmp_path)
+    assert result.returncode == 2
+    lines = result.stderr.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("error: config counts: ") and "'x'" in lines[0]
+    assert lines[1].startswith("error: config noise: ") and "'lots'" in lines[1]
+    assert not (tmp_path / "gen").exists()
+
+
 def test_validate_config_accepts_good(tmp_path):
     corpus = tmp_path / "c.tsv"
     corpus.write_text("w\tw\tA\tB\ts\n")
@@ -237,19 +248,22 @@ def test_evidence_rejects_non_unigram(workspace):
 def test_validate_config_rejects_bad_evaluation_inputs(tmp_path):
     grid = tmp_path / "bad.grid"
     grid.write_text("tags = lemma, bogus\nsizes = 1, 0\norders = 1, 1\n")
-    cases = {
-        "selection": (dict(criterion="[1gr|lemma|ordered|content]@1"), ["filter 'all'"]),
-        "shift": (dict(criterion="[1gr|lemma|ordered|all]@1", shifts=(0, 1, 1)),
-                  ["repeats 1"]),
-        "evaluate": (dict(criterion="[1gr|lemma|ordered|all]@1", m=float("nan")),
-                     ["m must be finite"]),
-        "grid": (dict(grid=str(grid)),
-                 ["orders: repeated 1", "unknown tag 'bogus'", "context size must be >= 1"]),
-        "ablation": (dict(grid=str(grid), m=-1.0),
-                     ["m must be >= 0", "orders: repeated 1", "unknown tag 'bogus'",
-                      "context size must be >= 1"]),
-    }
-    for subcommand, (fields, expected) in cases.items():
+    all_only = tmp_path / "all-only.grid"
+    all_only.write_text("orders = 1\ntags = lemma\nfilters = all\nsizes = 1\n")
+    cases = [
+        ("selection", dict(criterion="[1gr|lemma|ordered|content]@1"), ["filter 'all'"]),
+        ("shift", dict(criterion="[1gr|lemma|ordered|all]@1", shifts=(0, 1, 1)),
+         ["repeats 1"]),
+        ("evaluate", dict(criterion="[1gr|lemma|ordered|all]@1", m=float("nan")),
+         ["m must be finite"]),
+        ("grid", dict(grid=str(grid)),
+         ["orders: repeated 1", "unknown tag 'bogus'", "context size must be >= 1"]),
+        ("ablation", dict(grid=str(grid), m=-1.0),
+         ["m must be >= 0", "orders: repeated 1", "unknown tag 'bogus'",
+          "context size must be >= 1"]),
+        ("ablation", dict(grid=str(all_only)), ["the grid lacks content"]),
+    ]
+    for subcommand, fields, expected in cases:
         config = RunConfig(subcommand=subcommand, output=tmp_path / "out",
                            corpus=grid, targets=grid, **fields)
         problems = validate_config(config)

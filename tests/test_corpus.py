@@ -365,6 +365,18 @@ def test_parse_pseudoword_config_rejects_unknown_key():
         parse_pseudoword_config("counts = 5")
 
 
+def test_parse_pseudoword_config_reports_every_problem():
+    with pytest.raises(ValueError) as err:
+        parse_pseudoword_config("counts = 5, x\nbogus = 1\nwidth = 4\nseed = s\nno equals")
+    assert str(err.value).splitlines() == [
+        "config line 5: expected 'key = value', got 'no equals'",
+        "unknown config keys: bogus",
+        "config is missing the required 'sources' key",
+        "config counts: invalid literal for int() with base 10: 'x'",
+        "config seed: invalid literal for int() with base 10: 's'",
+    ]
+
+
 def test_generator_custom_signal_values():
     config = _config(signal_values=("jaune", "bois"))
     corpus = generate_pseudoword_corpus(config, 2)

@@ -7,8 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wsdlab import (
+    Corpus,
     CriterionGrid,
+    Document,
     PseudowordConfig,
+    Token,
     cross_validate,
     extract_occurrences,
     generate_pseudoword_corpus,
@@ -291,6 +294,48 @@ def test_grid_search_validation():
         grid_search(corpus, [("bananeporte", "noun")], [], "nb")
     with pytest.raises(ValueError):
         grid_search(corpus, [("bananeporte", "noun")], small_grid(), "svm")
+
+
+_SENSE_NAME = st.text("abcxyz", min_size=1, max_size=3)
+_CONTEXT = [Token(f"c{i}", f"c{i}", pos, pos) for i, pos in
+            enumerate(("NCOM", "DET", "ADJ", "PREP", "NCOM", "DET"))]
+_RENAMING_CELLS = [parse_criterion(text) for text in (
+    "[1gr|lemma|ordered|all]@2", "[2gr|lemma|leftright|content]@2",
+    "[1gr|cgems|unordered|all]@1",
+)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_order_preserving_sense_renaming_keeps_precisions(data):
+    """Folds, tie-breaks and the fallback sense order senses by sort order
+    alone, so a renaming that keeps that order changes no precision."""
+    senses = sorted(data.draw(st.lists(_SENSE_NAME, min_size=2, max_size=3, unique=True)))
+    renamed = sorted(data.draw(
+        st.lists(_SENSE_NAME, min_size=len(senses), max_size=len(senses), unique=True)
+    ))
+    context = st.lists(st.sampled_from(_CONTEXT), max_size=3)
+    rows = data.draw(st.lists(
+        st.tuples(st.sampled_from(range(len(senses))), context, context),
+        min_size=6, max_size=24,
+    ))
+    seed = data.draw(st.integers(0, 5))
+
+    def corpus_with(names):
+        return Corpus(tuple(
+            Document(f"d{i}", (*left, Token("w", "w", "NCOM", "NCOM", names[sense]), *right))
+            for i, (sense, left, right) in enumerate(rows)
+        ))
+
+    for classifier in ("nb", "dl"):
+        before, after = (
+            grid_search(corpus_with(names), [("w", "noun")], _RENAMING_CELLS, classifier,
+                        k=3, seed=seed)
+            for names in (senses, renamed)
+        )
+        assert [(r.criterion, r.precision, r.fold_precisions) for r in before.results] == [
+            (r.criterion, r.precision, r.fold_precisions) for r in after.results
+        ]
 
 
 # --- aggregation ---------------------------------------------------------------------
