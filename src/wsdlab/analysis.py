@@ -16,14 +16,8 @@ from dataclasses import dataclass, replace
 from typing import Mapping, Sequence, TextIO
 
 from .corpus import CATEGORIES
-from .criteria import Criterion, CriterionGrid, parse_criterion
-from .evaluation import (
-    DecisionRecord,
-    GridResult,
-    WordResult,
-    cell_name,
-    macro_average,
-)
+from .criteria import Criterion, CriterionGrid, cell_name, family_name, format_criterion
+from .evaluation import DecisionRecord, GridResult, WordResult, macro_average
 
 EVIDENCE_PROFILE_HEADER = ("category", "tag", "uses", "correct", "precision_pct", "usage_pct")
 EVIDENCE_SPACE_HEADER = ("category", "tag", "offset", "uses", "correct")
@@ -162,26 +156,24 @@ def content_ablation(grid_result: GridResult) -> AblationReport:
     Every ``all`` criterion must have its ``content`` partner in the grid (and
     vice versa); missing partners are an error.
     """
-    indexed: dict[tuple, dict[str, float]] = {}
+    indexed: dict[tuple[str, str, Criterion], dict[str, float]] = {}
     for result in grid_result.results:
-        criterion = parse_criterion(result.criterion)
-        key = (result.lemma, result.category, criterion.order, criterion.tag,
-               criterion.positioning, criterion.size, criterion.shift, criterion.anchored)
+        (criterion,) = result.cell
+        key = (result.lemma, result.category, replace(criterion, filter="all"))
         indexed.setdefault(key, {})[criterion.filter] = result.precision
 
     missing = []
     diffs: dict[tuple[str, int], list[tuple[float, float]]] = {}
-    for key, by_filter in sorted(indexed.items()):
+    for (lemma, category, criterion), by_filter in sorted(indexed.items()):
         pair = [by_filter[name] for name in ABLATION_FILTERS if name in by_filter]
         if not pair:
             continue
         if len(pair) == 1:
-            missing.append(key)
+            missing.append(f"{lemma} ({category}) {format_criterion(criterion)}")
             continue
-        _, category, order = key[0], key[1], key[2]
-        diffs.setdefault((category, order), []).append(tuple(pair))
+        diffs.setdefault((category, criterion.order), []).append(tuple(pair))
     if missing:
-        shown = ", ".join(str(k) for k in missing[:5])
+        shown = ", ".join(missing[:5])
         raise ValueError(
             f"{len(missing)} criterion pair(s) missing a all/content partner: {shown}"
         )
@@ -280,12 +272,13 @@ def shift_study(grid_result: GridResult) -> ShiftReport:
     """Per-category macro precision of each criterion of a grid run over
     ``shift_criteria``, plus an ``all`` aggregate over every target word."""
     rows = []
-    for criterion, results in grid_result.by_criterion().items():
+    for results in grid_result.by_criterion().values():
         by_category = macro_average(results)
         by_category["all"] = _mean(results)
         word_counts = _word_counts(results)
         word_counts["all"] = len(results)
-        rows.append(ShiftRow(parse_criterion(criterion).shift, by_category, word_counts))
+        (criterion,) = results[0].cell
+        rows.append(ShiftRow(criterion.shift, by_category, word_counts))
     return ShiftReport(tuple(rows))
 
 
@@ -319,7 +312,7 @@ def adjacency_experiment(grid_result: GridResult) -> AdjacencyResult:
     by_criterion = grid_result.by_criterion()
     return AdjacencyResult(
         combined_precision=_mean(by_criterion[cell_name(ANCHORED_COMBINATION)]),
-        plain_precision=_mean(by_criterion[cell_name(PLAIN_BIGRAM)]),
+        plain_precision=_mean(by_criterion[cell_name((PLAIN_BIGRAM,))]),
     )
 
 
@@ -341,29 +334,22 @@ def context_report(grid_result: GridResult) -> ContextReport:
     (category, order) cell averages those optima; curves carry the macro
     precision per family and size.
     """
-    by_family: dict[tuple, dict[int, float]] = {}
+    by_family: dict[tuple[str, str, Criterion], dict[int, float]] = {}
     for result in grid_result.results:
-        criterion = parse_criterion(result.criterion)
-        family = (result.lemma, result.category, criterion.order, criterion.tag,
-                  criterion.positioning, criterion.filter, criterion.shift,
-                  criterion.anchored)
+        (criterion,) = result.cell
+        family = (result.lemma, result.category, replace(criterion, size=1))
         by_family.setdefault(family, {})[criterion.size] = result.precision
 
     optima: dict[tuple[str, int], list[int]] = {}
     curve_points: dict[tuple[str, str, int], list[float]] = {}
-    for family, by_size in sorted(by_family.items()):
-        _, category, order, tag, positioning, filt, shift, anchored = family
+    for (_, category, family), by_size in sorted(by_family.items()):
         best_size = min(
             by_size, key=lambda size: (-by_size[size], size)
         )
-        optima.setdefault((category, order), []).append(best_size)
-        family_name = (
-            f"[{order}gr|{tag}|{positioning}|{filt}]"
-            + (f"shift{shift:+d}" if shift else "")
-            + ("anchored" if anchored else "")
-        )
+        optima.setdefault((category, family.order), []).append(best_size)
+        name = family_name(family)
         for size, precision in by_size.items():
-            curve_points.setdefault((category, family_name, size), []).append(precision)
+            curve_points.setdefault((category, name, size), []).append(precision)
 
     return ContextReport(
         avg_optimal={

@@ -59,10 +59,10 @@ from .criteria import (
     Criterion,
     CriterionGrid,
     default_grid,
-    parse_criterion,
+    parse_cell,
     parse_grid_config,
 )
-from .evaluation import CLASSIFIERS, Cell, GridResult, grid_search, write_grid_csv
+from .evaluation import Cell, GridResult, check_classifier, grid_search, write_grid_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -96,7 +96,7 @@ def _criteria(config: RunConfig) -> tuple[Criterion, ...]:
     """The ``--criterion`` parts; several are combined with '+'."""
     if not config.criterion:
         raise ValueError("a criterion is required (--criterion)")
-    return tuple(parse_criterion(part) for part in config.criterion.split("+"))
+    return parse_cell(config.criterion)
 
 
 def _criterion(config: RunConfig) -> Criterion:
@@ -187,6 +187,9 @@ def validate_config(config: RunConfig) -> list[str]:
     problems = list(config.diagnostics)
     if config.subcommand not in COMMANDS:
         problems.append(f"unknown subcommand {config.subcommand!r}")
+    existing = next(p for p in (config.output, *config.output.parents) if p.exists())
+    if not existing.is_dir():
+        problems.append(f"--output {config.output}: {existing} exists and is not a directory")
     if config.subcommand == "pseudoword":
         if config.config is None:
             problems.append("pseudoword needs --config")
@@ -204,9 +207,10 @@ def validate_config(config: RunConfig) -> list[str]:
         problems.append(f"targets file not found: {config.targets}")
 
     if config.subcommand in EXPERIMENTS:
-        if config.classifier not in CLASSIFIERS:
-            problems.append(f"unknown classifier {config.classifier!r}: "
-                            f"valid ids are {', '.join(CLASSIFIERS)}")
+        try:
+            check_classifier(config.classifier)
+        except ValueError as exc:
+            problems.append(str(exc))
         if config.k < 2:
             problems.append("k must be >= 2")
         try:

@@ -57,10 +57,11 @@ class CriterionParseError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Criterion:
     """One feature-extraction recipe: n-gram order, tag, positioning, filter,
-    window size, window shift, and whether n-grams must contain the target."""
+    window size, window shift, and whether n-grams must contain the target.
+    Criteria compare field by field, in this order."""
 
     order: int
     tag: str
@@ -71,20 +72,18 @@ class Criterion:
     anchored: bool = False
 
     def __post_init__(self) -> None:
-        if self.order < 1:
-            raise ValueError("n-gram order must be >= 1")
-        if self.tag not in TAGS:
-            raise ValueError(f"unknown tag {self.tag!r}; expected one of {TAGS}")
-        if self.positioning not in POSITIONINGS:
-            raise ValueError(
-                f"unknown positioning {self.positioning!r}; expected one of {POSITIONINGS}"
-            )
-        if self.filter not in FILTERS:
-            raise ValueError(f"unknown filter {self.filter!r}; expected one of {FILTERS}")
-        if self.size < 1:
-            raise ValueError("context size must be >= 1")
-        if self.anchored and self.order < 2:
-            raise ValueError("anchored criteria need n-gram order >= 2")
+        problems = [problem for bad, problem in (
+            (self.order < 1, "n-gram order must be >= 1"),
+            (self.tag not in TAGS, f"unknown tag {self.tag!r}; expected one of {TAGS}"),
+            (self.positioning not in POSITIONINGS,
+             f"unknown positioning {self.positioning!r}; expected one of {POSITIONINGS}"),
+            (self.filter not in FILTERS,
+             f"unknown filter {self.filter!r}; expected one of {FILTERS}"),
+            (self.size < 1, "context size must be >= 1"),
+            (self.anchored and self.order < 2, "anchored criteria need n-gram order >= 2"),
+        ) if bad]
+        if problems:
+            raise ValueError("\n".join(problems))
 
     def __str__(self) -> str:
         return format_criterion(self)
@@ -92,15 +91,38 @@ class Criterion:
 
 def format_criterion(criterion: Criterion) -> str:
     """Canonical string form; round-trips through parse_criterion."""
-    text = (
-        f"[{criterion.order}gr|{criterion.tag}|{criterion.positioning}"
-        f"|{criterion.filter}]@{criterion.size}"
+    return _format(criterion, f"@{criterion.size}")
+
+
+def family_name(criterion: Criterion) -> str:
+    """The canonical form without ``@<size>``: the name shared by the
+    criteria that differ only in window size."""
+    return _format(criterion, "")
+
+
+def _format(criterion: Criterion, size: str) -> str:
+    return (
+        f"[{criterion.order}gr|{criterion.tag}|{criterion.positioning}|{criterion.filter}]"
+        + size
+        + (f"shift{criterion.shift:+d}" if criterion.shift else "")
+        + ("anchored" if criterion.anchored else "")
     )
-    if criterion.shift:
-        text += f"shift{criterion.shift:+d}"
-    if criterion.anchored:
-        text += "anchored"
-    return text
+
+
+def cell_name(cell: Sequence[Criterion]) -> str:
+    """The name of a grid cell: its criteria joined by '+'."""
+    return "+".join(format_criterion(c) for c in cell)
+
+
+def parse_cell(text: str) -> tuple[Criterion, ...]:
+    """The criteria of a cell name, the inverse of ``cell_name``; only a '+'
+    before a '[' joins, as ``shift+1`` holds one too.  A cell may not repeat
+    a criterion."""
+    cell = tuple(parse_criterion(part) for part in re.split(r"\+(?=\s*\[)", text))
+    repeated = [str(c) for c, n in Counter(cell).items() if n > 1]
+    if repeated:
+        raise CriterionParseError(f"{text!r} repeats {', '.join(repeated)}")
+    return cell
 
 
 _SUFFIX_RE = re.compile(r"^(\d+)(?:shift([+-]\d+))?(anchored)?$")
@@ -134,7 +156,9 @@ def parse_criterion(text: str) -> Criterion:
     try:
         return Criterion(order, tag, positioning, filt, size, shift, anchored)
     except ValueError as exc:
-        raise CriterionParseError(f"{text!r}: {exc}") from exc
+        raise CriterionParseError(
+            "\n".join(f"{text!r}: {problem}" for problem in str(exc).splitlines())
+        ) from exc
 
 
 @dataclass(frozen=True)
@@ -257,15 +281,13 @@ class FeatureVector:
     sorted by key so downstream arithmetic is order-independent."""
 
     features: tuple[Feature, ...]
-    criterion: Criterion | None = None
 
     @classmethod
-    def build(cls, features: Iterable[Feature], criterion: Criterion | None) -> "FeatureVector":
+    def build(cls, features: Iterable[Feature]) -> "FeatureVector":
         unique: dict[str, Feature] = {}
         for feat in features:
             unique.setdefault(feat.key, feat)
-        ordered = tuple(unique[key] for key in sorted(unique))
-        return cls(ordered, criterion)
+        return cls(tuple(unique[key] for key in sorted(unique)))
 
     def __iter__(self):
         return iter(self.features)
@@ -385,31 +407,23 @@ def extract_features(
             for start in range(len(run) - criterion.order + 1):
                 emit(run[start:start + criterion.order])
 
-    return FeatureVector.build(features, criterion)
+    return FeatureVector.build(features)
 
 
-def combine_features(vectors: Sequence[FeatureVector]) -> FeatureVector:
-    """Union of feature vectors extracted from the same occurrence.
+def combine_features(
+    criteria: Sequence[Criterion], vectors: Sequence[FeatureVector]
+) -> FeatureVector:
+    """Union of the vectors that the criteria of one cell extract from the
+    same occurrence, ``vectors[i]`` from ``criteria[i]``.
 
-    With a single source criterion the union is the identity; with several,
-    keys are namespaced by their criterion's canonical string so features
-    from different criteria can never collide.
+    A one-criterion cell's union is its vector; with several criteria, keys
+    are namespaced by their criterion's canonical string so features from
+    different criteria can never collide.
     """
-    if not vectors:
-        return FeatureVector((), None)
-    criteria = []
-    for vector in vectors:
-        if vector.criterion is None:
-            raise ValueError("combine_features needs vectors that carry their criterion")
-        if vector.criterion not in criteria:
-            criteria.append(vector.criterion)
     if len(criteria) == 1:
-        return FeatureVector.build(
-            (f for v in vectors for f in v), criteria[0]
-        )
-    namespaced = (
-        Feature(f"{format_criterion(v.criterion)}::{f.key}", f.offsets, f.cgems)
-        for v in vectors
-        for f in v
+        return vectors[0]
+    return FeatureVector.build(
+        Feature(f"{format_criterion(criterion)}::{f.key}", f.offsets, f.cgems)
+        for criterion, vector in zip(criteria, vectors, strict=True)
+        for f in vector
     )
-    return FeatureVector.build(namespaced, None)

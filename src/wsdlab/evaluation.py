@@ -28,17 +28,23 @@ from .corpus import Corpus, Occurrence, extract_occurrences
 from .criteria import (
     Criterion,
     CriterionGrid,
+    cell_name,
     combine_features,
     enumerate_grid,
     extract_features,
-    format_criterion,
-    parse_criterion,
 )
 
 CLASSIFIERS = ("nb", "dl")
 
 GRID_CSV_HEADER = ("word", "category", "criterion", "size", "classifier",
                    "precision", "fold_precisions")
+
+
+def check_classifier(classifier: str) -> None:
+    """Raise ``ValueError`` unless ``classifier`` is one of ``CLASSIFIERS``."""
+    if classifier not in CLASSIFIERS:
+        raise ValueError(f"unknown classifier {classifier!r}: "
+                         f"valid ids are {', '.join(CLASSIFIERS)}")
 
 
 @dataclass(frozen=True)
@@ -105,11 +111,16 @@ class DecisionRecord:
 class WordResult:
     lemma: str
     category: str
-    criterion: str
+    cell: tuple[Criterion, ...]
     classifier: str
     precision: float
     fold_precisions: tuple[float, ...]
     records: tuple[DecisionRecord, ...]
+
+    @property
+    def criterion(self) -> str:
+        """The cell's name, as the reports print it."""
+        return cell_name(self.cell)
 
 
 @dataclass(frozen=True)
@@ -146,10 +157,8 @@ def cross_validate(
     into one namespaced feature vector per occurrence.  Precision pools
     correct decisions over all folds, so every occurrence counts exactly once.
     """
-    if isinstance(criteria, Criterion):
-        criteria = (criteria,)
-    else:
-        criteria = tuple(criteria)
+    check_classifier(classifier)
+    criteria = (criteria,) if isinstance(criteria, Criterion) else tuple(criteria)
     if not criteria:
         raise ValueError("at least one criterion is required")
     occurrences = plan.occurrences
@@ -160,7 +169,7 @@ def cross_validate(
         ]
     else:
         vectors = [
-            combine_features([
+            combine_features(criteria, [
                 extract_features(corpus, occ, criterion, content_mode=content_mode)
                 for criterion in criteria
             ])
@@ -201,7 +210,7 @@ def cross_validate(
     return WordResult(
         lemma=occurrences[0].lemma,
         category=occurrences[0].category,
-        criterion=cell_name(criteria),
+        cell=criteria,
         classifier=classifier,
         precision=total_correct / len(occurrences),
         fold_precisions=tuple(fold_precisions),
@@ -215,7 +224,6 @@ class GridResult:
 
     results: tuple[WordResult, ...]
     skipped: tuple[SkippedWord, ...]
-    criteria: tuple[str, ...]
     classifier: str
 
     def by_criterion(self) -> dict[str, list[WordResult]]:
@@ -238,12 +246,6 @@ def macro_average(results: Sequence[WordResult]) -> dict[str, float]:
 
 # One grid cell: a criterion, or several combined into one feature vector.
 Cell = Criterion | Sequence[Criterion]
-
-
-def cell_name(cell: Cell) -> str:
-    """The criterion string of a cell; combined criteria are joined by '+'."""
-    parts = (cell,) if isinstance(cell, Criterion) else cell
-    return "+".join(format_criterion(c) for c in parts)
 
 
 def worker_count(jobs: int, cells: int) -> int:
@@ -306,8 +308,7 @@ def grid_search(
         raise ValueError("empty criterion list")
     if not targets:
         raise ValueError("empty target list")
-    if classifier not in CLASSIFIERS:
-        raise ValueError(f"unknown classifier {classifier!r}; expected one of {CLASSIFIERS}")
+    check_classifier(classifier)
 
     plans: list[FoldPlan] = []
     skipped: list[SkippedWord] = []
@@ -350,14 +351,8 @@ def grid_search(
     return GridResult(
         results=tuple(results),
         skipped=tuple(skipped),
-        criteria=tuple(cell_name(c) for c in criteria),
         classifier=classifier,
     )
-
-
-def criterion_size(criterion: str) -> int:
-    """Window size of a criterion string; the maximum for combined criteria."""
-    return max(parse_criterion(part).size for part in criterion.split("+"))
 
 
 def write_grid_csv(results: Iterable[WordResult], stream: TextIO) -> None:
@@ -370,7 +365,7 @@ def write_grid_csv(results: Iterable[WordResult], stream: TextIO) -> None:
                 result.lemma,
                 result.category,
                 result.criterion,
-                criterion_size(result.criterion),
+                max(c.size for c in result.cell),
                 result.classifier,
                 f"{result.precision:.6f}",
                 ";".join(f"{p:.6f}" for p in result.fold_precisions),

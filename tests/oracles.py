@@ -18,8 +18,6 @@ from wsdlab.criteria import (
     SELECTED_TAGS,
     Feature,
     FeatureVector,
-    _consecutive_runs,
-    _span_key,
 )
 
 
@@ -82,6 +80,33 @@ def occurrences_scan(corpus, lemma, category):
     return tuple(found)
 
 
+def span_key(criterion, span):
+    """A feature key from the grammar: the span's tag values joined by '_'
+    (each value with '\\' and '_' backslash-escaped), prefixed by the offset
+    of its first token when ordered, by the side of the target (L or R) when
+    left/right, or by 'A' and that offset when left/right and anchored."""
+    values = "_".join(
+        "".join("\\" + ch if ch in "\\_" else ch for ch in value) for _, value in span
+    )
+    first = min(offset for offset, _ in span)
+    prefix = {
+        "ordered": f"{first}:",
+        "leftright": f"A{first}:" if criterion.anchored else ("R:" if first > 0 else "L:"),
+        "unordered": "",
+    }[criterion.positioning]
+    return prefix + values
+
+
+def ngrams(window, order):
+    """Every ``order`` entries of an offset-sorted window whose offsets are
+    consecutive integers."""
+    return [
+        window[start:start + order]
+        for start in range(len(window) - order + 1)
+        if all(window[start + j][0] == window[start][0] + j for j in range(order))
+    ]
+
+
 def features_full_context(corpus, occurrence, criterion, *, content_mode="reindex"):
     """Feature extraction from the document's whole filtered left and right
     context, cut down to the window afterwards."""
@@ -121,28 +146,19 @@ def features_full_context(corpus, occurrence, criterion, *, content_mode="reinde
         + [(o, t) for o, t in right if low <= o <= high]
     )
 
-    features = []
-
-    def emit(span):
-        keyed = [(o, getattr(t, criterion.tag)) for o, t in span]
-        features.append(
-            Feature(
-                key=_span_key(criterion, keyed),
-                offsets=tuple(o for o, _ in span),
-                cgems=tuple(t.cgems for _, t in span),
-            )
-        )
-
     if criterion.anchored:
-        entries = sorted(window + [(0, tokens[index])])
-        for run in _consecutive_runs(entries):
-            for start in range(len(run) - criterion.order + 1):
-                span = run[start:start + criterion.order]
-                if any(o == 0 for o, _ in span):
-                    emit(span)
+        spans = [
+            span for span in ngrams(sorted(window + [(0, tokens[index])]), criterion.order)
+            if any(o == 0 for o, _ in span)
+        ]
     else:
-        for run in _consecutive_runs(window):
-            for start in range(len(run) - criterion.order + 1):
-                emit(run[start:start + criterion.order])
-
-    return FeatureVector.build(features, criterion)
+        spans = ngrams(window, criterion.order)
+    features = [
+        Feature(
+            key=span_key(criterion, [(o, getattr(t, criterion.tag)) for o, t in span]),
+            offsets=tuple(o for o, _ in span),
+            cgems=tuple(t.cgems for _, t in span),
+        )
+        for span in spans
+    ]
+    return FeatureVector.build(features)

@@ -48,7 +48,7 @@ def report(number, text):
 
 def vec(*keys):
     return FeatureVector.build(
-        [Feature(key, (i + 1,), ("NCOM",)) for i, key in enumerate(keys)], None
+        [Feature(key, (i + 1,), ("NCOM",)) for i, key in enumerate(keys)]
     )
 
 

@@ -145,10 +145,11 @@ def test_space_summary_uniform_prefers_near_offsets():
 
 def grid_result_from(rows):
     results = tuple(
-        WordResult(lemma, category, criterion, "dl", precision, (precision,), ())
+        WordResult(lemma, category, (parse_criterion(criterion),), "dl", precision,
+                   (precision,), ())
         for lemma, category, criterion, precision in rows
     )
-    return GridResult(results, (), tuple(r.criterion for r in results), "dl")
+    return GridResult(results, (), "dl")
 
 
 def test_ablation_pair_decrease():
@@ -240,7 +241,7 @@ def test_selection_shares_fold_plans():
     plan = kfold_split(extract_occurrences(corpus, *target), 10, 0)
     for row, criterion in zip(report.rows, selection_criteria(base), strict=True):
         alone = grid_search(corpus, [target], [criterion], "nb", k=10, seed=0)
-        assert row.criterion == alone.criteria[0]
+        assert row.criterion == alone.results[0].criterion
         assert row.by_category == {"noun": alone.results[0].precision}
         assert alone.results[0] == cross_validate(corpus, plan, criterion, "nb",
                                                   keep_records=False)

@@ -21,7 +21,7 @@ from oracles import dl_scan_oracle, nb_posterior_oracle
 
 def vec(*keys):
     return FeatureVector.build(
-        [Feature(key, (i + 1,), ("NCOM",)) for i, key in enumerate(keys)], None
+        [Feature(key, (i + 1,), ("NCOM",)) for i, key in enumerate(keys)]
     )
 
 
@@ -132,7 +132,7 @@ def test_classify_nb_duplicate_features_ignored():
     doubled = classify_nb(
         model,
         FeatureVector.build(
-            [Feature("x", (1,), ("N",)), Feature("x", (2,), ("N",))], None
+            [Feature("x", (1,), ("N",)), Feature("x", (2,), ("N",))]
         ),
     )
     assert single.sense == doubled.sense and single.score == doubled.score

@@ -192,6 +192,50 @@ def test_bad_criterion_exits_2(workspace):
     assert "9zz" in result.stderr
 
 
+def test_bad_criterion_names_every_bad_field(workspace):
+    result = wsdlab(
+        "evaluate", "--corpus", "gen/corpus.tsv", "--targets", "gen/targets.tsv",
+        "--criterion", "[1gr|word|bogus|none]@1", "-o", "nothing7", cwd=workspace,
+    )
+    assert result.returncode == 2
+    lines = result.stderr.splitlines()
+    assert len(lines) == 3
+    for line, field in zip(lines, ("tag 'word'", "positioning 'bogus'", "filter 'none'")):
+        assert line.startswith(f"error: '[1gr|word|bogus|none]@1': unknown {field};")
+
+
+def test_repeated_criterion_in_a_cell_exits_2(workspace):
+    result = wsdlab(
+        "evaluate", "--corpus", "gen/corpus.tsv", "--targets", "gen/targets.tsv",
+        "--criterion", "[1gr|lemma|ordered|all]@1+[1gr|lemma|ordered|all]@1",
+        "-o", "nothing8", cwd=workspace,
+    )
+    assert result.returncode == 2
+    assert "repeats [1gr|lemma|ordered|all]@1" in result.stderr
+    assert not (workspace / "nothing8").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["stats"],
+    ["evaluate", "--criterion", "[1gr|lemma|ordered|all]@1"],
+    ["grid", "--grid", "default"],
+    ["pseudoword", "--config", "pw.cfg"],
+])
+@pytest.mark.parametrize("output", ["afile", "afile/sub"])
+def test_output_over_a_file_exits_2_before_reading_the_corpus(tmp_path, command, output):
+    (tmp_path / "afile").write_text("keep\n")
+    (tmp_path / "pw.cfg").write_text(PW_CONFIG)
+    (tmp_path / "bad.tsv").write_text("one column only\n")  # exit 3 if parsed
+    (tmp_path / "t.tsv").write_text("w\tnoun\n")
+    inputs = [] if command[0] == "pseudoword" else ["--corpus", "bad.tsv", "--targets", "t.tsv"]
+    result = wsdlab(*command, *inputs, "-o", output, cwd=tmp_path)
+    assert result.returncode == 2
+    assert result.stderr == (
+        f"error: --output {output}: afile exists and is not a directory\n"
+    )
+    assert (tmp_path / "afile").read_text() == "keep\n"
+
+
 def test_validate_config_lists_all_problems(tmp_path):
     config = RunConfig(
         subcommand="evaluate",

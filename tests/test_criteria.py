@@ -23,6 +23,7 @@ from wsdlab import (
     parse_criterion,
     parse_grid_config,
 )
+from wsdlab.criteria import cell_name, family_name, parse_cell
 
 
 # --- grid enumeration ----------------------------------------------------------
@@ -141,6 +142,40 @@ def test_criterion_validation():
         Criterion(0, "lemma", "ordered", "all", 1)
     with pytest.raises(ValueError):
         Criterion(1, "lemma", "ordered", "all", 1, anchored=True)
+
+
+def test_criterion_reports_every_bad_field():
+    with pytest.raises(ValueError) as raised:
+        Criterion(0, "word", "bogus", "none", 0)
+    lines = str(raised.value).splitlines()
+    assert len(lines) == 5
+    for name in ("n-gram order", "'word'", "'bogus'", "'none'", "context size"):
+        assert sum(name in line for line in lines) == 1
+    with pytest.raises(CriterionParseError) as raised:
+        parse_criterion("[1gr|word|bogus|none]@1")
+    lines = str(raised.value).splitlines()
+    assert len(lines) == 3
+    assert all(line.startswith("'[1gr|word|bogus|none]@1': unknown ") for line in lines)
+
+
+@given(st.lists(_criterion, min_size=1, max_size=4, unique=True))
+@example([Criterion(1, "mform", "ordered", "all", 2, 1), Criterion(2, "lemma", "ordered", "all", 1)])
+def test_cell_name_round_trip(cell):
+    assert parse_cell(cell_name(cell)) == tuple(cell)
+
+
+def test_parse_cell_rejects_a_repeated_criterion():
+    with pytest.raises(CriterionParseError, match=r"repeats \[1gr\|lemma\|ordered\|all\]@1$"):
+        parse_cell("[1gr|lemma|ordered|all]@1+[2gr|lemma|leftright|all]@2"
+                   "+[1gr|lemma|position|all]@1")
+
+
+def test_family_name_is_the_name_without_size():
+    criterion = parse_criterion("[2gr|ems|leftright|content]@3shift-1anchored")
+    assert family_name(criterion) == "[2gr|ems|leftright|content]shift-1anchored"
+    assert family_name(parse_criterion("[1gr|lemma|ordered|all]@8")) == (
+        "[1gr|lemma|ordered|all]"
+    )
 
 
 # --- extraction: worked examples ---------------------------------------------------
@@ -443,29 +478,23 @@ def test_extraction_equals_full_context_reference(document, criterion, category,
 
 def test_combine_single_vector_is_identity(table_corpus):
     occurrence = _occurrence(table_corpus, "détention")
-    vector = extract_features(
-        table_corpus, occurrence, parse_criterion("[1gr|lemma|ordered|all]@2")
-    )
-    assert combine_features([vector]) == vector
+    criterion = parse_criterion("[1gr|lemma|ordered|all]@2")
+    vector = extract_features(table_corpus, occurrence, criterion)
+    assert combine_features((criterion,), [vector]) == vector
 
 
 def test_combine_disjoint_vectors():
     c1 = parse_criterion("[1gr|lemma|ordered|all]@1")
     c2 = parse_criterion("[1gr|mform|ordered|all]@1")
-    v1 = FeatureVector.build([_feature("a"), _feature("b")], c1)
-    v2 = FeatureVector.build([_feature("x"), _feature("y"), _feature("z")], c2)
-    combined = combine_features([v1, v2])
+    v1 = FeatureVector.build([_feature("a"), _feature("b")])
+    v2 = FeatureVector.build([_feature("x"), _feature("y"), _feature("z")])
+    combined = combine_features((c1, c2), [v1, v2])
     assert len(combined) == 5
     assert combined.keys() == {
         "[1gr|lemma|ordered|all]@1::a", "[1gr|lemma|ordered|all]@1::b",
         "[1gr|mform|ordered|all]@1::x", "[1gr|mform|ordered|all]@1::y",
         "[1gr|mform|ordered|all]@1::z",
     }
-
-
-def test_combine_requires_criterion():
-    with pytest.raises(ValueError, match="criterion"):
-        combine_features([FeatureVector.build([_feature("a")], None)])
 
 
 def test_anchored_combination_features_all_contain_target():
@@ -475,13 +504,12 @@ def test_anchored_combination_features_all_contain_target():
         for order in (2, 3, 4, 5)
     ]
     vectors = [extract_features(MID_TARGET_CORPUS, occurrence, c) for c in criteria]
-    combined = combine_features(vectors)
+    combined = combine_features(criteria, vectors)
     assert len(combined) > 0
     for feature in combined:
         assert 0 in feature.offsets
 
 
 def test_duplicate_keys_collapse():
-    c = parse_criterion("[1gr|lemma|ordered|all]@1")
-    vector = FeatureVector.build([_feature("a"), _feature("a"), _feature("b")], c)
+    vector = FeatureVector.build([_feature("a"), _feature("a"), _feature("b")])
     assert len(vector) == 2

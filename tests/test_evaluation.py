@@ -270,8 +270,9 @@ def test_grid_search_combined_cells_and_records():
              parse_criterion("[2gr|lemma|leftright|all]@2"))
     result = grid_search(corpus, [("bananeporte", "noun")], [parts, parts[0]], "dl",
                          k=10, seed=0, keep_records=True)
-    assert result.criteria == ("[1gr|lemma|ordered|all]@1+[2gr|lemma|leftright|all]@2",
-                               "[1gr|lemma|ordered|all]@1")
+    assert [r.cell for r in result.results] == [parts, parts[:1]]
+    assert [r.criterion for r in result.results] == [
+        "[1gr|lemma|ordered|all]@1+[2gr|lemma|leftright|all]@2", "[1gr|lemma|ordered|all]@1"]
     assert list(result.results) == [cross_validate(corpus, plan, parts, "dl"),
                                     cross_validate(corpus, plan, parts[0], "dl")]
     without = grid_search(corpus, [("bananeporte", "noun")], [parts], "dl", k=10, seed=0)
@@ -284,6 +285,13 @@ def test_worker_count_is_bounded():
     assert worker_count(4, 3) == min(3, cpus)
     assert worker_count(10**6, 10**6) == cpus
     assert worker_count(8, 0) == 1
+
+
+def test_cross_validate_rejects_unknown_classifier():
+    corpus, occurrences = signal_corpus(counts=(20, 20))
+    plan = kfold_split(occurrences, 10, 0)
+    with pytest.raises(ValueError, match="unknown classifier 'NB': valid ids are nb, dl"):
+        cross_validate(corpus, plan, parse_criterion("[1gr|lemma|ordered|all]@1"), "NB")
 
 
 def test_grid_search_validation():
@@ -341,7 +349,7 @@ def test_order_preserving_sense_renaming_keeps_precisions(data):
 # --- aggregation ---------------------------------------------------------------------
 
 def _word_result(lemma, category, precision):
-    return WordResult(lemma, category, "[1gr|lemma|ordered|all]@1", "nb",
+    return WordResult(lemma, category, (parse_criterion("[1gr|lemma|ordered|all]@1"),), "nb",
                       precision, (precision,), ())
 
 
