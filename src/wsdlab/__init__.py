@@ -46,8 +46,6 @@ from .criteria import (
     Criterion,
     CriterionGrid,
     CriterionParseError,
-    Feature,
-    FeatureVector,
     combine_features,
     default_grid,
     enumerate_grid,

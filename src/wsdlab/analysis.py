@@ -79,14 +79,15 @@ def evidence_profile(records: Sequence[DecisionRecord]) -> EvidenceProfile:
             fallback_uses += 1
             fallback_correct += record.correct
             continue
-        if record.evidence_offsets is None or record.evidence_cgems is None:
+        if record.evidence is None:
             raise ValueError(
                 "record lacks evidence: evidence profiles need decision-list runs"
             )
-        if len(record.evidence_offsets) != 1:
+        offsets, cgems = record.evidence
+        if len(offsets) != 1:
             raise ValueError("evidence profiles need unigram criteria (single-token evidence)")
-        tag = record.evidence_cgems[0]
-        offset = record.evidence_offsets[0]
+        tag = cgems[0]
+        offset = offsets[0]
         tag_uses[tag] = tag_uses.get(tag, 0) + 1
         tag_correct[tag] = tag_correct.get(tag, 0) + record.correct
         offset_uses[(tag, offset)] = offset_uses.get((tag, offset), 0) + 1

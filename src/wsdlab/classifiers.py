@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .criteria import Feature, FeatureVector
+from .criteria import FeatureVector, Span
 
 PRIOR_MODES = ("feature-values", "senses")
 
@@ -58,7 +58,7 @@ def m_estimate(event_count: int, condition_count: int, prior: float, m: float) -
 class Prediction:
     sense: str
     score: float
-    evidence: Feature | None
+    evidence: Span | None
     used_fallback: bool
 
 
@@ -117,8 +117,8 @@ def _tally(
     totals: Counter = Counter()
     for vector, sense in training:
         sense_counts[sense] += 1
-        for feat in vector:
-            by_sense = cond.setdefault(feat.key, {})
+        for key in vector:
+            by_sense = cond.setdefault(key, {})
             by_sense[sense] = by_sense.get(sense, 0) + 1
             totals[sense] += 1
     return sense_counts, cond, totals, len(cond)
@@ -156,7 +156,7 @@ def classify_nb(model: NBModel, vector: FeatureVector) -> Prediction:
     to the training most-frequent sense.  Ties break toward the higher prior,
     then the lexicographically smaller sense.
     """
-    active = [f for f in vector if f.key in model.cond_counts]
+    active = [key for key in vector if key in model.cond_counts]
     if not active:
         return Prediction(model.fallback, math.log(model.priors[model.fallback]), None, True)
     m = model.smoothing.m
@@ -169,10 +169,8 @@ def classify_nb(model: NBModel, vector: FeatureVector) -> Prediction:
     for sense in model.senses:  # sorted; first wins remaining ties
         score = math.log(model.priors[sense])
         total = model.sense_totals[sense]
-        for feat in active:  # sorted by key: deterministic summation order
-            prob = _conditional(
-                model.cond_counts[feat.key].get(sense, 0), total, prior, m
-            )
+        for key in active:  # sorted: deterministic summation order
+            prob = _conditional(model.cond_counts[key].get(sense, 0), total, prior, m)
             score += math.log(prob) if prob > 0.0 else -math.inf
         ranked = (score, model.priors[sense])
         if best_sense is None or ranked > best:
@@ -229,17 +227,17 @@ def train_dl(
 
 def classify_dl(model: DLModel, vector: FeatureVector) -> Prediction:
     """Decide by the highest-ranked entry whose key appears in the vector;
-    that feature is attached as evidence.  No match falls back to the
+    that key's span is attached as evidence.  No match falls back to the
     training most-frequent sense."""
     ranks = model.ranks
     best_rank = None
-    best_feature = None
-    for feat in vector:
-        rank = ranks.get(feat.key)
+    best_key = None
+    for key in vector:
+        rank = ranks.get(key)
         if rank is not None and (best_rank is None or rank < best_rank):
-            best_rank, best_feature = rank, feat
+            best_rank, best_key = rank, key
     if best_rank is None:
         return Prediction(model.fallback, 0.0, None, True)
     entry = model.entries[best_rank]
-    return Prediction(entry.sense, entry.strength, best_feature, False)
+    return Prediction(entry.sense, entry.strength, vector[best_key], False)
 

@@ -92,6 +92,11 @@ class RunConfig:
     diagnostics: list[str] = field(default_factory=list)
 
 
+def _read_input(path: Path) -> str:
+    """An input file's text; a leading UTF-8 byte-order mark is dropped."""
+    return path.read_text(encoding="utf-8-sig")
+
+
 def _criteria(config: RunConfig) -> tuple[Criterion, ...]:
     """The ``--criterion`` parts; several are combined with '+'."""
     if not config.criterion:
@@ -119,7 +124,7 @@ def _grid_cells(config: RunConfig) -> CriterionGrid:
     path = Path(config.grid)
     if not path.is_file():
         raise ValueError(f"grid config file not found: {config.grid}")
-    return parse_grid_config(path.read_text(encoding="utf-8"))
+    return parse_grid_config(_read_input(path))
 
 
 def _grid_reports(result: GridResult) -> dict[str, tuple]:
@@ -263,7 +268,7 @@ def _format_stat(value) -> str:
 
 
 def _pseudoword(config: RunConfig) -> int:
-    pw_config = parse_pseudoword_config(config.config.read_text(encoding="utf-8"))
+    pw_config = parse_pseudoword_config(_read_input(config.config))
     seed = config.seed if config.seed is not None else pw_config.seed
     corpus = generate_pseudoword_corpus(pw_config, seed)
     outdir = config.output
@@ -339,12 +344,12 @@ def run(config: RunConfig) -> int:
         return _pseudoword(config)
 
     try:
-        corpus = parse_corpus(config.corpus.read_text(encoding="utf-8"))
+        corpus = parse_corpus(_read_input(config.corpus))
     except (CorpusParseError, UnicodeDecodeError) as exc:
         print(f"error: corpus {config.corpus}: {exc}", file=sys.stderr)
         return EXIT_PARSE
     try:
-        targets = parse_targets(config.targets.read_text(encoding="utf-8"))
+        targets = parse_targets(_read_input(config.targets))
     except ValueError as exc:
         print(f"error: targets {config.targets}: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -30,7 +30,7 @@ import itertools
 import re
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .corpus import Corpus, Occurrence, Token
 
@@ -265,38 +265,11 @@ def parse_grid_config(text: str) -> CriterionGrid:
     return CriterionGrid(**kwargs)
 
 
-@dataclass(frozen=True)
-class Feature:
-    """One piece of contextual evidence: an identity key plus the window
-    offsets and coarse tags of the tokens it was built from."""
-
-    key: str
-    offsets: tuple[int, ...]
-    cgems: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    """Deduplicated feature set extracted from one occurrence; iteration is
-    sorted by key so downstream arithmetic is order-independent."""
-
-    features: tuple[Feature, ...]
-
-    @classmethod
-    def build(cls, features: Iterable[Feature]) -> "FeatureVector":
-        unique: dict[str, Feature] = {}
-        for feat in features:
-            unique.setdefault(feat.key, feat)
-        return cls(tuple(unique[key] for key in sorted(unique)))
-
-    def __iter__(self):
-        return iter(self.features)
-
-    def __len__(self) -> int:
-        return len(self.features)
-
-    def keys(self) -> frozenset[str]:
-        return frozenset(f.key for f in self.features)
+# A feature vector maps each feature key to the span that first produced it:
+# the window offsets and coarse tags of that n-gram's tokens.  Keys ascend,
+# so downstream arithmetic is order-independent.
+Span = tuple[tuple[int, ...], tuple[str, ...]]
+FeatureVector = dict[str, Span]
 
 
 def _escape(value: str) -> str:
@@ -383,17 +356,12 @@ def extract_features(
         window = [(-k, t) for k, t in reversed(left) if -k <= high]
         window += [(k, t) for k, t in right if k >= low]
 
-    features: list[Feature] = []
+    spans: FeatureVector = {}
 
     def emit(span: list[tuple[int, Token]]) -> None:
-        keyed = [(o, getattr(t, criterion.tag)) for o, t in span]
-        features.append(
-            Feature(
-                key=_span_key(criterion, keyed),
-                offsets=tuple(o for o, _ in span),
-                cgems=tuple(t.cgems for _, t in span),
-            )
-        )
+        key = _span_key(criterion, [(o, getattr(t, criterion.tag)) for o, t in span])
+        if key not in spans:  # the first span of a key wins
+            spans[key] = (tuple(o for o, _ in span), tuple(t.cgems for _, t in span))
 
     if criterion.anchored:
         entries = sorted(window + [(0, tokens[index])])
@@ -407,7 +375,7 @@ def extract_features(
             for start in range(len(run) - criterion.order + 1):
                 emit(run[start:start + criterion.order])
 
-    return FeatureVector.build(features)
+    return {key: spans[key] for key in sorted(spans)}
 
 
 def combine_features(
@@ -422,8 +390,8 @@ def combine_features(
     """
     if len(criteria) == 1:
         return vectors[0]
-    return FeatureVector.build(
-        Feature(f"{format_criterion(criterion)}::{f.key}", f.offsets, f.cgems)
+    return dict(sorted(
+        (f"{format_criterion(criterion)}::{key}", span)
         for criterion, vector in zip(criteria, vectors, strict=True)
-        for f in vector
-    )
+        for key, span in vector.items()
+    ))

@@ -28,6 +28,7 @@ from .corpus import Corpus, Occurrence, extract_occurrences
 from .criteria import (
     Criterion,
     CriterionGrid,
+    Span,
     cell_name,
     combine_features,
     enumerate_grid,
@@ -91,16 +92,14 @@ def kfold_split(occurrences: Sequence[Occurrence], k: int, seed: int) -> FoldPla
 
 @dataclass(frozen=True)
 class DecisionRecord:
-    """Trace of one classified occurrence; evidence fields are present only
+    """Trace of one classified occurrence; the evidence span is present only
     for decision-list decisions that did not fall back."""
 
     occurrence_id: str
-    fold: int
     gold: str
     predicted: str
     used_fallback: bool
-    evidence_offsets: tuple[int, ...] | None = None
-    evidence_cgems: tuple[str, ...] | None = None
+    evidence: Span | None = None
 
     @property
     def correct(self) -> bool:
@@ -162,19 +161,13 @@ def cross_validate(
     if not criteria:
         raise ValueError("at least one criterion is required")
     occurrences = plan.occurrences
-    if len(criteria) == 1:
-        vectors = [
-            extract_features(corpus, occ, criteria[0], content_mode=content_mode)
-            for occ in occurrences
-        ]
-    else:
-        vectors = [
-            combine_features(criteria, [
-                extract_features(corpus, occ, criterion, content_mode=content_mode)
-                for criterion in criteria
-            ])
-            for occ in occurrences
-        ]
+    vectors = [
+        combine_features(criteria, [
+            extract_features(corpus, occ, criterion, content_mode=content_mode)
+            for criterion in criteria
+        ])
+        for occ in occurrences
+    ]
 
     records: list[DecisionRecord] = []
     fold_precisions: list[float] = []
@@ -192,18 +185,10 @@ def cross_validate(
             if prediction.sense == occ.sense:
                 correct += 1
             if keep_records:
-                evidence = prediction.evidence
-                records.append(
-                    DecisionRecord(
-                        occurrence_id=occ.id,
-                        fold=fold,
-                        gold=occ.sense,
-                        predicted=prediction.sense,
-                        used_fallback=prediction.used_fallback,
-                        evidence_offsets=evidence.offsets if evidence else None,
-                        evidence_cgems=evidence.cgems if evidence else None,
-                    )
-                )
+                records.append(DecisionRecord(
+                    occ.id, occ.sense, prediction.sense, prediction.used_fallback,
+                    prediction.evidence,
+                ))
         fold_precisions.append(correct / len(test_idx) if test_idx else 0.0)
         total_correct += correct
 

@@ -12,13 +12,7 @@ from __future__ import annotations
 import math
 
 from wsdlab.corpus import CATEGORIES, Occurrence
-from wsdlab.criteria import (
-    CONTENT_MODES,
-    CONTENT_TAGS,
-    SELECTED_TAGS,
-    Feature,
-    FeatureVector,
-)
+from wsdlab.criteria import CONTENT_MODES, CONTENT_TAGS, SELECTED_TAGS
 
 
 def smoothed(event: int, condition: int, prior: float, m: float) -> float:
@@ -153,12 +147,10 @@ def features_full_context(corpus, occurrence, criterion, *, content_mode="reinde
         ]
     else:
         spans = ngrams(window, criterion.order)
-    features = [
-        Feature(
-            key=span_key(criterion, [(o, getattr(t, criterion.tag)) for o, t in span]),
-            offsets=tuple(o for o, _ in span),
-            cgems=tuple(t.cgems for _, t in span),
+    features = {}
+    for span in spans:  # in emission order: the first span of a key is kept
+        features.setdefault(
+            span_key(criterion, [(o, getattr(t, criterion.tag)) for o, t in span]),
+            (tuple(o for o, _ in span), tuple(t.cgems for _, t in span)),
         )
-        for span in spans
-    ]
-    return FeatureVector.build(features)
+    return dict(sorted(features.items()))

@@ -17,8 +17,6 @@ import pytest
 
 import wsdlab
 from wsdlab import (
-    FeatureVector,
-    Feature,
     PseudowordConfig,
     SmoothingParams,
     classify_dl,
@@ -47,9 +45,8 @@ def report(number, text):
 
 
 def vec(*keys):
-    return FeatureVector.build(
-        [Feature(key, (i + 1,), ("NCOM",)) for i, key in enumerate(keys)]
-    )
+    """A feature vector whose key at argument position i has offset i + 1."""
+    return {key: ((keys.index(key) + 1,), ("NCOM",)) for key in sorted(set(keys))}
 
 
 def test_criterion_01_grid_combinatorics():

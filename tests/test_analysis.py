@@ -66,12 +66,10 @@ def adjacency(corpus, target):
 def record(tag, offset, correct, fallback=False, n=0):
     return DecisionRecord(
         occurrence_id=f"d:{n}",
-        fold=0,
         gold="g",
         predicted="g" if correct else "x",
         used_fallback=fallback,
-        evidence_offsets=None if fallback else (offset,),
-        evidence_cgems=None if fallback else (tag,),
+        evidence=None if fallback else ((offset,), (tag,)),
     )
 
 
@@ -94,16 +92,13 @@ def test_profile_all_fallback_is_empty():
 
 
 def test_profile_rejects_nb_records():
-    bad = DecisionRecord("d:0", 0, "g", "g", used_fallback=False)
+    bad = DecisionRecord("d:0", "g", "g", used_fallback=False)
     with pytest.raises(ValueError, match="decision-list"):
         evidence_profile([bad])
 
 
 def test_profile_rejects_multitoken_evidence():
-    bad = DecisionRecord(
-        "d:0", 0, "g", "g", False, evidence_offsets=(-2, -1),
-        evidence_cgems=("DET", "NCOM"),
-    )
+    bad = DecisionRecord("d:0", "g", "g", False, evidence=((-2, -1), ("DET", "NCOM")))
     with pytest.raises(ValueError, match="unigram"):
         evidence_profile([bad])
 

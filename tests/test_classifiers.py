@@ -6,8 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wsdlab import (
-    Feature,
-    FeatureVector,
     SmoothingParams,
     classify_dl,
     classify_nb,
@@ -20,9 +18,8 @@ from oracles import dl_scan_oracle, nb_posterior_oracle
 
 
 def vec(*keys):
-    return FeatureVector.build(
-        [Feature(key, (i + 1,), ("NCOM",)) for i, key in enumerate(keys)]
-    )
+    """A feature vector whose key at argument position i has offset i + 1."""
+    return {key: ((keys.index(key) + 1,), ("NCOM",)) for key in sorted(set(keys))}
 
 
 # --- m-estimate ------------------------------------------------------------------
@@ -126,18 +123,6 @@ def test_classify_nb_tie_breaks_on_prior_then_label():
     assert classify_nb(model, vec("x")).sense == "b"  # prior beats label order
 
 
-def test_classify_nb_duplicate_features_ignored():
-    model = train_nb(toy_training())
-    single = classify_nb(model, vec("x"))
-    doubled = classify_nb(
-        model,
-        FeatureVector.build(
-            [Feature("x", (1,), ("N",)), Feature("x", (2,), ("N",))]
-        ),
-    )
-    assert single.sense == doubled.sense and single.score == doubled.score
-
-
 def test_classify_nb_agrees_with_exhaustive_posterior():
     rng = random.Random(4242)
     for _ in range(300):
@@ -226,7 +211,7 @@ def test_classify_dl_first_match_decides():
     model = train_dl(training)
     prediction = classify_dl(model, vec("weak", "strong"))
     assert prediction.sense == "A"
-    assert prediction.evidence.key == "strong"
+    assert prediction.evidence == ((2,), ("NCOM",))  # the span of "strong"
     assert not prediction.used_fallback
 
 

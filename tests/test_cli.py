@@ -1,14 +1,19 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wsdlab as package
-from wsdlab.cli import RunConfig, validate_config
+from wsdlab.cli import COMMANDS, RunConfig, main, validate_config
 from test_acceptance import SMALL_GRID, _build_three_category_workspace
 
 # The subprocesses run in other directories, so the package is put on their
@@ -158,6 +163,40 @@ def test_bad_corpus_exits_3_with_its_path(workspace, name, content, expected):
     assert result.returncode == 3
     assert f"error: corpus {expected}" in result.stderr
     assert not (workspace / ("nothing-" + name)).exists()
+
+
+BOM = "\ufeff".encode()
+
+
+def test_bom_prefixed_corpus_and_targets_give_the_same_reports(workspace):
+    for name in ("corpus.tsv", "targets.tsv"):
+        (workspace / f"bom-{name}").write_bytes(BOM + (workspace / "gen" / name).read_bytes())
+    for command, report, extra in (
+        ("stats", "stats.csv", ()),
+        ("evaluate", "evaluate.csv", ("--criterion", "[1gr|lemma|ordered|all]@1")),
+    ):
+        for name, prefix in (("plain", "gen/"), ("bom", "bom-")):
+            result = wsdlab(command, "--corpus", f"{prefix}corpus.tsv",
+                            "--targets", f"{prefix}targets.tsv", *extra,
+                            "-o", f"{command}-{name}", cwd=workspace)
+            assert result.returncode == 0, result.stderr
+        assert (workspace / f"{command}-plain" / report).read_bytes() == (
+            workspace / f"{command}-bom" / report
+        ).read_bytes()
+
+
+def test_bom_prefixed_configs_parse(workspace):
+    (workspace / "bom.grid").write_bytes(BOM + b"orders = 1\nsizes = 1-2\n")
+    config = RunConfig("grid", workspace / "unused", corpus=workspace / "gen" / "corpus.tsv",
+                       targets=workspace / "gen" / "targets.tsv",
+                       grid=str(workspace / "bom.grid"))
+    assert validate_config(config) == []
+    (workspace / "bom-pw.cfg").write_bytes(BOM + PW_CONFIG.encode())
+    result = wsdlab("pseudoword", "--config", "bom-pw.cfg", "-o", "gen-bom", cwd=workspace)
+    assert result.returncode == 0, result.stderr
+    assert (workspace / "gen-bom" / "corpus.tsv").read_bytes() == (
+        workspace / "gen" / "corpus.tsv"
+    ).read_bytes()
 
 
 def test_empty_targets_exits_4(workspace):
@@ -406,3 +445,100 @@ def test_version_flag(workspace):
     result = wsdlab("--version", cwd=workspace)
     assert result.returncode == 0
     assert result.stdout.startswith("wsdlab ")
+
+
+# --- no input ends in a traceback ------------------------------------------------
+
+# A corpus with 12 occurrences of "cible" (noun), enough for the default k.
+_GOOD_CORPUS = [b"#doc d1"] + [
+    line
+    for i in range(12)
+    for line in (f"w{i % 3}\tw{i % 3}\tNCFS\tNCOM\t".encode(), b"le\tle\tDET\tDET\t",
+                 f"cible\tcible\tNCFS\tNCOM\ts{i % 2}".encode())
+]
+_CORPUS_LINES = st.sampled_from([
+    b"#doc d1", b"#doc d2", b"\xef\xbb\xbf#doc d3", b"", b"x\tx\tNCFS\tNCOM\t",
+    b"cible\tcible\tNCFS\tNCOM\ts1", b"cible\tcible\tVINF\tVINF\ts2",
+    b"only\tthree\tcolumns", b"a\tb\tc\td\te\tf", b"d\xe9j\xe0\tx\tA\tB\t", b"\xff\xfe",
+])
+_TARGET_LINES = st.sampled_from([
+    "cible\tnoun", "cible\tverb", "absent\tadjective", "cible\tbogus", "cible",
+    "# comment", "", "\ufeffcible\tnoun",
+])
+_GRID_CONFIG = "orders = 1\ntags = lemma\nsizes = 1-2"
+_PSEUDOWORD_CONFIG = "sources = cible, autre\ncounts = 6\nwidth = 3\nvocabulary = 4"
+_CONFIG_LINES = st.sampled_from([
+    "orders = 1", "orders = 0", "orders = 1,1", "sizes = 1-2", "sizes = x",
+    "tags = lemma", "tags = bogus", "positionings = position", "filters = all,content",
+    "filters = ", "\ufefforders = 1", "no separator", "# comment",
+    "sources = cible, autre", "counts = 6", "width = 3", "vocabulary = 4",
+    "noise = 2", "seed = 1",
+])
+_CRITERIA = [("--criterion", text) for text in (
+    "[1gr|lemma|ordered|all]@1", "[2gr|mform|leftright|content]@2",
+    "[1gr|lemma|ordered|selected]@1shift+1", "[2gr|lemma|leftright|all]@1anchored",
+    "[1gr|lemma|ordered|all]@1+[1gr|cgems|unordered|all]@2",
+    "[1gr|lemma|ordered|all]@1+[1gr|lemma|ordered|all]@1", "[9gr|x]@",
+)]
+_EVALUATION = [
+    ("--classifier", "dl"), ("--classifier", "svm"), ("--k", "2"), ("--k", "1"),
+    ("--m", "0"), ("--m", "-1"), ("--m", "nan"), ("--prior-mode", "senses"),
+    ("--seed", "3"), ("--jobs", "1"), ("--jobs", "2"), ("--jobs", "0"),
+    ("--content-mode", "keep_gaps"),
+]
+_ODD = [("--bogus",), ("--corpus", "{dir}/missing.tsv"), ("--grid", "{dir}/missing.cfg")]
+_OPTIONS = {
+    "stats": _ODD,
+    "evaluate": _EVALUATION + _CRITERIA + _ODD,
+    "grid": _EVALUATION + _ODD,
+    "evidence": _EVALUATION + _CRITERIA + _ODD,
+    "ablation": _EVALUATION + _ODD,
+    "selection": _EVALUATION + _CRITERIA + _ODD,
+    "shift": _EVALUATION + _CRITERIA + _ODD + [("--shifts", v) for v in ("0,1", "1", "x")],
+    "adjacency": _EVALUATION + _ODD,
+    "pseudoword": [("--seed", "3"), ("--seed", "x"), ("--config", "{dir}/missing.cfg")],
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    invocation=st.sampled_from(COMMANDS).flatmap(lambda command: st.tuples(
+        st.just(command), st.lists(st.sampled_from(_OPTIONS[command]), max_size=2))),
+    corpus=st.tuples(st.booleans(), st.lists(_CORPUS_LINES, max_size=3)),
+    targets=st.lists(_TARGET_LINES, max_size=2),
+    config=st.tuples(st.booleans(), st.lists(_CONFIG_LINES, max_size=3)),
+)
+def test_cli_exits_with_a_code_not_a_traceback(invocation, corpus, targets, config):
+    """Whatever the arguments, config text and corpus bytes, ``main`` returns
+    an exit code (argparse's own exit counting as 2) and raises nothing."""
+    command, options = invocation
+    good_corpus, corpus_lines = corpus
+    good_config, config_lines = config
+    if good_config:
+        config_lines = [_PSEUDOWORD_CONFIG if command == "pseudoword" else _GRID_CONFIG,
+                        *config_lines]
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "corpus.tsv").write_bytes(
+            b"\n".join((_GOOD_CORPUS if good_corpus else []) + corpus_lines))
+        (root / "targets.tsv").write_text("\n".join(["cible\tnoun", *targets]),
+                                          encoding="utf-8")
+        (root / "grid.cfg").write_text("\n".join(config_lines), encoding="utf-8")
+        argv = [command, "-o", str(root / "out")]
+        if command == "pseudoword":
+            argv += ["--config", str(root / "grid.cfg")]
+        else:
+            argv += ["--corpus", str(root / "corpus.tsv"), "--targets", str(root / "targets.tsv")]
+        if command in ("grid", "ablation"):
+            argv += ["--grid", str(root / "grid.cfg")]
+        if command == "evaluate":
+            argv += list(_CRITERIA[0])
+        for option in options:
+            argv += [part.format(dir=tmp) for part in option]
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the arguments
+                code = exc.code
+    assert code in (0, 2, 3, 4)

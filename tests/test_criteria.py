@@ -9,8 +9,6 @@ from wsdlab import (
     CriterionGrid,
     CriterionParseError,
     Document,
-    Feature,
-    FeatureVector,
     Occurrence,
     Token,
     combine_features,
@@ -205,7 +203,7 @@ def test_extract_unigrams_ordered(table_corpus):
         table_corpus, occurrence, parse_criterion("[1gr|lemma|ordered|all]@2")
     )
     assert vector.keys() == {"-2:pratique", "-1:de"}
-    assert {f.offsets for f in vector} == {(-2,), (-1,)}
+    assert {offsets for offsets, _ in vector.values()} == {(-2,), (-1,)}
 
 
 def test_extract_bigram_leftright(table_corpus):
@@ -223,8 +221,7 @@ def test_extract_content_filter_reindexes(table_corpus):
     )
     # "des" (DET) is dropped; "pratique" (NCOM) becomes the new offset -1
     assert vector.keys() == {"-1:pratique"}
-    (feature,) = vector
-    assert feature.offsets == (-1,) and feature.cgems == ("NCOM",)
+    assert list(vector.values()) == [((-1,), ("NCOM",))]
 
 
 def test_extract_content_filter_keep_gaps(table_corpus):
@@ -289,18 +286,18 @@ def test_ngrams_never_span_target():
             MID_TARGET_CORPUS, occurrence,
             Criterion(2, "lemma", positioning, "all", size=2),
         )
-        for feature in vector:
-            assert 0 not in feature.offsets
-            assert all(o < 0 for o in feature.offsets) or all(o > 0 for o in feature.offsets)
-            assert feature.offsets[1] == feature.offsets[0] + 1
+        for offsets, _ in vector.values():
+            assert 0 not in offsets
+            assert all(o < 0 for o in offsets) or all(o > 0 for o in offsets)
+            assert offsets[1] == offsets[0] + 1
 
 
 def test_features_lie_in_shifted_window():
     occurrence = _occurrence(MID_TARGET_CORPUS, "pratique")
     criterion = Criterion(1, "lemma", "ordered", "all", size=2, shift=-1)
     vector = extract_features(MID_TARGET_CORPUS, occurrence, criterion)
-    for feature in vector:
-        for offset in feature.offsets:
+    for offsets, _ in vector.values():
+        for offset in offsets:
             assert -3 <= offset <= 1 and offset != 0
 
 
@@ -321,8 +318,8 @@ def test_anchored_spans_contain_target():
         MID_TARGET_CORPUS, occurrence, parse_criterion("[2gr|lemma|leftright|all]@1anchored")
     )
     assert vector.keys() == {"A-1:le_pratique", "A0:pratique_de"}
-    for feature in vector:
-        assert 0 in feature.offsets
+    for offsets, _ in vector.values():
+        assert 0 in offsets
 
 
 def test_anchored_trigram_windows():
@@ -392,9 +389,13 @@ def test_adjacent_unigram_equivalent_to_anchored_bigram():
     forward: dict[str, str] = {}
     backward: dict[str, str] = {}
     for occ in occurrences:
-        u_keys = {f.key for f in extract_features(corpus, occ, unigram) if f.offsets == (-1,)}
+        u_keys = {
+            key for key, (offsets, _) in extract_features(corpus, occ, unigram).items()
+            if offsets == (-1,)
+        }
         b_keys = {
-            f.key for f in extract_features(corpus, occ, bigram) if f.offsets == (-1, 0)
+            key for key, (offsets, _) in extract_features(corpus, occ, bigram).items()
+            if offsets == (-1, 0)
         }
         (u,) = u_keys
         (b,) = b_keys
@@ -405,8 +406,8 @@ def test_adjacent_unigram_equivalent_to_anchored_bigram():
 
 # --- combination ---------------------------------------------------------------
 
-def _feature(key):
-    return Feature(key, (1,), ("N",))
+def _vector(*keys):
+    return {key: ((1,), ("N",)) for key in keys}
 
 
 # cgems values inside and outside the content set and every selected set.
@@ -486,8 +487,8 @@ def test_combine_single_vector_is_identity(table_corpus):
 def test_combine_disjoint_vectors():
     c1 = parse_criterion("[1gr|lemma|ordered|all]@1")
     c2 = parse_criterion("[1gr|mform|ordered|all]@1")
-    v1 = FeatureVector.build([_feature("a"), _feature("b")])
-    v2 = FeatureVector.build([_feature("x"), _feature("y"), _feature("z")])
+    v1 = _vector("a", "b")
+    v2 = _vector("x", "y", "z")
     combined = combine_features((c1, c2), [v1, v2])
     assert len(combined) == 5
     assert combined.keys() == {
@@ -506,10 +507,5 @@ def test_anchored_combination_features_all_contain_target():
     vectors = [extract_features(MID_TARGET_CORPUS, occurrence, c) for c in criteria]
     combined = combine_features(criteria, vectors)
     assert len(combined) > 0
-    for feature in combined:
-        assert 0 in feature.offsets
-
-
-def test_duplicate_keys_collapse():
-    vector = FeatureVector.build([_feature("a"), _feature("a"), _feature("b")])
-    assert len(vector) == 2
+    for offsets, _ in combined.values():
+        assert 0 in offsets

@@ -179,9 +179,9 @@ def test_evidence_recorded_only_for_dl_decisions():
     criterion = parse_criterion("[1gr|lemma|ordered|all]@1")
     dl = cross_validate(corpus, plan, criterion, "dl")
     for record in dl.records:
-        assert (record.evidence_offsets is None) == record.used_fallback
+        assert (record.evidence is None) == record.used_fallback
     nb = cross_validate(corpus, plan, criterion, "nb")
-    assert all(r.evidence_offsets is None for r in nb.records)
+    assert all(r.evidence is None for r in nb.records)
 
 
 def test_combined_criteria_in_cross_validation():
