@@ -13,7 +13,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 CATEGORIES = ("noun", "adjective", "verb")
 
@@ -22,6 +22,10 @@ IMPLICIT_DOC_ID = "doc0"
 
 # The tag columns of a token, in file order; none may be empty.
 TOKEN_FIELDS = ("mform", "lemma", "ems", "cgems")
+
+# About how many characters of a str source parse_corpus splits into lines at
+# a time, so that no list of every line is built.
+_CHUNK_CHARS = 1 << 20
 
 
 class CorpusParseError(ValueError):
@@ -32,7 +36,7 @@ class CorpusParseError(ValueError):
         self.line_number = line_number
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
     """One corpus word with its four tags and an optional sense label."""
 
@@ -127,9 +131,22 @@ class CategoryAverage:
     mfs: float
 
 
+def _split_lines(text: str) -> Iterator[str]:
+    """``text.splitlines()``, split about _CHUNK_CHARS characters at a time.
+
+    Each chunk ends just after a ``"\n"``, which no line boundary straddles
+    (``"\r\n"`` ends with it), so the chunks' lines are the text's lines.
+    """
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK_CHARS - 1) + 1 or len(text)
+        yield from text[start:end].splitlines()
+        start = end
+
+
 def _iter_lines(source: str | TextIO | Iterable[str]) -> Iterable[str]:
     if isinstance(source, str):
-        return source.splitlines()
+        return _split_lines(source)
     return (line.rstrip("\r\n") for line in source)
 
 
@@ -138,29 +155,36 @@ def parse_corpus(source: str | TextIO | Iterable[str]) -> Corpus:
 
     ``source`` may be a string, an open text file, or any iterable of lines.
     Raises CorpusParseError on a wrong column count, an empty tag field or a
-    repeated document id.
+    repeated document id.  Each distinct line is split once, and equal field
+    values share one string object.
     """
     documents: list[Document] = []
     seen_ids: set[str] = set()
     current_id: str | None = None
     current_tokens: list[Token] = []
+    # line -> its fields; field value -> its one string object.
+    split: dict[str, tuple[str, ...]] = {}
+    strings: dict[str, str] = {}
 
     def flush() -> None:
         if current_id is not None:
             documents.append(Document(current_id, tuple(current_tokens)))
 
     for number, line in enumerate(_iter_lines(source), start=1):
-        if not line.strip():
-            continue
-        if line.startswith("#doc "):
-            flush()
-            current_id = line[len("#doc "):]
-            if current_id in seen_ids:
-                raise CorpusParseError(number, f"duplicate document id {current_id!r}")
-            seen_ids.add(current_id)
-            current_tokens = []
-            continue
-        fields = line.split("\t")
+        fields = split.get(line)
+        if fields is None:
+            if not line.strip():
+                continue
+            if line.startswith("#doc "):
+                flush()
+                current_id = line[len("#doc "):]
+                if current_id in seen_ids:
+                    raise CorpusParseError(number, f"duplicate document id {current_id!r}")
+                seen_ids.add(current_id)
+                current_tokens = []
+                continue
+            fields = tuple(strings.setdefault(value, value) for value in line.split("\t"))
+            split[line] = fields
         if len(fields) != 5:
             raise CorpusParseError(
                 number, f"expected 5 tab-separated columns, got {len(fields)}"
@@ -184,14 +208,13 @@ def parse_corpus(source: str | TextIO | Iterable[str]) -> Corpus:
 
 def serialize_corpus(corpus: Corpus) -> str:
     """Render a Corpus back to the vertical format (inverse of parse_corpus)."""
-    lines: list[str] = []
-    for doc in corpus.documents:
-        lines.append(f"#doc {doc.id}")
-        for tok in doc.tokens:
-            lines.append(
-                "\t".join((tok.mform, tok.lemma, tok.ems, tok.cgems, tok.sense or ""))
-            )
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "".join(
+        f"#doc {doc.id}\n" + "".join(
+            f"{tok.mform}\t{tok.lemma}\t{tok.ems}\t{tok.cgems}\t{tok.sense or ''}\n"
+            for tok in doc.tokens
+        )
+        for doc in corpus.documents
+    )
 
 
 def extract_occurrences(corpus: Corpus, lemma: str, category: str) -> tuple[Occurrence, ...]:
@@ -466,9 +489,16 @@ def generate_pseudoword_corpus(config: PseudowordConfig, seed: int) -> Corpus:
     rng = random.Random(seed)
     target = config.target_lemma
     pair_offsets = tuple(sorted(config.signal_offsets))
+    # Drawn filler index -> its lemma, so that each filler word is one string.
+    fillers: dict[int, str] = {}
+    cues = config.signal_values or tuple(f"cue{n}" for n in range(len(config.sources)))
+    pair_values = ("u0", "u1"), ("v0", "v1")
 
     def filler_token() -> Token:
-        lemma = f"w{rng.randrange(config.vocabulary)}"
+        index = rng.randrange(config.vocabulary)
+        lemma = fillers.get(index)
+        if lemma is None:
+            lemma = fillers[index] = f"w{index}"
         pos = config.filler_pos[rng.randrange(len(config.filler_pos))]
         return Token(lemma, lemma, pos, pos)
 
@@ -483,9 +513,9 @@ def generate_pseudoword_corpus(config: PseudowordConfig, seed: int) -> Corpus:
         for _ in range(count):
             if config.signal_mode == "pair":
                 flip = rng.randrange(2)
-                pair_values = {
-                    pair_offsets[0]: f"u{flip}",
-                    pair_offsets[1]: f"v{flip if sense_index == 0 else 1 - flip}",
+                planted = {
+                    pair_offsets[0]: pair_values[0][flip],
+                    pair_offsets[1]: pair_values[1][flip if sense_index == 0 else 1 - flip],
                 }
             tokens = []
             for offset in range(-config.width, config.width + 1):
@@ -495,11 +525,9 @@ def generate_pseudoword_corpus(config: PseudowordConfig, seed: int) -> Corpus:
                     )
                 elif offset in config.signal_offsets:
                     if config.signal_mode == "pair":
-                        tokens.append(signal_token(pair_values[offset]))
-                    elif config.signal_values is not None:
-                        tokens.append(signal_token(config.signal_values[sense_index]))
+                        tokens.append(signal_token(planted[offset]))
                     else:
-                        tokens.append(signal_token(f"cue{sense_index}"))
+                        tokens.append(signal_token(cues[sense_index]))
                 else:
                     tokens.append(filler_token())
             documents.append(Document(f"{target}-{serial:05d}", tuple(tokens)))

@@ -3,15 +3,26 @@
 These deliberately avoid the code paths under test: Naive Bayes is verified
 with plain probability products (no logs), the decision list with a
 brute-force scan over matched entries, occurrence lookup with a scan of the
-whole corpus, and feature extraction by building the document's full left
-and right context before the window is applied.
+whole corpus, feature extraction by building the document's full left
+and right context before the window is applied, corpus parsing with one
+``str.splitlines()`` and fresh strings for every line, and corpus rendering
+by joining a list of every line.
 """
 
 from __future__ import annotations
 
 import math
 
-from wsdlab.corpus import CATEGORIES, Occurrence
+from wsdlab.corpus import (
+    CATEGORIES,
+    IMPLICIT_DOC_ID,
+    TOKEN_FIELDS,
+    Corpus,
+    CorpusParseError,
+    Document,
+    Occurrence,
+    Token,
+)
 from wsdlab.criteria import CONTENT_MODES, CONTENT_TAGS, SELECTED_TAGS
 
 
@@ -72,6 +83,60 @@ def occurrences_scan(corpus, lemma, category):
             if tok.lemma == lemma and tok.sense is not None:
                 found.append(Occurrence(doc.id, index, lemma, category, tok.sense))
     return tuple(found)
+
+
+def parse_corpus_plain(source):
+    """The vertical format parsed line by line: a string is split by one
+    ``splitlines()``, every line is split afresh and makes its own Token."""
+    if isinstance(source, str):
+        lines = source.splitlines()
+    else:
+        lines = [line.rstrip("\r\n") for line in source]
+    documents = []
+    seen_ids = set()
+    current_id = None
+    current_tokens = []
+    for number, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        if line.startswith("#doc "):
+            if current_id is not None:
+                documents.append(Document(current_id, tuple(current_tokens)))
+            current_id = line[len("#doc "):]
+            if current_id in seen_ids:
+                raise CorpusParseError(number, f"duplicate document id {current_id!r}")
+            seen_ids.add(current_id)
+            current_tokens = []
+            continue
+        fields = line.split("\t")
+        if len(fields) != 5:
+            raise CorpusParseError(
+                number, f"expected 5 tab-separated columns, got {len(fields)}"
+            )
+        for position, name in enumerate(TOKEN_FIELDS):
+            if not fields[position]:
+                raise CorpusParseError(
+                    number, f"empty {name} field (column {position + 1})"
+                )
+        if current_id is None:
+            current_id = IMPLICIT_DOC_ID
+            seen_ids.add(current_id)
+        current_tokens.append(Token(*fields[:4], fields[4] or None))
+    if current_id is not None:
+        documents.append(Document(current_id, tuple(current_tokens)))
+    return Corpus(tuple(documents))
+
+
+def serialize_corpus_lines(corpus):
+    """The vertical format from a list of every line, joined by newlines."""
+    lines = []
+    for doc in corpus.documents:
+        lines.append(f"#doc {doc.id}")
+        for tok in doc.tokens:
+            lines.append(
+                "\t".join((tok.mform, tok.lemma, tok.ems, tok.cgems, tok.sense or ""))
+            )
+    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def span_key(criterion, span):

@@ -378,6 +378,11 @@ GOLDEN = {
         "evidence_space.csv": "d84026c40b31743224b9f9c7bf46593a2d034924e341c1e5d02d7675a53eb73b",
         "evidence_summary.csv": "cd39ca6e1a1fe1dc83345d0428de17e1c5f0bc3aa6288beca91baa34d581ab64",
     },
+    ("cli", "evidence-unordered"): {
+        "evidence_profile.csv": "8c2a9b88efa525d68be1fae88c0c32165526562a6fc797e78a54855b75223685",
+        "evidence_space.csv": "895fdda30f67021afcf70710b188512fb213e1f2fc86dc09d0ed1259e65cd6fa",
+        "evidence_summary.csv": "d1d9edb47d9646381c9e7f7e6ea116a87f5b090c0f65dea218fcfd0093e62cb9",
+    },
     ("cli", "ablation"): {"ablation.csv": "4bdde24ee5ee4129dd9c3f145b892bb2247186c3f165c288aaa1d8a4fd8e9e8b"},
     ("cli", "selection"): {"selection.csv": "a642fab6a04696ae277688cd65a3e6d68153582ba99283519610bf30b08c6f6c"},
     ("cli", "shift"): {"shift.csv": "d77407a099312e0901cdc99054d5d1e9bf7598e2b91406ed88133410cd357181"},
@@ -393,20 +398,30 @@ GOLDEN = {
         "evidence_space.csv": "d0992f88e3f4566e6cf06743ad805f84b6e1ad2216944cbb9e04308a7f460954",
         "evidence_summary.csv": "a4dc51d97ba5a5f3a70fabc074e4d12d5466ac66e54d059b35032de978f66e0a",
     },
+    ("three", "evidence-unordered"): {
+        "evidence_profile.csv": "abc1c26f969519368a2467234f50d25b25b482b0251f7ede19e8e377ad50d64a",
+        "evidence_space.csv": "ab88b82ac0bf2d4ab5ce12c9fc2f1d2fc0168bdba715719cec80acb05d4fac8c",
+        "evidence_summary.csv": "2fcdcc025e17399fadb3a192d0a905e92a47bc8df639ac87ba57642e03a43099",
+    },
     ("three", "ablation"): {"ablation.csv": "074acd208a64459447fb3fe8e7c5c221023fa9a36b17c0130bc8ca73eff67c3d"},
     ("three", "selection"): {"selection.csv": "4537c599c2c0bcdca33b0d81000b373dea3041434b5ae18b253870486427d726"},
     ("three", "shift"): {"shift.csv": "6c1b7babe6538d6702cfeceb97de3d75536fe48764033e77175702b2bfc87bef"},
     ("three", "adjacency"): {"adjacency.csv": "7dd3547435f25baeb61d6a284f404dd830593b22d64acc1a08ea6cbaecc2f15a"},
 }
 
+# Each golden run: its subcommand and options.  The unordered unigram of
+# "evidence-unordered" repeats keys within a window, so its evidence offsets
+# pin which span of a repeated key is kept (the first).
 GOLDEN_ARGS = {
-    "evaluate": ["--criterion", "[1gr|lemma|ordered|all]@2+[2gr|lemma|leftright|all]@3"],
-    "grid": ["--grid", "small.grid"],
-    "evidence": [],
-    "ablation": ["--grid", "small.grid", "--classifier", "dl"],
-    "selection": [],
-    "shift": ["--shifts", "0,1,-1"],
-    "adjacency": [],
+    "evaluate": ["evaluate", "--criterion",
+                 "[1gr|lemma|ordered|all]@2+[2gr|lemma|leftright|all]@3"],
+    "grid": ["grid", "--grid", "small.grid"],
+    "evidence": ["evidence"],
+    "evidence-unordered": ["evidence", "--criterion", "[1gr|lemma|unordered|all]@4"],
+    "ablation": ["ablation", "--grid", "small.grid", "--classifier", "dl"],
+    "selection": ["selection"],
+    "shift": ["shift", "--shifts", "0,1,-1"],
+    "adjacency": ["adjacency"],
 }
 
 
@@ -418,9 +433,9 @@ def three_categories(tmp_path_factory):
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
-@pytest.mark.parametrize("subcommand", list(GOLDEN_ARGS))
+@pytest.mark.parametrize("run", list(GOLDEN_ARGS))
 @pytest.mark.parametrize("space", ["cli", "three"])
-def test_evaluation_reports_match_golden_bytes(space, subcommand, jobs, request):
+def test_evaluation_reports_match_golden_bytes(space, run, jobs, request):
     if space == "cli":
         root = request.getfixturevalue("workspace")
         inputs = ("--corpus", "gen/corpus.tsv", "--targets", "gen/targets.tsv")
@@ -432,13 +447,14 @@ def test_evaluation_reports_match_golden_bytes(space, subcommand, jobs, request)
         root = request.getfixturevalue("three_categories")
         inputs = ("--corpus", "corpus.tsv", "--targets", "targets.tsv")
         assert (root / "small.grid").read_text() == SMALL_GRID
-    out = f"golden-{subcommand}-{jobs}"
-    result = wsdlab(subcommand, *inputs, "--seed", "7", "--jobs", jobs,
-                    *GOLDEN_ARGS[subcommand], "-o", out, cwd=root)
+    subcommand, *options = GOLDEN_ARGS[run]
+    out = f"golden-{run}-{jobs}"
+    result = wsdlab(subcommand, *inputs, "--seed", "7", "--jobs", jobs, *options,
+                    "-o", out, cwd=root)
     assert result.returncode == 0, result.stderr
     hashes = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
               for path in (root / out).glob("*.csv")}
-    assert hashes == GOLDEN[(space, subcommand)]
+    assert hashes == GOLDEN[(space, run)]
 
 
 def test_version_flag(workspace):

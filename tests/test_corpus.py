@@ -1,11 +1,15 @@
+import dataclasses
 import math
+import pickle
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import occurrences_scan
+import wsdlab.corpus
+from oracles import occurrences_scan, parse_corpus_plain, serialize_corpus_lines
 from wsdlab import (
     Corpus,
     CorpusParseError,
@@ -89,6 +93,14 @@ def test_tokens_before_first_header_get_implicit_document():
     assert [d.id for d in corpus.documents] == ["doc0", "named"]
 
 
+def test_token_pickles_and_replaces():
+    token = Token("maison", "maison", "NCFS", "NCOM", "1.2")
+    assert pickle.loads(pickle.dumps(token)) == token
+    assert dataclasses.replace(token, sense=None) == Token("maison", "maison", "NCFS", "NCOM")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        token.lemma = "porte"
+
+
 def test_token_field_validation():
     with pytest.raises(ValueError):
         Token("", "x", "A", "B")
@@ -114,7 +126,69 @@ _token = st.builds(
 )
 def test_serialize_parse_round_trip(docs):
     corpus = Corpus(tuple(Document(doc_id, tuple(tokens)) for doc_id, tokens in docs))
-    assert parse_corpus(serialize_corpus(corpus)) == corpus
+    text = serialize_corpus(corpus)
+    assert text == serialize_corpus_lines(corpus)
+    assert parse_corpus(text) == corpus
+
+
+# Every boundary str.splitlines() knows, "\r\n" included.
+_LINE_BREAKS = (
+    "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029",
+)
+_CORPUS_LINE = st.sampled_from((
+    "maison\tmaison\tNCFS\tNCOM\t", "maison\tmaison\tNCFS\tNCOM\t1.2",
+    "maisons\tmaison\tNCFP\tNCOM\t", "le\tle\tDET\tDET\t", "", "  ", "\t",
+    "#doc a", "#doc b", "#doc doc0", "#doc", "only\tthree\tcolumns", "a\tb\tc\td\te\tf",
+    "mot\t\tA\tB\t", "mot\tmot\tA\t\ts", "\tmot\tA\tB\t",
+))
+
+
+def _parsed(parse, source):
+    """The parsed corpus, or the line number and message of the parse error."""
+    try:
+        return parse(source)
+    except CorpusParseError as exc:
+        return exc.line_number, str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lines=st.lists(st.tuples(_CORPUS_LINE, st.sampled_from(_LINE_BREAKS)), max_size=30),
+    trailing_break=st.booleans(),
+    chunk=st.integers(min_value=1, max_value=7),
+)
+def test_parse_equals_plain_parse(lines, trailing_break, chunk):
+    text = "".join(line + brk for line, brk in lines)
+    if lines and not trailing_break:
+        text = text[:-len(lines[-1][1])]
+    with mock.patch.object(wsdlab.corpus, "_CHUNK_CHARS", chunk):
+        assert list(wsdlab.corpus._split_lines(text)) == text.splitlines()
+        parsed = _parsed(parse_corpus, text)
+    assert parsed == _parsed(parse_corpus_plain, text)
+    # An iterable source only loses "\r" and "\n" from each line's end.
+    kept = text.splitlines(keepends=True)
+    assert _parsed(parse_corpus, kept) == _parsed(parse_corpus_plain, kept)
+    if isinstance(parsed, Corpus):
+        assert serialize_corpus(parsed) == serialize_corpus_lines(parsed)
+
+
+def _assert_equal_values_shared(corpus):
+    """Equal field values are one string object, across tokens and columns."""
+    first: dict[str, str] = {}
+    for doc in corpus.documents:
+        for tok in doc.tokens:
+            for value in (tok.mform, tok.lemma, tok.ems, tok.cgems, tok.sense):
+                if value is not None:
+                    assert first.setdefault(value, value) is value
+
+
+def test_parse_shares_equal_field_values():
+    text = (
+        "#doc a\nmaison\tmaison\tNCFS\tNCOM\t\nmaisons\tmaison\tNCFP\tNCOM\t1.2\n"
+        "#doc b\nmaison\tmaison\tNCFS\tNCOM\t1.2\nmaison\tmaison\tNCFS\tNCOM\t\n"
+    )
+    for source in (text, text.splitlines(keepends=True)):
+        _assert_equal_values_shared(parse_corpus(source))
 
 
 # --- occurrences -------------------------------------------------------------
@@ -319,6 +393,18 @@ def test_generator_plants_signals_at_offsets():
         sense_index = 0 if doc.tokens[target_index].sense == "banane" else 1
         assert doc.tokens[target_index - 2].lemma == f"cue{sense_index}"
         assert doc.tokens[target_index + 3].lemma == f"cue{sense_index}"
+
+
+@pytest.mark.parametrize("fields", [
+    {"signal_offsets": (-1, 2), "noise": 0.5},
+    {"signal_offsets": (-2, -1), "signal_mode": "pair", "noise": 0.3},
+    {"signal_values": ("rouge", "vert"), "noise": 0.2},
+])
+def test_generator_shares_equal_field_values(fields):
+    config = PseudowordConfig(
+        sources=("banane", "porte"), counts=(20, 20), width=4, vocabulary=6, **fields
+    )
+    _assert_equal_values_shared(generate_pseudoword_corpus(config, 3))
 
 
 def test_generator_validation():
