@@ -27,6 +27,11 @@ TOKEN_FIELDS = ("mform", "lemma", "ems", "cgems")
 # a time, so that no list of every line is built.
 _CHUNK_CHARS = 1 << 20
 
+# How many distinct token lines parse_corpus remembers the fields of. A
+# repeated line among them is split once; a corpus of mostly distinct lines
+# holds no more than this many extra entries (about 3 MB) while it parses.
+_MEMO_LINES = 1 << 14
+
 
 class CorpusParseError(ValueError):
     """Raised on malformed corpus input; carries the 1-based line number."""
@@ -155,14 +160,15 @@ def parse_corpus(source: str | TextIO | Iterable[str]) -> Corpus:
 
     ``source`` may be a string, an open text file, or any iterable of lines.
     Raises CorpusParseError on a wrong column count, an empty tag field or a
-    repeated document id.  Each distinct line is split once, and equal field
-    values share one string object.
+    repeated document id.  Equal field values share one string object, and a
+    repeated line is split once.
     """
     documents: list[Document] = []
     seen_ids: set[str] = set()
     current_id: str | None = None
     current_tokens: list[Token] = []
-    # line -> its fields; field value -> its one string object.
+    # Token line -> its fields, for the first _MEMO_LINES distinct lines;
+    # field value -> its one string object.
     split: dict[str, tuple[str, ...]] = {}
     strings: dict[str, str] = {}
 
@@ -183,8 +189,10 @@ def parse_corpus(source: str | TextIO | Iterable[str]) -> Corpus:
                 seen_ids.add(current_id)
                 current_tokens = []
                 continue
-            fields = tuple(strings.setdefault(value, value) for value in line.split("\t"))
-            split[line] = fields
+            values = line.split("\t")
+            fields = tuple(map(strings.setdefault, values, values))
+            if len(split) < _MEMO_LINES:
+                split[line] = fields
         if len(fields) != 5:
             raise CorpusParseError(
                 number, f"expected 5 tab-separated columns, got {len(fields)}"

@@ -156,18 +156,21 @@ def _parsed(parse, source):
     lines=st.lists(st.tuples(_CORPUS_LINE, st.sampled_from(_LINE_BREAKS)), max_size=30),
     trailing_break=st.booleans(),
     chunk=st.integers(min_value=1, max_value=7),
+    memo=st.integers(min_value=0, max_value=3),
 )
-def test_parse_equals_plain_parse(lines, trailing_break, chunk):
+def test_parse_equals_plain_parse(lines, trailing_break, chunk, memo):
     text = "".join(line + brk for line, brk in lines)
     if lines and not trailing_break:
         text = text[:-len(lines[-1][1])]
-    with mock.patch.object(wsdlab.corpus, "_CHUNK_CHARS", chunk):
+    kept = text.splitlines(keepends=True)
+    with mock.patch.object(wsdlab.corpus, "_CHUNK_CHARS", chunk), \
+            mock.patch.object(wsdlab.corpus, "_MEMO_LINES", memo):
         assert list(wsdlab.corpus._split_lines(text)) == text.splitlines()
         parsed = _parsed(parse_corpus, text)
+        # An iterable source only loses "\r" and "\n" from each line's end.
+        parsed_kept = _parsed(parse_corpus, kept)
     assert parsed == _parsed(parse_corpus_plain, text)
-    # An iterable source only loses "\r" and "\n" from each line's end.
-    kept = text.splitlines(keepends=True)
-    assert _parsed(parse_corpus, kept) == _parsed(parse_corpus_plain, kept)
+    assert parsed_kept == _parsed(parse_corpus_plain, kept)
     if isinstance(parsed, Corpus):
         assert serialize_corpus(parsed) == serialize_corpus_lines(parsed)
 
