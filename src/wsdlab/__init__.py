@@ -10,7 +10,6 @@ studies) as CSV.
 __version__ = "0.1.0"
 
 from .classifiers import (
-    DLEntry,
     DLModel,
     NBModel,
     Prediction,

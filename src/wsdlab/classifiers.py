@@ -3,9 +3,9 @@
 Both classifiers smooth their probability estimates with the m-estimate
 ``(n_c + m*p) / (n + m)``, which blends an observed frequency with a prior
 ``p`` at strength ``m``.  Naive Bayes combines the evidence of every known
-feature in the vector; the decision list ranks features once by strength (the
-log-odds that a feature indicates its majority sense) and decides by the
-single strongest feature present.  Both fall back to the training
+feature in the vector; the decision list holds one rule per feature and
+decides by the single strongest feature present (strength is the log-odds
+that a feature indicates its majority sense).  Both fall back to the training
 most-frequent sense when no known feature is available, so every input is
 tagged and precision equals recall.
 """
@@ -65,51 +65,42 @@ class Prediction:
 @dataclass(frozen=True)
 class NBModel:
     """Trained Naive Bayes state: priors, per-(feature, sense) presence
-    counts, per-sense feature totals and the training vocabulary size."""
+    counts, per-sense feature totals, and the conditional prior and strength
+    of the m-estimate."""
 
     senses: tuple[str, ...]
     priors: dict[str, float]
     cond_counts: dict[str, dict[str, int]]
     sense_totals: dict[str, int]
-    vocab_size: int
+    cond_prior: float
+    m: float
     fallback: str
-    smoothing: SmoothingParams
-
-
-@dataclass(frozen=True)
-class DLEntry:
-    key: str
-    sense: str
-    strength: float
-    count: int
 
 
 @dataclass(frozen=True)
 class DLModel:
-    """Decision list: entries sorted by (strength desc, count desc, key asc),
-    each key's position in that order, and the most-frequent-sense
+    """Decision list: one rule ``(-strength, -count, key, sense)`` per
+    training key, so the smallest rule present is the strongest, then the
+    most frequent, then the lowest key; and the most-frequent-sense
     fallback."""
 
-    senses: tuple[str, ...]
-    entries: tuple[DLEntry, ...]
-    ranks: dict[str, int]
+    rules: dict[str, tuple[float, int, str, str]]
     fallback: str
-    smoothing: SmoothingParams
 
 
-def majority_sense(senses: Sequence[str]) -> str:
-    """Most frequent sense, ties broken by lexicographic order."""
-    if not senses:
+def majority_sense(sense_counts: Mapping[str, int]) -> str:
+    """Most frequent sense of a sense -> count tally, ties broken by
+    lexicographic order."""
+    if not sense_counts:
         raise ValueError("cannot take the majority of zero senses")
-    counts = Counter(senses)
-    return min(counts, key=lambda s: (-counts[s], s))
+    return min(sense_counts, key=lambda s: (-sense_counts[s], s))
 
 
 def _tally(
     training: Sequence[tuple[FeatureVector, str]],
-) -> tuple[Counter, dict[str, dict[str, int]], Counter, int]:
+) -> tuple[Counter, dict[str, dict[str, int]], Counter]:
     """Shared count tables: sense counts, per-key per-sense presence counts,
-    per-sense feature totals, vocabulary size."""
+    per-sense feature totals."""
     if not training:
         raise ValueError("training set is empty")
     sense_counts: Counter = Counter()
@@ -121,24 +112,25 @@ def _tally(
             by_sense = cond.setdefault(key, {})
             by_sense[sense] = by_sense.get(sense, 0) + 1
             totals[sense] += 1
-    return sense_counts, cond, totals, len(cond)
+    return sense_counts, cond, totals
 
 
 def train_nb(
     training: Sequence[tuple[FeatureVector, str]],
     smoothing: SmoothingParams = SmoothingParams(),
 ) -> NBModel:
-    sense_counts, cond, totals, vocab = _tally(training)
+    sense_counts, cond, totals = _tally(training)
     n = len(training)
     senses = tuple(sorted(sense_counts))
+    uniform_over = len(cond) if smoothing.prior_mode == "feature-values" else len(senses)
     return NBModel(
         senses=senses,
         priors={s: sense_counts[s] / n for s in senses},
         cond_counts=cond,
         sense_totals={s: totals.get(s, 0) for s in senses},
-        vocab_size=vocab,
-        fallback=majority_sense([s for v, s in training]),
-        smoothing=smoothing,
+        cond_prior=1.0 / max(uniform_over, 2),
+        m=smoothing.m,
+        fallback=majority_sense(sense_counts),
     )
 
 
@@ -159,11 +151,8 @@ def classify_nb(model: NBModel, vector: FeatureVector) -> Prediction:
     active = [key for key in vector if key in model.cond_counts]
     if not active:
         return Prediction(model.fallback, math.log(model.priors[model.fallback]), None, True)
-    m = model.smoothing.m
-    if model.smoothing.prior_mode == "feature-values":
-        prior = 1.0 / max(model.vocab_size, 2)
-    else:
-        prior = 1.0 / max(len(model.senses), 2)
+    m = model.m
+    prior = model.cond_prior
     best_sense = None
     best = (-math.inf, -math.inf)
     for sense in model.senses:  # sorted; first wins remaining ties
@@ -209,35 +198,22 @@ def train_dl(
     training: Sequence[tuple[FeatureVector, str]],
     smoothing: SmoothingParams = SmoothingParams(),
 ) -> DLModel:
-    sense_counts, cond, _, _ = _tally(training)
+    sense_counts, cond, _ = _tally(training)
     senses = tuple(sorted(sense_counts))
-    entries = []
+    rules = {}
     for key, by_sense in cond.items():
         sense, strength = feature_strength(by_sense, senses, smoothing.m)
-        entries.append(DLEntry(key, sense, strength, sum(by_sense.values())))
-    entries.sort(key=lambda e: (-e.strength, -e.count, e.key))
-    return DLModel(
-        senses=senses,
-        entries=tuple(entries),
-        ranks={entry.key: rank for rank, entry in enumerate(entries)},
-        fallback=majority_sense([s for v, s in training]),
-        smoothing=smoothing,
-    )
+        rules[key] = (-strength, -sum(by_sense.values()), key, sense)
+    return DLModel(rules=rules, fallback=majority_sense(sense_counts))
 
 
 def classify_dl(model: DLModel, vector: FeatureVector) -> Prediction:
-    """Decide by the highest-ranked entry whose key appears in the vector;
-    that key's span is attached as evidence.  No match falls back to the
-    training most-frequent sense."""
-    ranks = model.ranks
-    best_rank = None
-    best_key = None
-    for key in vector:
-        rank = ranks.get(key)
-        if rank is not None and (best_rank is None or rank < best_rank):
-            best_rank, best_key = rank, key
-    if best_rank is None:
+    """Decide by the strongest rule whose key appears in the vector; that
+    key's span is attached as evidence.  No match falls back to the training
+    most-frequent sense."""
+    rules = model.rules
+    matched = [rules[key] for key in vector if key in rules]
+    if not matched:
         return Prediction(model.fallback, 0.0, None, True)
-    entry = model.entries[best_rank]
-    return Prediction(entry.sense, entry.strength, vector[best_key], False)
-
+    neg_strength, _, key, sense = min(matched)
+    return Prediction(sense, -neg_strength, vector[key], False)

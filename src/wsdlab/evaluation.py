@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence, TextIO
 
 from .classifiers import (
-    Prediction,
     SmoothingParams,
     classify_dl,
     classify_nb,
@@ -129,17 +128,6 @@ class SkippedWord:
     reason: str
 
 
-def _classify_fold(
-    classifier: str,
-    training: list[tuple],
-    test_vectors: list,
-    smoothing: SmoothingParams,
-) -> list[Prediction]:
-    train, classify = (train_nb, classify_nb) if classifier == "nb" else (train_dl, classify_dl)
-    model = train(training, smoothing)
-    return [classify(model, v) for v in test_vectors]
-
-
 def cross_validate(
     corpus: Corpus,
     plan: FoldPlan,
@@ -160,6 +148,8 @@ def cross_validate(
     criteria = (criteria,) if isinstance(criteria, Criterion) else tuple(criteria)
     if not criteria:
         raise ValueError("at least one criterion is required")
+    # Looked up on every call, not bound at import, so a tracer can wrap them.
+    train, classify = (train_nb, classify_nb) if classifier == "nb" else (train_dl, classify_dl)
     occurrences = plan.occurrences
     vectors = [
         combine_features(criteria, [
@@ -175,12 +165,10 @@ def cross_validate(
     for fold in range(plan.k):
         train_idx = plan.train_indices(fold)
         test_idx = plan.test_indices(fold)
-        training = [(vectors[i], occurrences[i].sense) for i in train_idx]
-        predictions = _classify_fold(
-            classifier, training, [vectors[i] for i in test_idx], smoothing
-        )
+        model = train([(vectors[i], occurrences[i].sense) for i in train_idx], smoothing)
         correct = 0
-        for i, prediction in zip(test_idx, predictions):
+        for i in test_idx:
+            prediction = classify(model, vectors[i])
             occ = occurrences[i]
             if prediction.sense == occ.sense:
                 correct += 1
@@ -243,14 +231,10 @@ def worker_count(jobs: int, cells: int) -> int:
     return max(1, min(jobs, cells, cpus))
 
 
-# Worker-pool state: populated in the parent before forking so child
-# processes inherit it without per-task pickling of the corpus.
+# Grid state: filled by grid_search in the parent before any cell runs (forked
+# workers inherit it without per-task pickling of the corpus), and emptied when
+# it returns.
 _POOL_STATE: dict = {}
-
-
-def _init_pool(state: dict) -> None:
-    global _POOL_STATE
-    _POOL_STATE = state
 
 
 def _eval_cell(cell: tuple[int, int]) -> WordResult:
@@ -307,31 +291,28 @@ def grid_search(
         plans.append(kfold_split(occurrences, k, seed))
 
     cells = [(wi, ci) for wi in range(len(plans)) for ci in range(len(criteria))]
-    state = {
-        "corpus": corpus,
-        "plans": plans,
-        "criteria": criteria,
-        "classifier": classifier,
-        "smoothing": smoothing,
-        "content_mode": content_mode,
-        "keep_records": keep_records,
-    }
     workers = worker_count(jobs, len(cells))
     try:
         context = multiprocessing.get_context("fork") if workers > 1 else None
     except ValueError:  # no fork on this platform: run serially
         context = None
-    if context is None:
-        _init_pool(state)
-        results = [_eval_cell(cell) for cell in cells]
-    else:
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=context,
-            initializer=_init_pool,
-            initargs=(state,),
-        ) as pool:
-            results = list(pool.map(_eval_cell, cells, chunksize=8))
+    _POOL_STATE.update(
+        corpus=corpus,
+        plans=plans,
+        criteria=criteria,
+        classifier=classifier,
+        smoothing=smoothing,
+        content_mode=content_mode,
+        keep_records=keep_records,
+    )
+    try:
+        if context is None:
+            results = [_eval_cell(cell) for cell in cells]
+        else:
+            with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
+                results = list(pool.map(_eval_cell, cells, chunksize=8))
+    finally:
+        _POOL_STATE.clear()
 
     return GridResult(
         results=tuple(results),

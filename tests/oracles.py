@@ -1,8 +1,9 @@
 """Independent reference implementations the tests check against.
 
-These deliberately avoid the code paths under test: Naive Bayes is verified
-with plain probability products (no logs), the decision list with a
-brute-force scan over matched entries, occurrence lookup with a scan of the
+These deliberately avoid the code paths under test: both classifier oracles
+recount everything from the training set, Naive Bayes is verified with plain
+probability products (no logs), the decision list with a brute-force scan
+over the vector's keys, occurrence lookup with a scan of the
 whole corpus, feature extraction by building the document's full left
 and right context before the window is applied, corpus parsing with one
 ``str.splitlines()`` and fresh strings for every line, and corpus rendering
@@ -32,45 +33,69 @@ def smoothed(event: int, condition: int, prior: float, m: float) -> float:
     return (event + m * prior) / (condition + m)
 
 
-def nb_posterior_oracle(model, vector) -> tuple[str, bool]:
-    """Exhaustive posterior computation: products over active features per
-    sense, same prior convention and tie-breaks as the classifier contract.
-    Returns (sense, used_fallback)."""
-    active = sorted(k for k in vector.keys() if k in model.cond_counts)
+def _senses_and_fallback(training):
+    """The sorted training senses and the most frequent one (ties to the
+    lexicographically smaller)."""
+    senses = sorted({sense for _, sense in training})
+    counts = [sum(1 for _, s in training if s == sense) for sense in senses]
+    return senses, senses[counts.index(max(counts))]
+
+
+def nb_posterior_oracle(training, smoothing, vector) -> tuple[str, bool]:
+    """Exhaustive posterior computation from the training set: products over
+    active features per sense, same prior convention and tie-breaks as the
+    classifier contract.  Returns (sense, used_fallback)."""
+    senses, fallback = _senses_and_fallback(training)
+    vocabulary = {key for features, _ in training for key in features}
+    active = sorted(key for key in vector if key in vocabulary)
     if not active:
-        return model.fallback, True
-    m = model.smoothing.m
-    if model.smoothing.prior_mode == "feature-values":
-        prior = 1.0 / max(model.vocab_size, 2)
-    else:
-        prior = 1.0 / max(len(model.senses), 2)
+        return fallback, True
+    uniform_over = vocabulary if smoothing.prior_mode == "feature-values" else senses
+    prior = 1.0 / max(len(uniform_over), 2)
     best_sense = None
     best_key = None
-    for sense in sorted(model.senses):
-        posterior = model.priors[sense]
+    for sense in senses:
+        instances = [features for features, s in training if s == sense]
+        sense_prior = len(instances) / len(training)
+        total = sum(len(features) for features in instances)
+        posterior = sense_prior
         for key in active:
-            posterior *= smoothed(
-                model.cond_counts[key].get(sense, 0),
-                model.sense_totals[sense],
-                prior,
-                m,
-            )
+            present = sum(1 for features in instances if key in features)
+            posterior *= smoothed(present, total, prior, smoothing.m)
         log_posterior = math.log(posterior) if posterior > 0.0 else -math.inf
-        key_tuple = (log_posterior, model.priors[sense])
+        key_tuple = (log_posterior, sense_prior)
         if best_key is None or key_tuple > best_key:
             best_sense, best_key = sense, key_tuple
     return best_sense, False
 
 
-def dl_scan_oracle(model, vector) -> tuple[str, bool]:
-    """Pick the matched entry with the greatest (strength, count, key-asc)
-    rank by scanning all entries; fallback when nothing matches."""
-    keys = vector.keys()
-    matched = [entry for entry in model.entries if entry.key in keys]
-    if not matched:
-        return model.fallback, True
-    best = min(matched, key=lambda e: (-e.strength, -e.count, e.key))
-    return best.sense, False
+def dl_scan_oracle(training, smoothing, vector) -> tuple[str, bool, object]:
+    """Recount every key of the vector in the training set, take the one with
+    the greatest (strength, count, key-asc) rank by a scan, and return its
+    (sense, used_fallback, evidence span); the fallback has no evidence.
+    Strength is the log-odds of the most probable sense (the first in sorted
+    order on ties) under a uniform sense prior."""
+    senses, fallback = _senses_and_fallback(training)
+    prior = 1.0 / max(len(senses), 2)
+    best = None
+    for key in vector:
+        counts = [
+            sum(1 for features, s in training if s == sense and key in features)
+            for sense in senses
+        ]
+        count = sum(counts)
+        if not count:
+            continue
+        probs = [smoothed(c, count, prior, smoothing.m) for c in counts]
+        top = max(probs)
+        strength = math.inf if top >= 1.0 else math.log(top / (1.0 - top))
+        rank = (-strength, -count, key)
+        if best is None or rank < best[0]:
+            best = (rank, senses[probs.index(top)])
+    if best is None:
+        return fallback, True, None
+    (_, _, key), sense = best
+    return sense, False, vector[key]
 
 
 def occurrences_scan(corpus, lemma, category):

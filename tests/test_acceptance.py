@@ -78,11 +78,11 @@ def test_criterion_02_nb_oracle_equivalence():
             rng.choice([0.1, 1.0, 10.0]),
             rng.choice(["feature-values", "senses"]),
         )
-        model = train_nb(_random_training(rng, senses, features), smoothing)
+        training = _random_training(rng, senses, features)
         pool = features + ["unseen1", "unseen2"]
         query = vec(*rng.sample(pool, rng.randint(0, min(5, len(pool)))))
-        got = classify_nb(model, query)
-        want_sense, want_fallback = nb_posterior_oracle(model, query)
+        got = classify_nb(train_nb(training, smoothing), query)
+        want_sense, want_fallback = nb_posterior_oracle(training, smoothing, query)
         assert got.sense == want_sense
         assert got.used_fallback == want_fallback
         cases += 1
@@ -99,16 +99,15 @@ def test_criterion_03_dl_oracle_equivalence():
     for _ in range(1000):
         senses = [f"s{i}" for i in range(rng.randint(1, 5))]
         features = [f"f{i}" for i in range(rng.randint(1, 50))]
-        smoothing = SmoothingParams(rng.choice([0.1, 1.0, 10.0]))
-        model = train_dl(
-            _random_training(rng, senses, features, max_instances=60), smoothing
-        )
+        smoothing = SmoothingParams(rng.choice([0.0, 0.1, 1.0, 10.0]))
+        training = _random_training(rng, senses, features, max_instances=60)
         pool = features + ["unseen"]
         query = vec(*rng.sample(pool, rng.randint(0, min(6, len(pool)))))
-        got = classify_dl(model, query)
-        want_sense, want_fallback = dl_scan_oracle(model, query)
+        got = classify_dl(train_dl(training, smoothing), query)
+        want_sense, want_fallback, want_evidence = dl_scan_oracle(training, smoothing, query)
         assert got.sense == want_sense
         assert got.used_fallback == want_fallback
+        assert got.evidence == want_evidence
         cases += 1
     elapsed = time.perf_counter() - started
     assert cases >= 1000 and elapsed < 10.0

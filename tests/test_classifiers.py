@@ -80,7 +80,7 @@ def test_train_nb_priors_and_counts():
     assert model.priors == {"A": 0.5, "B": 0.5}
     assert model.cond_counts == {"x": {"A": 5}, "y": {"B": 5}}
     assert model.sense_totals == {"A": 5, "B": 5}
-    assert model.vocab_size == 2
+    assert (model.cond_prior, model.m) == (1 / 2, 1.0)  # uniform over {x, y}
 
 
 def test_train_nb_single_sense():
@@ -126,10 +126,9 @@ def test_classify_nb_tie_breaks_on_prior_then_label():
 def test_classify_nb_agrees_with_exhaustive_posterior():
     rng = random.Random(4242)
     for _ in range(300):
-        model, vector = _random_nb_case(rng)
-        got = classify_nb(model, vector)
-        want_sense, want_fallback = nb_posterior_oracle(model, vector)
-        assert (got.sense, got.used_fallback) == (want_sense, want_fallback)
+        training, smoothing, vector = _random_nb_case(rng)
+        got = classify_nb(train_nb(training, smoothing), vector)
+        assert (got.sense, got.used_fallback) == nb_posterior_oracle(training, smoothing, vector)
 
 
 def _random_nb_case(rng, max_senses=5, max_features=6):
@@ -143,10 +142,9 @@ def _random_nb_case(rng, max_senses=5, max_features=6):
     smoothing = SmoothingParams(
         rng.choice([0.1, 1.0, 10.0]), rng.choice(["feature-values", "senses"])
     )
-    model = train_nb(training, smoothing)
     pool = features + ["unknown1", "unknown2"]
     query = rng.sample(pool, rng.randint(0, min(4, len(pool))))
-    return model, vec(*query)
+    return training, smoothing, vec(*query)
 
 
 # --- feature strength / decision list ------------------------------------------------
@@ -183,22 +181,24 @@ def test_train_dl_orders_by_strength():
         + [(vec("filler"), "B")] * 2
     )
     model = train_dl(training)
-    assert model.entries[0].key == "pure"
-    assert model.entries[0].sense == "A"
+    _, _, key, sense = min(model.rules.values())
+    assert (key, sense) == ("pure", "A")
 
 
 def test_train_dl_tie_breaks_by_key():
     training = [(vec("kb"), "A")] * 3 + [(vec("ka"), "A")] * 3 + [(vec("kc"), "B")] * 3
     model = train_dl(training)
-    strengths = [e.strength for e in model.entries]
-    assert strengths[0] == strengths[1] == strengths[2]
-    assert [e.key for e in model.entries] == ["ka", "kb", "kc"]
+    rules = sorted(model.rules.values())
+    assert rules[0][:2] == rules[1][:2] == rules[2][:2]  # equal strength and count
+    assert [key for _, _, key, _ in rules] == ["ka", "kb", "kc"]
+    chosen = classify_dl(model, vec("kc", "kb", "ka"))
+    assert (chosen.sense, chosen.evidence) == ("A", ((3,), ("NCOM",)))  # the span of "ka"
 
 
 def test_train_dl_single_instance():
     model = train_dl([(vec("a", "b"), "only")])
-    assert {e.key for e in model.entries} == {"a", "b"}
-    assert all(e.sense == "only" for e in model.entries)
+    assert set(model.rules) == {"a", "b"}
+    assert all(sense == "only" for _, _, _, sense in model.rules.values())
     assert model.fallback == "only"
 
 
@@ -224,20 +224,22 @@ def test_classify_dl_no_match_falls_back():
 
 def test_classify_dl_choice_dominates_matched_entries():
     rng = random.Random(99)
-    model, vector = _random_dl_case(rng)
+    training, smoothing, vector = _random_dl_case(rng)
+    model = train_dl(training, smoothing)
     prediction = classify_dl(model, vector)
     if not prediction.used_fallback:
-        matched = [e for e in model.entries if e.key in vector.keys()]
-        assert all(prediction.score >= e.strength for e in matched)
+        matched = [model.rules[key] for key in vector if key in model.rules]
+        assert all(prediction.score >= -neg_strength for neg_strength, *_ in matched)
 
 
 def test_classify_dl_agrees_with_brute_force_scan():
     rng = random.Random(31337)
     for _ in range(300):
-        model, vector = _random_dl_case(rng)
-        got = classify_dl(model, vector)
-        want_sense, want_fallback = dl_scan_oracle(model, vector)
-        assert (got.sense, got.used_fallback) == (want_sense, want_fallback)
+        training, smoothing, vector = _random_dl_case(rng)
+        got = classify_dl(train_dl(training, smoothing), vector)
+        assert (got.sense, got.used_fallback, got.evidence) == dl_scan_oracle(
+            training, smoothing, vector
+        )
 
 
 def _random_dl_case(rng, max_features=50):
@@ -247,10 +249,10 @@ def _random_dl_case(rng, max_features=50):
     for _ in range(rng.randint(1, 60)):
         sample = rng.sample(features, rng.randint(0, min(4, len(features))))
         training.append((vec(*sample), rng.choice(senses)))
-    smoothing = SmoothingParams(rng.choice([0.1, 1.0, 10.0]))
-    model = train_dl(training, smoothing)
+    # m = 0 makes pure features infinitely strong: ties then go to count, then key.
+    smoothing = SmoothingParams(rng.choice([0.0, 0.1, 1.0, 10.0]))
     query = rng.sample(features + ["unknown"], rng.randint(0, min(5, len(features))))
-    return model, vec(*query)
+    return training, smoothing, vec(*query)
 
 
 # --- shared behaviour ----------------------------------------------------------------
@@ -288,6 +290,7 @@ def test_classifiers_never_abstain(data):
     nb = train_nb(training)
     dl = train_dl(training)
     query = vec(*rng.sample(["a", "b", "c", "q"], rng.randint(0, 4)))
-    assert classify_nb(nb, query).sense in nb.senses
-    assert classify_dl(dl, query).sense in dl.senses
+    senses = {sense for _, sense in training}
+    assert classify_nb(nb, query).sense in senses
+    assert classify_dl(dl, query).sense in senses
 

@@ -1,5 +1,7 @@
+import gc
 import io
 import os
+import weakref
 from collections import Counter
 
 import pytest
@@ -13,6 +15,7 @@ from wsdlab import (
     PseudowordConfig,
     Token,
     cross_validate,
+    enumerate_grid,
     extract_occurrences,
     generate_pseudoword_corpus,
     grid_search,
@@ -23,6 +26,7 @@ from wsdlab import (
     parse_criterion,
     write_grid_csv,
 )
+from wsdlab import evaluation
 from wsdlab.evaluation import GRID_CSV_HEADER, WordResult, worker_count
 
 
@@ -277,6 +281,33 @@ def test_grid_search_combined_cells_and_records():
                                     cross_validate(corpus, plan, parts[0], "dl")]
     without = grid_search(corpus, [("bananeporte", "noun")], [parts], "dl", k=10, seed=0)
     assert without.results[0].records == ()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_grid_search_keeps_nothing_alive_after_it_returns(jobs):
+    corpus, _ = signal_corpus(counts=(20, 20))
+    alive = weakref.ref(corpus)
+    grid_search(corpus, [("bananeporte", "noun")], small_grid(), "nb", k=5, jobs=jobs)
+    del corpus
+    gc.collect()
+    assert alive() is None
+
+
+@pytest.mark.parametrize("classifier", ["nb", "dl"])
+def test_grid_search_looks_up_the_traced_functions_at_call_time(monkeypatch, classifier):
+    # perfbench's tracer wraps these module attributes; binding them at import
+    # time would silently zero its per-layer counts.
+    calls = Counter()
+    for name in ("extract_features", "train_nb", "train_dl", "classify_nb", "classify_dl"):
+        def counting(*args, _name=name, _inner=getattr(evaluation, name), **kwargs):
+            calls[_name.split("_")[0]] += 1
+            return _inner(*args, **kwargs)
+        monkeypatch.setattr(evaluation, name, counting)
+    corpus, occurrences = signal_corpus(counts=(20, 20))
+    grid = small_grid()
+    cells, n, k = len(enumerate_grid(grid)), len(occurrences), 5
+    grid_search(corpus, [("bananeporte", "noun")], grid, classifier, k=k)
+    assert calls == {"extract": n * cells, "train": k * cells, "classify": n * cells}
 
 
 def test_worker_count_is_bounded():
