@@ -59,24 +59,19 @@ from .evaluation import (
     GridResult,
     WordResult,
     cross_validate,
+    grid_rows,
     grid_search,
     kfold_split,
     macro_average,
-    write_grid_csv,
 )
 from .analysis import (
     ADJACENCY_CELLS,
-    AblationReport,
-    AdjacencyResult,
-    ContextReport,
     EvidenceProfile,
-    SelectionReport,
-    ShiftReport,
     adjacency_experiment,
     content_ablation,
     context_report,
     evidence_profile,
-    evidence_profiles,
+    evidence_reports,
     selection_comparison,
     selection_criteria,
     shift_criteria,

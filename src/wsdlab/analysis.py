@@ -4,16 +4,16 @@ Covers: precision/usage profiles of decision-list evidence by coarse
 part-of-speech and by window offset; ablation of word filters against the
 all-words baseline; three-way filter comparison under identical folds; window
 shift studies; the anchored n-gram combination experiment; and optimal
-context-size summaries.  Every report exports CSV with a stable header; the
-exact schemas are listed in the package README.
+context-size summaries.  Each reducer returns its report as CSV rows, header
+first, every value as the file prints it; the exact schemas are listed in the
+package README.
 """
 
 from __future__ import annotations
 
-import csv
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence, TextIO
+from typing import Sequence
 
 from .corpus import CATEGORIES
 from .criteria import Criterion, CriterionGrid, cell_name, family_name, format_criterion
@@ -60,6 +60,19 @@ class EvidenceProfile:
         reproduce the WordResult precision the records came from."""
         correct = sum(self.tag_correct.values()) + self.fallback_correct
         return correct / self.total
+
+
+def _category_order(category: str) -> tuple[int, str]:
+    try:
+        return (CATEGORIES.index(category), category)
+    except ValueError:
+        return (len(CATEGORIES), category)
+
+
+def _by_category(item: tuple[tuple, object]) -> tuple:
+    """Sort key of a ``(key, value)`` item whose key starts with a category."""
+    category, *rest = item[0]
+    return (_category_order(category), *rest)
 
 
 def evidence_profile(records: Sequence[DecisionRecord]) -> EvidenceProfile:
@@ -114,28 +127,6 @@ def space_distribution_summary(profile: EvidenceProfile) -> dict[str, tuple[int,
     return summary
 
 
-@dataclass(frozen=True)
-class AblationCell:
-    pairs: int
-    baseline_mean: float
-    variant_mean: float
-
-    @property
-    def decrease_points(self) -> float:
-        return 100.0 * (self.baseline_mean - self.variant_mean)
-
-    @property
-    def decrease_relative_pct(self) -> float | None:
-        if self.baseline_mean == 0.0:
-            return None
-        return 100.0 * (self.baseline_mean - self.variant_mean) / self.baseline_mean
-
-
-@dataclass(frozen=True)
-class AblationReport:
-    cells: dict[tuple[str, int], AblationCell]
-
-
 ABLATION_FILTERS = ("all", "content")
 
 
@@ -150,7 +141,7 @@ def ablation_grid(grid: CriterionGrid) -> CriterionGrid:
     return grid
 
 
-def content_ablation(grid_result: GridResult) -> AblationReport:
+def content_ablation(grid_result: GridResult) -> list[tuple]:
     """Precision change per (category, n-gram order) from the ``all`` filter
     to the ``content`` filter, over criterion pairs that differ only in it.
 
@@ -181,21 +172,43 @@ def content_ablation(grid_result: GridResult) -> AblationReport:
     if not diffs:
         raise ValueError("grid contains no matched filter pairs")
 
-    cells = {}
-    for cell_key, pairs in sorted(diffs.items()):
-        baseline_mean = sum(b for b, _ in pairs) / len(pairs)
-        variant_mean = sum(v for _, v in pairs) / len(pairs)
-        cells[cell_key] = AblationCell(len(pairs), baseline_mean, variant_mean)
-    return AblationReport(cells)
+    rows = [ABLATION_HEADER]
+    for (category, order), pairs in sorted(diffs.items(), key=_by_category):
+        baseline = sum(b for b, _ in pairs) / len(pairs)
+        variant = sum(v for _, v in pairs) / len(pairs)
+        decrease = 100.0 * (baseline - variant)
+        rows.append((category, order, len(pairs), f"{baseline:.6f}", f"{variant:.6f}",
+                     f"{decrease:.3f}", f"{decrease / baseline:.3f}" if baseline else ""))
+    return rows
 
 
-def evidence_profiles(grid_result: GridResult) -> dict[str, EvidenceProfile]:
-    """One evidence profile per category, over the decision records of all
-    its words (a decision-list grid run with records kept)."""
+def evidence_reports(grid_result: GridResult) -> dict[str, list[tuple]]:
+    """The three evidence reports, from one evidence profile per category
+    over the decision records of all its words (a decision-list grid run
+    with records kept)."""
     records: dict[str, list[DecisionRecord]] = {}
     for result in grid_result.results:
         records.setdefault(result.category, []).extend(result.records)
-    return {category: evidence_profile(rows) for category, rows in sorted(records.items())}
+    profile_rows = [EVIDENCE_PROFILE_HEADER]
+    space_rows = [EVIDENCE_SPACE_HEADER]
+    summary_rows = [EVIDENCE_SUMMARY_HEADER]
+    for category in sorted(records, key=_category_order):
+        profile = evidence_profile(records[category])
+        for tag in sorted(profile.tag_uses, key=lambda t: (-profile.tag_uses[t], t)):
+            profile_rows.append(
+                (category, tag, profile.tag_uses[tag], profile.tag_correct.get(tag, 0),
+                 f"{profile.precision_pct(tag):.1f}", f"{profile.usage_pct(tag):.1f}")
+            )
+        for tag, offset in sorted(profile.offset_uses):
+            space_rows.append((category, tag, offset, profile.offset_uses[(tag, offset)],
+                               profile.offset_correct.get((tag, offset), 0)))
+        for tag, offsets in space_distribution_summary(profile).items():
+            summary_rows.append((category, tag, ";".join(f"{o:+d}" for o in offsets)))
+    return {
+        "evidence_profile.csv": profile_rows,
+        "evidence_space.csv": space_rows,
+        "evidence_summary.csv": summary_rows,
+    }
 
 
 def _mean(results: Sequence[WordResult]) -> float:
@@ -206,18 +219,6 @@ def _word_counts(results: Sequence[WordResult]) -> dict[str, int]:
     return dict(Counter(result.category for result in results))
 
 
-@dataclass(frozen=True)
-class SelectionRow:
-    criterion: str
-    by_category: dict[str, float]
-    word_counts: dict[str, int]
-
-
-@dataclass(frozen=True)
-class SelectionReport:
-    rows: tuple[SelectionRow, ...]
-
-
 def selection_criteria(base_criterion: Criterion) -> list[Criterion]:
     """One criterion under the all/content/selected filters."""
     if base_criterion.filter != "all":
@@ -225,31 +226,17 @@ def selection_criteria(base_criterion: Criterion) -> list[Criterion]:
     return [replace(base_criterion, filter=name) for name in ("all", "content", "selected")]
 
 
-def selection_comparison(grid_result: GridResult) -> SelectionReport:
+def selection_comparison(grid_result: GridResult) -> list[tuple]:
     """Per-category macro precision of each criterion of a grid run over
     ``selection_criteria``.  grid_search gives every criterion of a word the
     same folds, so the rows differ in the filter alone."""
-    return SelectionReport(tuple(
-        SelectionRow(criterion, macro_average(results), _word_counts(results))
-        for criterion, results in grid_result.by_criterion().items()
-    ))
-
-
-@dataclass(frozen=True)
-class ShiftRow:
-    shift: int
-    by_category: dict[str, float]
-    word_counts: dict[str, int]
-
-
-@dataclass(frozen=True)
-class ShiftReport:
-    rows: tuple[ShiftRow, ...]
-
-    def delta_vs_zero(self, shift: int, category: str) -> float:
-        zero = next(r for r in self.rows if r.shift == 0)
-        row = next(r for r in self.rows if r.shift == shift)
-        return row.by_category[category] - zero.by_category[category]
+    rows = [SELECTION_HEADER]
+    for criterion, results in grid_result.by_criterion().items():
+        precision = macro_average(results)
+        words = _word_counts(results)
+        for category in sorted(precision, key=_category_order):
+            rows.append((criterion, category, words[category], f"{precision[category]:.6f}"))
+    return rows
 
 
 def shift_criteria(criterion: Criterion, shifts: Sequence[int]) -> list[Criterion]:
@@ -269,18 +256,25 @@ def shift_criteria(criterion: Criterion, shifts: Sequence[int]) -> list[Criterio
     return [replace(criterion, shift=shift) for shift in shifts]
 
 
-def shift_study(grid_result: GridResult) -> ShiftReport:
+def shift_study(grid_result: GridResult) -> list[tuple]:
     """Per-category macro precision of each criterion of a grid run over
-    ``shift_criteria``, plus an ``all`` aggregate over every target word."""
-    rows = []
+    ``shift_criteria``, plus an ``all`` aggregate over every target word,
+    each with its change from shift 0."""
+    by_shift = {}
     for results in grid_result.by_criterion().values():
-        by_category = macro_average(results)
-        by_category["all"] = _mean(results)
-        word_counts = _word_counts(results)
-        word_counts["all"] = len(results)
+        precision = macro_average(results)
+        precision["all"] = _mean(results)
+        words = _word_counts(results)
+        words["all"] = len(results)
         (criterion,) = results[0].cell
-        rows.append(ShiftRow(criterion.shift, by_category, word_counts))
-    return ShiftReport(tuple(rows))
+        by_shift[criterion.shift] = (precision, words)
+    zero, _ = by_shift[0]
+    rows = [SHIFT_HEADER]
+    for shift, (precision, words) in by_shift.items():
+        for category in sorted(precision, key=_category_order):
+            rows.append((shift, category, words[category], f"{precision[category]:.6f}",
+                         f"{precision[category] - zero[category]:.6f}"))
+    return rows
 
 
 ANCHORED_COMBINATION = tuple(
@@ -291,17 +285,7 @@ PLAIN_BIGRAM = Criterion(2, "lemma", "leftright", "all", size=4)
 ADJACENCY_CELLS = (ANCHORED_COMBINATION, PLAIN_BIGRAM)
 
 
-@dataclass(frozen=True)
-class AdjacencyResult:
-    combined_precision: float
-    plain_precision: float
-
-    @property
-    def delta(self) -> float:
-        return self.plain_precision - self.combined_precision
-
-
-def adjacency_experiment(grid_result: GridResult) -> AdjacencyResult:
+def adjacency_experiment(grid_result: GridResult) -> list[tuple]:
     """Compare target-containing n-grams against free bigrams, from a grid
     run over ``ADJACENCY_CELLS``.
 
@@ -311,24 +295,14 @@ def adjacency_experiment(grid_result: GridResult) -> AdjacencyResult:
     precision over all targets.
     """
     by_criterion = grid_result.by_criterion()
-    return AdjacencyResult(
-        combined_precision=_mean(by_criterion[cell_name(ANCHORED_COMBINATION)]),
-        plain_precision=_mean(by_criterion[cell_name((PLAIN_BIGRAM,))]),
-    )
+    combined = _mean(by_criterion[cell_name(ANCHORED_COMBINATION)])
+    plain = _mean(by_criterion[cell_name((PLAIN_BIGRAM,))])
+    return [ADJACENCY_HEADER, (f"{combined:.6f}", f"{plain:.6f}", f"{plain - combined:.6f}")]
 
 
-@dataclass(frozen=True)
-class ContextReport:
-    """Average optimal context size per (category, n-gram order), plus the
-    precision-vs-size curve of every criterion family."""
-
-    avg_optimal: dict[tuple[str, int], float]
-    cell_counts: dict[tuple[str, int], int]
-    curves: dict[tuple[str, str, int], tuple[int, float]]
-
-
-def context_report(grid_result: GridResult) -> ContextReport:
-    """Optimal window sizes from a grid run.
+def context_report(grid_result: GridResult) -> dict[str, list[tuple]]:
+    """Optimal window sizes from a grid run: ``context.csv`` and
+    ``context_curves.csv``.
 
     A family is a criterion with the size stripped; per (word, family) the
     optimal size maximises precision with ties to the smaller size.  Each
@@ -352,138 +326,16 @@ def context_report(grid_result: GridResult) -> ContextReport:
         for size, precision in by_size.items():
             curve_points.setdefault((category, name, size), []).append(precision)
 
-    return ContextReport(
-        avg_optimal={
-            key: sum(sizes) / len(sizes) for key, sizes in sorted(optima.items())
-        },
-        cell_counts={key: len(sizes) for key, sizes in sorted(optima.items())},
-        curves={
-            key: (len(values), sum(values) / len(values))
-            for key, values in sorted(curve_points.items())
-        },
-    )
+    return {
+        "context.csv": [CONTEXT_HEADER] + [
+            (category, order, len(sizes), f"{sum(sizes) / len(sizes):.3f}")
+            for (category, order), sizes in sorted(optima.items(), key=_by_category)
+        ],
+        "context_curves.csv": [CONTEXT_CURVES_HEADER] + [
+            (category, family, size, len(values), f"{sum(values) / len(values):.6f}")
+            for (category, family, size), values in sorted(curve_points.items(),
+                                                           key=_by_category)
+        ],
+    }
 
 
-# --- CSV writers -------------------------------------------------------------
-
-
-def _writer(stream: TextIO) -> csv.writer:
-    return csv.writer(stream, lineterminator="\n")
-
-
-def write_evidence_profile_csv(
-    profiles: Mapping[str, EvidenceProfile], stream: TextIO
-) -> None:
-    """Per category and coarse tag: uses, correct uses, precision and usage
-    proportion of non-fallback decisions."""
-    writer = _writer(stream)
-    writer.writerow(EVIDENCE_PROFILE_HEADER)
-    for category in sorted(profiles, key=_category_order):
-        profile = profiles[category]
-        for tag in sorted(profile.tag_uses, key=lambda t: (-profile.tag_uses[t], t)):
-            writer.writerow(
-                (category, tag, profile.tag_uses[tag], profile.tag_correct.get(tag, 0),
-                 f"{profile.precision_pct(tag):.1f}", f"{profile.usage_pct(tag):.1f}")
-            )
-
-
-def write_evidence_space_csv(
-    profiles: Mapping[str, EvidenceProfile], stream: TextIO
-) -> None:
-    """Numeric offset histograms (uses and correct uses per tag and offset)."""
-    writer = _writer(stream)
-    writer.writerow(EVIDENCE_SPACE_HEADER)
-    for category in sorted(profiles, key=_category_order):
-        profile = profiles[category]
-        for tag, offset in sorted(profile.offset_uses):
-            writer.writerow(
-                (category, tag, offset, profile.offset_uses[(tag, offset)],
-                 profile.offset_correct.get((tag, offset), 0))
-            )
-
-
-def write_evidence_summary_csv(
-    profiles: Mapping[str, EvidenceProfile], stream: TextIO
-) -> None:
-    """Dominant evidence offsets per tag (the most-used positions)."""
-    writer = _writer(stream)
-    writer.writerow(EVIDENCE_SUMMARY_HEADER)
-    for category in sorted(profiles, key=_category_order):
-        summary = space_distribution_summary(profiles[category])
-        for tag, offsets in summary.items():
-            writer.writerow((category, tag, ";".join(f"{o:+d}" for o in offsets)))
-
-
-def _category_order(category: str) -> tuple[int, str]:
-    try:
-        return (CATEGORIES.index(category), category)
-    except ValueError:
-        return (len(CATEGORIES), category)
-
-
-def write_ablation_csv(report: AblationReport, stream: TextIO) -> None:
-    writer = _writer(stream)
-    writer.writerow(ABLATION_HEADER)
-    for (category, order), cell in sorted(
-        report.cells.items(), key=lambda item: (_category_order(item[0][0]), item[0][1])
-    ):
-        relative = cell.decrease_relative_pct
-        writer.writerow(
-            (category, order, cell.pairs,
-             f"{cell.baseline_mean:.6f}", f"{cell.variant_mean:.6f}",
-             f"{cell.decrease_points:.3f}",
-             f"{relative:.3f}" if relative is not None else "")
-        )
-
-
-def write_selection_csv(report: SelectionReport, stream: TextIO) -> None:
-    writer = _writer(stream)
-    writer.writerow(SELECTION_HEADER)
-    for row in report.rows:
-        for category in sorted(row.by_category, key=_category_order):
-            writer.writerow(
-                (row.criterion, category, row.word_counts[category],
-                 f"{row.by_category[category]:.6f}")
-            )
-
-
-def write_shift_csv(report: ShiftReport, stream: TextIO) -> None:
-    writer = _writer(stream)
-    writer.writerow(SHIFT_HEADER)
-    for row in report.rows:
-        for category in sorted(row.by_category, key=_category_order):
-            writer.writerow(
-                (row.shift, category, row.word_counts[category],
-                 f"{row.by_category[category]:.6f}",
-                 f"{report.delta_vs_zero(row.shift, category):.6f}")
-            )
-
-
-def write_adjacency_csv(result: AdjacencyResult, stream: TextIO) -> None:
-    writer = _writer(stream)
-    writer.writerow(ADJACENCY_HEADER)
-    writer.writerow(
-        (f"{result.combined_precision:.6f}", f"{result.plain_precision:.6f}",
-         f"{result.delta:.6f}")
-    )
-
-
-def write_context_csv(report: ContextReport, stream: TextIO) -> None:
-    writer = _writer(stream)
-    writer.writerow(CONTEXT_HEADER)
-    for (category, order), value in sorted(
-        report.avg_optimal.items(), key=lambda item: (_category_order(item[0][0]), item[0][1])
-    ):
-        writer.writerow(
-            (category, order, report.cell_counts[(category, order)], f"{value:.3f}")
-        )
-
-
-def write_context_curves_csv(report: ContextReport, stream: TextIO) -> None:
-    writer = _writer(stream)
-    writer.writerow(CONTEXT_CURVES_HEADER)
-    for (category, family, size), (words, precision) in sorted(
-        report.curves.items(),
-        key=lambda item: (_category_order(item[0][0]), item[0][1], item[0][2]),
-    ):
-        writer.writerow((category, family, size, words, f"{precision:.6f}"))

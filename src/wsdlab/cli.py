@@ -4,10 +4,11 @@ Subcommands: stats, evaluate, grid, evidence, ablation, selection, shift,
 adjacency, pseudoword.  Each evaluation subcommand is a list of grid cells
 plus the reports it reduces the results to: all seven run through one
 ``grid_search`` call, so all honour ``--jobs`` and report the words they skip
-(too few occurrences for k folds) on stderr and in ``run.meta``.  Every run
-writes its report CSVs plus a ``run.meta`` JSON capturing the full
-configuration, so any run can be replayed exactly.  Exit codes: 0 success,
-2 bad configuration, 3 corpus parse error, 4 empty result set.
+(too few occurrences for k folds) on stderr and in ``run.meta``.  A report is
+its CSV rows, and ``write_csv`` writes every one.  Every run writes its report
+CSVs plus a ``run.meta`` JSON capturing the full configuration, so any run can
+be replayed exactly.  Exit codes: 0 success, 2 bad configuration, 3 corpus
+parse error, 4 empty result set.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import csv
 import json
 import sys
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -28,20 +28,11 @@ from .analysis import (
     adjacency_experiment,
     content_ablation,
     context_report,
-    evidence_profiles,
+    evidence_reports,
     selection_comparison,
     selection_criteria,
     shift_criteria,
     shift_study,
-    write_ablation_csv,
-    write_adjacency_csv,
-    write_context_csv,
-    write_context_curves_csv,
-    write_evidence_profile_csv,
-    write_evidence_space_csv,
-    write_evidence_summary_csv,
-    write_selection_csv,
-    write_shift_csv,
 )
 from .classifiers import SmoothingParams, PRIOR_MODES
 from .corpus import (
@@ -62,7 +53,7 @@ from .criteria import (
     parse_cell,
     parse_grid_config,
 )
-from .evaluation import Cell, GridResult, check_classifier, grid_search, write_grid_csv
+from .evaluation import Cell, GridResult, check_classifier, grid_rows, grid_search
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -127,34 +118,16 @@ def _grid_cells(config: RunConfig) -> CriterionGrid:
     return parse_grid_config(_read_input(path))
 
 
-def _grid_reports(result: GridResult) -> dict[str, tuple]:
-    report = context_report(result)
-    return {
-        "grid.csv": (write_grid_csv, result.results),
-        "context.csv": (write_context_csv, report),
-        "context_curves.csv": (write_context_curves_csv, report),
-    }
-
-
-def _evidence_reports(result: GridResult) -> dict[str, tuple]:
-    profiles = evidence_profiles(result)
-    return {
-        "evidence_profile.csv": (write_evidence_profile_csv, profiles),
-        "evidence_space.csv": (write_evidence_space_csv, profiles),
-        "evidence_summary.csv": (write_evidence_summary_csv, profiles),
-    }
-
-
 @dataclass(frozen=True)
 class Experiment:
     """One evaluation subcommand: the grid cells it cross-validates, and its
-    reduction of the results to reports, as ``{file name: (writer, data)}``.
-    Reducers and writers are looked up as module attributes when a run
-    reduces, not when this table is built, so wrappers installed on those
-    attributes (as perfbench's tracer does) see every call."""
+    reduction of the results to reports, as ``{file name: rows}``.  Reducers
+    are looked up as module attributes when a run reduces, not when this
+    table is built, so wrappers installed on those attributes (as perfbench's
+    tracer does) see every call."""
 
     cells: Callable[[RunConfig], CriterionGrid | list[Cell]]
-    reports: Callable[[GridResult], dict[str, tuple]]
+    reports: Callable[[GridResult], dict[str, list[tuple]]]
     classifier: str | None = None  # fixed classifier, overriding --classifier
     keep_records: bool = False
 
@@ -162,26 +135,29 @@ class Experiment:
 EXPERIMENTS = {
     "evaluate": Experiment(
         lambda config: [_criteria(config)],
-        lambda result: {"evaluate.csv": (write_grid_csv, result.results)},
+        lambda result: {"evaluate.csv": grid_rows(result.results)},
     ),
-    "grid": Experiment(_grid_cells, _grid_reports),
-    "evidence": Experiment(_evidence_cells, _evidence_reports,
+    "grid": Experiment(
+        _grid_cells,
+        lambda result: {"grid.csv": grid_rows(result.results), **context_report(result)},
+    ),
+    "evidence": Experiment(_evidence_cells, lambda result: evidence_reports(result),
                            classifier="dl", keep_records=True),
     "ablation": Experiment(
         lambda config: ablation_grid(_grid_cells(config)),
-        lambda result: {"ablation.csv": (write_ablation_csv, content_ablation(result))},
+        lambda result: {"ablation.csv": content_ablation(result)},
     ),
     "selection": Experiment(
         lambda config: selection_criteria(_criterion(config)),
-        lambda result: {"selection.csv": (write_selection_csv, selection_comparison(result))},
+        lambda result: {"selection.csv": selection_comparison(result)},
     ),
     "shift": Experiment(
         lambda config: shift_criteria(_criterion(config), config.shifts),
-        lambda result: {"shift.csv": (write_shift_csv, shift_study(result))},
+        lambda result: {"shift.csv": shift_study(result)},
     ),
     "adjacency": Experiment(
         lambda config: list(ADJACENCY_CELLS),
-        lambda result: {"adjacency.csv": (write_adjacency_csv, adjacency_experiment(result))},
+        lambda result: {"adjacency.csv": adjacency_experiment(result)},
     ),
 }
 COMMANDS = ("stats", *EXPERIMENTS, "pseudoword")
@@ -189,7 +165,16 @@ COMMANDS = ("stats", *EXPERIMENTS, "pseudoword")
 
 def validate_config(config: RunConfig) -> list[str]:
     """All configuration violations at once, not just the first."""
+    return _check(config)[0]
+
+
+def _check(config: RunConfig) -> tuple[list[str], list[tuple[str, str]] | None,
+                                       CriterionGrid | list[Cell] | None]:
+    """``validate_config``'s problems, plus the parsed targets and grid cells
+    (None where absent or bad), so that each small input is read once, before
+    the corpus."""
     problems = list(config.diagnostics)
+    targets = cells = None
     if config.subcommand not in COMMANDS:
         problems.append(f"unknown subcommand {config.subcommand!r}")
     existing = next(p for p in (config.output, *config.output.parents) if p.exists())
@@ -200,7 +185,7 @@ def validate_config(config: RunConfig) -> list[str]:
             problems.append("pseudoword needs --config")
         elif not config.config.is_file():
             problems.append(f"config file not found: {config.config}")
-        return problems
+        return problems, targets, cells
 
     if config.corpus is None:
         problems.append("a corpus file is required (--corpus)")
@@ -210,6 +195,11 @@ def validate_config(config: RunConfig) -> list[str]:
         problems.append("a targets file is required (--targets)")
     elif not config.targets.is_file():
         problems.append(f"targets file not found: {config.targets}")
+    else:
+        try:
+            targets = parse_targets(_read_input(config.targets))
+        except ValueError as exc:
+            problems.append(f"targets {config.targets}: {exc}")
 
     if config.subcommand in EXPERIMENTS:
         try:
@@ -227,15 +217,16 @@ def validate_config(config: RunConfig) -> list[str]:
         if config.content_mode not in CONTENT_MODES:
             problems.append(f"content mode must be one of {CONTENT_MODES}")
         try:
-            EXPERIMENTS[config.subcommand].cells(config)
+            cells = EXPERIMENTS[config.subcommand].cells(config)
         except ValueError as exc:
             problems.extend(str(exc).splitlines())
-    return problems
+    return problems, targets, cells
 
 
-def _write(path: Path, writer_fn) -> None:
+def write_csv(path: Path, rows: list[tuple]) -> None:
+    """Write one report: its rows, header first, each value as printed."""
     with open(path, "w", encoding="utf-8", newline="") as stream:
-        writer_fn(stream)
+        csv.writer(stream, lineterminator="\n").writerows(rows)
 
 
 def _write_meta(config: RunConfig, outdir: Path, extra: dict) -> None:
@@ -284,33 +275,26 @@ def _pseudoword(config: RunConfig) -> int:
 
 def _stats(config: RunConfig, corpus, targets) -> int:
     stats = word_stats(corpus, targets)
-    averages = category_averages(stats)
-
-    def write_stats(stream) -> None:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(STATS_HEADER)
-        for row in stats:
-            writer.writerow(
-                (row.lemma, row.category, row.frequency, row.senses,
-                 _format_stat(row.entropy), _format_stat(row.mfs))
-            )
-        for category, avg in averages.items():
-            writer.writerow(
-                ("AVERAGE", category, f"{avg.frequency:.1f}", f"{avg.senses:.1f}",
-                 f"{avg.entropy:.6f}", f"{avg.mfs:.6f}")
-            )
-
+    rows = [STATS_HEADER] + [
+        (row.lemma, row.category, row.frequency, row.senses,
+         _format_stat(row.entropy), _format_stat(row.mfs))
+        for row in stats
+    ] + [
+        ("AVERAGE", category, f"{avg.frequency:.1f}", f"{avg.senses:.1f}",
+         f"{avg.entropy:.6f}", f"{avg.mfs:.6f}")
+        for category, avg in category_averages(stats).items()
+    ]
     config.output.mkdir(parents=True, exist_ok=True)
-    _write(config.output / "stats.csv", write_stats)
+    write_csv(config.output / "stats.csv", rows)
     _write_meta(config, config.output, {})
     return EXIT_OK
 
 
-def _evaluate(config: RunConfig, corpus, targets) -> int:
+def _evaluate(config: RunConfig, corpus, targets, cells) -> int:
     """The shared path of every evaluation subcommand."""
     experiment = EXPERIMENTS[config.subcommand]
     result = grid_search(
-        corpus, targets, experiment.cells(config),
+        corpus, targets, cells,
         experiment.classifier or config.classifier,
         SmoothingParams(config.m, config.prior_mode), config.k, config.seed,
         jobs=config.jobs, content_mode=config.content_mode,
@@ -324,8 +308,8 @@ def _evaluate(config: RunConfig, corpus, targets) -> int:
         return EXIT_EMPTY
     reports = experiment.reports(result)
     config.output.mkdir(parents=True, exist_ok=True)
-    for name, (writer, data) in reports.items():
-        _write(config.output / name, partial(writer, data))
+    for name, rows in reports.items():
+        write_csv(config.output / name, rows)
     _write_meta(config, config.output, {
         "classifier": result.classifier,
         "skipped": [f"{s.lemma} ({s.category})" for s in result.skipped],
@@ -335,30 +319,25 @@ def _evaluate(config: RunConfig, corpus, targets) -> int:
 
 def run(config: RunConfig) -> int:
     """Execute one subcommand; returns the process exit code."""
-    problems = validate_config(config)
+    problems, targets, cells = _check(config)
     if problems:
         for problem in problems:
             print(f"error: {problem}", file=sys.stderr)
         return EXIT_CONFIG
     if config.subcommand == "pseudoword":
         return _pseudoword(config)
+    if not targets:
+        print("error: the targets file lists no targets", file=sys.stderr)
+        return EXIT_EMPTY
 
     try:
         corpus = parse_corpus(_read_input(config.corpus))
     except (CorpusParseError, UnicodeDecodeError) as exc:
         print(f"error: corpus {config.corpus}: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    try:
-        targets = parse_targets(_read_input(config.targets))
-    except ValueError as exc:
-        print(f"error: targets {config.targets}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    if not targets:
-        print("error: the targets file lists no targets", file=sys.stderr)
-        return EXIT_EMPTY
     if config.subcommand == "stats":
         return _stats(config, corpus, targets)
-    return _evaluate(config, corpus, targets)
+    return _evaluate(config, corpus, targets, cells)
 
 
 def _add_common(parser: argparse.ArgumentParser, *, evaluation: bool) -> None:

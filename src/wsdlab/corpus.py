@@ -13,7 +13,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Iterator, Sequence
 
 CATEGORIES = ("noun", "adjective", "verb")
 
@@ -23,7 +23,7 @@ IMPLICIT_DOC_ID = "doc0"
 # The tag columns of a token, in file order; none may be empty.
 TOKEN_FIELDS = ("mform", "lemma", "ems", "cgems")
 
-# About how many characters of a str source parse_corpus splits into lines at
+# About how many characters of its text parse_corpus splits into lines at
 # a time, so that no list of every line is built.
 _CHUNK_CHARS = 1 << 20
 
@@ -149,16 +149,9 @@ def _split_lines(text: str) -> Iterator[str]:
         start = end
 
 
-def _iter_lines(source: str | TextIO | Iterable[str]) -> Iterable[str]:
-    if isinstance(source, str):
-        return _split_lines(source)
-    return (line.rstrip("\r\n") for line in source)
-
-
-def parse_corpus(source: str | TextIO | Iterable[str]) -> Corpus:
+def parse_corpus(text: str) -> Corpus:
     """Parse vertical corpus text into a Corpus.
 
-    ``source`` may be a string, an open text file, or any iterable of lines.
     Raises CorpusParseError on a wrong column count, an empty tag field or a
     repeated document id.  Equal field values share one string object, and a
     repeated line is split once.
@@ -176,7 +169,7 @@ def parse_corpus(source: str | TextIO | Iterable[str]) -> Corpus:
         if current_id is not None:
             documents.append(Document(current_id, tuple(current_tokens)))
 
-    for number, line in enumerate(_iter_lines(source), start=1):
+    for number, line in enumerate(_split_lines(text), start=1):
         fields = split.get(line)
         if fields is None:
             if not line.strip():

@@ -8,13 +8,12 @@ worker pool without affecting the results.
 
 from __future__ import annotations
 
-import csv
 import multiprocessing
 import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, Sequence
 
 from .classifiers import (
     SmoothingParams,
@@ -321,19 +320,11 @@ def grid_search(
     )
 
 
-def write_grid_csv(results: Iterable[WordResult], stream: TextIO) -> None:
-    """One row per (word, criterion), in the given order."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(GRID_CSV_HEADER)
-    for result in results:
-        writer.writerow(
-            (
-                result.lemma,
-                result.category,
-                result.criterion,
-                max(c.size for c in result.cell),
-                result.classifier,
-                f"{result.precision:.6f}",
-                ";".join(f"{p:.6f}" for p in result.fold_precisions),
-            )
-        )
+def grid_rows(results: Iterable[WordResult]) -> list[tuple]:
+    """``grid.csv`` rows: one per (word, cell), in the given order."""
+    return [GRID_CSV_HEADER] + [
+        (result.lemma, result.category, result.criterion, max(c.size for c in result.cell),
+         result.classifier, f"{result.precision:.6f}",
+         ";".join(f"{p:.6f}" for p in result.fold_precisions))
+        for result in results
+    ]

@@ -110,13 +110,10 @@ def occurrences_scan(corpus, lemma, category):
     return tuple(found)
 
 
-def parse_corpus_plain(source):
-    """The vertical format parsed line by line: a string is split by one
+def parse_corpus_plain(text):
+    """The vertical format parsed line by line: the text is split by one
     ``splitlines()``, every line is split afresh and makes its own Token."""
-    if isinstance(source, str):
-        lines = source.splitlines()
-    else:
-        lines = [line.rstrip("\r\n") for line in source]
+    lines = text.splitlines()
     documents = []
     seen_ids = set()
     current_id = None

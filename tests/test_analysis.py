@@ -1,5 +1,3 @@
-import io
-
 import pytest
 
 from wsdlab import (
@@ -10,6 +8,7 @@ from wsdlab import (
     context_report,
     cross_validate,
     evidence_profile,
+    evidence_reports,
     extract_occurrences,
     generate_pseudoword_corpus,
     grid_search,
@@ -22,15 +21,7 @@ from wsdlab import (
     shift_study,
     space_distribution_summary,
 )
-from wsdlab.analysis import (
-    ABLATION_HEADER,
-    write_ablation_csv,
-    write_adjacency_csv,
-    write_context_csv,
-    write_evidence_profile_csv,
-    write_selection_csv,
-    write_shift_csv,
-)
+from wsdlab.analysis import ABLATION_HEADER
 from wsdlab.evaluation import DecisionRecord, GridResult, WordResult
 
 
@@ -152,11 +143,11 @@ def test_ablation_pair_decrease():
         ("mot", "noun", "[1gr|mform|ordered|all]@1", 0.815),
         ("mot", "noun", "[1gr|mform|ordered|content]@1", 0.789),
     ])
-    report = content_ablation(grid)
-    cell = report.cells[("noun", 1)]
-    assert cell.pairs == 1
-    assert cell.decrease_points == pytest.approx(2.6)
-    assert cell.decrease_relative_pct == pytest.approx(100 * 0.026 / 0.815)
+    # decrease 100 * 0.026 = 2.6 points; relative 100 * 0.026 / 0.815 = 3.190%
+    assert content_ablation(grid) == [
+        ABLATION_HEADER,
+        ("noun", 1, 1, "0.815000", "0.789000", "2.600", "3.190"),
+    ]
 
 
 def test_ablation_zero_and_negative_deltas():
@@ -166,9 +157,21 @@ def test_ablation_zero_and_negative_deltas():
         ("mot", "noun", "[1gr|lemma|ordered|all]@3", 0.60),
         ("mot", "noun", "[1gr|lemma|ordered|content]@3", 0.65),
     ])
-    report = content_ablation(grid)
-    assert report.cells[("noun", 2)].decrease_points == pytest.approx(0.0)
-    assert report.cells[("noun", 1)].decrease_points == pytest.approx(-5.0)
+    # order 1: 100 * (0.60 - 0.65) = -5 points, -5 / 0.60 = -8.333%
+    assert content_ablation(grid)[1:] == [
+        ("noun", 1, 1, "0.600000", "0.650000", "-5.000", "-8.333"),
+        ("noun", 2, 1, "0.700000", "0.700000", "0.000", "0.000"),
+    ]
+
+
+def test_ablation_zero_baseline_leaves_the_relative_decrease_empty():
+    grid = grid_result_from([
+        ("mot", "noun", "[1gr|mform|ordered|all]@1", 0.0),
+        ("mot", "noun", "[1gr|mform|ordered|content]@1", 0.25),
+    ])
+    assert content_ablation(grid)[1:] == [
+        ("noun", 1, 1, "0.000000", "0.250000", "-25.000", ""),
+    ]
 
 
 def test_ablation_missing_partner_is_an_error():
@@ -186,11 +189,10 @@ def test_ablation_csv_schema():
         ("mot", "noun", "[1gr|mform|ordered|all]@1", 0.815),
         ("mot", "noun", "[1gr|mform|ordered|content]@1", 0.789),
     ])
-    buffer = io.StringIO()
-    write_ablation_csv(content_ablation(grid), buffer)
-    lines = buffer.getvalue().splitlines()
-    assert lines[0] == ",".join(ABLATION_HEADER)
-    assert lines[1].startswith("noun,1,1,0.815000,0.789000,2.600,")
+    rows = content_ablation(grid)
+    assert rows[0] == ABLATION_HEADER
+    assert len(rows) == 2 and len(rows[1]) == len(ABLATION_HEADER)
+    assert rows[1][:6] == ("noun", 1, 1, "0.815000", "0.789000", "2.600")
 
 
 # --- selection -------------------------------------------------------------------
@@ -199,14 +201,14 @@ def test_selection_preserved_signal():
     # signal tokens are NCOM: every filter keeps them, so all three rows match
     corpus, target = pseudo_corpus(signal_pos="NCOM", vocabulary=1)
     base = parse_criterion("[1gr|lemma|ordered|all]@1")
-    report = selection(corpus, target, base)
-    assert [row.criterion for row in report.rows] == [
+    rows = selection(corpus, target, base)[1:]
+    assert [row[0] for row in rows] == [
         "[1gr|lemma|ordered|all]@1",
         "[1gr|lemma|ordered|content]@1",
         "[1gr|lemma|ordered|selected]@1",
     ]
-    for row in report.rows:
-        assert row.by_category["noun"] == 1.0
+    for row in rows:
+        assert row[1:] == ("noun", 1, "1.000000")
 
 
 def test_selection_removed_signal_drops_to_baseline():
@@ -215,12 +217,11 @@ def test_selection_removed_signal_drops_to_baseline():
     corpus, target = pseudo_corpus(signal_pos="DET", vocabulary=1, counts=(60, 40))
     occurrences = extract_occurrences(corpus, *target)
     base = parse_criterion("[1gr|lemma|ordered|all]@1")
-    report = selection(corpus, target, base)
-    rows = {row.criterion.split("|")[-1].split("]")[0]: row for row in report.rows}
-    assert rows["all"].by_category["noun"] == 1.0
-    assert rows["selected"].by_category["noun"] == pytest.approx(
-        mfs_baseline(occurrences), abs=0.05
-    )
+    rows = {row[0].split("|")[-1].split("]")[0]: row
+            for row in selection(corpus, target, base)[1:]}
+    assert rows["all"][1:] == ("noun", 1, "1.000000")
+    assert rows["selected"][1] == "noun"
+    assert float(rows["selected"][3]) == pytest.approx(mfs_baseline(occurrences), abs=0.05)
 
 
 def test_selection_requires_all_filter_base():
@@ -232,24 +233,22 @@ def test_selection_requires_all_filter_base():
 def test_selection_shares_fold_plans():
     corpus, target = pseudo_corpus()
     base = parse_criterion("[1gr|lemma|ordered|all]@1")
-    report = selection(corpus, target, base)
+    rows = selection(corpus, target, base)[1:]
     plan = kfold_split(extract_occurrences(corpus, *target), 10, 0)
-    for row, criterion in zip(report.rows, selection_criteria(base), strict=True):
+    for row, criterion in zip(rows, selection_criteria(base), strict=True):
         alone = grid_search(corpus, [target], [criterion], "nb", k=10, seed=0)
-        assert row.criterion == alone.results[0].criterion
-        assert row.by_category == {"noun": alone.results[0].precision}
+        assert row == (alone.results[0].criterion, "noun", 1,
+                       f"{alone.results[0].precision:.6f}")
         assert alone.results[0] == cross_validate(corpus, plan, criterion, "nb",
                                                   keep_records=False)
 
 
 def test_selection_csv_schema():
     corpus, target = pseudo_corpus(vocabulary=1)
-    report = selection(corpus, target, parse_criterion("[1gr|lemma|ordered|all]@1"))
-    buffer = io.StringIO()
-    write_selection_csv(report, buffer)
-    lines = buffer.getvalue().splitlines()
-    assert lines[0] == "criterion,category,words,precision"
-    assert len(lines) == 4  # 3 filters x 1 category
+    rows = selection(corpus, target, parse_criterion("[1gr|lemma|ordered|all]@1"))
+    assert rows[0] == ("criterion", "category", "words", "precision")
+    assert len(rows) == 4  # 3 filters x 1 category
+    assert all(len(row) == 4 for row in rows)
 
 
 # --- shift study -----------------------------------------------------------------
@@ -258,27 +257,28 @@ def test_shift_study_finds_forward_signal():
     # signal lives at +2 only; a +1-shifted window @1 covers [0+1-1, 1+1] = {1, 2}
     corpus, target = pseudo_corpus(signal_offsets=(2,), vocabulary=1)
     criterion = parse_criterion("[1gr|lemma|ordered|all]@1")
-    report = shifts(corpus, target, criterion, [0, 1])
-    by_shift = {row.shift: row.by_category["noun"] for row in report.rows}
-    assert by_shift[1] == 1.0
-    assert by_shift[1] > by_shift[0]
-    assert report.delta_vs_zero(1, "noun") > 0.3
+    noun = {row[0]: row for row in shifts(corpus, target, criterion, [0, 1])[1:]
+            if row[1] == "noun"}
+    assert noun[1][3] == "1.000000"
+    assert float(noun[1][3]) > float(noun[0][3])
+    assert float(noun[1][4]) > 0.3
 
 
 def test_shift_study_symmetric_signal_is_flat():
     corpus, target = pseudo_corpus(signal_offsets=(-1, 1), vocabulary=1)
     criterion = parse_criterion("[1gr|lemma|ordered|all]@2")
-    report = shifts(corpus, target, criterion, [0, 1, -1])
+    deltas = {row[0]: float(row[4]) for row in shifts(corpus, target, criterion, [0, 1, -1])[1:]
+              if row[1] == "noun"}
     for shift in (1, -1):
-        assert abs(report.delta_vs_zero(shift, "noun")) <= 0.05
+        assert abs(deltas[shift]) <= 0.05
 
 
 def test_shift_study_single_zero_row():
     corpus, target = pseudo_corpus(vocabulary=1)
     criterion = parse_criterion("[1gr|lemma|ordered|all]@1")
-    report = shifts(corpus, target, criterion, [0])
-    assert len(report.rows) == 1
-    assert report.delta_vs_zero(0, "noun") == 0.0
+    rows = shifts(corpus, target, criterion, [0])
+    assert [row[:2] for row in rows[1:]] == [(0, "noun"), (0, "all")]
+    assert [row[4] for row in rows[1:]] == ["0.000000", "0.000000"]
 
 
 def test_shift_study_requires_zero():
@@ -291,22 +291,17 @@ def test_shift_study_requires_zero():
 
 def test_shift_csv_schema():
     corpus, target = pseudo_corpus(vocabulary=1)
-    report = shifts(corpus, target, parse_criterion("[1gr|lemma|ordered|all]@1"), [0, 1])
-    buffer = io.StringIO()
-    write_shift_csv(report, buffer)
-    lines = buffer.getvalue().splitlines()
-    assert lines[0] == "shift,category,words,precision,delta_vs_zero"
-    assert len(lines) == 1 + 2 * 2  # 2 shifts x (noun + all)
+    rows = shifts(corpus, target, parse_criterion("[1gr|lemma|ordered|all]@1"), [0, 1])
+    assert rows[0] == ("shift", "category", "words", "precision", "delta_vs_zero")
+    assert len(rows) == 1 + 2 * 2  # 2 shifts x (noun + all)
+    assert all(len(row) == 5 for row in rows)
 
 
 # --- adjacency experiment ----------------------------------------------------------
 
 def test_adjacency_adjacent_signal_ties():
     corpus, target = pseudo_corpus(signal_offsets=(-1,), vocabulary=1)
-    result = adjacency(corpus, target)
-    assert result.combined_precision == 1.0
-    assert result.plain_precision == 1.0
-    assert result.delta == pytest.approx(0.0)
+    assert adjacency(corpus, target)[1] == ("1.000000", "1.000000", "0.000000")
 
 
 def test_adjacency_distant_signal_favors_plain_bigram():
@@ -316,20 +311,17 @@ def test_adjacency_distant_signal_favors_plain_bigram():
     corpus, target = pseudo_corpus(
         signal_offsets=(-3,), vocabulary=40, counts=(100, 100)
     )
-    result = adjacency(corpus, target)
-    assert result.plain_precision >= 0.9
-    assert result.combined_precision <= 0.7
-    assert result.delta >= 0.2
+    combined, plain, delta = map(float, adjacency(corpus, target)[1])
+    assert plain >= 0.9
+    assert combined <= 0.7
+    assert delta >= 0.2
 
 
 def test_adjacency_csv_schema():
     corpus, target = pseudo_corpus(vocabulary=1)
-    result = adjacency(corpus, target)
-    buffer = io.StringIO()
-    write_adjacency_csv(result, buffer)
-    lines = buffer.getvalue().splitlines()
-    assert lines[0] == "anchored_combination,plain_bigram,delta"
-    assert len(lines) == 2
+    rows = adjacency(corpus, target)
+    assert rows[0] == ("anchored_combination", "plain_bigram", "delta")
+    assert len(rows) == 2 and len(rows[1]) == 3
 
 
 # --- context report -----------------------------------------------------------------
@@ -342,9 +334,11 @@ def test_context_report_averages_optima():
         ("deux", "noun", "[1gr|lemma|ordered|all]@2", 0.9),
     ])
     report = context_report(grid)
-    assert report.avg_optimal[("noun", 1)] == pytest.approx(1.5)
-    assert report.cell_counts[("noun", 1)] == 2
-    assert report.curves[("noun", "[1gr|lemma|ordered|all]", 1)] == (2, pytest.approx(0.8))
+    assert report["context.csv"][1:] == [("noun", 1, 2, "1.500")]  # optima 1 and 2
+    assert report["context_curves.csv"][1:] == [
+        ("noun", "[1gr|lemma|ordered|all]", 1, 2, "0.800000"),  # (0.9 + 0.7) / 2
+        ("noun", "[1gr|lemma|ordered|all]", 2, 2, "0.850000"),  # (0.8 + 0.9) / 2
+    ]
 
 
 def test_context_report_flat_curve_takes_smallest():
@@ -353,14 +347,12 @@ def test_context_report_flat_curve_takes_smallest():
         ("un", "noun", "[2gr|lemma|ordered|all]@2", 0.5),
         ("un", "noun", "[2gr|lemma|ordered|all]@3", 0.5),
     ])
-    report = context_report(grid)
-    assert report.avg_optimal[("noun", 2)] == 1.0
+    assert context_report(grid)["context.csv"][1:] == [("noun", 2, 1, "1.000")]
 
 
 def test_context_report_single_size():
     grid = grid_result_from([("un", "noun", "[3gr|lemma|ordered|all]@4", 0.5)])
-    report = context_report(grid)
-    assert report.avg_optimal[("noun", 3)] == 4.0
+    assert context_report(grid)["context.csv"][1:] == [("noun", 3, 1, "4.000")]
 
 
 def test_context_csv_schema():
@@ -368,18 +360,18 @@ def test_context_csv_schema():
         ("un", "noun", "[1gr|lemma|ordered|all]@1", 0.9),
         ("un", "noun", "[1gr|lemma|ordered|all]@2", 0.8),
     ])
-    buffer = io.StringIO()
-    write_context_csv(context_report(grid), buffer)
-    lines = buffer.getvalue().splitlines()
-    assert lines[0] == "category,order,cells,avg_optimal_size"
-    assert lines[1] == "noun,1,1,1.000"
+    rows = context_report(grid)["context.csv"]
+    assert rows[0] == ("category", "order", "cells", "avg_optimal_size")
+    assert rows[1] == ("noun", 1, 1, "1.000")
 
 
 def test_evidence_profile_csv_schema():
-    records = [record("NCOM", -1, True, n=i) for i in range(3)]
-    profiles = {"noun": evidence_profile(records)}
-    buffer = io.StringIO()
-    write_evidence_profile_csv(profiles, buffer)
-    lines = buffer.getvalue().splitlines()
-    assert lines[0] == "category,tag,uses,correct,precision_pct,usage_pct"
-    assert lines[1] == "noun,NCOM,3,3,100.0,100.0"
+    records = tuple(record("NCOM", -1, True, n=i) for i in range(3))
+    result = WordResult("mot", "noun", (parse_criterion("[1gr|mform|ordered|all]@2"),),
+                        "dl", 1.0, (1.0,), records)
+    reports = evidence_reports(GridResult((result,), (), "dl"))
+    rows = reports["evidence_profile.csv"]
+    assert rows[0] == ("category", "tag", "uses", "correct", "precision_pct", "usage_pct")
+    assert rows[1] == ("noun", "NCOM", 3, 3, "100.0", "100.0")
+    assert reports["evidence_space.csv"][1:] == [("noun", "NCOM", -1, 3, 3)]
+    assert reports["evidence_summary.csv"][1:] == [("noun", "NCOM", "-1")]

@@ -202,12 +202,15 @@ def test_bom_prefixed_configs_parse(workspace):
 def test_empty_targets_exits_4(workspace):
     empty = workspace / "empty.tsv"
     empty.write_text("# nothing here\n", encoding="utf-8")
-    result = wsdlab(
-        "stats", "--corpus", "gen/corpus.tsv", "--targets", "empty.tsv",
-        "-o", "nothing4", cwd=workspace,
-    )
-    assert result.returncode == 4
-    assert not (workspace / "nothing4").exists()
+    (workspace / "unparsable.tsv").write_text("one column only\n")  # exit 3 if parsed
+    for corpus in ("gen/corpus.tsv", "unparsable.tsv"):
+        result = wsdlab(
+            "stats", "--corpus", corpus, "--targets", "empty.tsv",
+            "-o", "nothing4", cwd=workspace,
+        )
+        assert result.returncode == 4
+        assert result.stderr == "error: the targets file lists no targets\n"
+        assert not (workspace / "nothing4").exists()
 
 
 def test_all_words_skipped_exits_4(workspace):
@@ -333,6 +336,8 @@ def test_validate_config_rejects_bad_evaluation_inputs(tmp_path):
     grid.write_text("tags = lemma, bogus\nsizes = 1, 0\norders = 1, 1\n")
     all_only = tmp_path / "all-only.grid"
     all_only.write_text("orders = 1\ntags = lemma\nfilters = all\nsizes = 1\n")
+    targets = tmp_path / "t.tsv"
+    targets.write_text("w\tnoun\n")
     cases = [
         ("selection", dict(criterion="[1gr|lemma|ordered|content]@1"), ["filter 'all'"]),
         ("shift", dict(criterion="[1gr|lemma|ordered|all]@1", shifts=(0, 1, 1)),
@@ -348,11 +353,44 @@ def test_validate_config_rejects_bad_evaluation_inputs(tmp_path):
     ]
     for subcommand, fields, expected in cases:
         config = RunConfig(subcommand=subcommand, output=tmp_path / "out",
-                           corpus=grid, targets=grid, **fields)
+                           corpus=grid, targets=targets, **fields)
         problems = validate_config(config)
         assert len(problems) == len(expected), (subcommand, problems)
         for problem, text in zip(problems, expected):
             assert text in problem, (subcommand, problems)
+
+
+def test_grid_config_is_read_once(workspace, monkeypatch):
+    (workspace / "once.grid").write_text("orders = 1\ntags = lemma\nsizes = 1\n")
+    reads = []
+    read_text = Path.read_text
+
+    def counting_read_text(self, *args, **kwargs):
+        reads.append(self.name)
+        return read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", counting_read_text)
+    monkeypatch.chdir(workspace)
+    with contextlib.redirect_stderr(io.StringIO()):
+        status = main(["grid", "--corpus", "gen/corpus.tsv", "--targets", "gen/targets.tsv",
+                       "--grid", "once.grid", "--k", "5", "-o", "once"])
+    assert status == 0
+    assert sorted(reads) == ["corpus.tsv", "once.grid", "targets.tsv"]
+
+
+@pytest.mark.parametrize("k", ["10", "1"])
+def test_bad_targets_are_listed_with_the_other_problems_before_the_corpus(workspace, k):
+    (workspace / "bad-targets.tsv").write_text("mot\tnoun\nmot\tnoum\n")
+    (workspace / "bad-corpus.tsv").write_text("one column only\n")  # exit 3 if parsed
+    result = wsdlab("evaluate", "--corpus", "bad-corpus.tsv", "--targets", "bad-targets.tsv",
+                    "--criterion", "[1gr|lemma|ordered|all]@1", "--k", k,
+                    "-o", "nothing9", cwd=workspace)
+    assert result.returncode == 2
+    assert result.stderr.splitlines() == [
+        "error: targets bad-targets.tsv: targets line 2: unknown category 'noum'; "
+        "expected one of ('noun', 'adjective', 'verb')",
+    ] + ["error: k must be >= 2"] * (k == "1")
+    assert not (workspace / "nothing9").exists()
 
 
 def test_bad_grid_values_exit_2_before_work(workspace):
@@ -455,6 +493,38 @@ def test_evaluation_reports_match_golden_bytes(space, run, jobs, request):
     hashes = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
               for path in (root / out).glob("*.csv")}
     assert hashes == GOLDEN[(space, run)]
+
+
+# stats.csv sha256s per input set.  "absent" lists a lemma the corpus lacks,
+# so its row has empty entropy/mfs cells and it counts in no AVERAGE row.
+GOLDEN_STATS = {
+    "cli": "11d9bcda16f9aa1dceb2b441e61a937f9252452de4be09830c8828537b61d7ee",
+    "three": "eec8d739e4bcae586249a80b4bf7c5d28886cc7a186f51d71e71e770b02d0147",
+    "absent": "268839eb246d9b7f747ba4b94eab93d2e5896bf52c6246c94a42ee4d2728478b",
+}
+
+
+@pytest.mark.parametrize("space", list(GOLDEN_STATS))
+def test_stats_report_matches_golden_bytes(space, request):
+    if space == "cli":
+        root = request.getfixturevalue("workspace")
+        inputs = ("--corpus", "gen/corpus.tsv", "--targets", "gen/targets.tsv")
+    else:
+        root = request.getfixturevalue("three_categories")
+        targets = "targets.tsv"
+        if space == "absent":
+            targets = "absent-targets.tsv"
+            (root / targets).write_text(
+                (root / "targets.tsv").read_text() + "introuvable\tverb\n"
+            )
+        inputs = ("--corpus", "corpus.tsv", "--targets", targets)
+    out = f"golden-stats-{space}"
+    result = wsdlab("stats", *inputs, "-o", out, cwd=root)
+    assert result.returncode == 0, result.stderr
+    stats = (root / out / "stats.csv").read_bytes()
+    if space == "absent":
+        assert b"\nintrouvable,verb,0,0,,\n" in stats
+    assert hashlib.sha256(stats).hexdigest() == GOLDEN_STATS[space]
 
 
 def test_version_flag(workspace):

@@ -1,5 +1,4 @@
 import gc
-import io
 import os
 import weakref
 from collections import Counter
@@ -18,13 +17,13 @@ from wsdlab import (
     enumerate_grid,
     extract_occurrences,
     generate_pseudoword_corpus,
+    grid_rows,
     grid_search,
     kfold_split,
     macro_average,
     mfs_baseline,
     parse_corpus,
     parse_criterion,
-    write_grid_csv,
 )
 from wsdlab import evaluation
 from wsdlab.evaluation import GRID_CSV_HEADER, WordResult, worker_count
@@ -400,8 +399,7 @@ def test_macro_average():
 
 def test_write_grid_csv():
     results = [_word_result("mot", "noun", 0.75)]
-    buffer = io.StringIO()
-    write_grid_csv(results, buffer)
-    lines = buffer.getvalue().splitlines()
-    assert lines[0] == ",".join(GRID_CSV_HEADER)
-    assert lines[1] == "mot,noun,[1gr|lemma|ordered|all]@1,1,nb,0.750000,0.750000"
+    assert grid_rows(results) == [
+        GRID_CSV_HEADER,
+        ("mot", "noun", "[1gr|lemma|ordered|all]@1", 1, "nb", "0.750000", "0.750000"),
+    ]
