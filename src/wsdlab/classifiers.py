@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Mapping, Sequence
 
 from .criteria import FeatureVector, Span
@@ -64,16 +65,15 @@ class Prediction:
 
 @dataclass(frozen=True)
 class NBModel:
-    """Trained Naive Bayes state: priors, per-(feature, sense) presence
-    counts, per-sense feature totals, and the conditional prior and strength
-    of the m-estimate."""
+    """Trained Naive Bayes state: priors (keyed in sorted sense order) and
+    their logs, per-(feature, sense) presence counts, and per sense a table
+    from each presence count a known feature can have for that sense (0
+    included) to the log of its smoothed conditional."""
 
-    senses: tuple[str, ...]
     priors: dict[str, float]
+    log_priors: dict[str, float]
     cond_counts: dict[str, dict[str, int]]
-    sense_totals: dict[str, int]
-    cond_prior: float
-    m: float
+    log_tables: dict[str, dict[int, float]]
     fallback: str
 
 
@@ -98,48 +98,64 @@ def majority_sense(sense_counts: Mapping[str, int]) -> str:
 
 def _tally(
     training: Sequence[tuple[FeatureVector, str]],
-) -> tuple[Counter, dict[str, dict[str, int]], Counter]:
-    """Shared count tables: sense counts, per-key per-sense presence counts,
-    per-sense feature totals."""
+) -> tuple[dict[str, int], dict[str, dict[str, int]], dict[str, Counter]]:
+    """Shared count tables: sense counts, per-key per-sense presence counts
+    (each key's senses in sorted order), and per sense its key -> presence
+    count tally, whose values sum to the sense's feature total."""
     if not training:
         raise ValueError("training set is empty")
-    sense_counts: Counter = Counter()
-    cond: dict[str, dict[str, int]] = {}
-    totals: Counter = Counter()
+    vectors_by_sense: dict[str, list[FeatureVector]] = {}
     for vector, sense in training:
-        sense_counts[sense] += 1
-        for key in vector:
-            by_sense = cond.setdefault(key, {})
-            by_sense[sense] = by_sense.get(sense, 0) + 1
-            totals[sense] += 1
-    return sense_counts, cond, totals
+        vectors_by_sense.setdefault(sense, []).append(vector)
+    cond: dict[str, dict[str, int]] = {}
+    per_sense: dict[str, Counter] = {}
+    for sense in sorted(vectors_by_sense):
+        # A vector's keys are unique, so counting them counts presences.
+        tally = per_sense[sense] = Counter(chain.from_iterable(vectors_by_sense[sense]))
+        for key, count in tally.items():
+            by_sense = cond.get(key)
+            if by_sense is None:
+                cond[key] = {sense: count}
+            else:
+                by_sense[sense] = count
+    sense_counts = {sense: len(vectors) for sense, vectors in vectors_by_sense.items()}
+    return sense_counts, cond, per_sense
 
 
 def train_nb(
     training: Sequence[tuple[FeatureVector, str]],
     smoothing: SmoothingParams = SmoothingParams(),
 ) -> NBModel:
-    sense_counts, cond, totals = _tally(training)
+    sense_counts, cond, per_sense = _tally(training)
     n = len(training)
-    senses = tuple(sorted(sense_counts))
+    senses = sorted(sense_counts)
     uniform_over = len(cond) if smoothing.prior_mode == "feature-values" else len(senses)
+    prior = 1.0 / max(uniform_over, 2)
+    priors = {s: sense_counts[s] / n for s in senses}
+    log_tables = {}
+    for sense in senses:
+        tally = per_sense[sense]
+        total = sum(tally.values())
+        log_tables[sense] = {
+            count: _log_conditional(count, total, prior, smoothing.m)
+            for count in {0, *tally.values()}
+        }
     return NBModel(
-        senses=senses,
-        priors={s: sense_counts[s] / n for s in senses},
+        priors=priors,
+        log_priors={s: math.log(p) for s, p in priors.items()},
         cond_counts=cond,
-        sense_totals={s: totals.get(s, 0) for s in senses},
-        cond_prior=1.0 / max(uniform_over, 2),
-        m=smoothing.m,
+        log_tables=log_tables,
         fallback=majority_sense(sense_counts),
     )
 
 
-def _conditional(event: int, condition: int, prior: float, m: float) -> float:
+def _log_conditional(event: int, condition: int, prior: float, m: float) -> float:
     # m = 0 with an unseen condition has no defined estimate; the probability
     # of any event is then 0 (the sense contributed no features at all).
     if condition == 0 and m == 0:
-        return 0.0
-    return m_estimate(event, condition, prior, m)
+        return -math.inf
+    prob = m_estimate(event, condition, prior, m)
+    return math.log(prob) if prob > 0.0 else -math.inf
 
 
 def classify_nb(model: NBModel, vector: FeatureVector) -> Prediction:
@@ -148,19 +164,16 @@ def classify_nb(model: NBModel, vector: FeatureVector) -> Prediction:
     to the training most-frequent sense.  Ties break toward the higher prior,
     then the lexicographically smaller sense.
     """
-    active = [key for key in vector if key in model.cond_counts]
+    cond_counts = model.cond_counts
+    active = [cond_counts[key] for key in vector if key in cond_counts]
     if not active:
-        return Prediction(model.fallback, math.log(model.priors[model.fallback]), None, True)
-    m = model.m
-    prior = model.cond_prior
+        return Prediction(model.fallback, model.log_priors[model.fallback], None, True)
     best_sense = None
     best = (-math.inf, -math.inf)
-    for sense in model.senses:  # sorted; first wins remaining ties
-        score = math.log(model.priors[sense])
-        total = model.sense_totals[sense]
-        for key in active:  # sorted: deterministic summation order
-            prob = _conditional(model.cond_counts[key].get(sense, 0), total, prior, m)
-            score += math.log(prob) if prob > 0.0 else -math.inf
+    for sense, table in model.log_tables.items():  # sorted; first wins remaining ties
+        score = model.log_priors[sense]
+        for by_sense in active:  # sorted keys: deterministic summation order
+            score += table[by_sense.get(sense, 0)]
         ranked = (score, model.priors[sense])
         if best_sense is None or ranked > best:
             best_sense, best = sense, ranked
@@ -200,10 +213,17 @@ def train_dl(
 ) -> DLModel:
     sense_counts, cond, _ = _tally(training)
     senses = tuple(sorted(sense_counts))
+    # A key's rule depends only on its per-sense counts: keys that share
+    # them share one feature_strength call.
+    shared: dict[tuple, tuple[float, int, str]] = {}
     rules = {}
     for key, by_sense in cond.items():
-        sense, strength = feature_strength(by_sense, senses, smoothing.m)
-        rules[key] = (-strength, -sum(by_sense.values()), key, sense)
+        counts = tuple(by_sense.items())
+        rule = shared.get(counts)
+        if rule is None:
+            sense, strength = feature_strength(by_sense, senses, smoothing.m)
+            rule = shared[counts] = (-strength, -sum(by_sense.values()), sense)
+        rules[key] = (rule[0], rule[1], key, rule[2])
     return DLModel(rules=rules, fallback=majority_sense(sense_counts))
 
 

@@ -8,7 +8,8 @@ plus the reports it reduces the results to: all seven run through one
 its CSV rows, and ``write_csv`` writes every one.  Every run writes its report
 CSVs plus a ``run.meta`` JSON capturing the full configuration, so any run can
 be replayed exactly.  Exit codes: 0 success, 2 bad configuration, 3 corpus
-parse error, 4 empty result set.
+parse error, 4 empty result set, 5 a worker process died (no reports are
+written).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import argparse
 import csv
 import json
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -59,6 +61,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_PARSE = 3
 EXIT_EMPTY = 4
+EXIT_WORKER = 5
 
 STATS_HEADER = ("word", "category", "frequency", "senses", "entropy", "mfs")
 
@@ -293,13 +296,17 @@ def _stats(config: RunConfig, corpus, targets) -> int:
 def _evaluate(config: RunConfig, corpus, targets, cells) -> int:
     """The shared path of every evaluation subcommand."""
     experiment = EXPERIMENTS[config.subcommand]
-    result = grid_search(
-        corpus, targets, cells,
-        experiment.classifier or config.classifier,
-        SmoothingParams(config.m, config.prior_mode), config.k, config.seed,
-        jobs=config.jobs, content_mode=config.content_mode,
-        keep_records=experiment.keep_records,
-    )
+    try:
+        result = grid_search(
+            corpus, targets, cells,
+            experiment.classifier or config.classifier,
+            SmoothingParams(config.m, config.prior_mode), config.k, config.seed,
+            jobs=config.jobs, content_mode=config.content_mode,
+            keep_records=experiment.keep_records,
+        )
+    except BrokenProcessPool as exc:
+        print(f"error: a worker process died ({exc}); no reports written", file=sys.stderr)
+        return EXIT_WORKER
     for item in result.skipped:
         print(f"warning: skipping {item.lemma} ({item.category}): {item.reason}",
               file=sys.stderr)

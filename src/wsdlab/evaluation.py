@@ -13,6 +13,7 @@ import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .classifiers import (
@@ -51,15 +52,16 @@ class FoldPlan:
     """Stratified partition of one word's occurrences into k folds."""
 
     k: int
-    seed: int
     occurrences: tuple[Occurrence, ...]
     assignment: tuple[int, ...]
 
-    def test_indices(self, fold: int) -> tuple[int, ...]:
-        return tuple(i for i, f in enumerate(self.assignment) if f == fold)
-
-    def train_indices(self, fold: int) -> tuple[int, ...]:
-        return tuple(i for i, f in enumerate(self.assignment) if f != fold)
+    @cached_property
+    def held_out(self) -> tuple[tuple[int, ...], ...]:
+        """Each fold's occurrence indices, ascending."""
+        folds: list[list[int]] = [[] for _ in range(self.k)]
+        for i, fold in enumerate(self.assignment):
+            folds[fold].append(i)
+        return tuple(map(tuple, folds))
 
 
 def kfold_split(occurrences: Sequence[Occurrence], k: int, seed: int) -> FoldPlan:
@@ -85,7 +87,7 @@ def kfold_split(occurrences: Sequence[Occurrence], k: int, seed: int) -> FoldPla
         for j, position in enumerate(positions):
             assignment[position] = (offset + j) % k
         offset = (offset + len(positions)) % k
-    return FoldPlan(k, seed, tuple(occurrences), tuple(assignment))
+    return FoldPlan(k, tuple(occurrences), tuple(assignment))
 
 
 @dataclass(frozen=True)
@@ -158,13 +160,13 @@ def cross_validate(
         for occ in occurrences
     ]
 
+    pairs = [(vector, occ.sense) for vector, occ in zip(vectors, occurrences)]
+
     records: list[DecisionRecord] = []
     fold_precisions: list[float] = []
     total_correct = 0
-    for fold in range(plan.k):
-        train_idx = plan.train_indices(fold)
-        test_idx = plan.test_indices(fold)
-        model = train([(vectors[i], occurrences[i].sense) for i in train_idx], smoothing)
+    for fold, test_idx in enumerate(plan.held_out):
+        model = train([pair for pair, f in zip(pairs, plan.assignment) if f != fold], smoothing)
         correct = 0
         for i in test_idx:
             prediction = classify(model, vectors[i])

@@ -3,7 +3,10 @@
 These deliberately avoid the code paths under test: both classifier oracles
 recount everything from the training set, Naive Bayes is verified with plain
 probability products (no logs), the decision list with a brute-force scan
-over the vector's keys, occurrence lookup with a scan of the
+over the vector's keys, the count tables, NB log scores and DL rules with
+per-key training that calls ``m_estimate`` and ``feature_strength`` for every
+key (the floats the fast paths must reproduce bit for bit), fold membership
+with a scan of the assignment per fold, occurrence lookup with a scan of the
 whole corpus, feature extraction by building the document's full left
 and right context before the window is applied, corpus parsing with one
 ``str.splitlines()`` and fresh strings for every line, and corpus rendering
@@ -13,7 +16,9 @@ by joining a list of every line.
 from __future__ import annotations
 
 import math
+from collections import Counter
 
+from wsdlab.classifiers import Prediction, feature_strength, majority_sense, m_estimate
 from wsdlab.corpus import (
     CATEGORIES,
     IMPLICIT_DOC_ID,
@@ -96,6 +101,84 @@ def dl_scan_oracle(training, smoothing, vector) -> tuple[str, bool, object]:
         return fallback, True, None
     (_, _, key), sense = best
     return sense, False, vector[key]
+
+
+def tally_per_key(training):
+    """Sense counts, per-key per-sense presence counts and per-sense feature
+    totals, counted one key of one vector at a time."""
+    if not training:
+        raise ValueError("training set is empty")
+    sense_counts = Counter()
+    cond = {}
+    totals = Counter()
+    for vector, sense in training:
+        sense_counts[sense] += 1
+        for key in vector:
+            by_sense = cond.setdefault(key, {})
+            by_sense[sense] = by_sense.get(sense, 0) + 1
+            totals[sense] += 1
+    return sense_counts, cond, totals
+
+
+def train_nb_per_key(training, smoothing):
+    """Naive Bayes state for ``classify_nb_per_key``: sorted senses, priors,
+    presence counts, feature totals, the conditional prior and ``m``."""
+    sense_counts, cond, totals = tally_per_key(training)
+    senses = tuple(sorted(sense_counts))
+    uniform_over = len(cond) if smoothing.prior_mode == "feature-values" else len(senses)
+    return {
+        "senses": senses,
+        "priors": {s: sense_counts[s] / len(training) for s in senses},
+        "cond_counts": cond,
+        "sense_totals": {s: totals.get(s, 0) for s in senses},
+        "cond_prior": 1.0 / max(uniform_over, 2),
+        "m": smoothing.m,
+        "fallback": majority_sense(sense_counts),
+    }
+
+
+def classify_nb_per_key(model, vector):
+    """The NB decision with one ``m_estimate`` call per (sense, active key),
+    summed in the vector's key order."""
+    active = [key for key in vector if key in model["cond_counts"]]
+    priors = model["priors"]
+    if not active:
+        return Prediction(model["fallback"], math.log(priors[model["fallback"]]), None, True)
+    best_sense = None
+    best = (-math.inf, -math.inf)
+    for sense in model["senses"]:
+        score = math.log(priors[sense])
+        total = model["sense_totals"][sense]
+        for key in active:
+            count = model["cond_counts"][key].get(sense, 0)
+            if total == 0 and model["m"] == 0:
+                prob = 0.0
+            else:
+                prob = m_estimate(count, total, model["cond_prior"], model["m"])
+            score += math.log(prob) if prob > 0.0 else -math.inf
+        ranked = (score, priors[sense])
+        if best_sense is None or ranked > best:
+            best_sense, best = sense, ranked
+    return Prediction(best_sense, best[0], None, False)
+
+
+def dl_rules_per_key(training, smoothing):
+    """Decision-list rules ``{key: (-strength, -count, key, sense)}`` with
+    one ``feature_strength`` call per key, and the fallback."""
+    sense_counts, cond, _ = tally_per_key(training)
+    senses = tuple(sorted(sense_counts))
+    rules = {}
+    for key, by_sense in cond.items():
+        sense, strength = feature_strength(by_sense, senses, smoothing.m)
+        rules[key] = (-strength, -sum(by_sense.values()), key, sense)
+    return rules, majority_sense(sense_counts)
+
+
+def held_out_scan(plan):
+    """Each fold's occurrence indices, by one scan of the assignment per fold."""
+    return tuple(
+        tuple(i for i, f in enumerate(plan.assignment) if f == fold) for fold in range(plan.k)
+    )
 
 
 def occurrences_scan(corpus, lemma, category):

@@ -14,7 +14,13 @@ from wsdlab import (
     train_dl,
     train_nb,
 )
-from oracles import dl_scan_oracle, nb_posterior_oracle
+from oracles import (
+    classify_nb_per_key,
+    dl_rules_per_key,
+    dl_scan_oracle,
+    nb_posterior_oracle,
+    train_nb_per_key,
+)
 
 
 def vec(*keys):
@@ -78,9 +84,11 @@ def toy_training():
 def test_train_nb_priors_and_counts():
     model = train_nb(toy_training())
     assert model.priors == {"A": 0.5, "B": 0.5}
+    assert model.log_priors == {"A": math.log(0.5), "B": math.log(0.5)}
     assert model.cond_counts == {"x": {"A": 5}, "y": {"B": 5}}
-    assert model.sense_totals == {"A": 5, "B": 5}
-    assert (model.cond_prior, model.m) == (1 / 2, 1.0)  # uniform over {x, y}
+    # each sense has 5 features; m = 1 with a prior of 1/2, uniform over {x, y}
+    table = {0: math.log(0.5 / 6), 5: math.log(5.5 / 6)}
+    assert model.log_tables == {"A": table, "B": table}
 
 
 def test_train_nb_single_sense():
@@ -253,6 +261,63 @@ def _random_dl_case(rng, max_features=50):
     smoothing = SmoothingParams(rng.choice([0.0, 0.1, 1.0, 10.0]))
     query = rng.sample(features + ["unknown"], rng.randint(0, min(5, len(features))))
     return training, smoothing, vec(*query)
+
+
+# --- fast training against the per-key definitions ----------------------------------
+
+@st.composite
+def training_cases(draw):
+    """One fold: the training instances left after holding some out (which can
+    take every instance of a sense), smoothing, and the held-out vectors plus
+    vectors with keys that training never saw.  The draws include a single
+    sense, a sense with no features at all, and empty vectors."""
+    senses = [f"s{i}" for i in range(draw(st.integers(1, 4)))]
+    keys = [f"k{i}" for i in range(draw(st.integers(1, 8)))]
+    vectors = st.lists(st.sampled_from(keys), max_size=len(keys)).map(lambda ks: vec(*ks))
+    instances = draw(st.lists(st.tuples(vectors, st.sampled_from(senses)), min_size=2,
+                              max_size=30))
+    if draw(st.booleans()):  # a sense that contributes no features
+        instances.append((vec(), "s9"))
+    held_out = draw(st.sets(st.integers(0, len(instances) - 1), max_size=len(instances) - 1))
+    training = [instance for i, instance in enumerate(instances) if i not in held_out]
+    smoothing = SmoothingParams(draw(st.sampled_from([0.0, 0.5, 1.0, 10.0])),
+                                draw(st.sampled_from(["feature-values", "senses"])))
+    unseen = st.lists(st.sampled_from(keys + ["unseen1", "unseen2"]), max_size=6)
+    queries = [instances[i][0] for i in sorted(held_out)]
+    queries += draw(st.lists(unseen.map(lambda ks: vec(*ks)), min_size=1, max_size=3))
+    return training, smoothing, queries
+
+
+@settings(max_examples=300, deadline=None)
+@given(training_cases())
+def test_fast_training_matches_per_key_definitions(case):
+    training, smoothing, queries = case
+    nb = train_nb(training, smoothing)
+    nb_reference = train_nb_per_key(training, smoothing)
+    for query in queries:
+        got, want = classify_nb(nb, query), classify_nb_per_key(nb_reference, query)
+        assert (got.sense, got.evidence, got.used_fallback) == (
+            want.sense, want.evidence, want.used_fallback)
+        assert repr(got.score) == repr(want.score)  # bit for bit, -inf included
+    dl = train_dl(training, smoothing)
+    assert (dl.rules, dl.fallback) == dl_rules_per_key(training, smoothing)
+
+
+@pytest.mark.parametrize("training", [
+    # a fold that holds out the only "b" instance has one sense left
+    [(vec("x", "y"), "a"), (vec("y"), "a")],
+    [(vec("x", "y"), "a"), (vec("y"), "a"), (vec("x"), "b")],
+    # at m = 0 every sense scores -inf, and "b" has no features at all
+    [(vec("x"), "a"), (vec("y"), "c"), (vec(), "b")],
+])
+@pytest.mark.parametrize("m", [0.0, 1.0])
+def test_fast_training_matches_per_key_definitions_on_edge_folds(training, m):
+    smoothing = SmoothingParams(m, "senses")
+    query = vec("x", "y", "z")
+    got = classify_nb(train_nb(training, smoothing), query)
+    want = classify_nb_per_key(train_nb_per_key(training, smoothing), query)
+    assert got == want and repr(got.score) == repr(want.score)
+    assert train_dl(training, smoothing).rules == dl_rules_per_key(training, smoothing)[0]
 
 
 # --- shared behaviour ----------------------------------------------------------------

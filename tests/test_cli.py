@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wsdlab as package
+from wsdlab import evaluation
 from wsdlab.cli import COMMANDS, RunConfig, main, validate_config
 from test_acceptance import SMALL_GRID, _build_three_category_workspace
 
@@ -223,6 +225,31 @@ def test_all_words_skipped_exits_4(workspace):
     )
     assert result.returncode == 4
     assert "warning: skipping" in result.stderr
+
+
+def test_killed_worker_exits_5_without_reports(workspace, monkeypatch):
+    if evaluation.worker_count(2, 2) < 2:
+        pytest.skip("needs two CPUs for a worker pool")
+    (workspace / "killed.grid").write_text("orders = 1\ntags = lemma\nsizes = 1,2\n")
+    parent = os.getpid()
+
+    def killed(*args, **kwargs):
+        if os.getpid() != parent:  # only ever in a forked worker
+            os.kill(os.getpid(), signal.SIGKILL)
+        raise AssertionError("cross_validate ran in the parent")
+
+    monkeypatch.setattr(evaluation, "cross_validate", killed)
+    monkeypatch.chdir(workspace)
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        status = main(["grid", "--corpus", "gen/corpus.tsv", "--targets", "gen/targets.tsv",
+                       "--grid", "killed.grid", "--k", "5", "--jobs", "2", "-o", "killed"])
+    assert status == 5
+    lines = stderr.getvalue().splitlines()
+    assert len(lines) == 1, lines
+    assert lines[0].startswith("error: a worker process died")
+    assert lines[0].endswith("; no reports written")
+    assert not (workspace / "killed").exists()
 
 
 def test_bad_criterion_exits_2(workspace):

@@ -27,6 +27,7 @@ from wsdlab import (
 )
 from wsdlab import evaluation
 from wsdlab.evaluation import GRID_CSV_HEADER, WordResult, worker_count
+from oracles import held_out_scan
 
 
 def make_occurrences(senses):
@@ -99,6 +100,8 @@ def test_kfold_partition_properties(counts, k, seed):
     for sense, folds in by_sense_fold.items():
         spread = [folds.get(f, 0) for f in range(k)]
         assert max(spread) - min(spread) <= 1
+    assert plan.held_out == held_out_scan(plan)
+    assert sorted(i for fold in plan.held_out for i in fold) == list(range(len(occurrences)))
 
 
 # --- cross-validation --------------------------------------------------------------
