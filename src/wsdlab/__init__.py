@@ -28,18 +28,12 @@ from .corpus import (
     Occurrence,
     PseudowordConfig,
     Token,
-    WordStats,
-    category_averages,
     extract_occurrences,
     generate_pseudoword_corpus,
-    mfs_baseline,
     parse_corpus,
     parse_pseudoword_config,
     parse_targets,
-    sense_distribution,
-    sense_entropy,
     serialize_corpus,
-    word_stats,
 )
 from .criteria import (
     Criterion,
@@ -66,15 +60,13 @@ from .evaluation import (
 )
 from .analysis import (
     ADJACENCY_CELLS,
-    EvidenceProfile,
     adjacency_experiment,
     content_ablation,
     context_report,
-    evidence_profile,
     evidence_reports,
     selection_comparison,
     selection_criteria,
     shift_criteria,
     shift_study,
-    space_distribution_summary,
+    stats_rows,
 )

@@ -1,24 +1,26 @@
-"""Report suite over decision records and grid results.
+"""Report suite: the CSV rows of every report but grid.csv and evaluate.csv.
 
-Covers: precision/usage profiles of decision-list evidence by coarse
-part-of-speech and by window offset; ablation of word filters against the
-all-words baseline; three-way filter comparison under identical folds; window
-shift studies; the anchored n-gram combination experiment; and optimal
-context-size summaries.  Each reducer returns its report as CSV rows, header
-first, every value as the file prints it; the exact schemas are listed in the
-package README.
+Covers: per-target corpus statistics; precision/usage profiles of
+decision-list evidence by coarse part-of-speech and by window offset;
+ablation of word filters against the all-words baseline; three-way filter
+comparison under identical folds; window shift studies; the anchored n-gram
+combination experiment; and optimal context-size summaries.  Each reducer
+returns its report as CSV rows, header first, every value as the file prints
+it; the exact schemas are listed in the package README.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Sequence
 
-from .corpus import CATEGORIES
+from .corpus import CATEGORIES, Corpus, extract_occurrences
 from .criteria import Criterion, CriterionGrid, cell_name, family_name, format_criterion
-from .evaluation import DecisionRecord, GridResult, WordResult, macro_average
+from .evaluation import GridResult, WordResult, macro_average
 
+STATS_HEADER = ("word", "category", "frequency", "senses", "entropy", "mfs")
 EVIDENCE_PROFILE_HEADER = ("category", "tag", "uses", "correct", "precision_pct", "usage_pct")
 EVIDENCE_SPACE_HEADER = ("category", "tag", "offset", "uses", "correct")
 EVIDENCE_SUMMARY_HEADER = ("category", "tag", "offsets")
@@ -29,37 +31,6 @@ SHIFT_HEADER = ("shift", "category", "words", "precision", "delta_vs_zero")
 ADJACENCY_HEADER = ("anchored_combination", "plain_bigram", "delta")
 CONTEXT_HEADER = ("category", "order", "cells", "avg_optimal_size")
 CONTEXT_CURVES_HEADER = ("category", "family", "size", "words", "precision")
-
-
-@dataclass(frozen=True)
-class EvidenceProfile:
-    """Counts of decision-list decisions attributed to the coarse tag and
-    window offset of their deciding evidence token."""
-
-    total: int
-    fallback_uses: int
-    fallback_correct: int
-    tag_uses: dict[str, int]
-    tag_correct: dict[str, int]
-    offset_uses: dict[tuple[str, int], int]
-    offset_correct: dict[tuple[str, int], int]
-
-    @property
-    def decided(self) -> int:
-        return self.total - self.fallback_uses
-
-    def precision_pct(self, tag: str) -> float:
-        return 100.0 * self.tag_correct.get(tag, 0) / self.tag_uses[tag]
-
-    def usage_pct(self, tag: str) -> float:
-        return 100.0 * self.tag_uses[tag] / self.decided
-
-    @property
-    def overall_precision(self) -> float:
-        """Precision over all records, fallback decisions included; must
-        reproduce the WordResult precision the records came from."""
-        correct = sum(self.tag_correct.values()) + self.fallback_correct
-        return correct / self.total
 
 
 def _category_order(category: str) -> tuple[int, str]:
@@ -75,56 +46,32 @@ def _by_category(item: tuple[tuple, object]) -> tuple:
     return (_category_order(category), *rest)
 
 
-def evidence_profile(records: Sequence[DecisionRecord]) -> EvidenceProfile:
-    """Attribute each non-fallback decision to its evidence token.
-
-    Requires decision-list records with single-token (unigram) evidence:
-    multi-token evidence has no single part-of-speech to credit.
-    """
-    tag_uses: dict[str, int] = {}
-    tag_correct: dict[str, int] = {}
-    offset_uses: dict[tuple[str, int], int] = {}
-    offset_correct: dict[tuple[str, int], int] = {}
-    fallback_uses = 0
-    fallback_correct = 0
-    for record in records:
-        if record.used_fallback:
-            fallback_uses += 1
-            fallback_correct += record.correct
+def stats_rows(corpus: Corpus, targets: Sequence[tuple[str, str]]) -> list[tuple]:
+    """``stats.csv``: each target's frequency, sense count, sense entropy in
+    bits and most-frequent-sense share, then per category an ``AVERAGE`` row
+    of their unweighted means over its targets that occur.  A target that
+    does not occur has frequency 0 and empty entropy and mfs."""
+    rows = [STATS_HEADER]
+    occurring: dict[str, list[tuple[int, int, float, float]]] = {}
+    for lemma, category in targets:
+        counts = Counter(occ.sense for occ in extract_occurrences(corpus, lemma, category))
+        total = counts.total()
+        if not total:
+            rows.append((lemma, category, 0, 0, "", ""))
             continue
-        if record.evidence is None:
-            raise ValueError(
-                "record lacks evidence: evidence profiles need decision-list runs"
-            )
-        offsets, cgems = record.evidence
-        if len(offsets) != 1:
-            raise ValueError("evidence profiles need unigram criteria (single-token evidence)")
-        tag = cgems[0]
-        offset = offsets[0]
-        tag_uses[tag] = tag_uses.get(tag, 0) + 1
-        tag_correct[tag] = tag_correct.get(tag, 0) + record.correct
-        offset_uses[(tag, offset)] = offset_uses.get((tag, offset), 0) + 1
-        offset_correct[(tag, offset)] = offset_correct.get((tag, offset), 0) + record.correct
-    return EvidenceProfile(
-        total=len(records),
-        fallback_uses=fallback_uses,
-        fallback_correct=fallback_correct,
-        tag_uses=tag_uses,
-        tag_correct=tag_correct,
-        offset_uses=offset_uses,
-        offset_correct=offset_correct,
-    )
-
-
-def space_distribution_summary(profile: EvidenceProfile) -> dict[str, tuple[int, ...]]:
-    """Per tag, the two offsets carrying the most decisions, usage ties going
-    to the offset closer to the target."""
-    summary: dict[str, tuple[int, ...]] = {}
-    for tag in sorted(profile.tag_uses):
-        offsets = [o for (t, o) in profile.offset_uses if t == tag]
-        offsets.sort(key=lambda o: (-profile.offset_uses[(tag, o)], abs(o), o))
-        summary[tag] = tuple(offsets[:2])
-    return summary
+        # Negated terms, not a negated sum: one sense gives 0.0, not -0.0.
+        entropy = sum(-p * math.log2(p) for p in (counts[s] / total for s in sorted(counts)))
+        mfs = max(counts.values()) / total
+        occurring.setdefault(category, []).append((total, len(counts), entropy, mfs))
+        rows.append((lemma, category, total, len(counts), f"{entropy:.6f}", f"{mfs:.6f}"))
+    for category in CATEGORIES:
+        if category in occurring:
+            words = occurring[category]
+            frequency, senses, entropy, mfs = (sum(column) / len(words)
+                                               for column in zip(*words))
+            rows.append(("AVERAGE", category, f"{frequency:.1f}", f"{senses:.1f}",
+                         f"{entropy:.6f}", f"{mfs:.6f}"))
+    return rows
 
 
 ABLATION_FILTERS = ("all", "content")
@@ -183,27 +130,47 @@ def content_ablation(grid_result: GridResult) -> list[tuple]:
 
 
 def evidence_reports(grid_result: GridResult) -> dict[str, list[tuple]]:
-    """The three evidence reports, from one evidence profile per category
-    over the decision records of all its words (a decision-list grid run
-    with records kept)."""
-    records: dict[str, list[DecisionRecord]] = {}
+    """The three evidence reports of a decision-list grid run with records
+    kept.  Each decision that did not fall back is credited, within its
+    word's category, to the coarse tag and window offset of its evidence,
+    which must be a single token: multi-token evidence has no single
+    part-of-speech to credit."""
+    uses: Counter[tuple[str, str, int]] = Counter()
+    correct: Counter[tuple[str, str, int]] = Counter()
     for result in grid_result.results:
-        records.setdefault(result.category, []).extend(result.records)
-    profile_rows = [EVIDENCE_PROFILE_HEADER]
+        for record in result.records:
+            if record.used_fallback:
+                continue
+            if record.evidence is None:
+                raise ValueError(
+                    "record lacks evidence: evidence profiles need decision-list runs"
+                )
+            offsets, cgems = record.evidence
+            if len(offsets) != 1:
+                raise ValueError("evidence profiles need unigram criteria (single-token evidence)")
+            key = (result.category, cgems[0], offsets[0])
+            uses[key] += 1
+            correct[key] += record.correct
+
     space_rows = [EVIDENCE_SPACE_HEADER]
+    offsets_by_tag: dict[str, dict[str, list[int]]] = {}  # category -> tag -> offsets
+    for (category, tag, offset), count in sorted(uses.items(), key=_by_category):
+        space_rows.append((category, tag, offset, count, correct[category, tag, offset]))
+        offsets_by_tag.setdefault(category, {}).setdefault(tag, []).append(offset)
+    profile_rows = [EVIDENCE_PROFILE_HEADER]
     summary_rows = [EVIDENCE_SUMMARY_HEADER]
-    for category in sorted(records, key=_category_order):
-        profile = evidence_profile(records[category])
-        for tag in sorted(profile.tag_uses, key=lambda t: (-profile.tag_uses[t], t)):
-            profile_rows.append(
-                (category, tag, profile.tag_uses[tag], profile.tag_correct.get(tag, 0),
-                 f"{profile.precision_pct(tag):.1f}", f"{profile.usage_pct(tag):.1f}")
-            )
-        for tag, offset in sorted(profile.offset_uses):
-            space_rows.append((category, tag, offset, profile.offset_uses[(tag, offset)],
-                               profile.offset_correct.get((tag, offset), 0)))
-        for tag, offsets in space_distribution_summary(profile).items():
-            summary_rows.append((category, tag, ";".join(f"{o:+d}" for o in offsets)))
+    for category, tags in offsets_by_tag.items():
+        tag_uses = {tag: sum(uses[category, tag, o] for o in tags[tag]) for tag in tags}
+        decided = sum(tag_uses.values())
+        for tag in sorted(tags, key=lambda t: (-tag_uses[t], t)):
+            right = sum(correct[category, tag, o] for o in tags[tag])
+            profile_rows.append((category, tag, tag_uses[tag], right,
+                                 f"{100.0 * right / tag_uses[tag]:.1f}",
+                                 f"{100.0 * tag_uses[tag] / decided:.1f}"))
+        for tag, offsets in tags.items():
+            # The two offsets with the most decisions, ties to the nearer one.
+            top = sorted(offsets, key=lambda o: (-uses[category, tag, o], abs(o), o))[:2]
+            summary_rows.append((category, tag, ";".join(f"{o:+d}" for o in top)))
     return {
         "evidence_profile.csv": profile_rows,
         "evidence_space.csv": space_rows,

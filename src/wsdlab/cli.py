@@ -4,12 +4,13 @@ Subcommands: stats, evaluate, grid, evidence, ablation, selection, shift,
 adjacency, pseudoword.  Each evaluation subcommand is a list of grid cells
 plus the reports it reduces the results to: all seven run through one
 ``grid_search`` call, so all honour ``--jobs`` and report the words they skip
-(too few occurrences for k folds) on stderr and in ``run.meta``.  A report is
-its CSV rows, and ``write_csv`` writes every one.  Every run writes its report
-CSVs plus a ``run.meta`` JSON capturing the full configuration, so any run can
-be replayed exactly.  Exit codes: 0 success, 2 bad configuration, 3 corpus
-parse error, 4 empty result set, 5 a worker process died (no reports are
-written).
+(too few occurrences for k folds) on stderr and in ``run.meta``.  ``stats``
+reduces the corpus itself.  A report is its CSV rows, and every run's reports
+take one path out: ``write_csv`` writes each, then a ``run.meta`` JSON
+captures the full configuration, so any run can be replayed exactly.  Exit
+codes: 0 success, 2 bad configuration, 3 corpus parse error, 4 empty result
+set, 5 a worker process died (no reports are written), 130 interrupted by
+Ctrl-C.
 """
 
 from __future__ import annotations
@@ -35,17 +36,16 @@ from .analysis import (
     selection_criteria,
     shift_criteria,
     shift_study,
+    stats_rows,
 )
 from .classifiers import SmoothingParams, PRIOR_MODES
 from .corpus import (
     CorpusParseError,
-    category_averages,
     generate_pseudoword_corpus,
     parse_corpus,
     parse_pseudoword_config,
     parse_targets,
     serialize_corpus,
-    word_stats,
 )
 from .criteria import (
     CONTENT_MODES,
@@ -62,8 +62,7 @@ EXIT_CONFIG = 2
 EXIT_PARSE = 3
 EXIT_EMPTY = 4
 EXIT_WORKER = 5
-
-STATS_HEADER = ("word", "category", "frequency", "senses", "entropy", "mfs")
+EXIT_INTERRUPTED = 130
 
 
 @dataclass
@@ -232,7 +231,7 @@ def write_csv(path: Path, rows: list[tuple]) -> None:
         csv.writer(stream, lineterminator="\n").writerows(rows)
 
 
-def _write_meta(config: RunConfig, outdir: Path, extra: dict) -> None:
+def _write_meta(config: RunConfig, extra: dict) -> None:
     meta = {
         "tool": "wsdlab",
         "version": __version__,
@@ -253,12 +252,9 @@ def _write_meta(config: RunConfig, outdir: Path, extra: dict) -> None:
         "output": str(config.output),
     }
     meta.update(extra)
-    path = outdir / "run.meta"
-    path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
-def _format_stat(value) -> str:
-    return "" if value is None else f"{value:.6f}"
+    (config.output / "run.meta").write_text(
+        json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
 
 
 def _pseudoword(config: RunConfig) -> int:
@@ -271,25 +267,16 @@ def _pseudoword(config: RunConfig) -> int:
     (outdir / "targets.tsv").write_text(
         f"{pw_config.target_lemma}\t{pw_config.category}\n", encoding="utf-8"
     )
-    _write_meta(config, outdir, {"pseudoword_seed": seed,
-                                 "occurrences": len(corpus.documents)})
+    _write_meta(config, {"pseudoword_seed": seed, "occurrences": len(corpus.documents)})
     return EXIT_OK
 
 
-def _stats(config: RunConfig, corpus, targets) -> int:
-    stats = word_stats(corpus, targets)
-    rows = [STATS_HEADER] + [
-        (row.lemma, row.category, row.frequency, row.senses,
-         _format_stat(row.entropy), _format_stat(row.mfs))
-        for row in stats
-    ] + [
-        ("AVERAGE", category, f"{avg.frequency:.1f}", f"{avg.senses:.1f}",
-         f"{avg.entropy:.6f}", f"{avg.mfs:.6f}")
-        for category, avg in category_averages(stats).items()
-    ]
+def _write_reports(config: RunConfig, reports: dict[str, list[tuple]], extra: dict) -> int:
+    """Write each report into the output directory, then ``run.meta``."""
     config.output.mkdir(parents=True, exist_ok=True)
-    write_csv(config.output / "stats.csv", rows)
-    _write_meta(config, config.output, {})
+    for name, rows in reports.items():
+        write_csv(config.output / name, rows)
+    _write_meta(config, extra)
     return EXIT_OK
 
 
@@ -313,15 +300,10 @@ def _evaluate(config: RunConfig, corpus, targets, cells) -> int:
     if not result.results:
         print("error: no target word has enough occurrences", file=sys.stderr)
         return EXIT_EMPTY
-    reports = experiment.reports(result)
-    config.output.mkdir(parents=True, exist_ok=True)
-    for name, rows in reports.items():
-        write_csv(config.output / name, rows)
-    _write_meta(config, config.output, {
+    return _write_reports(config, experiment.reports(result), {
         "classifier": result.classifier,
         "skipped": [f"{s.lemma} ({s.category})" for s in result.skipped],
     })
-    return EXIT_OK
 
 
 def run(config: RunConfig) -> int:
@@ -343,7 +325,7 @@ def run(config: RunConfig) -> int:
         print(f"error: corpus {config.corpus}: {exc}", file=sys.stderr)
         return EXIT_PARSE
     if config.subcommand == "stats":
-        return _stats(config, corpus, targets)
+        return _write_reports(config, {"stats.csv": stats_rows(corpus, targets)}, {})
     return _evaluate(config, corpus, targets, cells)
 
 
@@ -442,6 +424,9 @@ def main(argv: list[str] | None = None) -> int:
     config = config_from_args(args)
     try:
         return run(config)
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
     except (ValueError, OSError) as exc:
         print("error: " + str(exc).replace("\n", "\nerror: "), file=sys.stderr)
         return EXIT_CONFIG

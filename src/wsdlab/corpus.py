@@ -1,4 +1,4 @@
-"""Tagged-corpus handling: parsing, target statistics, pseudo-word generation.
+"""Tagged-corpus handling: parsing, occurrence lookup, pseudo-word generation.
 
 The corpus file format is vertical UTF-8 text, one token per line with five
 tab-separated columns ``mform<TAB>lemma<TAB>ems<TAB>cgems<TAB>sense`` where the
@@ -9,11 +9,9 @@ windows never cross document boundaries, so documents are the unit of context.
 
 from __future__ import annotations
 
-import math
 import random
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator
 
 CATEGORIES = ("noun", "adjective", "verb")
 
@@ -93,9 +91,6 @@ class Corpus:
     def document(self, doc_id: str) -> Document:
         return self._by_id[doc_id]
 
-    def __len__(self) -> int:
-        return len(self.documents)
-
 
 @dataclass(frozen=True)
 class Occurrence:
@@ -110,30 +105,6 @@ class Occurrence:
     @property
     def id(self) -> str:
         return f"{self.document_id}:{self.token_index}"
-
-
-@dataclass(frozen=True)
-class WordStats:
-    """Per-target frequency, sense count, sense entropy and MFS baseline."""
-
-    lemma: str
-    category: str
-    frequency: int
-    senses: int
-    entropy: float | None
-    mfs: float | None
-
-
-@dataclass(frozen=True)
-class CategoryAverage:
-    """Unweighted means of WordStats columns over one category's words."""
-
-    category: str
-    words: int
-    frequency: float
-    senses: float
-    entropy: float
-    mfs: float
 
 
 def _split_lines(text: str) -> Iterator[str]:
@@ -230,86 +201,6 @@ def extract_occurrences(corpus: Corpus, lemma: str, category: str) -> tuple[Occu
         Occurrence(doc_id, index, lemma, category, sense)
         for doc_id, index, sense in corpus._tagged.get(lemma, ())
     )
-
-
-def sense_distribution(occurrences: Sequence[Occurrence]) -> dict[str, float]:
-    """Relative frequency of each sense; fractions sum to 1."""
-    if not occurrences:
-        raise ValueError("cannot compute a sense distribution of zero occurrences")
-    counts = Counter(occ.sense for occ in occurrences)
-    total = len(occurrences)
-    return {sense: counts[sense] / total for sense in sorted(counts)}
-
-
-def sense_entropy(distribution: dict[str, float]) -> float:
-    """Shannon entropy of a sense distribution, in bits."""
-    total = sum(distribution.values())
-    if not math.isclose(total, 1.0, abs_tol=1e-6):
-        raise ValueError(f"distribution sums to {total}, not 1")
-    entropy = 0.0
-    for p in distribution.values():
-        if p < 0.0 or p > 1.0:
-            raise ValueError(f"fraction {p} outside [0, 1]")
-        if p > 0.0:
-            entropy -= p * math.log2(p)
-    return entropy
-
-
-def mfs_baseline(occurrences: Sequence[Occurrence]) -> float:
-    """Fraction held by the most frequent sense (the no-context baseline)."""
-    if not occurrences:
-        raise ValueError("cannot compute an MFS baseline of zero occurrences")
-    counts = Counter(occ.sense for occ in occurrences)
-    return max(counts.values()) / len(occurrences)
-
-
-def word_stats(corpus: Corpus, targets: Sequence[tuple[str, str]]) -> list[WordStats]:
-    """Frequency, sense count, entropy and MFS baseline for each target.
-
-    Targets with zero sense-tagged occurrences are reported with frequency 0
-    and null entropy/mfs.
-    """
-    stats = []
-    for lemma, category in targets:
-        occurrences = extract_occurrences(corpus, lemma, category)
-        if not occurrences:
-            stats.append(WordStats(lemma, category, 0, 0, None, None))
-            continue
-        distribution = sense_distribution(occurrences)
-        stats.append(
-            WordStats(
-                lemma,
-                category,
-                len(occurrences),
-                len(distribution),
-                sense_entropy(distribution),
-                mfs_baseline(occurrences),
-            )
-        )
-    return stats
-
-
-def category_averages(stats: Sequence[WordStats]) -> dict[str, CategoryAverage]:
-    """Unweighted per-category means over words with at least one occurrence."""
-    groups: dict[str, list[WordStats]] = {}
-    for row in stats:
-        if row.frequency > 0:
-            groups.setdefault(row.category, []).append(row)
-    averages = {}
-    for category in CATEGORIES:
-        rows = groups.get(category)
-        if not rows:
-            continue
-        n = len(rows)
-        averages[category] = CategoryAverage(
-            category,
-            n,
-            sum(r.frequency for r in rows) / n,
-            sum(r.senses for r in rows) / n,
-            sum(r.entropy for r in rows) / n,
-            sum(r.mfs for r in rows) / n,
-        )
-    return averages
 
 
 def parse_targets(text: str) -> list[tuple[str, str]]:

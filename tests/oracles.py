@@ -10,13 +10,16 @@ with a scan of the assignment per fold, occurrence lookup with a scan of the
 whole corpus, feature extraction by building the document's full left
 and right context before the window is applied, corpus parsing with one
 ``str.splitlines()`` and fresh strings for every line, and corpus rendering
-by joining a list of every line.
+by joining a list of every line, and the statistics and evidence reports
+with the report classes and helpers they were first built from.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+from dataclasses import dataclass
+from typing import Sequence
 
 from wsdlab.classifiers import Prediction, feature_strength, majority_sense, m_estimate
 from wsdlab.corpus import (
@@ -324,3 +327,234 @@ def features_full_context(corpus, occurrence, criterion, *, content_mode="reinde
             (tuple(o for o, _ in span), tuple(t.cgems for _, t in span)),
         )
     return dict(sorted(features.items()))
+
+
+# --- statistics and evidence reports -------------------------------------------
+#
+# The classes and helpers the stats and evidence reports were built from, and
+# the rows they gave: stats_rows and evidence_reports must reproduce them.
+
+def sense_distribution(occurrences: Sequence[Occurrence]) -> dict[str, float]:
+    """Relative frequency of each sense; fractions sum to 1."""
+    if not occurrences:
+        raise ValueError("cannot compute a sense distribution of zero occurrences")
+    counts = Counter(occ.sense for occ in occurrences)
+    total = len(occurrences)
+    return {sense: counts[sense] / total for sense in sorted(counts)}
+
+
+def sense_entropy(distribution: dict[str, float]) -> float:
+    """Shannon entropy of a sense distribution, in bits."""
+    total = sum(distribution.values())
+    if not math.isclose(total, 1.0, abs_tol=1e-6):
+        raise ValueError(f"distribution sums to {total}, not 1")
+    entropy = 0.0
+    for p in distribution.values():
+        if p < 0.0 or p > 1.0:
+            raise ValueError(f"fraction {p} outside [0, 1]")
+        if p > 0.0:
+            entropy -= p * math.log2(p)
+    return entropy
+
+
+def mfs_baseline(occurrences: Sequence[Occurrence]) -> float:
+    """Fraction held by the most frequent sense (the no-context baseline)."""
+    if not occurrences:
+        raise ValueError("cannot compute an MFS baseline of zero occurrences")
+    counts = Counter(occ.sense for occ in occurrences)
+    return max(counts.values()) / len(occurrences)
+
+
+@dataclass(frozen=True)
+class WordStats:
+    """Per-target frequency, sense count, sense entropy and MFS baseline."""
+
+    lemma: str
+    category: str
+    frequency: int
+    senses: int
+    entropy: float | None
+    mfs: float | None
+
+
+@dataclass(frozen=True)
+class CategoryAverage:
+    """Unweighted means of WordStats columns over one category's words."""
+
+    category: str
+    words: int
+    frequency: float
+    senses: float
+    entropy: float
+    mfs: float
+
+
+def word_stats(corpus, targets) -> list[WordStats]:
+    """Frequency, sense count, entropy and MFS baseline for each target;
+    a target with no occurrences has frequency 0 and null entropy/mfs."""
+    stats = []
+    for lemma, category in targets:
+        occurrences = occurrences_scan(corpus, lemma, category)
+        if not occurrences:
+            stats.append(WordStats(lemma, category, 0, 0, None, None))
+            continue
+        distribution = sense_distribution(occurrences)
+        stats.append(WordStats(lemma, category, len(occurrences), len(distribution),
+                               sense_entropy(distribution), mfs_baseline(occurrences)))
+    return stats
+
+
+def category_averages(stats: Sequence[WordStats]) -> dict[str, CategoryAverage]:
+    """Unweighted per-category means over words with at least one occurrence."""
+    groups: dict[str, list[WordStats]] = {}
+    for row in stats:
+        if row.frequency > 0:
+            groups.setdefault(row.category, []).append(row)
+    averages = {}
+    for category in CATEGORIES:
+        rows = groups.get(category)
+        if not rows:
+            continue
+        n = len(rows)
+        averages[category] = CategoryAverage(
+            category,
+            n,
+            sum(r.frequency for r in rows) / n,
+            sum(r.senses for r in rows) / n,
+            sum(r.entropy for r in rows) / n,
+            sum(r.mfs for r in rows) / n,
+        )
+    return averages
+
+
+def stats_rows_reference(corpus, targets) -> list[tuple]:
+    """``stats.csv`` rows from word_stats and category_averages."""
+    def stat(value):
+        return "" if value is None else f"{value:.6f}"
+
+    stats = word_stats(corpus, targets)
+    return [("word", "category", "frequency", "senses", "entropy", "mfs")] + [
+        (row.lemma, row.category, row.frequency, row.senses, stat(row.entropy), stat(row.mfs))
+        for row in stats
+    ] + [
+        ("AVERAGE", category, f"{avg.frequency:.1f}", f"{avg.senses:.1f}",
+         f"{avg.entropy:.6f}", f"{avg.mfs:.6f}")
+        for category, avg in category_averages(stats).items()
+    ]
+
+
+@dataclass(frozen=True)
+class EvidenceProfile:
+    """Counts of decision-list decisions attributed to the coarse tag and
+    window offset of their deciding evidence token."""
+
+    total: int
+    fallback_uses: int
+    fallback_correct: int
+    tag_uses: dict[str, int]
+    tag_correct: dict[str, int]
+    offset_uses: dict[tuple[str, int], int]
+    offset_correct: dict[tuple[str, int], int]
+
+    @property
+    def decided(self) -> int:
+        return self.total - self.fallback_uses
+
+    def precision_pct(self, tag: str) -> float:
+        return 100.0 * self.tag_correct.get(tag, 0) / self.tag_uses[tag]
+
+    def usage_pct(self, tag: str) -> float:
+        return 100.0 * self.tag_uses[tag] / self.decided
+
+    @property
+    def overall_precision(self) -> float:
+        """Precision over all records, fallback decisions included; must
+        reproduce the WordResult precision the records came from."""
+        correct = sum(self.tag_correct.values()) + self.fallback_correct
+        return correct / self.total
+
+
+def evidence_profile(records) -> EvidenceProfile:
+    """Attribute each non-fallback decision to its evidence token.
+
+    Requires decision-list records with single-token (unigram) evidence:
+    multi-token evidence has no single part-of-speech to credit.
+    """
+    tag_uses: dict[str, int] = {}
+    tag_correct: dict[str, int] = {}
+    offset_uses: dict[tuple[str, int], int] = {}
+    offset_correct: dict[tuple[str, int], int] = {}
+    fallback_uses = 0
+    fallback_correct = 0
+    for record in records:
+        if record.used_fallback:
+            fallback_uses += 1
+            fallback_correct += record.correct
+            continue
+        if record.evidence is None:
+            raise ValueError(
+                "record lacks evidence: evidence profiles need decision-list runs"
+            )
+        offsets, cgems = record.evidence
+        if len(offsets) != 1:
+            raise ValueError("evidence profiles need unigram criteria (single-token evidence)")
+        tag = cgems[0]
+        offset = offsets[0]
+        tag_uses[tag] = tag_uses.get(tag, 0) + 1
+        tag_correct[tag] = tag_correct.get(tag, 0) + record.correct
+        offset_uses[(tag, offset)] = offset_uses.get((tag, offset), 0) + 1
+        offset_correct[(tag, offset)] = offset_correct.get((tag, offset), 0) + record.correct
+    return EvidenceProfile(
+        total=len(records),
+        fallback_uses=fallback_uses,
+        fallback_correct=fallback_correct,
+        tag_uses=tag_uses,
+        tag_correct=tag_correct,
+        offset_uses=offset_uses,
+        offset_correct=offset_correct,
+    )
+
+
+def space_distribution_summary(profile: EvidenceProfile) -> dict[str, tuple[int, ...]]:
+    """Per tag, the two offsets carrying the most decisions, usage ties going
+    to the offset closer to the target."""
+    summary: dict[str, tuple[int, ...]] = {}
+    for tag in sorted(profile.tag_uses):
+        offsets = [o for (t, o) in profile.offset_uses if t == tag]
+        offsets.sort(key=lambda o: (-profile.offset_uses[(tag, o)], abs(o), o))
+        summary[tag] = tuple(offsets[:2])
+    return summary
+
+
+def _category_order(category):
+    try:
+        return (CATEGORIES.index(category), category)
+    except ValueError:
+        return (len(CATEGORIES), category)
+
+
+def evidence_reports_reference(grid_result) -> dict[str, list[tuple]]:
+    """The three evidence reports from one evidence_profile per category."""
+    records = {}
+    for result in grid_result.results:
+        records.setdefault(result.category, []).extend(result.records)
+    profile_rows = [("category", "tag", "uses", "correct", "precision_pct", "usage_pct")]
+    space_rows = [("category", "tag", "offset", "uses", "correct")]
+    summary_rows = [("category", "tag", "offsets")]
+    for category in sorted(records, key=_category_order):
+        profile = evidence_profile(records[category])
+        for tag in sorted(profile.tag_uses, key=lambda t: (-profile.tag_uses[t], t)):
+            profile_rows.append(
+                (category, tag, profile.tag_uses[tag], profile.tag_correct.get(tag, 0),
+                 f"{profile.precision_pct(tag):.1f}", f"{profile.usage_pct(tag):.1f}")
+            )
+        for tag, offset in sorted(profile.offset_uses):
+            space_rows.append((category, tag, offset, profile.offset_uses[(tag, offset)],
+                               profile.offset_correct.get((tag, offset), 0)))
+        for tag, offsets in space_distribution_summary(profile).items():
+            summary_rows.append((category, tag, ";".join(f"{o:+d}" for o in offsets)))
+    return {
+        "evidence_profile.csv": profile_rows,
+        "evidence_space.csv": space_rows,
+        "evidence_summary.csv": summary_rows,
+    }

@@ -24,20 +24,20 @@ from wsdlab import (
     cross_validate,
     default_grid,
     enumerate_grid,
-    evidence_profile,
+    evidence_reports,
     extract_occurrences,
     generate_pseudoword_corpus,
     kfold_split,
     m_estimate,
-    mfs_baseline,
     parse_corpus,
     parse_criterion,
-    sense_entropy,
     serialize_corpus,
+    stats_rows,
     train_dl,
     train_nb,
 )
-from oracles import dl_scan_oracle, nb_posterior_oracle
+from oracles import dl_scan_oracle, mfs_baseline, nb_posterior_oracle
+from wsdlab.evaluation import GridResult
 
 
 def report(number, text):
@@ -125,7 +125,8 @@ def test_criterion_04_m_estimate_laws():
 
 
 def test_criterion_05_entropy_anchor():
-    entropy = sense_entropy({"a": 0.723, "b": 0.277})
+    corpus = parse_corpus("\n".join(f"w\tw\tA\tB\t{s}" for s in ["a"] * 723 + ["b"] * 277))
+    entropy = float(stats_rows(corpus, [("w", "noun")])[1][4])
     assert abs(entropy - 0.851) <= 0.005
     report(5, f"two-sense entropy H(0.723, 0.277) = {entropy:.4f} bits")
 
@@ -219,12 +220,14 @@ def test_criterion_09_evidence_profile_consistency():
     result = cross_validate(
         corpus, plan, parse_criterion("[1gr|lemma|ordered|all]@1"), "dl"
     )
-    profile = evidence_profile(result.records)
-    assert profile.overall_precision == result.precision
-    usage = sum(profile.usage_pct(tag) for tag in profile.tag_uses)
-    assert abs(usage - 100.0) <= 0.1
+    rows = evidence_reports(GridResult((result,), (), "dl"))["evidence_profile.csv"][1:]
+    fallbacks = [record for record in result.records if record.used_fallback]
+    correct = sum(row[3] for row in rows) + sum(record.correct for record in fallbacks)
+    assert correct / len(result.records) == result.precision
+    uses = sum(row[2] for row in rows)
+    assert uses == len(result.records) - len(fallbacks)
     report(9, f"profile reconstructs precision {result.precision:.4f} exactly; "
-              f"usage sums to {usage:.3f}%")
+              f"usage sums to 100% ({uses} decisions besides {len(fallbacks)} fallbacks)")
 
 
 PW_CONFIGS = {

@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from oracles import evidence_reports_reference, mfs_baseline, stats_rows_reference
 from wsdlab import (
     ADJACENCY_CELLS,
     PseudowordConfig,
@@ -7,21 +10,21 @@ from wsdlab import (
     content_ablation,
     context_report,
     cross_validate,
-    evidence_profile,
     evidence_reports,
     extract_occurrences,
     generate_pseudoword_corpus,
     grid_search,
     kfold_split,
-    mfs_baseline,
+    parse_corpus,
     parse_criterion,
     selection_comparison,
     selection_criteria,
     shift_criteria,
     shift_study,
-    space_distribution_summary,
+    stats_rows,
 )
 from wsdlab.analysis import ABLATION_HEADER
+from wsdlab.corpus import CATEGORIES
 from wsdlab.evaluation import DecisionRecord, GridResult, WordResult
 
 
@@ -64,34 +67,90 @@ def record(tag, offset, correct, fallback=False, n=0):
     )
 
 
+# --- statistics -----------------------------------------------------------------
+
+_SENSES = st.sampled_from(("x", "y", "z", ""))  # "" leaves a token untagged
+
+
+@settings(max_examples=200, deadline=None)
+@given(words=st.lists(st.tuples(st.sampled_from(CATEGORIES), st.lists(_SENSES, max_size=12)),
+                      min_size=1, max_size=6))
+@example(words=[("verb", ["x", "x"]), ("noun", []), ("adjective", ["x", "y", "z"]),
+                ("noun", ["y", "", "x", "x"]), ("verb", [""])])
+def test_stats_rows_equal_the_reference(words):
+    """Targets in any category order, with one sense, several or none."""
+    targets = [(f"w{n}", category) for n, (category, _) in enumerate(words)]
+    corpus = parse_corpus("\n".join(
+        f"{lemma}\t{lemma}\tA\tB\t{sense}"
+        for (lemma, _), (_, senses) in zip(targets, words) for sense in senses
+    ))
+    assert stats_rows(corpus, targets) == stats_rows_reference(corpus, targets)
+
+
 # --- evidence profile ---------------------------------------------------------
+
+UNIGRAM = (parse_criterion("[1gr|mform|ordered|all]@2"),)
+
+
+def evidence(records, category="noun"):
+    """The evidence reports of one word's decision records."""
+    result = WordResult("mot", category, UNIGRAM, "dl", 0.0, (), tuple(records))
+    return evidence_reports(GridResult((result,), (), "dl"))
+
+
+# (falls back, correct, tag, offset) of one decision
+_DECISION = st.tuples(st.booleans(), st.booleans(), st.sampled_from(("NCOM", "DET", "ADJ")),
+                      st.sampled_from((-3, -2, -1, 1, 2, 3)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(words=st.lists(st.tuples(st.sampled_from(CATEGORIES), st.booleans(),
+                                st.lists(_DECISION, max_size=15)),
+                      min_size=1, max_size=5))
+@example(words=[
+    ("verb", False, [(False, True, "NCOM", -2), (False, False, "NCOM", 2),
+                     (False, True, "NCOM", 1), (False, True, "NCOM", -1)]),
+    ("adjective", True, [(False, True, "DET", -1), (False, False, "ADJ", 1)]),
+    ("noun", False, [(True, True, "DET", 1), (False, True, "DET", 3),
+                     (False, False, "DET", -3), (False, True, "ADJ", 2)]),
+])
+def test_evidence_reports_equal_the_reference(words):
+    """Words in any category order; a category that only falls back; offsets
+    that tie on usage."""
+    results = tuple(
+        WordResult(f"w{n}", category, UNIGRAM, "dl", 0.0, (), tuple(
+            record(tag, offset, correct, fallback=falls_back or fallback, n=i)
+            for i, (fallback, correct, tag, offset) in enumerate(decisions)
+        ))
+        for n, (category, falls_back, decisions) in enumerate(words)
+    )
+    grid = GridResult(results, (), "dl")
+    assert evidence_reports(grid) == evidence_reports_reference(grid)
+
 
 def test_profile_counts_per_tag():
     records = [record("NCOM", -1, i < 9, n=i) for i in range(10)]
-    profile = evidence_profile(records)
-    assert profile.tag_uses == {"NCOM": 10}
-    assert profile.precision_pct("NCOM") == pytest.approx(90.0)
-    assert profile.usage_pct("NCOM") == pytest.approx(100.0)
+    assert evidence(records)["evidence_profile.csv"][1:] == [
+        ("noun", "NCOM", 10, 9, "90.0", "100.0")
+    ]
 
 
 def test_profile_all_fallback_is_empty():
     records = [record("", 0, True, fallback=True, n=i) for i in range(4)]
-    profile = evidence_profile(records)
-    assert profile.decided == 0
-    assert profile.tag_uses == {}
-    assert profile.fallback_uses == 4
+    reports = evidence(records)
+    assert [rows[1:] for rows in reports.values()] == [[], [], []]
 
 
 def test_profile_rejects_nb_records():
     bad = DecisionRecord("d:0", "g", "g", used_fallback=False)
     with pytest.raises(ValueError, match="decision-list"):
-        evidence_profile([bad])
+        evidence([bad])
 
 
 def test_profile_rejects_multitoken_evidence():
     bad = DecisionRecord("d:0", "g", "g", False, evidence=((-2, -1), ("DET", "NCOM")))
     with pytest.raises(ValueError, match="unigram"):
-        evidence_profile([bad])
+        evidence([bad])
 
 
 def test_profile_consistency_with_word_result():
@@ -99,13 +158,16 @@ def test_profile_consistency_with_word_result():
     occurrences = extract_occurrences(corpus, lemma, category)
     plan = kfold_split(occurrences, 10, 1)
     result = cross_validate(corpus, plan, parse_criterion("[1gr|lemma|ordered|all]@1"), "dl")
-    profile = evidence_profile(result.records)
-    assert profile.fallback_uses > 0  # the engineered sparsity forces fallbacks
-    assert profile.overall_precision == result.precision
-    usage_total = sum(profile.usage_pct(tag) for tag in profile.tag_uses)
-    assert usage_total == pytest.approx(100.0, abs=0.1)
-    for tag in profile.tag_uses:
-        assert profile.tag_correct.get(tag, 0) <= profile.tag_uses[tag]
+    rows = evidence_reports(GridResult((result,), (), "dl"))["evidence_profile.csv"][1:]
+    fallbacks = [r for r in result.records if r.used_fallback]
+    assert fallbacks  # the engineered sparsity forces fallbacks
+    correct = sum(row[3] for row in rows) + sum(r.correct for r in fallbacks)
+    assert correct / len(result.records) == result.precision
+    decided = len(result.records) - len(fallbacks)
+    assert sum(row[2] for row in rows) == decided  # usage sums to 100%
+    for row in rows:
+        assert row[3] <= row[2]
+        assert row[5] == f"{100.0 * row[2] / decided:.1f}"
 
 
 def test_space_summary_orders_and_ties():
@@ -115,16 +177,15 @@ def test_space_summary_orders_and_ties():
         + [record("NCOM", 3, True, n=20)]
         + [record("DET", -1, True, n=30)]
     )
-    profile = evidence_profile(records)
-    summary = space_distribution_summary(profile)
-    assert summary["NCOM"] == (-2, 2)  # tied peaks resolve to smaller |offset| first
-    assert summary["DET"] == (-1,)
+    # tied peaks resolve to smaller |offset| first
+    assert evidence(records)["evidence_summary.csv"][1:] == [
+        ("noun", "DET", "-1"), ("noun", "NCOM", "-2;+2")
+    ]
 
 
 def test_space_summary_uniform_prefers_near_offsets():
     records = [record("ADJ", o, True, n=i) for i, o in enumerate([-3, -1, 2, 4])]
-    summary = space_distribution_summary(evidence_profile(records))
-    assert summary["ADJ"] == (-1, 2)
+    assert evidence(records)["evidence_summary.csv"][1:] == [("noun", "ADJ", "-1;+2")]
 
 
 # --- ablation -------------------------------------------------------------------
@@ -366,10 +427,7 @@ def test_context_csv_schema():
 
 
 def test_evidence_profile_csv_schema():
-    records = tuple(record("NCOM", -1, True, n=i) for i in range(3))
-    result = WordResult("mot", "noun", (parse_criterion("[1gr|mform|ordered|all]@2"),),
-                        "dl", 1.0, (1.0,), records)
-    reports = evidence_reports(GridResult((result,), (), "dl"))
+    reports = evidence([record("NCOM", -1, True, n=i) for i in range(3)])
     rows = reports["evidence_profile.csv"]
     assert rows[0] == ("category", "tag", "uses", "correct", "precision_pct", "usage_pct")
     assert rows[1] == ("noun", "NCOM", 3, 3, "100.0", "100.0")

@@ -252,6 +252,21 @@ def test_killed_worker_exits_5_without_reports(workspace, monkeypatch):
     assert not (workspace / "killed").exists()
 
 
+def test_interrupt_exits_130_without_reports(workspace, monkeypatch):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(evaluation, "cross_validate", interrupted)
+    monkeypatch.chdir(workspace)
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        status = main(["grid", "--corpus", "gen/corpus.tsv", "--targets", "gen/targets.tsv",
+                       "--grid", "default", "--k", "5", "--jobs", "1", "-o", "interrupted"])
+    assert status == 130
+    assert stderr.getvalue().splitlines() == ["error: interrupted"]
+    assert not (workspace / "interrupted").exists()
+
+
 def test_bad_criterion_exits_2(workspace):
     result = wsdlab(
         "evaluate", "--corpus", "gen/corpus.tsv", "--targets", "gen/targets.tsv",

@@ -9,24 +9,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wsdlab.corpus
-from oracles import occurrences_scan, parse_corpus_plain, serialize_corpus_lines
+from oracles import (
+    mfs_baseline,
+    occurrences_scan,
+    parse_corpus_plain,
+    sense_distribution,
+    sense_entropy,
+    serialize_corpus_lines,
+    word_stats,
+)
 from wsdlab import (
     Corpus,
     CorpusParseError,
     Document,
     PseudowordConfig,
     Token,
-    category_averages,
     extract_occurrences,
     generate_pseudoword_corpus,
-    mfs_baseline,
     parse_corpus,
     parse_pseudoword_config,
     parse_targets,
-    sense_distribution,
-    sense_entropy,
     serialize_corpus,
-    word_stats,
+    stats_rows,
 )
 
 
@@ -246,12 +250,21 @@ def test_extract_occurrences_equals_corpus_scan(documents, lemma, category):
 
 
 # --- distribution / entropy / baseline ---------------------------------------
+#
+# sense_distribution, sense_entropy and mfs_baseline are the reference that
+# stats_rows is held to (tests/test_analysis.py); these pin the reference.
+
+def _corpus(senses):
+    return parse_corpus("\n".join(f"w\tw\tA\tB\t{sense}" for sense in senses))
+
 
 def _occurrences(senses):
-    corpus = parse_corpus(
-        "\n".join(f"w\tw\tA\tB\t{sense}" for sense in senses)
-    )
-    return extract_occurrences(corpus, "w", "noun")
+    return extract_occurrences(_corpus(senses), "w", "noun")
+
+
+def _stats_row(senses):
+    """The stats.csv row of a noun "w" with these occurrence senses."""
+    return stats_rows(_corpus(senses), [("w", "noun")])[1]
 
 
 def test_sense_distribution_counts():
@@ -285,11 +298,15 @@ def test_sense_distribution_sums_to_one(senses):
 def test_sense_entropy_two_senses():
     # -0.723*log2(0.723) - 0.277*log2(0.277) = 0.85132...
     assert sense_entropy({"a": 0.723, "b": 0.277}) == pytest.approx(0.851, abs=5e-4)
+    assert float(_stats_row(["a"] * 723 + ["b"] * 277)[4]) == pytest.approx(0.851, abs=5e-4)
 
 
 def test_sense_entropy_degenerate():
     assert sense_entropy({"a": 1.0}) == 0.0
     assert sense_entropy({s: 0.25 for s in "abcd"}) == pytest.approx(2.0)
+    # One sense prints a zero entropy, not a negative zero.
+    assert _stats_row(["a", "a"]) == ("w", "noun", 2, 1, "0.000000", "1.000000")
+    assert _stats_row(list("abcd"))[4] == "2.000000"
 
 
 def test_sense_entropy_rejects_bad_distribution():
@@ -310,36 +327,41 @@ def test_mfs_baseline_values():
 # --- word stats ---------------------------------------------------------------
 
 def test_word_stats_values():
-    corpus = parse_corpus(
-        "\n".join(f"w\tw\tA\tB\t{s}" for s in ["x"] * 70 + ["y"] * 30)
-    )
-    (row,) = word_stats(corpus, [("w", "noun")])
-    assert row.frequency == 100
-    assert row.senses == 2
+    corpus = _corpus(["x"] * 70 + ["y"] * 30)
+    header, row, average = stats_rows(corpus, [("w", "noun")])
+    assert header == ("word", "category", "frequency", "senses", "entropy", "mfs")
+    assert row[:4] == ("w", "noun", 100, 2)
     # independent entropy computation: H(0.7, 0.3)
     expected = -(0.7 * math.log2(0.7) + 0.3 * math.log2(0.3))
-    assert row.entropy == pytest.approx(expected, abs=1e-9)
-    assert row.entropy == pytest.approx(0.881, abs=5e-4)
-    assert row.mfs == pytest.approx(0.70)
+    (reference,) = word_stats(corpus, [("w", "noun")])
+    assert reference.entropy == pytest.approx(expected, abs=1e-9)
+    assert row[4] == f"{expected:.6f}"
+    assert float(row[4]) == pytest.approx(0.881, abs=5e-4)
+    assert row[5] == "0.700000"
+    assert average == ("AVERAGE", "noun", "100.0", "2.0", row[4], row[5])
 
 
 def test_word_stats_zero_occurrence_target(table_corpus):
-    (row,) = word_stats(table_corpus, [("absent", "noun")])
-    assert row.frequency == 0
-    assert row.senses == 0
-    assert row.entropy is None and row.mfs is None
+    assert stats_rows(table_corpus, [("absent", "noun")])[1:] == [
+        ("absent", "noun", 0, 0, "", "")
+    ]
 
 
 def test_category_averages_mean_of_two():
-    lines = []
     # two words with mfs 0.761 and 0.760 (1000 occurrences each)
-    lines += [f"u\tu\tA\tB\t{s}" for s in ["x"] * 761 + ["y"] * 239]
-    lines += [f"v\tv\tA\tB\t{s}" for s in ["x"] * 760 + ["y"] * 240]
-    corpus = parse_corpus("\n".join(lines))
-    stats = word_stats(corpus, [("u", "noun"), ("v", "noun"), ("ghost", "noun")])
-    averages = category_averages(stats)
-    assert averages["noun"].mfs == pytest.approx(0.7605)
-    assert averages["noun"].words == 2  # the zero-occurrence word is excluded
+    corpus = parse_corpus("\n".join(
+        [f"u\tu\tA\tB\t{s}" for s in ["x"] * 761 + ["y"] * 239]
+        + [f"v\tv\tA\tB\t{s}" for s in ["x"] * 760 + ["y"] * 240]
+    ))
+    rows = stats_rows(corpus, [("u", "noun"), ("v", "noun"), ("ghost", "noun")])
+    assert rows[3] == ("ghost", "noun", 0, 0, "", "")
+    average = rows[4]
+    assert average[:2] == ("AVERAGE", "noun")
+    assert average[5] == "0.760500"
+    # the zero-occurrence word is excluded: the mean of 1000 and 1000, not of
+    # 1000, 1000 and 0
+    assert average[2:4] == ("1000.0", "2.0")
+    assert len(rows) == 5
 
 
 # --- targets file -------------------------------------------------------------

@@ -21,13 +21,12 @@ from wsdlab import (
     grid_search,
     kfold_split,
     macro_average,
-    mfs_baseline,
     parse_corpus,
     parse_criterion,
 )
 from wsdlab import evaluation
 from wsdlab.evaluation import GRID_CSV_HEADER, WordResult, worker_count
-from oracles import held_out_scan
+from oracles import held_out_scan, mfs_baseline
 
 
 def make_occurrences(senses):
