@@ -7,7 +7,8 @@ plus the reports it reduces the results to: all seven run through one
 (too few occurrences for k folds) on stderr and in ``run.meta``.  ``stats``
 reduces the corpus itself.  A report is its CSV rows, and every run's reports
 take one path out: ``write_csv`` writes each, then a ``run.meta`` JSON
-captures the full configuration, so any run can be replayed exactly.  Exit
+captures the full configuration and the sha256 of each input file, so any
+run can be replayed exactly and the replay's inputs checked.  Exit
 codes: 0 success, 2 bad configuration, 3 corpus parse error, 4 empty result
 set, 5 a worker process died (no reports are written), 130 interrupted by
 Ctrl-C.
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import json
 import sys
 from concurrent.futures.process import BrokenProcessPool
@@ -111,10 +113,15 @@ def _evidence_cells(config: RunConfig) -> list[Criterion]:
     return [criterion]
 
 
+def _grid_path(config: RunConfig) -> Path | None:
+    """The grid config file, or None for the default grid."""
+    return None if config.grid in (None, "default") else Path(config.grid)
+
+
 def _grid_cells(config: RunConfig) -> CriterionGrid:
-    if config.grid in (None, "default"):
+    path = _grid_path(config)
+    if path is None:
         return default_grid()
-    path = Path(config.grid)
     if not path.is_file():
         raise ValueError(f"grid config file not found: {config.grid}")
     return parse_grid_config(_read_input(path))
@@ -231,7 +238,19 @@ def write_csv(path: Path, rows: list[tuple]) -> None:
         csv.writer(stream, lineterminator="\n").writerows(rows)
 
 
+def _sha256(path: Path) -> str:
+    """The sha256 of a file's bytes, read in chunks."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as stream:
+        for chunk in iter(lambda: stream.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
 def _write_meta(config: RunConfig, extra: dict) -> None:
+    """``run.meta``: the configuration, the sha256 of each input file as the
+    run ends, and ``extra``."""
+    given = (config.corpus, config.targets, _grid_path(config), config.config)
     meta = {
         "tool": "wsdlab",
         "version": __version__,
@@ -250,6 +269,7 @@ def _write_meta(config: RunConfig, extra: dict) -> None:
         "content_mode": config.content_mode,
         "config": str(config.config) if config.config else None,
         "output": str(config.output),
+        "inputs": {str(path): _sha256(path) for path in given if path is not None},
     }
     meta.update(extra)
     (config.output / "run.meta").write_text(
@@ -303,6 +323,8 @@ def _evaluate(config: RunConfig, corpus, targets, cells) -> int:
     return _write_reports(config, experiment.reports(result), {
         "classifier": result.classifier,
         "skipped": [f"{s.lemma} ({s.category})" for s in result.skipped],
+        "workers": result.workers,
+        "cells": len(result.results),
     })
 
 

@@ -276,28 +276,6 @@ def _escape(value: str) -> str:
     return value.replace("\\", "\\\\").replace("_", "\\_")
 
 
-def _span_key(criterion: Criterion, span: Sequence[tuple[int, str]]) -> str:
-    values = "_".join(_escape(value) for _, value in span)
-    start = span[0][0]
-    if criterion.positioning == "ordered":
-        return f"{start}:{values}"
-    if criterion.positioning == "leftright":
-        if criterion.anchored:
-            return f"A{start}:{values}"
-        return f"{'L' if start < 0 else 'R'}:{values}"
-    return values  # unordered: values alone, internal order preserved
-
-
-def _consecutive_runs(entries: list[tuple[int, Token]]) -> list[list[tuple[int, Token]]]:
-    runs: list[list[tuple[int, Token]]] = []
-    for offset, token in entries:
-        if runs and offset == runs[-1][-1][0] + 1:
-            runs[-1].append((offset, token))
-        else:
-            runs.append([(offset, token)])
-    return runs
-
-
 def _survivors(
     tokens: Sequence[Token], positions: range, allowed: frozenset[str], limit: int
 ) -> list[tuple[int, Token]]:
@@ -356,25 +334,38 @@ def extract_features(
         window = [(-k, t) for k, t in reversed(left) if -k <= high]
         window += [(k, t) for k, t in right if k >= low]
 
-    spans: FeatureVector = {}
+    anchored = criterion.anchored
+    if anchored:
+        window = sorted(window + [(0, tokens[index])])
 
-    def emit(span: list[tuple[int, Token]]) -> None:
-        key = _span_key(criterion, [(o, getattr(t, criterion.tag)) for o, t in span])
-        if key not in spans:  # the first span of a key wins
-            spans[key] = (tuple(o for o, _ in span), tuple(t.cgems for _, t in span))
-
-    if criterion.anchored:
-        entries = sorted(window + [(0, tokens[index])])
-        for run in _consecutive_runs(entries):
-            for start in range(len(run) - criterion.order + 1):
-                span = run[start:start + criterion.order]
-                if any(o == 0 for o, _ in span):
-                    emit(span)
+    # Each window entry's key text once, escaped only where it needs it, and
+    # the key prefix's form once: unordered keys carry none, anchored or not.
+    offsets = [o for o, _ in window]
+    texts = [getattr(t, criterion.tag) for _, t in window]
+    texts = [_escape(v) if "_" in v or "\\" in v else v for v in texts]
+    if criterion.positioning == "ordered":
+        prefix = "{}:".format
+    elif criterion.positioning == "unordered":
+        prefix = lambda start: ""
+    elif anchored:
+        prefix = "A{}:".format
     else:
-        for run in _consecutive_runs(window):
-            for start in range(len(run) - criterion.order + 1):
-                emit(run[start:start + criterion.order])
+        prefix = lambda start: "L:" if start < 0 else "R:"
 
+    # Offsets ascend without repeats, so a span's offsets are consecutive
+    # exactly when its last is ``order - 1`` past its first.  Anchored spans
+    # must contain offset 0.
+    order = criterion.order
+    tail = order - 1
+    spans: FeatureVector = {}
+    for s in range(len(offsets) - tail):
+        first, last = offsets[s], offsets[s + tail]
+        if last - first != tail or (anchored and not first <= 0 <= last):
+            continue
+        key = prefix(first) + "_".join(texts[s:s + order])
+        if key not in spans:  # the first span of a key wins
+            spans[key] = (tuple(offsets[s:s + order]),
+                          tuple(t.cgems for _, t in window[s:s + order]))
     return {key: spans[key] for key in sorted(spans)}
 
 

@@ -12,7 +12,7 @@ import multiprocessing
 import os
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -194,11 +194,14 @@ def cross_validate(
 
 @dataclass(frozen=True)
 class GridResult:
-    """Full (word x criterion) precision matrix plus the skipped words."""
+    """Full (word x criterion) precision matrix plus the skipped words.
+    ``workers``, the number of processes that evaluated it (1 when serial),
+    is left out of equality: results do not depend on it."""
 
     results: tuple[WordResult, ...]
     skipped: tuple[SkippedWord, ...]
     classifier: str
+    workers: int = field(default=1, compare=False)
 
     def by_criterion(self) -> dict[str, list[WordResult]]:
         """Results per criterion name, in grid order, each list word-ascending."""
@@ -319,6 +322,7 @@ def grid_search(
         results=tuple(results),
         skipped=tuple(skipped),
         classifier=classifier,
+        workers=1 if context is None else workers,
     )
 
 

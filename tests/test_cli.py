@@ -34,6 +34,10 @@ seed = 5
 """
 
 
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def wsdlab(*args, cwd):
     path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
@@ -58,6 +62,7 @@ def test_pseudoword_outputs(workspace):
     assert meta["subcommand"] == "pseudoword"
     assert meta["occurrences"] == 60
     assert meta["pseudoword_seed"] == 5
+    assert meta["inputs"] == {"pw.cfg": _sha256(workspace / "pw.cfg")}
 
 
 def test_pseudoword_deterministic(workspace):
@@ -107,6 +112,9 @@ def test_grid_jobs_byte_identical(workspace):
         assert (workspace / "g1" / name).read_bytes() == (
             workspace / "g8" / name
         ).read_bytes()
+    for run, workers in (("g1", 1), ("g8", evaluation.worker_count(8, 16))):
+        meta = json.loads((workspace / run / "run.meta").read_text())
+        assert (meta["jobs"], meta["workers"], meta["cells"]) == (int(run[1:]), workers, 16)
 
 
 def test_run_meta_supports_exact_replay(workspace):
@@ -124,6 +132,12 @@ def test_run_meta_supports_exact_replay(workspace):
     assert (workspace / "replay" / "grid.csv").read_bytes() == (
         workspace / "g1" / "grid.csv"
     ).read_bytes()
+    # The recorded hashes check the replayed files, not just their paths.
+    assert meta["inputs"].keys() == {meta["corpus"], meta["targets"], meta["grid"]}
+    for path, digest in meta["inputs"].items():
+        assert _sha256(workspace / path) == digest
+    replayed = json.loads((workspace / "replay" / "run.meta").read_text())
+    assert replayed["inputs"] == meta["inputs"]
 
 
 def test_missing_corpus_exits_2_without_outputs(workspace):

@@ -412,11 +412,13 @@ def _vector(*keys):
 
 # cgems values inside and outside the content set and every selected set.
 _CGEMS = ("NCOM", "ADJ", "VINF", "DET", "PREP", "SUB", "PCTFORTE", "PONCT", "X")
+# Every other tag draws values that key escaping must change: '_' is the
+# n-gram separator and '\\' the escape character.
 _context_token = st.builds(
     Token,
     mform=st.sampled_from(("a", "b_", "c\\")),
-    lemma=st.sampled_from(("a", "b", "c")),
-    ems=st.sampled_from(("E1", "E2")),
+    lemma=st.sampled_from(("a", "b_", "c\\", "_\\")),
+    ems=st.sampled_from(("E1", "E_2", "E\\3")),
     cgems=st.sampled_from(_CGEMS),
 )
 
@@ -441,7 +443,8 @@ def _context_around_target(draw):
     length = draw(st.integers(0, 40))
     context = draw(st.lists(_context_token, min_size=length, max_size=length))
     index = draw(st.integers(0, len(context)))
-    target = Token("t", "t", "E1", draw(st.sampled_from(_CGEMS)), "s")
+    tags = draw(_context_token)
+    target = Token(tags.mform, tags.lemma, tags.ems, tags.cgems, "s")
     return tuple(context[:index]) + (target,) + tuple(context[index:]), index
 
 
@@ -452,6 +455,15 @@ _SHIFTED = (
     + (Token("t", "t", "E1", "NCOM", "s"),)
     + tuple(Token(f"w{n}", f"w{n}", "E1", ("DET", "NCOM")[n % 2]) for n in range(7, 13)),
     6,
+)
+
+# Tag values holding both '_' and '\\' on each side of the target and in it,
+# at the gap-free offsets -2..2.
+_ESCAPED = (
+    tuple(Token(f"m_{n}\\", f"l\\_{n}", "E_\\", "NCOM") for n in range(2))
+    + (Token("t_\\", "t\\_", "E\\_", "NCOM", "s"),)
+    + tuple(Token(f"m\\{n}_", f"_l{n}\\", "E_\\", "ADJ") for n in range(2, 4)),
+    2,
 )
 
 
@@ -468,6 +480,12 @@ _SHIFTED = (
 @example(_SHIFTED, Criterion(2, "lemma", "ordered", "content", 2, -3, True), "noun", "reindex")
 @example(_SHIFTED, Criterion(1, "lemma", "ordered", "content", 1, -2), "noun", "keep_gaps")
 @example(_SHIFTED, Criterion(1, "lemma", "ordered", "all", 2, 5), "noun", "reindex")
+@example(_ESCAPED, Criterion(2, "lemma", "ordered", "all", 2), "noun", "reindex")
+@example(_ESCAPED, Criterion(2, "lemma", "ordered", "all", 2, 0, True), "noun", "reindex")
+@example(_ESCAPED, Criterion(2, "mform", "leftright", "all", 2), "noun", "reindex")
+@example(_ESCAPED, Criterion(2, "mform", "leftright", "all", 2, 0, True), "noun", "reindex")
+@example(_ESCAPED, Criterion(2, "ems", "unordered", "all", 2), "noun", "reindex")
+@example(_ESCAPED, Criterion(2, "ems", "unordered", "all", 2, 0, True), "noun", "reindex")
 def test_extraction_equals_full_context_reference(document, criterion, category, content_mode):
     tokens, index = document
     corpus = Corpus((Document("d", tokens),))
