@@ -16,7 +16,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .criteria import FeatureVector, Span
 
@@ -55,8 +55,7 @@ def m_estimate(event_count: int, condition_count: int, prior: float, m: float) -
     return (event_count + m * prior) / (condition_count + m)
 
 
-@dataclass(frozen=True)
-class Prediction:
+class Prediction(NamedTuple):
     sense: str
     score: float
     evidence: Span | None

@@ -41,7 +41,11 @@ class CorpusParseError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class Token:
-    """One corpus word with its four tags and an optional sense label."""
+    """One corpus word with its four tags and an optional sense label.
+
+    parse_corpus makes its tokens without __init__ and checks the same
+    conditions as __post_init__ itself; a change to one must go to both.
+    """
 
     mform: str
     lemma: str
@@ -125,23 +129,29 @@ def parse_corpus(text: str) -> Corpus:
 
     Raises CorpusParseError on a wrong column count, an empty tag field or a
     repeated document id.  Equal field values share one string object, and a
-    repeated line is split once.
+    repeated line is split and checked once.
     """
     documents: list[Document] = []
     seen_ids: set[str] = set()
     current_id: str | None = None
     current_tokens: list[Token] = []
-    # Token line -> its fields, for the first _MEMO_LINES distinct lines;
-    # field value -> its one string object.
-    split: dict[str, tuple[str, ...]] = {}
+    # Token line -> its checked fields, the sense None when empty, for the
+    # first _MEMO_LINES distinct lines; field value -> its one string object.
+    checked: dict[str, tuple[str | None, ...]] = {}
     strings: dict[str, str] = {}
+    # The fields are checked here, so each Token is filled through its slots
+    # without running the dataclass __init__ and its check again.
+    new_token = object.__new__
+    set_mform, set_lemma, set_ems, set_cgems, set_sense = (
+        getattr(Token, name).__set__ for name in (*TOKEN_FIELDS, "sense")
+    )
 
     def flush() -> None:
         if current_id is not None:
             documents.append(Document(current_id, tuple(current_tokens)))
 
     for number, line in enumerate(_split_lines(text), start=1):
-        fields = split.get(line)
+        fields = checked.get(line)
         if fields is None:
             if not line.strip():
                 continue
@@ -154,21 +164,26 @@ def parse_corpus(text: str) -> Corpus:
                 current_tokens = []
                 continue
             values = line.split("\t")
-            fields = tuple(map(strings.setdefault, values, values))
-            if len(split) < _MEMO_LINES:
-                split[line] = fields
-        if len(fields) != 5:
-            raise CorpusParseError(
-                number, f"expected 5 tab-separated columns, got {len(fields)}"
-            )
-        try:
-            token = Token(fields[0], fields[1], fields[2], fields[3], fields[4] or None)
-        except ValueError:
-            # The sense is None when empty, so one of the tag columns is.
-            position = fields.index("")
-            raise CorpusParseError(
-                number, f"empty {TOKEN_FIELDS[position]} field (column {position + 1})"
-            ) from None
+            if len(values) != 5:
+                raise CorpusParseError(
+                    number, f"expected 5 tab-separated columns, got {len(values)}"
+                )
+            if not (values[0] and values[1] and values[2] and values[3]):
+                position = values.index("")
+                raise CorpusParseError(
+                    number, f"empty {TOKEN_FIELDS[position]} field (column {position + 1})"
+                )
+            mform, lemma, ems, cgems, sense = map(strings.setdefault, values, values)
+            fields = mform, lemma, ems, cgems, sense or None
+            if len(checked) < _MEMO_LINES:
+                checked[line] = fields
+        mform, lemma, ems, cgems, sense = fields
+        token = new_token(Token)
+        set_mform(token, mform)
+        set_lemma(token, lemma)
+        set_ems(token, ems)
+        set_cgems(token, cgems)
+        set_sense(token, sense)
         if current_id is None:
             current_id = IMPLICIT_DOC_ID
             seen_ids.add(current_id)

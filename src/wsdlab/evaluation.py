@@ -11,6 +11,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import random
+import signal
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -240,6 +241,9 @@ def worker_count(jobs: int, cells: int) -> int:
 # it returns.
 _POOL_STATE: dict = {}
 
+# Cells per task sent to a pool worker.
+_CHUNK_CELLS = 8
+
 
 def _eval_cell(cell: tuple[int, int]) -> WordResult:
     word_index, criterion_index = cell
@@ -253,6 +257,16 @@ def _eval_cell(cell: tuple[int, int]) -> WordResult:
         content_mode=state["content_mode"],
         keep_records=state["keep_records"],
     )
+
+
+def _eval_cells(cells: Sequence[tuple[int, int]]) -> list[WordResult]:
+    return [_eval_cell(cell) for cell in cells]
+
+
+def _end_on_interrupt() -> None:
+    """Pool worker initializer: SIGINT ends the worker, then is unblocked."""
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
 
 
 def grid_search(
@@ -311,10 +325,28 @@ def grid_search(
     )
     try:
         if context is None:
-            results = [_eval_cell(cell) for cell in cells]
+            results = _eval_cells(cells)
         else:
-            with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-                results = list(pool.map(_eval_cell, cells, chunksize=8))
+            # SIGINT stays blocked until every worker is forked, so that each
+            # starts with it blocked and only unblocks it once it takes the
+            # default action: on Ctrl-C a worker ends at once, silently and
+            # without starting another cell, and the parent reports it.
+            pool = ProcessPoolExecutor(max_workers=workers, mp_context=context,
+                                       initializer=_end_on_interrupt)
+            try:
+                mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+                try:
+                    chunks = [pool.submit(_eval_cells, cells[start:start + _CHUNK_CELLS])
+                              for start in range(0, len(cells), _CHUNK_CELLS)]
+                finally:
+                    signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                results = [result for chunk in chunks for result in chunk.result()]
+            finally:
+                # Pending chunks are cancelled by the pool's own thread. Not
+                # pool.map: it cancels them from this thread, which before
+                # Python 3.12 races the pool marking them broken when the
+                # workers end, and that thread then prints a traceback.
+                pool.shutdown(cancel_futures=True)
     finally:
         _POOL_STATE.clear()
 

@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -279,6 +280,42 @@ def test_interrupt_exits_130_without_reports(workspace, monkeypatch):
     assert status == 130
     assert stderr.getvalue().splitlines() == ["error: interrupted"]
     assert not (workspace / "interrupted").exists()
+
+
+# The CLI with Python's own SIGINT handler, as a terminal starts it, even when
+# the test itself runs with SIGINT ignored.
+_INTERRUPTIBLE = ("import signal, sys; signal.signal(signal.SIGINT, signal.default_int_handler); "
+                  "from wsdlab.cli import main; sys.exit(main())")
+
+
+def test_interrupt_at_jobs_2_exits_130_with_one_line(tmp_path):
+    if evaluation.worker_count(2, 2) < 2:
+        pytest.skip("needs two CPUs for a worker pool")
+    # 4,000 occurrences. The eight-cell grid is one chunk, so one worker is
+    # busy for a second or two while the other waits for work; the default
+    # grid keeps both busy for a minute.
+    (tmp_path / "pw.cfg").write_text(PW_CONFIG.replace("counts = 30", "counts = 2000"))
+    (tmp_path / "eight.grid").write_text(
+        "orders = 3\ntags = lemma\npositionings = unordered\nfilters = all\n"
+        "sizes = 1,2,3,4,5,6,7,8\n"
+    )
+    assert wsdlab("pseudoword", "--config", "pw.cfg", "-o", "gen", cwd=tmp_path).returncode == 0
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    for grid, delay in (("eight.grid", 0.6), ("eight.grid", 1.0), ("default", 0.8),
+                        ("default", 1.6)):
+        output = tmp_path / f"interrupted-{grid}-{delay}"
+        run = subprocess.Popen(
+            [sys.executable, "-c", _INTERRUPTIBLE, "grid", "--corpus", "gen/corpus.tsv",
+             "--targets", "gen/targets.tsv", "--grid", grid, "--k", "5",
+             "--jobs", "2", "-o", str(output)],
+            cwd=tmp_path, env={**os.environ, "PYTHONPATH": path}, text=True,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True,
+        )
+        time.sleep(delay)
+        os.killpg(run.pid, signal.SIGINT)  # what Ctrl-C sends to the foreground group
+        stdout, stderr = run.communicate(timeout=120)
+        assert (run.returncode, stderr) == (130, "error: interrupted\n"), (grid, delay)
+        assert not output.exists()
 
 
 def test_bad_criterion_exits_2(workspace):

@@ -98,11 +98,14 @@ def test_tokens_before_first_header_get_implicit_document():
 
 
 def test_token_pickles_and_replaces():
-    token = Token("maison", "maison", "NCFS", "NCOM", "1.2")
-    assert pickle.loads(pickle.dumps(token)) == token
-    assert dataclasses.replace(token, sense=None) == Token("maison", "maison", "NCFS", "NCOM")
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        token.lemma = "porte"
+    constructed = Token("maison", "maison", "NCFS", "NCOM", "1.2")
+    parsed = parse_corpus("maison\tmaison\tNCFS\tNCOM\t1.2").documents[0].tokens[0]
+    for token in (constructed, parsed):
+        assert token == constructed and hash(token) == hash(constructed)
+        assert pickle.loads(pickle.dumps(token)) == token
+        assert dataclasses.replace(token, sense=None) == Token("maison", "maison", "NCFS", "NCOM")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            token.lemma = "porte"
 
 
 def test_token_field_validation():
@@ -143,7 +146,7 @@ _CORPUS_LINE = st.sampled_from((
     "maison\tmaison\tNCFS\tNCOM\t", "maison\tmaison\tNCFS\tNCOM\t1.2",
     "maisons\tmaison\tNCFP\tNCOM\t", "le\tle\tDET\tDET\t", "", "  ", "\t",
     "#doc a", "#doc b", "#doc doc0", "#doc", "only\tthree\tcolumns", "a\tb\tc\td\te\tf",
-    "mot\t\tA\tB\t", "mot\tmot\tA\t\ts", "\tmot\tA\tB\t",
+    "mot\t\tA\tB\t", "mot\tmot\t\tB\t", "mot\tmot\tA\t\ts", "\tmot\tA\tB\t",
 ))
 
 
