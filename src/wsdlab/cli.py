@@ -11,7 +11,11 @@ captures the full configuration and the sha256 of each input file, so any
 run can be replayed exactly and the replay's inputs checked.  Exit
 codes: 0 success, 2 bad configuration, 3 corpus parse error, 4 empty result
 set, 5 a worker process died (no reports are written), 130 interrupted by
-Ctrl-C.
+Ctrl-C.  argparse only names the options and ``RunConfig`` holds their
+defaults, so every bad option value (a number, a shift list, a prior or
+content mode) is listed with the other problems before work starts; only an
+unknown option or a missing required one (``-o``, ``evaluate --criterion``,
+``pseudoword --config``) ends the run in argparse at once.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import hashlib
 import json
 import sys
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -251,27 +255,12 @@ def _write_meta(config: RunConfig, extra: dict) -> None:
     """``run.meta``: the configuration, the sha256 of each input file as the
     run ends, and ``extra``."""
     given = (config.corpus, config.targets, _grid_path(config), config.config)
-    meta = {
-        "tool": "wsdlab",
-        "version": __version__,
-        "subcommand": config.subcommand,
-        "corpus": str(config.corpus) if config.corpus else None,
-        "targets": str(config.targets) if config.targets else None,
-        "criterion": config.criterion,
-        "grid": config.grid,
-        "classifier": config.classifier,
-        "m": config.m,
-        "prior_mode": config.prior_mode,
-        "k": config.k,
-        "seed": config.seed,
-        "jobs": config.jobs,
-        "shifts": list(config.shifts),
-        "content_mode": config.content_mode,
-        "config": str(config.config) if config.config else None,
-        "output": str(config.output),
-        "inputs": {str(path): _sha256(path) for path in given if path is not None},
-    }
-    meta.update(extra)
+    meta = {name: str(value) if isinstance(value, Path) else value
+            for name, value in asdict(config).items() if name != "diagnostics"}
+    meta.update(
+        tool="wsdlab", version=__version__,
+        inputs={str(path): _sha256(path) for path in given if path is not None}, **extra,
+    )
     (config.output / "run.meta").write_text(
         json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
@@ -352,21 +341,19 @@ def run(config: RunConfig) -> int:
 
 
 def _add_common(parser: argparse.ArgumentParser, *, evaluation: bool) -> None:
-    parser.add_argument("--corpus", type=Path, required=False, help="corpus file (vertical TSV)")
-    parser.add_argument("--targets", type=Path, required=False,
+    parser.add_argument("--corpus", type=Path, help="corpus file (vertical TSV)")
+    parser.add_argument("--targets", type=Path,
                         help="targets file (lemma<TAB>category per line)")
     parser.add_argument("-o", "--output", type=Path, required=True, help="output directory")
     if evaluation:
-        parser.add_argument("--classifier", default="nb", help="classifier id: nb or dl")
-        parser.add_argument("--m", type=float, default=1.0, help="m-estimate strength")
-        parser.add_argument("--prior-mode", default="feature-values",
-                            choices=PRIOR_MODES, dest="prior_mode")
-        parser.add_argument("--k", type=int, default=10, help="cross-validation folds")
-        parser.add_argument("--seed", type=int, default=0, help="fold-plan seed")
-        parser.add_argument("--jobs", type=int, default=1, help="worker processes")
-        parser.add_argument("--content-mode", default="reindex", dest="content_mode",
-                            choices=CONTENT_MODES,
-                            help="filtered-window indexing: re-index survivors or keep gaps")
+        parser.add_argument("--classifier", help="classifier id: nb or dl")
+        parser.add_argument("--m", help="m-estimate strength")
+        parser.add_argument("--prior-mode", help="NB feature prior: " + " or ".join(PRIOR_MODES))
+        parser.add_argument("--k", help="cross-validation folds")
+        parser.add_argument("--seed", help="fold-plan seed")
+        parser.add_argument("--jobs", help="worker processes")
+        parser.add_argument("--content-mode",
+                            help="filtered-window indexing: " + " or ".join(CONTENT_MODES))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -408,36 +395,43 @@ def build_parser() -> argparse.ArgumentParser:
     p = subparsers.add_parser("shift", help="shifted-window study")
     _add_common(p, evaluation=True)
     p.add_argument("--criterion", default="[1gr|lemma|ordered|all]@2")
-    p.add_argument("--shifts", default="0,1",
-                   help="comma-separated signed shifts; must include 0")
+    p.add_argument("--shifts", help="comma-separated signed shifts; must include 0")
 
     p = subparsers.add_parser("adjacency", help="anchored n-gram combination experiment")
     _add_common(p, evaluation=True)
 
     p = subparsers.add_parser("pseudoword", help="generate a pseudo-word corpus")
     p.add_argument("--config", type=Path, required=True, help="pseudo-word config file")
-    p.add_argument("--seed", type=int, default=None,
-                   help="generation seed (defaults to the config seed)")
+    p.add_argument("--seed", help="generation seed (defaults to the config seed)")
     p.add_argument("-o", "--output", type=Path, required=True, help="output directory")
 
     return parser
 
 
+# Each option argparse passes on as text: its converter, and what it must be.
+_CONVERTERS = {
+    "m": (float, "a number"),
+    "k": (int, "an integer"),
+    "seed": (int, "an integer"),
+    "jobs": (int, "an integer"),
+    "shifts": (lambda text: tuple(int(s) for s in text.split(",")),
+               "comma-separated integers"),
+}
+
+
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig(subcommand=args.subcommand, output=args.output)
-    for name in ("corpus", "targets", "criterion", "grid", "classifier", "m",
-                 "prior_mode", "k", "jobs", "content_mode", "config"):
-        if hasattr(args, name) and getattr(args, name) is not None:
-            setattr(config, name, getattr(args, name))
-    if hasattr(args, "seed") and args.seed is not None:
-        config.seed = args.seed
-    elif args.subcommand == "pseudoword":
+    """Each given option over ``RunConfig``'s defaults; a value that does not
+    convert becomes a diagnostic, listed with every other problem."""
+    config = RunConfig(args.subcommand, args.output)
+    if args.subcommand == "pseudoword":
         config.seed = None  # resolved from the config file
-    if hasattr(args, "shifts"):
+    for name, value in vars(args).items():
+        convert, what = _CONVERTERS.get(name, (None, None))
         try:
-            config.shifts = tuple(int(s) for s in args.shifts.split(","))
+            if value is not None:
+                setattr(config, name, convert(value) if convert else value)
         except ValueError:
-            config.diagnostics.append(f"bad shift list {args.shifts!r}")
+            config.diagnostics.append(f"{name} must be {what}, not {value!r}")
     return config
 
 

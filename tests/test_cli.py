@@ -141,6 +141,60 @@ def test_run_meta_supports_exact_replay(workspace):
     assert replayed["inputs"] == meta["inputs"]
 
 
+def test_run_meta_holds_exactly_the_configuration(workspace):
+    (workspace / "meta.grid").write_text(
+        "orders = 1\ntags = lemma\npositionings = ordered\nfilters = all\nsizes = 1,2\n")
+    result = wsdlab("grid", "--corpus", "gen/corpus.tsv", "--targets", "gen/targets.tsv",
+                    "--grid", "meta.grid", "--classifier", "dl", "--m", "0.5",
+                    "--prior-mode", "senses", "--k", "5", "--seed", "3", "--jobs", "2",
+                    "--content-mode", "keep_gaps", "-o", "meta", cwd=workspace)
+    assert result.returncode == 0, result.stderr
+    defaults = {
+        "tool": "wsdlab", "version": package.__version__, "corpus": None, "targets": None,
+        "criterion": None, "grid": None, "classifier": "nb", "m": 1.0,
+        "prior_mode": "feature-values", "k": 10, "seed": 0, "jobs": 1, "shifts": [0, 1],
+        "content_mode": "reindex", "config": None,
+    }
+    expected = {
+        "gen": {  # pseudoword without --seed: the seed comes from the config file
+            **defaults, "subcommand": "pseudoword", "seed": None, "config": "pw.cfg",
+            "output": "gen", "inputs": {"pw.cfg": _sha256(workspace / "pw.cfg")},
+            "pseudoword_seed": 5, "occurrences": 60,
+        },
+        "meta": {
+            **defaults, "subcommand": "grid", "corpus": "gen/corpus.tsv",
+            "targets": "gen/targets.tsv", "grid": "meta.grid", "classifier": "dl", "m": 0.5,
+            "prior_mode": "senses", "k": 5, "seed": 3, "jobs": 2, "content_mode": "keep_gaps",
+            "output": "meta",
+            "inputs": {name: _sha256(workspace / name)
+                       for name in ("gen/corpus.tsv", "gen/targets.tsv", "meta.grid")},
+            "skipped": [], "workers": evaluation.worker_count(2, 2), "cells": 2,
+        },
+    }
+    for run, meta in expected.items():
+        assert (workspace / run / "run.meta").read_text() == (
+            json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    usage = wsdlab("grid", "--help", cwd=workspace).stdout
+    for mode in ("feature-values", "senses", "reindex", "keep_gaps"):
+        assert mode in usage
+
+
+def test_every_bad_option_value_is_listed_without_usage(workspace, capsys):
+    status = main(["grid", "--corpus", str(workspace / "gen" / "corpus.tsv"),
+                   "--targets", str(workspace / "gen" / "targets.tsv"),
+                   "--k", "x", "--m", "abc", "--prior-mode", "bogus", "--content-mode", "bogus",
+                   "--classifier", "svm", "-o", str(workspace / "nothing10")])
+    assert status == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: m must be a number, not 'abc'",
+        "error: k must be an integer, not 'x'",
+        "error: unknown classifier 'svm': valid ids are nb, dl",
+        "error: prior_mode must be one of ('feature-values', 'senses')",
+        "error: content mode must be one of ('reindex', 'keep_gaps')",
+    ]
+    assert not (workspace / "nothing10").exists()
+
+
 def test_missing_corpus_exits_2_without_outputs(workspace):
     result = wsdlab(
         "evaluate", "--corpus", "missing.tsv", "--targets", "gen/targets.tsv",
@@ -663,7 +717,8 @@ _EVALUATION = [
     ("--classifier", "dl"), ("--classifier", "svm"), ("--k", "2"), ("--k", "1"),
     ("--m", "0"), ("--m", "-1"), ("--m", "nan"), ("--prior-mode", "senses"),
     ("--seed", "3"), ("--jobs", "1"), ("--jobs", "2"), ("--jobs", "0"),
-    ("--content-mode", "keep_gaps"),
+    ("--content-mode", "keep_gaps"), ("--k", "x"), ("--m", "abc"), ("--jobs", "x"),
+    ("--prior-mode", "bogus"), ("--content-mode", "bogus"),
 ]
 _ODD = [("--bogus",), ("--corpus", "{dir}/missing.tsv"), ("--grid", "{dir}/missing.cfg")]
 _OPTIONS = {
