@@ -33,12 +33,13 @@ class SmoothingParams:
     prior_mode: str = "feature-values"
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.m):
-            raise ValueError("smoothing strength m must be finite")
-        if self.m < 0:
-            raise ValueError("smoothing strength m must be >= 0")
-        if self.prior_mode not in PRIOR_MODES:
-            raise ValueError(f"prior_mode must be one of {PRIOR_MODES}")
+        problems = [problem for bad, problem in (
+            (not math.isfinite(self.m), "smoothing strength m must be finite"),
+            (math.isfinite(self.m) and self.m < 0, "smoothing strength m must be >= 0"),
+            (self.prior_mode not in PRIOR_MODES, f"prior_mode must be one of {PRIOR_MODES}"),
+        ) if bad]
+        if problems:
+            raise ValueError("\n".join(problems))
 
 
 def m_estimate(event_count: int, condition_count: int, prior: float, m: float) -> float:

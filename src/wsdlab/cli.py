@@ -12,10 +12,12 @@ run can be replayed exactly and the replay's inputs checked.  Exit
 codes: 0 success, 2 bad configuration, 3 corpus parse error, 4 empty result
 set, 5 a worker process died (no reports are written), 130 interrupted by
 Ctrl-C.  argparse only names the options and ``RunConfig`` holds their
-defaults, so every bad option value (a number, a shift list, a prior or
-content mode) is listed with the other problems before work starts; only an
-unknown option or a missing required one (``-o``, ``evaluate --criterion``,
-``pseudoword --config``) ends the run in argparse at once.
+defaults.  One checking pass reads each small input once (the targets file,
+the grid config, the pseudo-word config) and lists every bad option value (a
+number, a shift list, a prior or content mode) with every problem of those
+files before work starts; only an unknown option or a missing required one
+(``-o``, ``evaluate --criterion``, ``pseudoword --config``) ends the run in
+argparse at once.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from .analysis import (
 from .classifiers import SmoothingParams, PRIOR_MODES
 from .corpus import (
     CorpusParseError,
+    PseudowordConfig,
     generate_pseudoword_corpus,
     parse_corpus,
     parse_pseudoword_config,
@@ -176,18 +179,14 @@ EXPERIMENTS = {
 COMMANDS = ("stats", *EXPERIMENTS, "pseudoword")
 
 
-def validate_config(config: RunConfig) -> list[str]:
-    """All configuration violations at once, not just the first."""
-    return _check(config)[0]
-
-
-def _check(config: RunConfig) -> tuple[list[str], list[tuple[str, str]] | None,
-                                       CriterionGrid | list[Cell] | None]:
-    """``validate_config``'s problems, plus the parsed targets and grid cells
-    (None where absent or bad), so that each small input is read once, before
-    the corpus."""
+def _check(config: RunConfig) -> tuple[
+        list[str], list[tuple[str, str]] | None, CriterionGrid | list[Cell] | None,
+        SmoothingParams | None, PseudowordConfig | None]:
+    """Every configuration problem, not just the first, and what the run
+    builds from its small inputs, each read once before the corpus: targets,
+    grid cells, smoothing, pseudo-word config (None where absent or bad)."""
     problems = list(config.diagnostics)
-    targets = cells = None
+    targets = cells = smoothing = pw_config = None
     if config.subcommand not in COMMANDS:
         problems.append(f"unknown subcommand {config.subcommand!r}")
     existing = next(p for p in (config.output, *config.output.parents) if p.exists())
@@ -198,7 +197,12 @@ def _check(config: RunConfig) -> tuple[list[str], list[tuple[str, str]] | None,
             problems.append("pseudoword needs --config")
         elif not config.config.is_file():
             problems.append(f"config file not found: {config.config}")
-        return problems, targets, cells
+        else:
+            try:
+                pw_config = parse_pseudoword_config(_read_input(config.config))
+            except ValueError as exc:
+                problems.extend(str(exc).splitlines())
+        return problems, targets, cells, smoothing, pw_config
 
     if config.corpus is None:
         problems.append("a corpus file is required (--corpus)")
@@ -222,9 +226,9 @@ def _check(config: RunConfig) -> tuple[list[str], list[tuple[str, str]] | None,
         if config.k < 2:
             problems.append("k must be >= 2")
         try:
-            SmoothingParams(config.m, config.prior_mode)
+            smoothing = SmoothingParams(config.m, config.prior_mode)
         except ValueError as exc:
-            problems.append(str(exc))
+            problems.extend(str(exc).splitlines())
         if config.jobs < 1:
             problems.append("jobs must be >= 1")
         if config.content_mode not in CONTENT_MODES:
@@ -233,7 +237,7 @@ def _check(config: RunConfig) -> tuple[list[str], list[tuple[str, str]] | None,
             cells = EXPERIMENTS[config.subcommand].cells(config)
         except ValueError as exc:
             problems.extend(str(exc).splitlines())
-    return problems, targets, cells
+    return problems, targets, cells, smoothing, pw_config
 
 
 def write_csv(path: Path, rows: list[tuple]) -> None:
@@ -266,8 +270,7 @@ def _write_meta(config: RunConfig, extra: dict) -> None:
     )
 
 
-def _pseudoword(config: RunConfig) -> int:
-    pw_config = parse_pseudoword_config(_read_input(config.config))
+def _pseudoword(config: RunConfig, pw_config: PseudowordConfig) -> int:
     seed = config.seed if config.seed is not None else pw_config.seed
     corpus = generate_pseudoword_corpus(pw_config, seed)
     outdir = config.output
@@ -289,14 +292,14 @@ def _write_reports(config: RunConfig, reports: dict[str, list[tuple]], extra: di
     return EXIT_OK
 
 
-def _evaluate(config: RunConfig, corpus, targets, cells) -> int:
+def _evaluate(config: RunConfig, corpus, targets, cells, smoothing) -> int:
     """The shared path of every evaluation subcommand."""
     experiment = EXPERIMENTS[config.subcommand]
     try:
         result = grid_search(
             corpus, targets, cells,
             experiment.classifier or config.classifier,
-            SmoothingParams(config.m, config.prior_mode), config.k, config.seed,
+            smoothing, config.k, config.seed,
             jobs=config.jobs, content_mode=config.content_mode,
             keep_records=experiment.keep_records,
         )
@@ -319,13 +322,13 @@ def _evaluate(config: RunConfig, corpus, targets, cells) -> int:
 
 def run(config: RunConfig) -> int:
     """Execute one subcommand; returns the process exit code."""
-    problems, targets, cells = _check(config)
+    problems, targets, cells, smoothing, pw_config = _check(config)
     if problems:
         for problem in problems:
             print(f"error: {problem}", file=sys.stderr)
         return EXIT_CONFIG
     if config.subcommand == "pseudoword":
-        return _pseudoword(config)
+        return _pseudoword(config, pw_config)
     if not targets:
         print("error: the targets file lists no targets", file=sys.stderr)
         return EXIT_EMPTY
@@ -337,7 +340,7 @@ def run(config: RunConfig) -> int:
         return EXIT_PARSE
     if config.subcommand == "stats":
         return _write_reports(config, {"stats.csv": stats_rows(corpus, targets)}, {})
-    return _evaluate(config, corpus, targets, cells)
+    return _evaluate(config, corpus, targets, cells, smoothing)
 
 
 def _add_common(parser: argparse.ArgumentParser, *, evaluation: bool) -> None:

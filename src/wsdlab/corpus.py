@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Any, Callable, Iterator
 
 CATEGORIES = ("noun", "adjective", "verb")
 
@@ -279,40 +279,31 @@ class PseudowordConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if len(self.sources) < 2:
-            raise ValueError("a pseudo-word needs at least 2 source lemmas")
-        if len(self.counts) != len(self.sources):
-            raise ValueError("counts must match sources one-to-one")
-        if any(c < 1 for c in self.counts):
-            raise ValueError("per-sense counts must be positive")
-        if self.signal_mode not in SIGNAL_MODES:
-            raise ValueError(f"signal_mode must be one of {SIGNAL_MODES}")
-        if not self.signal_offsets:
-            raise ValueError("at least one signal offset is required")
-        if any(o == 0 for o in self.signal_offsets):
-            raise ValueError("signal offsets must be non-zero")
-        if any(abs(o) > self.width for o in self.signal_offsets):
-            raise ValueError("signal offsets must lie within the context width")
-        if self.signal_mode == "pair":
-            offsets = sorted(self.signal_offsets)
-            if len(self.sources) != 2:
-                raise ValueError("pair mode supports exactly 2 sources")
-            if len(offsets) != 2 or offsets[1] != offsets[0] + 1:
-                raise ValueError("pair mode needs exactly 2 consecutive offsets")
-            if self.signal_values is not None:
-                raise ValueError("signal_values apply to unigram mode only")
-        if self.signal_values is not None and len(self.signal_values) != len(self.sources):
-            raise ValueError("signal_values must match sources one-to-one")
-        if not 0.0 <= self.noise <= 1.0:
-            raise ValueError("noise must be in [0, 1]")
-        if self.vocabulary < 1:
-            raise ValueError("vocabulary size must be >= 1")
-        if self.width < 1:
-            raise ValueError("context width must be >= 1")
-        if self.category not in CATEGORIES:
-            raise ValueError(f"category must be one of {CATEGORIES}")
-        if not self.filler_pos:
-            raise ValueError("filler_pos must be non-empty")
+        pair = self.signal_mode == "pair"
+        offsets = sorted(self.signal_offsets)
+        problems = [problem for bad, problem in (
+            (len(self.sources) < 2, "a pseudo-word needs at least 2 source lemmas"),
+            (len(self.counts) != len(self.sources), "counts must match sources one-to-one"),
+            (any(c < 1 for c in self.counts), "per-sense counts must be positive"),
+            (self.signal_mode not in SIGNAL_MODES, f"signal_mode must be one of {SIGNAL_MODES}"),
+            (not offsets, "at least one signal offset is required"),
+            (0 in offsets, "signal offsets must be non-zero"),
+            (any(abs(o) > self.width for o in offsets),
+             "signal offsets must lie within the context width"),
+            (pair and len(self.sources) != 2, "pair mode supports exactly 2 sources"),
+            (pair and (len(offsets) != 2 or offsets[1] != offsets[0] + 1),
+             "pair mode needs exactly 2 consecutive offsets"),
+            (pair and self.signal_values is not None, "signal_values apply to unigram mode only"),
+            (self.signal_values is not None and len(self.signal_values) != len(self.sources),
+             "signal_values must match sources one-to-one"),
+            (not 0.0 <= self.noise <= 1.0, "noise must be in [0, 1]"),
+            (self.vocabulary < 1, "vocabulary size must be >= 1"),
+            (self.width < 1, "context width must be >= 1"),
+            (self.category not in CATEGORIES, f"category must be one of {CATEGORIES}"),
+            (not self.filler_pos, "filler_pos must be non-empty"),
+        ) if bad]
+        if problems:
+            raise ValueError("\n".join(problems))
 
     @property
     def target_lemma(self) -> str:
@@ -346,13 +337,13 @@ _PSEUDOWORD_KEYS = {
 }
 
 
-def parse_pseudoword_config(text: str) -> PseudowordConfig:
-    """Parse the flat ``key = value`` pseudo-word config format.
-
-    Malformed lines, unknown keys, a missing ``sources`` key and values that
-    do not convert are raised together in one ``ValueError``, one per line of
-    its message.
-    """
+def _read_config(text: str, label: str, converters: dict[str, Callable[[str], Any]],
+                 build: Callable[..., Any], required: tuple[str, ...] = ()) -> Any:
+    """``build(**values)`` from the flat ``key = value`` config format, which
+    skips blank and ``#`` lines.  Malformed lines, unknown keys, missing
+    ``required`` keys (then nothing is built), values that do not convert and
+    the problems ``build`` raises are raised together in one ``ValueError``,
+    one per line of its message, each named by ``label``."""
     raw: dict[str, str] = {}
     problems: list[str] = []
     for number, line in enumerate(text.splitlines(), start=1):
@@ -361,29 +352,45 @@ def parse_pseudoword_config(text: str) -> PseudowordConfig:
             continue
         key, sep, value = stripped.partition("=")
         if not sep:
-            problems.append(f"config line {number}: expected 'key = value', got {line!r}")
+            problems.append(f"{label} line {number}: expected 'key = value', got {line!r}")
             continue
         raw[key.strip()] = value.strip()
 
-    unknown = sorted(set(raw) - set(_PSEUDOWORD_KEYS))
+    unknown = sorted(set(raw) - set(converters))
     if unknown:
-        problems.append(f"unknown config keys: {', '.join(unknown)}")
-    if "sources" not in raw:
-        problems.append("config is missing the required 'sources' key")
-    kwargs: dict = {}
-    for key, convert in _PSEUDOWORD_KEYS.items():
+        problems.append(f"unknown {label} keys: {', '.join(unknown)}")
+    missing = [key for key in required if key not in raw]
+    problems.extend(f"{label} is missing the required {key!r} key" for key in missing)
+    values: dict[str, Any] = {}
+    for key, convert in converters.items():
         if key in raw:
             try:
-                kwargs[key] = convert(raw[key])
+                values[key] = convert(raw[key])
             except ValueError as exc:
-                problems.append(f"config {key}: {exc}")
+                problems.append(f"{label} {key}: {exc}")
+    try:
+        built = None if missing else build(**values)
+    except ValueError as exc:
+        problems.append(str(exc))
     if problems:
         raise ValueError("\n".join(problems))
+    return built
 
-    counts = kwargs.get("counts", (100,))
-    if len(counts) == 1:
-        kwargs["counts"] = counts * len(kwargs["sources"])
-    return PseudowordConfig(**kwargs)
+
+def _pseudoword_config(sources: tuple[str, ...], counts: tuple[int, ...] = (100,),
+                       **values) -> PseudowordConfig:
+    """A single per-sense count broadcasts to every source."""
+    return PseudowordConfig(sources, counts * len(sources) if len(counts) == 1 else counts,
+                            **values)
+
+
+def parse_pseudoword_config(text: str) -> PseudowordConfig:
+    """Parse the flat ``key = value`` pseudo-word config format.  Malformed
+    lines, unknown keys, a missing ``sources`` key, values that do not convert
+    and every problem ``PseudowordConfig`` finds are raised together in one
+    ``ValueError``, one per line of its message."""
+    return _read_config(text, "config", _PSEUDOWORD_KEYS, _pseudoword_config,
+                        required=("sources",))
 
 
 def generate_pseudoword_corpus(config: PseudowordConfig, seed: int) -> Corpus:

@@ -32,7 +32,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
-from .corpus import Corpus, Occurrence, Token
+from .corpus import Corpus, Occurrence, Token, _parse_csv_list, _read_config
 
 TAGS = ("mform", "lemma", "ems", "cgems")
 POSITIONINGS = ("ordered", "leftright", "unordered")
@@ -171,6 +171,25 @@ class CriterionGrid:
     filters: tuple[str, ...] = ("all", "content")
     sizes: tuple[int, ...] = (1, 2, 3, 4, 5, 6, 7, 8)
 
+    def __post_init__(self) -> None:
+        probe = Criterion(1, TAGS[0], POSITIONINGS[0], FILTERS[0], 1)
+        problems = []
+        for name in ("orders", "tags", "positionings", "filters", "sizes"):
+            values = getattr(self, name)
+            if not values:
+                problems.append(f"grid parameter set {name!r} is empty")
+            for value in values:
+                try:
+                    # Each set is named by the plural of the field it varies.
+                    replace(probe, **{name[:-1]: value})
+                except ValueError as exc:
+                    problems.append(f"grid config {name}: {exc}")
+            repeated = sorted({str(v) for v, n in Counter(values).items() if n > 1})
+            if repeated:
+                problems.append(f"grid config {name}: repeated {', '.join(repeated)}")
+        if problems:
+            raise ValueError("\n".join(problems))
+
     def __len__(self) -> int:
         return (
             len(self.orders) * len(self.tags) * len(self.positionings)
@@ -188,9 +207,6 @@ def enumerate_grid(grid: CriterionGrid) -> list[Criterion]:
     """Cartesian product in deterministic order: orders, then tags, then
     positionings, then filters, then sizes.  Shift 0 and non-anchored
     throughout."""
-    for name in ("orders", "tags", "positionings", "filters", "sizes"):
-        if not getattr(grid, name):
-            raise ValueError(f"grid parameter set {name!r} is empty")
     return [
         Criterion(order, tag, positioning, filt, size)
         for order, tag, positioning, filt, size in itertools.product(
@@ -213,56 +229,24 @@ def _parse_int_list(value: str) -> tuple[int, ...]:
     return tuple(items)
 
 
+def _parse_positionings(value: str) -> tuple[str, ...]:
+    """Positionings, with ``position`` read as ``ordered``."""
+    return tuple("ordered" if v == "position" else v for v in _parse_csv_list(value))
+
+
+# Each grid config key with the converter from its text value.
+_GRID_KEYS = {"orders": _parse_int_list, "tags": _parse_csv_list,
+              "positionings": _parse_positionings, "filters": _parse_csv_list,
+              "sizes": _parse_int_list}
+
+
 def parse_grid_config(text: str) -> CriterionGrid:
     """Parse a grid config file: ``orders/tags/positionings/filters/sizes``
     keys with comma-separated values (sizes also accept ``1-8`` ranges).
-
-    Every value is checked; all problems are raised together in one
-    ``ValueError``, one per line of its message.
-    """
-    raw: dict[str, str] = {}
-    problems: list[str] = []
-    for number, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        key, sep, value = stripped.partition("=")
-        if not sep:
-            problems.append(f"grid config line {number}: expected 'key = value'")
-            continue
-        raw[key.strip()] = value.strip()
-    fields = {"orders": "order", "tags": "tag", "positionings": "positioning",
-              "filters": "filter", "sizes": "size"}
-    unknown = sorted(set(raw) - set(fields))
-    if unknown:
-        problems.append(f"unknown grid config keys: {', '.join(unknown)}")
-    kwargs: dict = {}
-    for key in (key for key in fields if key in raw):
-        if key in ("orders", "sizes"):
-            try:
-                kwargs[key] = _parse_int_list(raw[key])
-            except ValueError as exc:
-                problems.append(f"grid config {key}: {exc}")
-            continue
-        values = tuple(v for v in (s.strip() for s in raw[key].split(",")) if v)
-        if key == "positionings":
-            values = tuple("ordered" if v == "position" else v for v in values)
-        kwargs[key] = values
-    probe = Criterion(1, TAGS[0], POSITIONINGS[0], FILTERS[0], 1)
-    for key, values in kwargs.items():
-        if not values:
-            problems.append(f"grid parameter set {key!r} is empty")
-        for value in values:
-            try:
-                replace(probe, **{fields[key]: value})
-            except ValueError as exc:
-                problems.append(f"grid config {key}: {exc}")
-        repeated = sorted({str(v) for v, n in Counter(values).items() if n > 1})
-        if repeated:
-            problems.append(f"grid config {key}: repeated {', '.join(repeated)}")
-    if problems:
-        raise ValueError("\n".join(problems))
-    return CriterionGrid(**kwargs)
+    Malformed lines, unknown keys, values that do not convert and every
+    problem ``CriterionGrid`` finds are raised together in one
+    ``ValueError``, one per line of its message."""
+    return _read_config(text, "grid config", _GRID_KEYS, CriterionGrid)
 
 
 # A feature vector maps each feature key to the span that first produced it:

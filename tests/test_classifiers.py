@@ -356,6 +356,13 @@ def test_smoothing_params_validation():
     for m in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
             SmoothingParams(m)
+    # Every bad value is named; a non-finite m only as not finite.
+    with pytest.raises(ValueError) as err:
+        SmoothingParams(-math.inf, "bogus")
+    assert str(err.value).splitlines() == [
+        "smoothing strength m must be finite",
+        "prior_mode must be one of ('feature-values', 'senses')",
+    ]
 
 
 @settings(max_examples=40, deadline=None)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import wsdlab as package
 from wsdlab import evaluation
-from wsdlab.cli import COMMANDS, RunConfig, main, validate_config
+from wsdlab.cli import COMMANDS, RunConfig, main, run
 from test_acceptance import SMALL_GRID, _build_three_category_workspace
 
 # The subprocesses run in other directories, so the package is put on their
@@ -258,10 +258,10 @@ def test_bom_prefixed_corpus_and_targets_give_the_same_reports(workspace):
 
 def test_bom_prefixed_configs_parse(workspace):
     (workspace / "bom.grid").write_bytes(BOM + b"orders = 1\nsizes = 1-2\n")
-    config = RunConfig("grid", workspace / "unused", corpus=workspace / "gen" / "corpus.tsv",
-                       targets=workspace / "gen" / "targets.tsv",
-                       grid=str(workspace / "bom.grid"))
-    assert validate_config(config) == []
+    result = wsdlab("grid", "--corpus", "gen/corpus.tsv", "--targets", "gen/targets.tsv",
+                    "--grid", "bom.grid", "--k", "5", "-o", "grid-bom", cwd=workspace)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert json.loads((workspace / "grid-bom" / "run.meta").read_text())["cells"] == 48
     (workspace / "bom-pw.cfg").write_bytes(BOM + PW_CONFIG.encode())
     result = wsdlab("pseudoword", "--config", "bom-pw.cfg", "-o", "gen-bom", cwd=workspace)
     assert result.returncode == 0, result.stderr
@@ -425,7 +425,7 @@ def test_output_over_a_file_exits_2_before_reading_the_corpus(tmp_path, command,
     assert (tmp_path / "afile").read_text() == "keep\n"
 
 
-def test_validate_config_lists_all_problems(tmp_path):
+def test_validate_config_lists_all_problems(tmp_path, capsys):
     config = RunConfig(
         subcommand="evaluate",
         output=tmp_path / "out",
@@ -436,14 +436,15 @@ def test_validate_config_lists_all_problems(tmp_path):
         k=1,
         m=-2.0,
     )
-    problems = validate_config(config)
-    assert len(problems) >= 5
-    text = "\n".join(problems)
-    assert "svm" in text and "nb, dl" in text
-    assert "k must be >= 2" in text
-    assert "m must be >= 0" in text
-    assert "corpus file not found" in text
-    assert "targets file not found" in text
+    assert run(config) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: corpus file not found: {tmp_path / 'missing.tsv'}",
+        f"error: targets file not found: {tmp_path / 'missing-targets.tsv'}",
+        "error: unknown classifier 'svm': valid ids are nb, dl",
+        "error: k must be >= 2",
+        "error: smoothing strength m must be >= 0",
+    ]
+    assert not (tmp_path / "out").exists()
 
 
 def test_pseudoword_reports_every_bad_value_with_its_key(tmp_path):
@@ -457,16 +458,15 @@ def test_pseudoword_reports_every_bad_value_with_its_key(tmp_path):
     assert not (tmp_path / "gen").exists()
 
 
-def test_validate_config_accepts_good(tmp_path):
-    corpus = tmp_path / "c.tsv"
-    corpus.write_text("w\tw\tA\tB\ts\n")
-    targets = tmp_path / "t.tsv"
-    targets.write_text("w\tnoun\n")
+def test_validate_config_accepts_good(workspace, capsys):
     config = RunConfig(
-        subcommand="evaluate", output=tmp_path / "out",
-        corpus=corpus, targets=targets, criterion="[1gr|lemma|ordered|all]@1",
+        subcommand="evaluate", output=workspace / "good",
+        corpus=workspace / "gen" / "corpus.tsv", targets=workspace / "gen" / "targets.tsv",
+        criterion="[1gr|lemma|ordered|all]@1", k=5,
     )
-    assert validate_config(config) == []
+    assert run(config) == 0
+    assert capsys.readouterr().err == ""
+    assert (workspace / "good" / "evaluate.csv").is_file()
 
 
 def test_evidence_rejects_non_unigram(workspace):
@@ -478,7 +478,7 @@ def test_evidence_rejects_non_unigram(workspace):
     assert "unigram" in result.stderr
 
 
-def test_validate_config_rejects_bad_evaluation_inputs(tmp_path):
+def test_validate_config_rejects_bad_evaluation_inputs(tmp_path, capsys):
     grid = tmp_path / "bad.grid"
     grid.write_text("tags = lemma, bogus\nsizes = 1, 0\norders = 1, 1\n")
     all_only = tmp_path / "all-only.grid"
@@ -486,29 +486,57 @@ def test_validate_config_rejects_bad_evaluation_inputs(tmp_path):
     targets = tmp_path / "t.tsv"
     targets.write_text("w\tnoun\n")
     cases = [
-        ("selection", dict(criterion="[1gr|lemma|ordered|content]@1"), ["filter 'all'"]),
-        ("shift", dict(criterion="[1gr|lemma|ordered|all]@1", shifts=(0, 1, 1)),
+        (["selection", "--criterion", "[1gr|lemma|ordered|content]@1"], ["filter 'all'"]),
+        (["shift", "--criterion", "[1gr|lemma|ordered|all]@1", "--shifts", "0,1,1"],
          ["repeats 1"]),
-        ("evaluate", dict(criterion="[1gr|lemma|ordered|all]@1", m=float("nan")),
+        (["evaluate", "--criterion", "[1gr|lemma|ordered|all]@1", "--m", "nan"],
          ["m must be finite"]),
-        ("grid", dict(grid=str(grid)),
+        (["grid", "--grid", str(grid)],
          ["orders: repeated 1", "unknown tag 'bogus'", "context size must be >= 1"]),
-        ("ablation", dict(grid=str(grid), m=-1.0),
+        (["ablation", "--grid", str(grid), "--m", "-1"],
          ["m must be >= 0", "orders: repeated 1", "unknown tag 'bogus'",
           "context size must be >= 1"]),
-        ("ablation", dict(grid=str(all_only)), ["the grid lacks content"]),
+        (["ablation", "--grid", str(all_only)], ["the grid lacks content"]),
+        (["grid", "--m", "-1", "--prior-mode", "bogus"],
+         ["m must be >= 0", "prior_mode must be one of ('feature-values', 'senses')"]),
     ]
-    for subcommand, fields, expected in cases:
-        config = RunConfig(subcommand=subcommand, output=tmp_path / "out",
-                           corpus=grid, targets=targets, **fields)
-        problems = validate_config(config)
-        assert len(problems) == len(expected), (subcommand, problems)
+    for argv, expected in cases:
+        # The corpus is never read: every case fails the checks first.
+        status = main([*argv, "--corpus", str(grid), "--targets", str(targets),
+                       "-o", str(tmp_path / "out")])
+        problems = capsys.readouterr().err.splitlines()
+        assert status == 2, argv
+        assert len(problems) == len(expected), (argv, problems)
         for problem, text in zip(problems, expected):
-            assert text in problem, (subcommand, problems)
+            assert problem.startswith("error: ") and text in problem, (argv, problems)
+        assert not (tmp_path / "out").exists()
 
 
-def test_grid_config_is_read_once(workspace, monkeypatch):
+@pytest.mark.parametrize("args, output, expected", [
+    (["--seed", "y"], "gen", ["error: seed must be an integer, not 'y'"]),
+    ([], "afile/gen", ["error: --output afile/gen: afile exists and is not a directory"]),
+], ids=["seed", "output"])
+def test_pseudoword_config_problems_are_listed_with_the_others(tmp_path, monkeypatch, capsys,
+                                                               args, output, expected):
+    (tmp_path / "afile").write_text("keep\n")
+    (tmp_path / "bad.cfg").write_text("sources = a\nbogus = 1\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(["pseudoword", "--config", "bad.cfg", *args, "-o", output]) == 2
+    assert capsys.readouterr().err.splitlines() == expected + [
+        "error: unknown config keys: bogus",
+        "error: a pseudo-word needs at least 2 source lemmas",
+    ]
+    assert not (tmp_path / "gen").exists() and (tmp_path / "afile").read_text() == "keep\n"
+
+
+@pytest.mark.parametrize("command, read", [
+    (["grid", "--corpus", "gen/corpus.tsv", "--targets", "gen/targets.tsv",
+      "--grid", "once.grid", "--k", "5"], ["corpus.tsv", "once.grid", "targets.tsv"]),
+    (["pseudoword", "--config", "once.cfg"], ["once.cfg"]),
+], ids=["grid", "pseudoword"])
+def test_grid_config_is_read_once(workspace, monkeypatch, command, read):
     (workspace / "once.grid").write_text("orders = 1\ntags = lemma\nsizes = 1\n")
+    (workspace / "once.cfg").write_text(PW_CONFIG)
     reads = []
     read_text = Path.read_text
 
@@ -519,10 +547,9 @@ def test_grid_config_is_read_once(workspace, monkeypatch):
     monkeypatch.setattr(Path, "read_text", counting_read_text)
     monkeypatch.chdir(workspace)
     with contextlib.redirect_stderr(io.StringIO()):
-        status = main(["grid", "--corpus", "gen/corpus.tsv", "--targets", "gen/targets.tsv",
-                       "--grid", "once.grid", "--k", "5", "-o", "once"])
+        status = main([*command, "-o", f"once-{command[0]}"])
     assert status == 0
-    assert sorted(reads) == ["corpus.tsv", "once.grid", "targets.tsv"]
+    assert sorted(reads) == read
 
 
 @pytest.mark.parametrize("k", ["10", "1"])

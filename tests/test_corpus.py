@@ -441,6 +441,11 @@ def test_generator_validation():
         _config(signal_mode="pair", signal_offsets=(-2, 1))
     with pytest.raises(ValueError, match="noise"):
         _config(noise=1.5)
+    with pytest.raises(ValueError) as err:
+        PseudowordConfig(sources=("solo",), counts=(1,), noise=1.5)
+    assert str(err.value).splitlines() == [
+        "a pseudo-word needs at least 2 source lemmas", "noise must be in [0, 1]",
+    ]
 
 
 def test_parse_pseudoword_config():

@@ -56,6 +56,11 @@ def test_grid_enumeration_order():
 def test_grid_rejects_empty_set():
     with pytest.raises(ValueError, match="empty"):
         enumerate_grid(CriterionGrid(orders=()))
+    with pytest.raises(ValueError) as err:
+        CriterionGrid(orders=(), sizes=(0,))
+    assert str(err.value).splitlines() == [
+        "grid parameter set 'orders' is empty", "grid config sizes: context size must be >= 1",
+    ]
 
 
 @given(
