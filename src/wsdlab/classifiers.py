@@ -1,13 +1,16 @@
 """Naive Bayes and decision-list classifiers over feature vectors.
 
-Both classifiers smooth their probability estimates with the m-estimate
+A classifier reads only a vector's feature keys: any collection of keys in
+ascending order, such as the keys of a key -> span dict.  Both classifiers
+smooth their probability estimates with the m-estimate
 ``(n_c + m*p) / (n + m)``, which blends an observed frequency with a prior
 ``p`` at strength ``m``.  Naive Bayes combines the evidence of every known
 feature in the vector; the decision list holds one rule per feature and
 decides by the single strongest feature present (strength is the log-odds
-that a feature indicates its majority sense).  Both fall back to the training
-most-frequent sense when no known feature is available, so every input is
-tagged and precision equals recall.
+that a feature indicates its majority sense), and names that key.  Turning a
+key into evidence (its span) is left to the evaluation layer.  Both fall back
+to the training most-frequent sense when no known feature is available, so
+every input is tagged and precision equals recall.
 """
 
 from __future__ import annotations
@@ -16,9 +19,11 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from typing import Mapping, NamedTuple, Sequence
+from typing import Collection, Mapping, NamedTuple, Sequence
 
-from .criteria import FeatureVector, Span
+# A feature vector as a classifier reads it: its keys, ascending, so that
+# every sum over them runs in one order.
+Keys = Collection[str]
 
 PRIOR_MODES = ("feature-values", "senses")
 
@@ -57,9 +62,13 @@ def m_estimate(event_count: int, condition_count: int, prior: float, m: float) -
 
 
 class Prediction(NamedTuple):
+    """A decision: the sense, its score, the deciding key (a decision-list
+    rule's key; None for Naive Bayes and on a fallback) and whether the
+    most-frequent-sense fallback decided."""
+
     sense: str
     score: float
-    evidence: Span | None
+    key: str | None
     used_fallback: bool
 
 
@@ -97,14 +106,14 @@ def majority_sense(sense_counts: Mapping[str, int]) -> str:
 
 
 def _tally(
-    training: Sequence[tuple[FeatureVector, str]],
+    training: Sequence[tuple[Keys, str]],
 ) -> tuple[dict[str, int], dict[str, dict[str, int]], dict[str, Counter]]:
     """Shared count tables: sense counts, per-key per-sense presence counts
     (each key's senses in sorted order), and per sense its key -> presence
     count tally, whose values sum to the sense's feature total."""
     if not training:
         raise ValueError("training set is empty")
-    vectors_by_sense: dict[str, list[FeatureVector]] = {}
+    vectors_by_sense: dict[str, list[Keys]] = {}
     for vector, sense in training:
         vectors_by_sense.setdefault(sense, []).append(vector)
     cond: dict[str, dict[str, int]] = {}
@@ -123,7 +132,7 @@ def _tally(
 
 
 def train_nb(
-    training: Sequence[tuple[FeatureVector, str]],
+    training: Sequence[tuple[Keys, str]],
     smoothing: SmoothingParams = SmoothingParams(),
 ) -> NBModel:
     sense_counts, cond, per_sense = _tally(training)
@@ -158,7 +167,7 @@ def _log_conditional(event: int, condition: int, prior: float, m: float) -> floa
     return math.log(prob) if prob > 0.0 else -math.inf
 
 
-def classify_nb(model: NBModel, vector: FeatureVector) -> Prediction:
+def classify_nb(model: NBModel, vector: Keys) -> Prediction:
     """Argmax over senses of log prior + sum of log smoothed conditionals of
     the vector's *known* features.  A vector with no known feature falls back
     to the training most-frequent sense.  Ties break toward the higher prior,
@@ -208,7 +217,7 @@ def feature_strength(
 
 
 def train_dl(
-    training: Sequence[tuple[FeatureVector, str]],
+    training: Sequence[tuple[Keys, str]],
     smoothing: SmoothingParams = SmoothingParams(),
 ) -> DLModel:
     sense_counts, cond, _ = _tally(training)
@@ -227,13 +236,12 @@ def train_dl(
     return DLModel(rules=rules, fallback=majority_sense(sense_counts))
 
 
-def classify_dl(model: DLModel, vector: FeatureVector) -> Prediction:
-    """Decide by the strongest rule whose key appears in the vector; that
-    key's span is attached as evidence.  No match falls back to the training
-    most-frequent sense."""
+def classify_dl(model: DLModel, vector: Keys) -> Prediction:
+    """Decide by the strongest rule whose key appears in the vector, and name
+    that key.  No match falls back to the training most-frequent sense."""
     rules = model.rules
     matched = [rules[key] for key in vector if key in rules]
     if not matched:
         return Prediction(model.fallback, 0.0, None, True)
     neg_strength, _, key, sense = min(matched)
-    return Prediction(sense, -neg_strength, vector[key], False)
+    return Prediction(sense, -neg_strength, key, False)

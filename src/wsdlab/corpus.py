@@ -340,10 +340,10 @@ _PSEUDOWORD_KEYS = {
 def _read_config(text: str, label: str, converters: dict[str, Callable[[str], Any]],
                  build: Callable[..., Any], required: tuple[str, ...] = ()) -> Any:
     """``build(**values)`` from the flat ``key = value`` config format, which
-    skips blank and ``#`` lines.  Malformed lines, unknown keys, missing
-    ``required`` keys (then nothing is built), values that do not convert and
-    the problems ``build`` raises are raised together in one ``ValueError``,
-    one per line of its message, each named by ``label``."""
+    skips blank and ``#`` lines.  Malformed lines, repeated and unknown keys,
+    missing ``required`` keys (then nothing is built), values that do not
+    convert and the problems ``build`` raises are raised together in one
+    ``ValueError``, one per line of its message, each named by ``label``."""
     raw: dict[str, str] = {}
     problems: list[str] = []
     for number, line in enumerate(text.splitlines(), start=1):
@@ -354,7 +354,10 @@ def _read_config(text: str, label: str, converters: dict[str, Callable[[str], An
         if not sep:
             problems.append(f"{label} line {number}: expected 'key = value', got {line!r}")
             continue
-        raw[key.strip()] = value.strip()
+        key = key.strip()
+        if key in raw:
+            problems.append(f"{label} line {number}: repeated key {key!r}")
+        raw[key] = value.strip()
 
     unknown = sorted(set(raw) - set(converters))
     if unknown:
@@ -386,9 +389,9 @@ def _pseudoword_config(sources: tuple[str, ...], counts: tuple[int, ...] = (100,
 
 def parse_pseudoword_config(text: str) -> PseudowordConfig:
     """Parse the flat ``key = value`` pseudo-word config format.  Malformed
-    lines, unknown keys, a missing ``sources`` key, values that do not convert
-    and every problem ``PseudowordConfig`` finds are raised together in one
-    ``ValueError``, one per line of its message."""
+    lines, repeated and unknown keys, a missing ``sources`` key, values that
+    do not convert and every problem ``PseudowordConfig`` finds are raised
+    together in one ``ValueError``, one per line of its message."""
     return _read_config(text, "config", _PSEUDOWORD_KEYS, _pseudoword_config,
                         required=("sources",))
 

@@ -243,8 +243,8 @@ _GRID_KEYS = {"orders": _parse_int_list, "tags": _parse_csv_list,
 def parse_grid_config(text: str) -> CriterionGrid:
     """Parse a grid config file: ``orders/tags/positionings/filters/sizes``
     keys with comma-separated values (sizes also accept ``1-8`` ranges).
-    Malformed lines, unknown keys, values that do not convert and every
-    problem ``CriterionGrid`` finds are raised together in one
+    Malformed lines, repeated and unknown keys, values that do not convert
+    and every problem ``CriterionGrid`` finds are raised together in one
     ``ValueError``, one per line of its message."""
     return _read_config(text, "grid config", _GRID_KEYS, CriterionGrid)
 

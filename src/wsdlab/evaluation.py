@@ -14,7 +14,7 @@ import random
 import signal
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterable, Sequence
 
 from .classifiers import (
@@ -93,8 +93,10 @@ def kfold_split(occurrences: Sequence[Occurrence], k: int, seed: int) -> FoldPla
 
 @dataclass(frozen=True)
 class DecisionRecord:
-    """Trace of one classified occurrence; the evidence span is present only
-    for decision-list decisions that did not fall back."""
+    """Trace of one classified occurrence.  The evidence is the span of the
+    key that decided, which ``cross_validate`` looks up in the occurrence's
+    vector (classifiers see only keys): present only for decision-list
+    decisions that did not fall back."""
 
     occurrence_id: str
     gold: str
@@ -175,9 +177,10 @@ def cross_validate(
             if prediction.sense == occ.sense:
                 correct += 1
             if keep_records:
+                # No key (NB, or a fallback) finds no span.
                 records.append(DecisionRecord(
                     occ.id, occ.sense, prediction.sense, prediction.used_fallback,
-                    prediction.evidence,
+                    vectors[i].get(prediction.key),
                 ))
         fold_precisions.append(correct / len(test_idx) if test_idx else 0.0)
         total_correct += correct
@@ -236,31 +239,19 @@ def worker_count(jobs: int, cells: int) -> int:
     return max(1, min(jobs, cells, cpus))
 
 
-# Grid state: filled by grid_search in the parent before any cell runs (forked
-# workers inherit it without per-task pickling of the corpus), and emptied when
-# it returns.
+# Grid state: the cell evaluator (cross_validate bound to the corpus and the
+# run's settings), the fold plans and the cells.  Filled by grid_search in the
+# parent before any cell runs (forked workers inherit it without per-task
+# pickling of the corpus), and emptied when it returns.
 _POOL_STATE: dict = {}
 
 # Cells per task sent to a pool worker.
 _CHUNK_CELLS = 8
 
 
-def _eval_cell(cell: tuple[int, int]) -> WordResult:
-    word_index, criterion_index = cell
-    state = _POOL_STATE
-    return cross_validate(
-        state["corpus"],
-        state["plans"][word_index],
-        state["criteria"][criterion_index],
-        state["classifier"],
-        state["smoothing"],
-        content_mode=state["content_mode"],
-        keep_records=state["keep_records"],
-    )
-
-
 def _eval_cells(cells: Sequence[tuple[int, int]]) -> list[WordResult]:
-    return [_eval_cell(cell) for cell in cells]
+    state = _POOL_STATE
+    return [state["evaluate"](state["plans"][wi], state["criteria"][ci]) for wi, ci in cells]
 
 
 def _end_on_interrupt() -> None:
@@ -314,15 +305,11 @@ def grid_search(
         context = multiprocessing.get_context("fork") if workers > 1 else None
     except ValueError:  # no fork on this platform: run serially
         context = None
-    _POOL_STATE.update(
-        corpus=corpus,
-        plans=plans,
-        criteria=criteria,
-        classifier=classifier,
-        smoothing=smoothing,
-        content_mode=content_mode,
-        keep_records=keep_records,
-    )
+    # cross_validate is looked up on each call, so a tracer's wrapper on it
+    # sees every cell.
+    evaluate = partial(cross_validate, corpus, classifier=classifier, smoothing=smoothing,
+                       content_mode=content_mode, keep_records=keep_records)
+    _POOL_STATE.update(evaluate=evaluate, plans=plans, criteria=criteria)
     try:
         if context is None:
             results = _eval_cells(cells)

@@ -10,8 +10,10 @@ with a scan of the assignment per fold, occurrence lookup with a scan of the
 whole corpus, feature extraction by building the document's full left
 and right context before the window is applied, corpus parsing with one
 ``str.splitlines()`` and fresh strings for every line, and corpus rendering
-by joining a list of every line, and the statistics and evidence reports
-with the report classes and helpers they were first built from.
+by joining a list of every line, the statistics and evidence reports
+with the report classes and helpers they were first built from, and a whole
+grid run's ``grid.csv`` rows and decision records with a fold loop that
+recounts every fold from scratch out of the pieces above.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from wsdlab.corpus import (
     Token,
 )
 from wsdlab.criteria import CONTENT_MODES, CONTENT_TAGS, SELECTED_TAGS
+from wsdlab.evaluation import DecisionRecord, GridResult, WordResult, kfold_split
 
 
 def smoothed(event: int, condition: int, prior: float, m: float) -> float:
@@ -77,10 +80,10 @@ def nb_posterior_oracle(training, smoothing, vector) -> tuple[str, bool]:
     return best_sense, False
 
 
-def dl_scan_oracle(training, smoothing, vector) -> tuple[str, bool, object]:
+def dl_scan_oracle(training, smoothing, vector) -> tuple[str, bool, str | None]:
     """Recount every key of the vector in the training set, take the one with
     the greatest (strength, count, key-asc) rank by a scan, and return its
-    (sense, used_fallback, evidence span); the fallback has no evidence.
+    (sense, used_fallback, key); the fallback has no key.
     Strength is the log-odds of the most probable sense (the first in sorted
     order on ties) under a uniform sense prior."""
     senses, fallback = _senses_and_fallback(training)
@@ -103,7 +106,7 @@ def dl_scan_oracle(training, smoothing, vector) -> tuple[str, bool, object]:
     if best is None:
         return fallback, True, None
     (_, _, key), sense = best
-    return sense, False, vector[key]
+    return sense, False, key
 
 
 def tally_per_key(training):
@@ -327,6 +330,68 @@ def features_full_context(corpus, occurrence, criterion, *, content_mode="reinde
             (tuple(o for o, _ in span), tuple(t.cgems for _, t in span)),
         )
     return dict(sorted(features.items()))
+
+
+# --- a whole grid run -----------------------------------------------------------
+
+def _cell_vector(corpus, occurrence, cell, *, content_mode="reindex"):
+    """The vector of a cell from ``features_full_context``: a one-criterion
+    cell's own, several criteria's with every key prefixed by its criterion
+    and ``::``, keys ascending."""
+    vectors = [features_full_context(corpus, occurrence, criterion, content_mode=content_mode)
+               for criterion in cell]
+    if len(cell) == 1:
+        return vectors[0]
+    return dict(sorted((f"{criterion}::{key}", span)
+                       for criterion, vector in zip(cell, vectors)
+                       for key, span in vector.items()))
+
+
+def grid_rows_oracle(corpus, targets, cells, classifier, smoothing, k, seed, *,
+                     content_mode="reindex"):
+    """``grid.csv``'s rows, header first, and the ``GridResult`` they format,
+    decision records included.  Words with fewer than ``k`` occurrences are
+    left out.  Each fold's training set is picked by a scan of the fold
+    assignment and recounted from scratch for every decision: NB by the
+    per-key references, the decision list by the brute-force scan, whose key
+    is looked up in the occurrence's vector for the record's evidence."""
+    results = []
+    for lemma, category in sorted(targets):
+        occurrences = occurrences_scan(corpus, lemma, category)
+        if len(occurrences) < k:
+            continue
+        assignment = kfold_split(occurrences, k, seed).assignment
+        for cell in cells:
+            vectors = [_cell_vector(corpus, occ, cell, content_mode=content_mode)
+                       for occ in occurrences]
+            records = []
+            fold_precisions = []
+            for fold in range(k):
+                training = [(vector, occ.sense)
+                            for vector, occ, f in zip(vectors, occurrences, assignment)
+                            if f != fold]
+                model = train_nb_per_key(training, smoothing) if classifier == "nb" else None
+                correct = 0
+                held_out = [i for i, f in enumerate(assignment) if f == fold]
+                for i in held_out:
+                    if classifier == "nb":
+                        sense, _, key, fallback = classify_nb_per_key(model, vectors[i])
+                    else:
+                        sense, fallback, key = dl_scan_oracle(training, smoothing, vectors[i])
+                    occ = occurrences[i]
+                    evidence = None if key is None else vectors[i][key]
+                    records.append(DecisionRecord(occ.id, occ.sense, sense, fallback, evidence))
+                    correct += sense == occ.sense
+                fold_precisions.append(correct / len(held_out))
+            precision = sum(record.correct for record in records) / len(occurrences)
+            results.append(WordResult(lemma, category, tuple(cell), classifier, precision,
+                                      tuple(fold_precisions), tuple(records)))
+    rows = [("word", "category", "criterion", "size", "classifier", "precision",
+             "fold_precisions")]
+    rows += [(r.lemma, r.category, "+".join(map(str, r.cell)), max(c.size for c in r.cell),
+              r.classifier, f"{r.precision:.6f}", ";".join(f"{p:.6f}" for p in r.fold_precisions))
+             for r in results]
+    return rows, GridResult(tuple(results), (), classifier)
 
 
 # --- statistics and evidence reports -------------------------------------------

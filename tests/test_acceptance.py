@@ -104,10 +104,10 @@ def test_criterion_03_dl_oracle_equivalence():
         pool = features + ["unseen"]
         query = vec(*rng.sample(pool, rng.randint(0, min(6, len(pool)))))
         got = classify_dl(train_dl(training, smoothing), query)
-        want_sense, want_fallback, want_evidence = dl_scan_oracle(training, smoothing, query)
+        want_sense, want_fallback, want_key = dl_scan_oracle(training, smoothing, query)
         assert got.sense == want_sense
         assert got.used_fallback == want_fallback
-        assert got.evidence == want_evidence
+        assert got.key == want_key
         cases += 1
     elapsed = time.perf_counter() - started
     assert cases >= 1000 and elapsed < 10.0

@@ -214,7 +214,7 @@ def test_train_dl_tie_breaks_by_key():
     assert rules[0][:2] == rules[1][:2] == rules[2][:2]  # equal strength and count
     assert [key for _, _, key, _ in rules] == ["ka", "kb", "kc"]
     chosen = classify_dl(model, vec("kc", "kb", "ka"))
-    assert (chosen.sense, chosen.evidence) == ("A", ((3,), ("NCOM",)))  # the span of "ka"
+    assert (chosen.sense, chosen.key) == ("A", "ka")
 
 
 def test_train_dl_single_instance():
@@ -233,14 +233,14 @@ def test_classify_dl_first_match_decides():
     model = train_dl(training)
     prediction = classify_dl(model, vec("weak", "strong"))
     assert prediction.sense == "A"
-    assert prediction.evidence == ((2,), ("NCOM",))  # the span of "strong"
+    assert prediction.key == "strong"
     assert not prediction.used_fallback
 
 
 def test_classify_dl_no_match_falls_back():
     model = train_dl(toy_training())
     prediction = classify_dl(model, vec("zzz"))
-    assert prediction.used_fallback and prediction.evidence is None
+    assert prediction.used_fallback and prediction.key is None
     assert prediction.sense == "A"
 
 
@@ -259,9 +259,22 @@ def test_classify_dl_agrees_with_brute_force_scan():
     for _ in range(300):
         training, smoothing, vector = _random_dl_case(rng)
         got = classify_dl(train_dl(training, smoothing), vector)
-        assert (got.sense, got.used_fallback, got.evidence) == dl_scan_oracle(
+        assert (got.sense, got.used_fallback, got.key) == dl_scan_oracle(
             training, smoothing, vector
         )
+
+
+def test_classifiers_read_only_the_keys():
+    # A vector is read as its keys: the ascending tuple of a dict vector's keys
+    # trains the same model and gets the same decision, score and key.
+    rng = random.Random(2718)
+    for make_case, train, classify in ((_random_nb_case, train_nb, classify_nb),
+                                       (_random_dl_case, train_dl, classify_dl)):
+        for _ in range(200):
+            training, smoothing, vector = make_case(rng)
+            model = train(training, smoothing)
+            assert train([(tuple(v), sense) for v, sense in training], smoothing) == model
+            assert classify(model, tuple(vector)) == classify(model, vector)
 
 
 def _random_dl_case(rng, max_features=50):
@@ -310,8 +323,8 @@ def test_fast_training_matches_per_key_definitions(case):
     nb_reference = train_nb_per_key(training, smoothing)
     for query in queries:
         got, want = classify_nb(nb, query), classify_nb_per_key(nb_reference, query)
-        assert (got.sense, got.evidence, got.used_fallback) == (
-            want.sense, want.evidence, want.used_fallback)
+        assert (got.sense, got.key, got.used_fallback) == (
+            want.sense, want.key, want.used_fallback)
         assert repr(got.score) == repr(want.score)  # bit for bit, -inf included
     dl = train_dl(training, smoothing)
     assert (dl.rules, dl.fallback) == dl_rules_per_key(training, smoothing)

@@ -345,10 +345,11 @@ _INTERRUPTIBLE = ("import signal, sys; signal.signal(signal.SIGINT, signal.defau
 def test_interrupt_at_jobs_2_exits_130_with_one_line(tmp_path):
     if evaluation.worker_count(2, 2) < 2:
         pytest.skip("needs two CPUs for a worker pool")
-    # 4,000 occurrences. The eight-cell grid is one chunk, so one worker is
-    # busy for a second or two while the other waits for work; the default
-    # grid keeps both busy for a minute.
-    (tmp_path / "pw.cfg").write_text(PW_CONFIG.replace("counts = 30", "counts = 2000"))
+    # 8,000 occurrences. The eight-cell grid is one chunk, so one worker is
+    # busy for a second or more while the other waits for work; the default
+    # grid keeps both busy for minutes.  With 4,000 a fast machine ended the
+    # eight-cell run at about 1.0 s, before the last interrupt below.
+    (tmp_path / "pw.cfg").write_text(PW_CONFIG.replace("counts = 30", "counts = 4000"))
     (tmp_path / "eight.grid").write_text(
         "orders = 3\ntags = lemma\npositionings = unordered\nfilters = all\n"
         "sizes = 1,2,3,4,5,6,7,8\n"

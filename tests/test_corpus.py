@@ -2,6 +2,7 @@ import dataclasses
 import math
 import pickle
 from collections import Counter
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -27,6 +28,7 @@ from wsdlab import (
     extract_occurrences,
     generate_pseudoword_corpus,
     parse_corpus,
+    parse_grid_config,
     parse_pseudoword_config,
     parse_targets,
     serialize_corpus,
@@ -489,6 +491,35 @@ def test_parse_pseudoword_config_reports_every_problem():
         "config counts: invalid literal for int() with base 10: 'x'",
         "config seed: invalid literal for int() with base 10: 's'",
     ]
+
+
+@pytest.mark.parametrize("parse, text, problems", [
+    (parse_grid_config, "sizes = 1\nsizes = 2\n# a note\ntags = lemma\ntags = x", [
+        "grid config line 2: repeated key 'sizes'",
+        "grid config line 5: repeated key 'tags'",
+        "grid config tags: unknown tag 'x'; expected one of ('mform', 'lemma', 'ems', 'cgems')",
+    ]),
+    (parse_pseudoword_config, "sources = a, b\ncounts = 3\nsources = c\nbogus = 1\ncounts = 4", [
+        "config line 3: repeated key 'sources'",
+        "config line 5: repeated key 'counts'",
+        "unknown config keys: bogus",
+        "a pseudo-word needs at least 2 source lemmas",
+    ]),
+])
+def test_a_repeated_config_key_is_listed_with_every_other_problem(parse, text, problems):
+    with pytest.raises(ValueError) as err:
+        parse(text)
+    assert str(err.value).splitlines() == problems
+
+
+def test_the_readme_pseudoword_config_block_parses():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("Config file keys:\n\n```\n", 1)[1].split("\n```\n", 1)[0]
+    config = parse_pseudoword_config(block)
+    assert config == PseudowordConfig(
+        sources=("banane", "porte"), counts=(200, 200), signal_values=("jaune", "bois"),
+        target="bananeporte", filler_pos=("NCOM", "DET", "PREP"),
+    )
 
 
 def test_generator_custom_signal_values():

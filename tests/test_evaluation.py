@@ -15,6 +15,7 @@ from wsdlab import (
     Token,
     cross_validate,
     enumerate_grid,
+    extract_features,
     extract_occurrences,
     generate_pseudoword_corpus,
     grid_rows,
@@ -183,8 +184,12 @@ def test_evidence_recorded_only_for_dl_decisions():
     plan = kfold_split(occurrences, 10, 0)
     criterion = parse_criterion("[1gr|lemma|ordered|all]@1")
     dl = cross_validate(corpus, plan, criterion, "dl")
+    by_id = {occ.id: occ for occ in occurrences}
     for record in dl.records:
         assert (record.evidence is None) == record.used_fallback
+        if record.evidence is not None:  # a span of its own occurrence's vector
+            vector = extract_features(corpus, by_id[record.occurrence_id], criterion)
+            assert record.evidence in vector.values()
     nb = cross_validate(corpus, plan, criterion, "nb")
     assert all(r.evidence is None for r in nb.records)
 
