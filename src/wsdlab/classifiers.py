@@ -1,16 +1,16 @@
 """Naive Bayes and decision-list classifiers over feature vectors.
 
 A classifier reads only a vector's feature keys: any collection of keys in
-ascending order, such as the keys of a key -> span dict.  Both classifiers
-smooth their probability estimates with the m-estimate
+ascending order, such as the key tuple that extraction returns.  Both
+classifiers smooth their probability estimates with the m-estimate
 ``(n_c + m*p) / (n + m)``, which blends an observed frequency with a prior
 ``p`` at strength ``m``.  Naive Bayes combines the evidence of every known
 feature in the vector; the decision list holds one rule per feature and
 decides by the single strongest feature present (strength is the log-odds
-that a feature indicates its majority sense), and names that key.  Turning a
-key into evidence (its span) is left to the evaluation layer.  Both fall back
-to the training most-frequent sense when no known feature is available, so
-every input is tagged and precision equals recall.
+that a feature indicates its majority sense), and names that key; evaluation
+asks ``criteria.feature_span`` for its span only when it keeps records.  Both
+fall back to the training most-frequent sense when no known feature is
+available, so every input is tagged and precision equals recall.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Collection, Mapping, NamedTuple, Sequence
 
-# A feature vector as a classifier reads it: its keys, ascending, so that
-# every sum over them runs in one order.
+# A feature vector as a classifier reads it: its keys, ascending (the tuple
+# that extraction returns), so that every sum over them runs in one order.
 Keys = Collection[str]
 
 PRIOR_MODES = ("feature-values", "senses")

@@ -234,6 +234,8 @@ def parse_targets(text: str) -> list[tuple[str, str]]:
                 f"targets line {number}: expected 'lemma<TAB>category', got {line!r}"
             )
         lemma, category = fields
+        if not lemma:
+            raise ValueError(f"targets line {number}: empty lemma")
         if category not in CATEGORIES:
             raise ValueError(
                 f"targets line {number}: unknown category {category!r}; "

@@ -30,7 +30,7 @@ import itertools
 import re
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .corpus import Corpus, Occurrence, Token, _parse_csv_list, _read_config
 
@@ -249,11 +249,11 @@ def parse_grid_config(text: str) -> CriterionGrid:
     return _read_config(text, "grid config", _GRID_KEYS, CriterionGrid)
 
 
-# A feature vector maps each feature key to the span that first produced it:
-# the window offsets and coarse tags of that n-gram's tokens.  Keys ascend,
-# so downstream arithmetic is order-independent.
+# A feature vector is the ascending tuple of its keys.  A span, the window
+# offsets and coarse tags of the first n-gram that produced a key, is a
+# decision's evidence: evaluation asks ``feature_span`` for the deciding
+# key's span only when it keeps records.
 Span = tuple[tuple[int, ...], tuple[str, ...]]
-FeatureVector = dict[str, Span]
 
 
 def _escape(value: str) -> str:
@@ -275,23 +275,14 @@ def _survivors(
     return kept
 
 
-def extract_features(
-    corpus: Corpus,
-    occurrence: Occurrence,
-    criterion: Criterion,
-    *,
-    content_mode: str = "reindex",
-) -> FeatureVector:
-    """Extract the feature vector a criterion yields for one occurrence.
-
-    Pure function of the occurrence's document slice and the criterion; an
-    occurrence at a document edge may yield an empty vector (windows truncate
-    silently, spans are never padded).
-    """
+def _ngrams(
+    corpus: Corpus, occurrence: Occurrence, criterion: Criterion, content_mode: str
+) -> Iterator[tuple[str, list[tuple[int, Token]]]]:
+    """Each n-gram a criterion takes from an occurrence's window, in emission
+    order: its key and its window entries, (offset, token) pairs."""
     if content_mode not in CONTENT_MODES:
         raise ValueError(f"content_mode must be one of {CONTENT_MODES}")
-    doc = corpus.document(occurrence.document_id)
-    tokens = doc.tokens
+    tokens = corpus.document(occurrence.document_id).tokens
     index = occurrence.token_index
     if criterion.filter == "all":
         allowed = None
@@ -336,28 +327,46 @@ def extract_features(
     else:
         prefix = lambda start: "L:" if start < 0 else "R:"
 
-    # Offsets ascend without repeats, so a span's offsets are consecutive
-    # exactly when its last is ``order - 1`` past its first.  Anchored spans
-    # must contain offset 0.
+    # Offsets ascend without repeats, so an n-gram's offsets are consecutive
+    # exactly when its last is ``order - 1`` past its first.  Anchored
+    # n-grams must contain offset 0.
     order = criterion.order
     tail = order - 1
-    spans: FeatureVector = {}
     for s in range(len(offsets) - tail):
         first, last = offsets[s], offsets[s + tail]
         if last - first != tail or (anchored and not first <= 0 <= last):
             continue
-        key = prefix(first) + "_".join(texts[s:s + order])
-        if key not in spans:  # the first span of a key wins
-            spans[key] = (tuple(offsets[s:s + order]),
-                          tuple(t.cgems for _, t in window[s:s + order]))
-    return {key: spans[key] for key in sorted(spans)}
+        yield prefix(first) + "_".join(texts[s:s + order]), window[s:s + order]
 
 
-def combine_features(
-    criteria: Sequence[Criterion], vectors: Sequence[FeatureVector]
-) -> FeatureVector:
+def extract_features(corpus: Corpus, occurrence: Occurrence, criterion: Criterion, *,
+                     content_mode: str = "reindex") -> tuple[str, ...]:
+    """The feature vector a criterion yields for one occurrence: its distinct
+    keys, ascending.  Pure function of the occurrence's document slice and
+    the criterion; at a document edge the window truncates silently, so the
+    vector may be empty."""
+    return tuple(sorted({key for key, _ in _ngrams(corpus, occurrence, criterion, content_mode)}))
+
+
+def feature_span(corpus: Corpus, occurrence: Occurrence, cell: Sequence[Criterion], key: str,
+                 *, content_mode: str = "reindex") -> Span:
+    """The span of a key of a cell's vector for one occurrence: the window
+    offsets and coarse tags of the first n-gram that yields it.  In a cell
+    of several criteria, a key names its criterion before ``::``."""
+    criterion = cell[0]
+    if len(cell) > 1:
+        name, _, key = key.partition("::")
+        criterion = {format_criterion(c): c for c in cell}[name]
+    for found, entries in _ngrams(corpus, occurrence, criterion, content_mode):
+        if found == key:
+            return tuple(o for o, _ in entries), tuple(t.cgems for _, t in entries)
+    raise KeyError(key)
+
+
+def combine_features(criteria: Sequence[Criterion],
+                     vectors: Sequence[tuple[str, ...]]) -> tuple[str, ...]:
     """Union of the vectors that the criteria of one cell extract from the
-    same occurrence, ``vectors[i]`` from ``criteria[i]``.
+    same occurrence, ``vectors[i]`` from ``criteria[i]``, keys ascending.
 
     A one-criterion cell's union is its vector; with several criteria, keys
     are namespaced by their criterion's canonical string so features from
@@ -365,8 +374,8 @@ def combine_features(
     """
     if len(criteria) == 1:
         return vectors[0]
-    return dict(sorted(
-        (f"{format_criterion(criterion)}::{key}", span)
+    return tuple(sorted(
+        f"{format_criterion(criterion)}::{key}"
         for criterion, vector in zip(criteria, vectors, strict=True)
-        for key, span in vector.items()
+        for key in vector
     ))

@@ -33,6 +33,7 @@ from .criteria import (
     combine_features,
     enumerate_grid,
     extract_features,
+    feature_span,
 )
 
 CLASSIFIERS = ("nb", "dl")
@@ -94,9 +95,9 @@ def kfold_split(occurrences: Sequence[Occurrence], k: int, seed: int) -> FoldPla
 @dataclass(frozen=True)
 class DecisionRecord:
     """Trace of one classified occurrence.  The evidence is the span of the
-    key that decided, which ``cross_validate`` looks up in the occurrence's
-    vector (classifiers see only keys): present only for decision-list
-    decisions that did not fall back."""
+    key that decided, which ``cross_validate`` asks ``feature_span`` for only
+    when it keeps records (vectors and classifiers hold only keys): present
+    only for decision-list decisions that did not fall back."""
 
     occurrence_id: str
     gold: str
@@ -177,10 +178,11 @@ def cross_validate(
             if prediction.sense == occ.sense:
                 correct += 1
             if keep_records:
-                # No key (NB, or a fallback) finds no span.
+                # No key (NB, or a fallback) has no span.
                 records.append(DecisionRecord(
                     occ.id, occ.sense, prediction.sense, prediction.used_fallback,
-                    vectors[i].get(prediction.key),
+                    None if prediction.key is None else feature_span(
+                        corpus, occ, criteria, prediction.key, content_mode=content_mode),
                 ))
         fold_precisions.append(correct / len(test_idx) if test_idx else 0.0)
         total_correct += correct

@@ -334,7 +334,7 @@ def features_full_context(corpus, occurrence, criterion, *, content_mode="reinde
 
 # --- a whole grid run -----------------------------------------------------------
 
-def _cell_vector(corpus, occurrence, cell, *, content_mode="reindex"):
+def cell_features_full_context(corpus, occurrence, cell, *, content_mode="reindex"):
     """The vector of a cell from ``features_full_context``: a one-criterion
     cell's own, several criteria's with every key prefixed by its criterion
     and ``::``, keys ascending."""
@@ -362,7 +362,7 @@ def grid_rows_oracle(corpus, targets, cells, classifier, smoothing, k, seed, *,
             continue
         assignment = kfold_split(occurrences, k, seed).assignment
         for cell in cells:
-            vectors = [_cell_vector(corpus, occ, cell, content_mode=content_mode)
+            vectors = [cell_features_full_context(corpus, occ, cell, content_mode=content_mode)
                        for occ in occurrences]
             records = []
             fold_precisions = []

@@ -568,6 +568,18 @@ def test_bad_targets_are_listed_with_the_other_problems_before_the_corpus(worksp
     assert not (workspace / "nothing9").exists()
 
 
+def test_an_empty_target_lemma_is_listed_with_the_other_problems(workspace):
+    (workspace / "empty-lemma.tsv").write_text("mot\tnoun\n\tnoun\n")
+    result = wsdlab("grid", "--corpus", "gen/corpus.tsv", "--targets", "empty-lemma.tsv",
+                    "--k", "1", "-o", "nothing-empty-lemma", cwd=workspace)
+    assert result.returncode == 2
+    assert result.stderr.splitlines() == [
+        "error: targets empty-lemma.tsv: targets line 2: empty lemma",
+        "error: k must be >= 2",
+    ]
+    assert not (workspace / "nothing-empty-lemma").exists()
+
+
 def test_bad_grid_values_exit_2_before_work(workspace):
     (workspace / "bad.grid").write_text("tags = lemma, bogus\nsizes = 1, 0\n")
     result = wsdlab("grid", "--corpus", "gen/corpus.tsv", "--targets", "gen/targets.tsv",

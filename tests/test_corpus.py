@@ -377,7 +377,7 @@ def test_parse_targets():
 
 
 @pytest.mark.parametrize(
-    "text", ["chef noun", "chef\tadverb", "chef\tnoun\nchef\tnoun"]
+    "text", ["chef noun", "chef\tadverb", "chef\tnoun\nchef\tnoun", "\tnoun"]
 )
 def test_parse_targets_rejects(text):
     with pytest.raises(ValueError):

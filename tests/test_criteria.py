@@ -2,7 +2,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import features_full_context
+from oracles import cell_features_full_context, features_full_context
 from wsdlab import (
     Corpus,
     Criterion,
@@ -21,7 +21,7 @@ from wsdlab import (
     parse_criterion,
     parse_grid_config,
 )
-from wsdlab.criteria import cell_name, family_name, parse_cell
+from wsdlab.criteria import cell_name, family_name, feature_span, parse_cell
 
 
 # --- grid enumeration ----------------------------------------------------------
@@ -202,12 +202,20 @@ def _occurrence(corpus, lemma, category="noun"):
     return occurrence
 
 
+def _spans(corpus, occurrence, cell, *, content_mode="reindex"):
+    """Each key of a cell's vector with its ``feature_span``, keys ascending."""
+    cell = (cell,) if isinstance(cell, Criterion) else tuple(cell)
+    vector = combine_features(cell, [
+        extract_features(corpus, occurrence, c, content_mode=content_mode) for c in cell
+    ])
+    return {key: feature_span(corpus, occurrence, cell, key, content_mode=content_mode)
+            for key in vector}
+
+
 def test_extract_unigrams_ordered(table_corpus):
     occurrence = _occurrence(table_corpus, "détention")
-    vector = extract_features(
-        table_corpus, occurrence, parse_criterion("[1gr|lemma|ordered|all]@2")
-    )
-    assert vector.keys() == {"-2:pratique", "-1:de"}
+    vector = _spans(table_corpus, occurrence, parse_criterion("[1gr|lemma|ordered|all]@2"))
+    assert tuple(vector) == ("-1:de", "-2:pratique")
     assert {offsets for offsets, _ in vector.values()} == {(-2,), (-1,)}
 
 
@@ -216,17 +224,14 @@ def test_extract_bigram_leftright(table_corpus):
     vector = extract_features(
         table_corpus, occurrence, parse_criterion("[2gr|lemma|leftright|all]@2")
     )
-    assert vector.keys() == {"L:pratique_de"}
+    assert vector == ("L:pratique_de",)
 
 
 def test_extract_content_filter_reindexes(table_corpus):
     occurrence = _occurrence(table_corpus, "détention")
-    vector = extract_features(
-        table_corpus, occurrence, parse_criterion("[1gr|lemma|ordered|content]@1")
-    )
+    vector = _spans(table_corpus, occurrence, parse_criterion("[1gr|lemma|ordered|content]@1"))
     # "des" (DET) is dropped; "pratique" (NCOM) becomes the new offset -1
-    assert vector.keys() == {"-1:pratique"}
-    assert list(vector.values()) == [((-1,), ("NCOM",))]
+    assert vector == {"-1:pratique": ((-1,), ("NCOM",))}
 
 
 def test_extract_content_filter_keep_gaps(table_corpus):
@@ -235,12 +240,12 @@ def test_extract_content_filter_keep_gaps(table_corpus):
         table_corpus, occurrence, parse_criterion("[1gr|lemma|ordered|content]@1"),
         content_mode="keep_gaps",
     )
-    assert vector.keys() == set()  # offset -1 holds a dropped DET; no survivor at -1
+    assert vector == ()  # offset -1 holds a dropped DET; no survivor at -1
     wider = extract_features(
         table_corpus, occurrence, parse_criterion("[1gr|lemma|ordered|content]@2"),
         content_mode="keep_gaps",
     )
-    assert wider.keys() == {"-2:pratique"}  # original offsets preserved
+    assert wider == ("-2:pratique",)  # original offsets preserved
 
 
 def test_extract_document_edge_truncates(table_corpus):
@@ -248,7 +253,7 @@ def test_extract_document_edge_truncates(table_corpus):
     vector = extract_features(
         table_corpus, occurrence, parse_criterion("[1gr|lemma|ordered|all]@2")
     )
-    assert vector.keys() == {"1:fin", "2:à"}  # no left context at all
+    assert vector == ("1:fin", "2:à")  # no left context at all
 
 
 def test_extract_empty_vector_at_edge():
@@ -265,7 +270,7 @@ def test_extract_shifted_window(table_corpus):
     vector = extract_features(
         table_corpus, occurrence, parse_criterion("[1gr|lemma|ordered|all]@1shift+2")
     )
-    assert vector.keys() == {"1:fin", "2:à", "3:le"}  # window [1, 3]
+    assert vector == ("1:fin", "2:à", "3:le")  # window [1, 3]
 
 
 def test_extract_unordered_drops_position():
@@ -277,19 +282,18 @@ def test_extract_unordered_drops_position():
         corpus, occurrence, parse_criterion("[1gr|lemma|unordered|all]@1")
     )
     # identical lemma left and right collapses to a single positionless key
-    assert vector.keys() == {"même"}
+    assert vector == ("même",)
     ordered = extract_features(
         corpus, occurrence, parse_criterion("[1gr|lemma|ordered|all]@1")
     )
-    assert ordered.keys() == {"-1:même", "1:même"}
+    assert ordered == ("-1:même", "1:même")
 
 
 def test_ngrams_never_span_target():
     occurrence = _occurrence(MID_TARGET_CORPUS, "pratique")
     for positioning in ("ordered", "leftright", "unordered"):
-        vector = extract_features(
-            MID_TARGET_CORPUS, occurrence,
-            Criterion(2, "lemma", positioning, "all", size=2),
+        vector = _spans(
+            MID_TARGET_CORPUS, occurrence, Criterion(2, "lemma", positioning, "all", size=2)
         )
         for offsets, _ in vector.values():
             assert 0 not in offsets
@@ -300,7 +304,8 @@ def test_ngrams_never_span_target():
 def test_features_lie_in_shifted_window():
     occurrence = _occurrence(MID_TARGET_CORPUS, "pratique")
     criterion = Criterion(1, "lemma", "ordered", "all", size=2, shift=-1)
-    vector = extract_features(MID_TARGET_CORPUS, occurrence, criterion)
+    vector = _spans(MID_TARGET_CORPUS, occurrence, criterion)
+    assert vector
     for offsets, _ in vector.values():
         for offset in offsets:
             assert -3 <= offset <= 1 and offset != 0
@@ -313,16 +318,16 @@ def test_window_monotone_in_size():
         vector = extract_features(
             MID_TARGET_CORPUS, occurrence, Criterion(1, "lemma", "ordered", "all", size)
         )
-        assert previous <= vector.keys()
-        previous = vector.keys()
+        assert previous <= set(vector)
+        previous = set(vector)
 
 
 def test_anchored_spans_contain_target():
     occurrence = _occurrence(MID_TARGET_CORPUS, "pratique")
-    vector = extract_features(
+    vector = _spans(
         MID_TARGET_CORPUS, occurrence, parse_criterion("[2gr|lemma|leftright|all]@1anchored")
     )
-    assert vector.keys() == {"A-1:le_pratique", "A0:pratique_de"}
+    assert tuple(vector) == ("A-1:le_pratique", "A0:pratique_de")
     for offsets, _ in vector.values():
         assert 0 in offsets
 
@@ -332,7 +337,7 @@ def test_anchored_trigram_windows():
     vector = extract_features(
         MID_TARGET_CORPUS, occurrence, parse_criterion("[3gr|lemma|leftright|all]@2anchored")
     )
-    assert vector.keys() == {
+    assert set(vector) == {
         "A-2:à_le_pratique", "A-1:le_pratique_de", "A0:pratique_de_détention",
     }
 
@@ -347,7 +352,7 @@ def test_selected_filter_uses_target_category():
         corpus, noun_occ, parse_criterion("[1gr|lemma|ordered|selected]@1")
     )
     # nouns keep neither DET nor ADV: both neighbours are filtered out
-    assert selected.keys() == set()
+    assert selected == ()
     adjective_like = parse_corpus(
         "un\tun\tDET\tDET\t\nmot\tmot\tADJ\tADJ\ts\nvite\tvite\tADV\tADV\t"
     )
@@ -356,7 +361,7 @@ def test_selected_filter_uses_target_category():
         adjective_like, adj_occ, parse_criterion("[1gr|lemma|ordered|selected]@1")
     )
     # adjectives keep DET and ADV indicators
-    assert selected_adj.keys() == {"-1:un", "1:vite"}
+    assert selected_adj == ("-1:un", "1:vite")
 
 
 def test_key_escaping_keeps_keys_injective():
@@ -367,7 +372,7 @@ def test_key_escaping_keeps_keys_injective():
     vector = extract_features(
         corpus, occurrence, parse_criterion("[1gr|lemma|ordered|all]@1")
     )
-    assert vector.keys() == {"-1:a\\_b", "1:c"}
+    assert vector == ("-1:a\\_b", "1:c")
 
 
 def test_extraction_is_pure(table_corpus):
@@ -395,11 +400,11 @@ def test_adjacent_unigram_equivalent_to_anchored_bigram():
     backward: dict[str, str] = {}
     for occ in occurrences:
         u_keys = {
-            key for key, (offsets, _) in extract_features(corpus, occ, unigram).items()
+            key for key, (offsets, _) in _spans(corpus, occ, unigram).items()
             if offsets == (-1,)
         }
         b_keys = {
-            key for key, (offsets, _) in extract_features(corpus, occ, bigram).items()
+            key for key, (offsets, _) in _spans(corpus, occ, bigram).items()
             if offsets == (-1, 0)
         }
         (u,) = u_keys
@@ -410,10 +415,6 @@ def test_adjacent_unigram_equivalent_to_anchored_bigram():
 
 
 # --- combination ---------------------------------------------------------------
-
-def _vector(*keys):
-    return {key: ((1,), ("N",)) for key in keys}
-
 
 # cgems values inside and outside the content set and every selected set.
 _CGEMS = ("NCOM", "ADJ", "VINF", "DET", "PREP", "SUB", "PCTFORTE", "PONCT", "X")
@@ -478,26 +479,39 @@ _ESCAPED = (
     criterion=_window_criterion(),
     category=st.sampled_from(("noun", "adjective", "verb")),
     content_mode=st.sampled_from(("reindex", "keep_gaps")),
+    others=st.lists(_window_criterion(), max_size=2),
 )
-@example(_SHIFTED, Criterion(2, "lemma", "leftright", "content", 3), "noun", "reindex")
-@example(_SHIFTED, Criterion(1, "lemma", "ordered", "content", 1, -2), "noun", "reindex")
-@example(_SHIFTED, Criterion(1, "lemma", "ordered", "content", 1, 2), "noun", "reindex")
-@example(_SHIFTED, Criterion(2, "lemma", "ordered", "content", 2, -3, True), "noun", "reindex")
-@example(_SHIFTED, Criterion(1, "lemma", "ordered", "content", 1, -2), "noun", "keep_gaps")
-@example(_SHIFTED, Criterion(1, "lemma", "ordered", "all", 2, 5), "noun", "reindex")
-@example(_ESCAPED, Criterion(2, "lemma", "ordered", "all", 2), "noun", "reindex")
-@example(_ESCAPED, Criterion(2, "lemma", "ordered", "all", 2, 0, True), "noun", "reindex")
-@example(_ESCAPED, Criterion(2, "mform", "leftright", "all", 2), "noun", "reindex")
-@example(_ESCAPED, Criterion(2, "mform", "leftright", "all", 2, 0, True), "noun", "reindex")
-@example(_ESCAPED, Criterion(2, "ems", "unordered", "all", 2), "noun", "reindex")
-@example(_ESCAPED, Criterion(2, "ems", "unordered", "all", 2, 0, True), "noun", "reindex")
-def test_extraction_equals_full_context_reference(document, criterion, category, content_mode):
+@example(_SHIFTED, Criterion(2, "lemma", "leftright", "content", 3), "noun", "reindex", ())
+@example(_SHIFTED, Criterion(1, "lemma", "ordered", "content", 1, -2), "noun", "reindex", ())
+@example(_SHIFTED, Criterion(1, "lemma", "ordered", "content", 1, 2), "noun", "reindex", ())
+@example(_SHIFTED, Criterion(2, "lemma", "ordered", "content", 2, -3, True), "noun", "reindex", ())
+@example(_SHIFTED, Criterion(1, "lemma", "ordered", "content", 1, -2), "noun", "keep_gaps", ())
+@example(_SHIFTED, Criterion(1, "lemma", "ordered", "all", 2, 5), "noun", "reindex", ())
+@example(_ESCAPED, Criterion(2, "lemma", "ordered", "all", 2), "noun", "reindex", ())
+@example(_ESCAPED, Criterion(2, "lemma", "ordered", "all", 2, 0, True), "noun", "reindex", ())
+@example(_ESCAPED, Criterion(2, "mform", "leftright", "all", 2), "noun", "reindex", ())
+@example(_ESCAPED, Criterion(2, "mform", "leftright", "all", 2, 0, True), "noun", "reindex", ())
+@example(_ESCAPED, Criterion(2, "ems", "unordered", "all", 2), "noun", "reindex", ())
+@example(_ESCAPED, Criterion(2, "ems", "unordered", "all", 2, 0, True), "noun", "reindex", ())
+def test_extraction_equals_full_context_reference(
+    document, criterion, category, content_mode, others
+):
+    """Every key of the vector, and with ``others`` of a ``+`` cell, and
+    every key's ``feature_span`` equal the whole-context reference's."""
     tokens, index = document
     corpus = Corpus((Document("d", tokens),))
     occurrence = Occurrence("d", index, "t", category, "s")
+    reference = features_full_context(corpus, occurrence, criterion, content_mode=content_mode)
     assert extract_features(
         corpus, occurrence, criterion, content_mode=content_mode
-    ) == features_full_context(corpus, occurrence, criterion, content_mode=content_mode)
+    ) == tuple(reference)
+    cell = tuple(dict.fromkeys((criterion, *others)))
+    if len(cell) > 1:
+        reference = cell_features_full_context(
+            corpus, occurrence, cell, content_mode=content_mode
+        )
+    assert _spans(corpus, occurrence, cell, content_mode=content_mode) == reference
+    assert list(reference) == sorted(reference)
 
 
 def test_combine_single_vector_is_identity(table_corpus):
@@ -510,15 +524,12 @@ def test_combine_single_vector_is_identity(table_corpus):
 def test_combine_disjoint_vectors():
     c1 = parse_criterion("[1gr|lemma|ordered|all]@1")
     c2 = parse_criterion("[1gr|mform|ordered|all]@1")
-    v1 = _vector("a", "b")
-    v2 = _vector("x", "y", "z")
-    combined = combine_features((c1, c2), [v1, v2])
-    assert len(combined) == 5
-    assert combined.keys() == {
+    combined = combine_features((c1, c2), [("a", "b"), ("x", "y", "z")])
+    assert combined == (
         "[1gr|lemma|ordered|all]@1::a", "[1gr|lemma|ordered|all]@1::b",
         "[1gr|mform|ordered|all]@1::x", "[1gr|mform|ordered|all]@1::y",
         "[1gr|mform|ordered|all]@1::z",
-    }
+    )
 
 
 def test_anchored_combination_features_all_contain_target():
@@ -527,8 +538,7 @@ def test_anchored_combination_features_all_contain_target():
         Criterion(order, "lemma", "leftright", "all", size=order - 1, anchored=True)
         for order in (2, 3, 4, 5)
     ]
-    vectors = [extract_features(MID_TARGET_CORPUS, occurrence, c) for c in criteria]
-    combined = combine_features(criteria, vectors)
+    combined = _spans(MID_TARGET_CORPUS, occurrence, criteria)
     assert len(combined) > 0
     for offsets, _ in combined.values():
         assert 0 in offsets

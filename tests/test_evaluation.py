@@ -12,7 +12,10 @@ from wsdlab import (
     CriterionGrid,
     Document,
     PseudowordConfig,
+    SmoothingParams,
     Token,
+    classify_dl,
+    combine_features,
     cross_validate,
     enumerate_grid,
     extract_features,
@@ -24,8 +27,10 @@ from wsdlab import (
     macro_average,
     parse_corpus,
     parse_criterion,
+    train_dl,
 )
 from wsdlab import evaluation
+from wsdlab.criteria import feature_span
 from wsdlab.evaluation import GRID_CSV_HEADER, WordResult, worker_count
 from oracles import held_out_scan, mfs_baseline
 
@@ -183,13 +188,25 @@ def test_evidence_recorded_only_for_dl_decisions():
     corpus, occurrences = signal_corpus(counts=(30, 30))
     plan = kfold_split(occurrences, 10, 0)
     criterion = parse_criterion("[1gr|lemma|ordered|all]@1")
-    dl = cross_validate(corpus, plan, criterion, "dl")
-    by_id = {occ.id: occ for occ in occurrences}
-    for record in dl.records:
-        assert (record.evidence is None) == record.used_fallback
-        if record.evidence is not None:  # a span of its own occurrence's vector
-            vector = extract_features(corpus, by_id[record.occurrence_id], criterion)
-            assert record.evidence in vector.values()
+    # In the '+' cell the leftright keys sort first, so they win every tie with
+    # the ordered ones: the deciding criterion is not the cell's first.
+    for cell in ((criterion,), (criterion, parse_criterion("[1gr|lemma|leftright|all]@1"))):
+        dl = cross_validate(corpus, plan, cell, "dl")
+        # Each fold's deciding keys, retrained here: the evidence is their span.
+        vectors = [combine_features(cell, [extract_features(corpus, occ, c) for c in cell])
+                   for occ in occurrences]
+        records = iter(dl.records)
+        for fold, held_out in enumerate(plan.held_out):
+            model = train_dl([(vector, occ.sense) for vector, occ, f
+                              in zip(vectors, occurrences, plan.assignment) if f != fold],
+                             SmoothingParams())
+            for i in held_out:
+                record, key = next(records), classify_dl(model, vectors[i]).key
+                assert record.occurrence_id == occurrences[i].id
+                assert (record.evidence is None) == record.used_fallback == (key is None)
+                if key is not None:
+                    assert record.evidence == feature_span(corpus, occurrences[i], cell, key)
+        assert next(records, None) is None
     nb = cross_validate(corpus, plan, criterion, "nb")
     assert all(r.evidence is None for r in nb.records)
 
