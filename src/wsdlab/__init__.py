@@ -56,7 +56,6 @@ from .evaluation import (
     grid_rows,
     grid_search,
     kfold_split,
-    macro_average,
 )
 from .analysis import (
     ADJACENCY_CELLS,

@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .corpus import CATEGORIES, Corpus, extract_occurrences
 from .criteria import Criterion, CriterionGrid, cell_name, family_name, format_criterion
-from .evaluation import GridResult, WordResult, macro_average
+from .evaluation import GridResult
 
 STATS_HEADER = ("word", "category", "frequency", "senses", "entropy", "mfs")
 EVIDENCE_PROFILE_HEADER = ("category", "tag", "uses", "correct", "precision_pct", "usage_pct")
@@ -44,6 +44,35 @@ def _by_category(item: tuple[tuple, object]) -> tuple:
     """Sort key of a ``(key, value)`` item whose key starts with a category."""
     category, *rest = item[0]
     return (_category_order(category), *rest)
+
+
+def _partners(grid_result: GridResult, field: str, reference: object) -> dict[tuple, dict]:
+    """Each (word, category, criterion with ``field`` set to ``reference``),
+    in sorted order, mapped to ``{field value: precision}`` over the results
+    whose criterion differs from that key in ``field`` alone."""
+    partners: dict[tuple[str, str, Criterion], dict] = {}
+    for result in grid_result.results:
+        (criterion,) = result.cell
+        key = (result.lemma, result.category, replace(criterion, **{field: reference}))
+        partners.setdefault(key, {})[getattr(criterion, field)] = result.precision
+    return dict(sorted(partners.items()))
+
+
+def _columns(grid_result: GridResult) -> dict[tuple[Criterion, ...], dict[str, list[float]]]:
+    """Per cell, in grid order: each category's word precisions, categories
+    in report order, then every word's precisions under ``all`` (which sorts
+    after every category).  Each column keeps the results' word order."""
+    cells: dict[tuple[Criterion, ...], dict[str, list[float]]] = {}
+    for result in grid_result.results:
+        columns = cells.setdefault(result.cell, {"all": []})
+        columns.setdefault(result.category, []).append(result.precision)
+        columns["all"].append(result.precision)
+    return {cell: dict(sorted(columns.items(), key=lambda item: _category_order(item[0])))
+            for cell, columns in cells.items()}
+
+
+def _mean(values: Sequence[float]) -> float:
+    return sum(values) / len(values)
 
 
 def stats_rows(corpus: Corpus, targets: Sequence[tuple[str, str]]) -> list[tuple]:
@@ -95,15 +124,10 @@ def content_ablation(grid_result: GridResult) -> list[tuple]:
     Every ``all`` criterion must have its ``content`` partner in the grid (and
     vice versa); missing partners are an error.
     """
-    indexed: dict[tuple[str, str, Criterion], dict[str, float]] = {}
-    for result in grid_result.results:
-        (criterion,) = result.cell
-        key = (result.lemma, result.category, replace(criterion, filter="all"))
-        indexed.setdefault(key, {})[criterion.filter] = result.precision
-
     missing = []
     diffs: dict[tuple[str, int], list[tuple[float, float]]] = {}
-    for (lemma, category, criterion), by_filter in sorted(indexed.items()):
+    partners = _partners(grid_result, "filter", "all")
+    for (lemma, category, criterion), by_filter in partners.items():
         pair = [by_filter[name] for name in ABLATION_FILTERS if name in by_filter]
         if not pair:
             continue
@@ -121,8 +145,7 @@ def content_ablation(grid_result: GridResult) -> list[tuple]:
 
     rows = [ABLATION_HEADER]
     for (category, order), pairs in sorted(diffs.items(), key=_by_category):
-        baseline = sum(b for b, _ in pairs) / len(pairs)
-        variant = sum(v for _, v in pairs) / len(pairs)
+        baseline, variant = map(_mean, zip(*pairs))
         decrease = 100.0 * (baseline - variant)
         rows.append((category, order, len(pairs), f"{baseline:.6f}", f"{variant:.6f}",
                      f"{decrease:.3f}", f"{decrease / baseline:.3f}" if baseline else ""))
@@ -178,14 +201,6 @@ def evidence_reports(grid_result: GridResult) -> dict[str, list[tuple]]:
     }
 
 
-def _mean(results: Sequence[WordResult]) -> float:
-    return sum(result.precision for result in results) / len(results)
-
-
-def _word_counts(results: Sequence[WordResult]) -> dict[str, int]:
-    return dict(Counter(result.category for result in results))
-
-
 def selection_criteria(base_criterion: Criterion) -> list[Criterion]:
     """One criterion under the all/content/selected filters."""
     if base_criterion.filter != "all":
@@ -198,11 +213,9 @@ def selection_comparison(grid_result: GridResult) -> list[tuple]:
     ``selection_criteria``.  grid_search gives every criterion of a word the
     same folds, so the rows differ in the filter alone."""
     rows = [SELECTION_HEADER]
-    for criterion, results in grid_result.by_criterion().items():
-        precision = macro_average(results)
-        words = _word_counts(results)
-        for category in sorted(precision, key=_category_order):
-            rows.append((criterion, category, words[category], f"{precision[category]:.6f}"))
+    for cell, columns in _columns(grid_result).items():
+        rows.extend((cell_name(cell), category, len(values), f"{_mean(values):.6f}")
+                    for category, values in columns.items() if category != "all")
     return rows
 
 
@@ -227,20 +240,15 @@ def shift_study(grid_result: GridResult) -> list[tuple]:
     """Per-category macro precision of each criterion of a grid run over
     ``shift_criteria``, plus an ``all`` aggregate over every target word,
     each with its change from shift 0."""
-    by_shift = {}
-    for results in grid_result.by_criterion().values():
-        precision = macro_average(results)
-        precision["all"] = _mean(results)
-        words = _word_counts(results)
-        words["all"] = len(results)
-        (criterion,) = results[0].cell
-        by_shift[criterion.shift] = (precision, words)
-    zero, _ = by_shift[0]
+    by_shift = {criterion.shift: columns
+                for (criterion,), columns in _columns(grid_result).items()}
+    zero = by_shift[0]
     rows = [SHIFT_HEADER]
-    for shift, (precision, words) in by_shift.items():
-        for category in sorted(precision, key=_category_order):
-            rows.append((shift, category, words[category], f"{precision[category]:.6f}",
-                         f"{precision[category] - zero[category]:.6f}"))
+    for shift, columns in by_shift.items():
+        for category, values in columns.items():
+            precision = _mean(values)
+            rows.append((shift, category, len(values), f"{precision:.6f}",
+                         f"{precision - _mean(zero[category]):.6f}"))
     return rows
 
 
@@ -261,9 +269,9 @@ def adjacency_experiment(grid_result: GridResult) -> list[tuple]:
     left/right bigram criterion over a window of 4.  Identical folds; macro
     precision over all targets.
     """
-    by_criterion = grid_result.by_criterion()
-    combined = _mean(by_criterion[cell_name(ANCHORED_COMBINATION)])
-    plain = _mean(by_criterion[cell_name((PLAIN_BIGRAM,))])
+    columns = _columns(grid_result)
+    combined = _mean(columns[ANCHORED_COMBINATION]["all"])
+    plain = _mean(columns[(PLAIN_BIGRAM,)]["all"])
     return [ADJACENCY_HEADER, (f"{combined:.6f}", f"{plain:.6f}", f"{plain - combined:.6f}")]
 
 
@@ -276,18 +284,10 @@ def context_report(grid_result: GridResult) -> dict[str, list[tuple]]:
     (category, order) cell averages those optima; curves carry the macro
     precision per family and size.
     """
-    by_family: dict[tuple[str, str, Criterion], dict[int, float]] = {}
-    for result in grid_result.results:
-        (criterion,) = result.cell
-        family = (result.lemma, result.category, replace(criterion, size=1))
-        by_family.setdefault(family, {})[criterion.size] = result.precision
-
     optima: dict[tuple[str, int], list[int]] = {}
     curve_points: dict[tuple[str, str, int], list[float]] = {}
-    for (_, category, family), by_size in sorted(by_family.items()):
-        best_size = min(
-            by_size, key=lambda size: (-by_size[size], size)
-        )
+    for (_, category, family), by_size in _partners(grid_result, "size", 1).items():
+        best_size = min(by_size, key=lambda size: (-by_size[size], size))
         optima.setdefault((category, family.order), []).append(best_size)
         name = family_name(family)
         for size, precision in by_size.items():
@@ -295,11 +295,11 @@ def context_report(grid_result: GridResult) -> dict[str, list[tuple]]:
 
     return {
         "context.csv": [CONTEXT_HEADER] + [
-            (category, order, len(sizes), f"{sum(sizes) / len(sizes):.3f}")
+            (category, order, len(sizes), f"{_mean(sizes):.3f}")
             for (category, order), sizes in sorted(optima.items(), key=_by_category)
         ],
         "context_curves.csv": [CONTEXT_CURVES_HEADER] + [
-            (category, family, size, len(values), f"{sum(values) / len(values):.6f}")
+            (category, family, size, len(values), f"{_mean(values):.6f}")
             for (category, family, size), values in sorted(curve_points.items(),
                                                            key=_by_category)
         ],

@@ -7,8 +7,10 @@ plus the reports it reduces the results to: all seven run through one
 (too few occurrences for k folds) on stderr and in ``run.meta``.  ``stats``
 reduces the corpus itself.  A report is its CSV rows, and every run's reports
 take one path out: ``write_csv`` writes each, then a ``run.meta`` JSON
-captures the full configuration and the sha256 of each input file, so any
-run can be replayed exactly and the replay's inputs checked.  Exit
+captures the full configuration and the sha256 of the bytes read from each
+input, so any run can be replayed exactly and the replay's inputs checked.
+An input is any path that exists and is not a directory, so a pipe or a
+process substitution will do; each is read once.  Exit
 codes: 0 success, 2 bad configuration, 3 corpus parse error, 4 empty result
 set, 5 a worker process died (no reports are written), 130 interrupted by
 Ctrl-C.  argparse only names the options and ``RunConfig`` holds their
@@ -94,9 +96,22 @@ class RunConfig:
     diagnostics: list[str] = field(default_factory=list)
 
 
-def _read_input(path: Path) -> str:
-    """An input file's text; a leading UTF-8 byte-order mark is dropped."""
-    return path.read_text(encoding="utf-8-sig")
+def _found(label: str, path: Path, problems: list[str]) -> bool:
+    """Whether an input path can be read: it exists and is not a directory
+    (a pipe will do).  If not, the problem is added to ``problems``."""
+    if path.exists() and not path.is_dir():
+        return True
+    problems.append(f"{label} file not found: {path}")
+    return False
+
+
+def _read_input(path: Path, inputs: dict[str, str]) -> str:
+    """An input's text, read once.  The sha256 of its bytes goes into
+    ``inputs``; a leading UTF-8 byte-order mark is dropped, and line ends
+    are read as text mode reads them."""
+    data = path.read_bytes()
+    inputs[str(path)] = hashlib.sha256(data).hexdigest()
+    return data.decode("utf-8-sig").replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _criteria(config: RunConfig) -> tuple[Criterion, ...]:
@@ -125,24 +140,16 @@ def _grid_path(config: RunConfig) -> Path | None:
     return None if config.grid in (None, "default") else Path(config.grid)
 
 
-def _grid_cells(config: RunConfig) -> CriterionGrid:
-    path = _grid_path(config)
-    if path is None:
-        return default_grid()
-    if not path.is_file():
-        raise ValueError(f"grid config file not found: {config.grid}")
-    return parse_grid_config(_read_input(path))
-
-
 @dataclass(frozen=True)
 class Experiment:
-    """One evaluation subcommand: the grid cells it cross-validates, and its
-    reduction of the results to reports, as ``{file name: rows}``.  Reducers
-    are looked up as module attributes when a run reduces, not when this
-    table is built, so wrappers installed on those attributes (as perfbench's
-    tracer does) see every call."""
+    """One evaluation subcommand: the grid cells it cross-validates, from the
+    run's configuration and its ``--grid`` grid (the default grid without
+    one), and its reduction of the results to reports, as ``{file name:
+    rows}``.  Reducers are looked up as module attributes when a run
+    reduces, not when this table is built, so wrappers installed on those
+    attributes (as perfbench's tracer does) see every call."""
 
-    cells: Callable[[RunConfig], CriterionGrid | list[Cell]]
+    cells: Callable[[RunConfig, CriterionGrid], CriterionGrid | list[Cell]]
     reports: Callable[[GridResult], dict[str, list[tuple]]]
     classifier: str | None = None  # fixed classifier, overriding --classifier
     keep_records: bool = False
@@ -150,29 +157,30 @@ class Experiment:
 
 EXPERIMENTS = {
     "evaluate": Experiment(
-        lambda config: [_criteria(config)],
+        lambda config, grid: [_criteria(config)],
         lambda result: {"evaluate.csv": grid_rows(result.results)},
     ),
     "grid": Experiment(
-        _grid_cells,
+        lambda config, grid: grid,
         lambda result: {"grid.csv": grid_rows(result.results), **context_report(result)},
     ),
-    "evidence": Experiment(_evidence_cells, lambda result: evidence_reports(result),
+    "evidence": Experiment(lambda config, grid: _evidence_cells(config),
+                           lambda result: evidence_reports(result),
                            classifier="dl", keep_records=True),
     "ablation": Experiment(
-        lambda config: ablation_grid(_grid_cells(config)),
+        lambda config, grid: ablation_grid(grid),
         lambda result: {"ablation.csv": content_ablation(result)},
     ),
     "selection": Experiment(
-        lambda config: selection_criteria(_criterion(config)),
+        lambda config, grid: selection_criteria(_criterion(config)),
         lambda result: {"selection.csv": selection_comparison(result)},
     ),
     "shift": Experiment(
-        lambda config: shift_criteria(_criterion(config), config.shifts),
+        lambda config, grid: shift_criteria(_criterion(config), config.shifts),
         lambda result: {"shift.csv": shift_study(result)},
     ),
     "adjacency": Experiment(
-        lambda config: list(ADJACENCY_CELLS),
+        lambda config, grid: list(ADJACENCY_CELLS),
         lambda result: {"adjacency.csv": adjacency_experiment(result)},
     ),
 }
@@ -180,12 +188,14 @@ COMMANDS = ("stats", *EXPERIMENTS, "pseudoword")
 
 
 def _check(config: RunConfig) -> tuple[
-        list[str], list[tuple[str, str]] | None, CriterionGrid | list[Cell] | None,
-        SmoothingParams | None, PseudowordConfig | None]:
+        list[str], dict[str, str], list[tuple[str, str]] | None,
+        CriterionGrid | list[Cell] | None, SmoothingParams | None, PseudowordConfig | None]:
     """Every configuration problem, not just the first, and what the run
-    builds from its small inputs, each read once before the corpus: targets,
-    grid cells, smoothing, pseudo-word config (None where absent or bad)."""
+    builds from its small inputs, each read once before the corpus: the
+    sha256 of each input read, targets, grid cells, smoothing, pseudo-word
+    config (None where absent or bad)."""
     problems = list(config.diagnostics)
+    inputs: dict[str, str] = {}
     targets = cells = smoothing = pw_config = None
     if config.subcommand not in COMMANDS:
         problems.append(f"unknown subcommand {config.subcommand!r}")
@@ -195,28 +205,25 @@ def _check(config: RunConfig) -> tuple[
     if config.subcommand == "pseudoword":
         if config.config is None:
             problems.append("pseudoword needs --config")
-        elif not config.config.is_file():
-            problems.append(f"config file not found: {config.config}")
-        else:
+        elif _found("config", config.config, problems):
             try:
-                pw_config = parse_pseudoword_config(_read_input(config.config))
+                pw_config = parse_pseudoword_config(_read_input(config.config, inputs))
             except ValueError as exc:
                 problems.extend(str(exc).splitlines())
-        return problems, targets, cells, smoothing, pw_config
+        return problems, inputs, targets, cells, smoothing, pw_config
 
     if config.corpus is None:
         problems.append("a corpus file is required (--corpus)")
-    elif not config.corpus.is_file():
-        problems.append(f"corpus file not found: {config.corpus}")
+    else:
+        _found("corpus", config.corpus, problems)
     if config.targets is None:
         problems.append("a targets file is required (--targets)")
-    elif not config.targets.is_file():
-        problems.append(f"targets file not found: {config.targets}")
-    else:
+    elif _found("targets", config.targets, problems):
         try:
-            targets = parse_targets(_read_input(config.targets))
+            targets = parse_targets(_read_input(config.targets, inputs))
         except ValueError as exc:
-            problems.append(f"targets {config.targets}: {exc}")
+            problems.extend(f"targets {config.targets}: {line}"
+                            for line in str(exc).splitlines())
 
     if config.subcommand in EXPERIMENTS:
         try:
@@ -233,11 +240,17 @@ def _check(config: RunConfig) -> tuple[
             problems.append("jobs must be >= 1")
         if config.content_mode not in CONTENT_MODES:
             problems.append(f"content mode must be one of {CONTENT_MODES}")
+        grid, path = default_grid(), _grid_path(config)
+        if path is not None and _found("grid config", path, problems):
+            try:
+                grid = parse_grid_config(_read_input(path, inputs))
+            except ValueError as exc:
+                problems.extend(str(exc).splitlines())
         try:
-            cells = EXPERIMENTS[config.subcommand].cells(config)
+            cells = EXPERIMENTS[config.subcommand].cells(config, grid)
         except ValueError as exc:
             problems.extend(str(exc).splitlines())
-    return problems, targets, cells, smoothing, pw_config
+    return problems, inputs, targets, cells, smoothing, pw_config
 
 
 def write_csv(path: Path, rows: list[tuple]) -> None:
@@ -246,31 +259,18 @@ def write_csv(path: Path, rows: list[tuple]) -> None:
         csv.writer(stream, lineterminator="\n").writerows(rows)
 
 
-def _sha256(path: Path) -> str:
-    """The sha256 of a file's bytes, read in chunks."""
-    digest = hashlib.sha256()
-    with open(path, "rb") as stream:
-        for chunk in iter(lambda: stream.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 def _write_meta(config: RunConfig, extra: dict) -> None:
-    """``run.meta``: the configuration, the sha256 of each input file as the
-    run ends, and ``extra``."""
-    given = (config.corpus, config.targets, _grid_path(config), config.config)
+    """``run.meta``: the configuration and ``extra``, whose ``inputs`` holds
+    the sha256 of the bytes read from each input."""
     meta = {name: str(value) if isinstance(value, Path) else value
             for name, value in asdict(config).items() if name != "diagnostics"}
-    meta.update(
-        tool="wsdlab", version=__version__,
-        inputs={str(path): _sha256(path) for path in given if path is not None}, **extra,
-    )
+    meta.update(tool="wsdlab", version=__version__, **extra)
     (config.output / "run.meta").write_text(
         json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
 
 
-def _pseudoword(config: RunConfig, pw_config: PseudowordConfig) -> int:
+def _pseudoword(config: RunConfig, pw_config: PseudowordConfig, inputs: dict[str, str]) -> int:
     seed = config.seed if config.seed is not None else pw_config.seed
     corpus = generate_pseudoword_corpus(pw_config, seed)
     outdir = config.output
@@ -279,7 +279,8 @@ def _pseudoword(config: RunConfig, pw_config: PseudowordConfig) -> int:
     (outdir / "targets.tsv").write_text(
         f"{pw_config.target_lemma}\t{pw_config.category}\n", encoding="utf-8"
     )
-    _write_meta(config, {"pseudoword_seed": seed, "occurrences": len(corpus.documents)})
+    _write_meta(config, {"inputs": inputs, "pseudoword_seed": seed,
+                         "occurrences": len(corpus.documents)})
     return EXIT_OK
 
 
@@ -292,7 +293,7 @@ def _write_reports(config: RunConfig, reports: dict[str, list[tuple]], extra: di
     return EXIT_OK
 
 
-def _evaluate(config: RunConfig, corpus, targets, cells, smoothing) -> int:
+def _evaluate(config: RunConfig, inputs, corpus, targets, cells, smoothing) -> int:
     """The shared path of every evaluation subcommand."""
     experiment = EXPERIMENTS[config.subcommand]
     try:
@@ -313,6 +314,7 @@ def _evaluate(config: RunConfig, corpus, targets, cells, smoothing) -> int:
         print("error: no target word has enough occurrences", file=sys.stderr)
         return EXIT_EMPTY
     return _write_reports(config, experiment.reports(result), {
+        "inputs": inputs,
         "classifier": result.classifier,
         "skipped": [f"{s.lemma} ({s.category})" for s in result.skipped],
         "workers": result.workers,
@@ -322,25 +324,26 @@ def _evaluate(config: RunConfig, corpus, targets, cells, smoothing) -> int:
 
 def run(config: RunConfig) -> int:
     """Execute one subcommand; returns the process exit code."""
-    problems, targets, cells, smoothing, pw_config = _check(config)
+    problems, inputs, targets, cells, smoothing, pw_config = _check(config)
     if problems:
         for problem in problems:
             print(f"error: {problem}", file=sys.stderr)
         return EXIT_CONFIG
     if config.subcommand == "pseudoword":
-        return _pseudoword(config, pw_config)
+        return _pseudoword(config, pw_config, inputs)
     if not targets:
         print("error: the targets file lists no targets", file=sys.stderr)
         return EXIT_EMPTY
 
     try:
-        corpus = parse_corpus(_read_input(config.corpus))
+        corpus = parse_corpus(_read_input(config.corpus, inputs))
     except (CorpusParseError, UnicodeDecodeError) as exc:
         print(f"error: corpus {config.corpus}: {exc}", file=sys.stderr)
         return EXIT_PARSE
     if config.subcommand == "stats":
-        return _write_reports(config, {"stats.csv": stats_rows(corpus, targets)}, {})
-    return _evaluate(config, corpus, targets, cells, smoothing)
+        return _write_reports(config, {"stats.csv": stats_rows(corpus, targets)},
+                              {"inputs": inputs})
+    return _evaluate(config, inputs, corpus, targets, cells, smoothing)
 
 
 def _add_common(parser: argparse.ArgumentParser, *, evaluation: bool) -> None:

@@ -221,30 +221,31 @@ def extract_occurrences(corpus: Corpus, lemma: str, category: str) -> tuple[Occu
 def parse_targets(text: str) -> list[tuple[str, str]]:
     """Parse a targets file: one ``lemma<TAB>category`` per line.
 
-    Blank lines and lines starting with ``#`` are ignored.
+    Blank lines and lines starting with ``#`` are ignored.  Every bad line
+    is named, one per line of the ``ValueError``.
     """
     targets: list[tuple[str, str]] = []
     seen = set()
+    problems = []
     for number, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.startswith("#"):
             continue
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise ValueError(
-                f"targets line {number}: expected 'lemma<TAB>category', got {line!r}"
-            )
-        lemma, category = fields
-        if not lemma:
-            raise ValueError(f"targets line {number}: empty lemma")
-        if category not in CATEGORIES:
-            raise ValueError(
-                f"targets line {number}: unknown category {category!r}; "
-                f"expected one of {CATEGORIES}"
-            )
-        if (lemma, category) in seen:
-            raise ValueError(f"targets line {number}: duplicate target {lemma!r}")
-        seen.add((lemma, category))
-        targets.append((lemma, category))
+        target = tuple(line.split("\t"))
+        if len(target) != 2:
+            problem = f"expected 'lemma<TAB>category', got {line!r}"
+        elif not target[0]:
+            problem = "empty lemma"
+        elif target[1] not in CATEGORIES:
+            problem = f"unknown category {target[1]!r}; expected one of {CATEGORIES}"
+        elif target in seen:
+            problem = f"duplicate target {target[0]!r}"
+        else:
+            seen.add(target)
+            targets.append(target)
+            continue
+        problems.append(f"targets line {number}: {problem}")
+    if problems:
+        raise ValueError("\n".join(problems))
     return targets
 
 

@@ -209,23 +209,6 @@ class GridResult:
     classifier: str
     workers: int = field(default=1, compare=False)
 
-    def by_criterion(self) -> dict[str, list[WordResult]]:
-        """Results per criterion name, in grid order, each list word-ascending."""
-        grouped: dict[str, list[WordResult]] = {}
-        for result in self.results:
-            grouped.setdefault(result.criterion, []).append(result)
-        return grouped
-
-
-def macro_average(results: Sequence[WordResult]) -> dict[str, float]:
-    """Unweighted mean of per-word precisions, grouped by category."""
-    if not results:
-        raise ValueError("cannot average zero results")
-    groups: dict[str, list[float]] = {}
-    for result in results:
-        groups.setdefault(result.category, []).append(result.precision)
-    return {category: sum(vals) / len(vals) for category, vals in sorted(groups.items())}
-
 
 # One grid cell: a criterion, or several combined into one feature vector.
 Cell = Criterion | Sequence[Criterion]

@@ -11,7 +11,9 @@ whole corpus, feature extraction by building the document's full left
 and right context before the window is applied, corpus parsing with one
 ``str.splitlines()`` and fresh strings for every line, and corpus rendering
 by joining a list of every line, the statistics and evidence reports
-with the report classes and helpers they were first built from, and a whole
+with the report classes and helpers they were first built from, the five
+grid reducers (ablation, selection, shift, adjacency, context) with the
+grouping loop each was first written with, and a whole
 grid run's ``grid.csv`` rows and decision records with a fold loop that
 recounts every fold from scratch out of the pieces above.
 """
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from wsdlab.classifiers import Prediction, feature_strength, majority_sense, m_estimate
@@ -34,7 +36,16 @@ from wsdlab.corpus import (
     Occurrence,
     Token,
 )
-from wsdlab.criteria import CONTENT_MODES, CONTENT_TAGS, SELECTED_TAGS
+from wsdlab.analysis import ANCHORED_COMBINATION, PLAIN_BIGRAM
+from wsdlab.criteria import (
+    CONTENT_MODES,
+    CONTENT_TAGS,
+    SELECTED_TAGS,
+    Criterion,
+    cell_name,
+    family_name,
+    format_criterion,
+)
 from wsdlab.evaluation import DecisionRecord, GridResult, WordResult, kfold_split
 
 
@@ -622,4 +633,140 @@ def evidence_reports_reference(grid_result) -> dict[str, list[tuple]]:
         "evidence_profile.csv": profile_rows,
         "evidence_space.csv": space_rows,
         "evidence_summary.csv": summary_rows,
+    }
+
+
+# --- grid reducers, as first written: one grouping loop each --------------------
+
+def _by_criterion(grid_result) -> dict[str, list[WordResult]]:
+    """Results per criterion name, in grid order, each list word-ascending."""
+    grouped: dict[str, list[WordResult]] = {}
+    for result in grid_result.results:
+        grouped.setdefault(result.criterion, []).append(result)
+    return grouped
+
+
+def _macro_average(results: Sequence[WordResult]) -> dict[str, float]:
+    """Unweighted mean of per-word precisions, grouped by category."""
+    if not results:
+        raise ValueError("cannot average zero results")
+    groups: dict[str, list[float]] = {}
+    for result in results:
+        groups.setdefault(result.category, []).append(result.precision)
+    return {category: sum(vals) / len(vals) for category, vals in sorted(groups.items())}
+
+
+def _mean(results: Sequence[WordResult]) -> float:
+    return sum(result.precision for result in results) / len(results)
+
+
+def _word_counts(results: Sequence[WordResult]) -> dict[str, int]:
+    return dict(Counter(result.category for result in results))
+
+
+def _by_category(item):
+    category, *rest = item[0]
+    return (_category_order(category), *rest)
+
+
+def content_ablation_reference(grid_result) -> list[tuple]:
+    indexed: dict[tuple[str, str, Criterion], dict[str, float]] = {}
+    for result in grid_result.results:
+        (criterion,) = result.cell
+        key = (result.lemma, result.category, replace(criterion, filter="all"))
+        indexed.setdefault(key, {})[criterion.filter] = result.precision
+
+    missing = []
+    diffs: dict[tuple[str, int], list[tuple[float, float]]] = {}
+    for (lemma, category, criterion), by_filter in sorted(indexed.items()):
+        pair = [by_filter[name] for name in ("all", "content") if name in by_filter]
+        if not pair:
+            continue
+        if len(pair) == 1:
+            missing.append(f"{lemma} ({category}) {format_criterion(criterion)}")
+            continue
+        diffs.setdefault((category, criterion.order), []).append(tuple(pair))
+    if missing:
+        shown = ", ".join(missing[:5])
+        raise ValueError(
+            f"{len(missing)} criterion pair(s) missing a all/content partner: {shown}"
+        )
+    if not diffs:
+        raise ValueError("grid contains no matched filter pairs")
+
+    rows = [("category", "order", "pairs", "baseline_mean", "variant_mean",
+             "decrease_points", "decrease_relative_pct")]
+    for (category, order), pairs in sorted(diffs.items(), key=_by_category):
+        baseline = sum(b for b, _ in pairs) / len(pairs)
+        variant = sum(v for _, v in pairs) / len(pairs)
+        decrease = 100.0 * (baseline - variant)
+        rows.append((category, order, len(pairs), f"{baseline:.6f}", f"{variant:.6f}",
+                     f"{decrease:.3f}", f"{decrease / baseline:.3f}" if baseline else ""))
+    return rows
+
+
+def selection_comparison_reference(grid_result) -> list[tuple]:
+    rows = [("criterion", "category", "words", "precision")]
+    for criterion, results in _by_criterion(grid_result).items():
+        precision = _macro_average(results)
+        words = _word_counts(results)
+        for category in sorted(precision, key=_category_order):
+            rows.append((criterion, category, words[category], f"{precision[category]:.6f}"))
+    return rows
+
+
+def shift_study_reference(grid_result) -> list[tuple]:
+    by_shift = {}
+    for results in _by_criterion(grid_result).values():
+        precision = _macro_average(results)
+        precision["all"] = _mean(results)
+        words = _word_counts(results)
+        words["all"] = len(results)
+        (criterion,) = results[0].cell
+        by_shift[criterion.shift] = (precision, words)
+    zero, _ = by_shift[0]
+    rows = [("shift", "category", "words", "precision", "delta_vs_zero")]
+    for shift, (precision, words) in by_shift.items():
+        for category in sorted(precision, key=_category_order):
+            rows.append((shift, category, words[category], f"{precision[category]:.6f}",
+                         f"{precision[category] - zero[category]:.6f}"))
+    return rows
+
+
+def adjacency_experiment_reference(grid_result) -> list[tuple]:
+    by_criterion = _by_criterion(grid_result)
+    combined = _mean(by_criterion[cell_name(ANCHORED_COMBINATION)])
+    plain = _mean(by_criterion[cell_name((PLAIN_BIGRAM,))])
+    return [("anchored_combination", "plain_bigram", "delta"),
+            (f"{combined:.6f}", f"{plain:.6f}", f"{plain - combined:.6f}")]
+
+
+def context_report_reference(grid_result) -> dict[str, list[tuple]]:
+    by_family: dict[tuple[str, str, Criterion], dict[int, float]] = {}
+    for result in grid_result.results:
+        (criterion,) = result.cell
+        family = (result.lemma, result.category, replace(criterion, size=1))
+        by_family.setdefault(family, {})[criterion.size] = result.precision
+
+    optima: dict[tuple[str, int], list[int]] = {}
+    curve_points: dict[tuple[str, str, int], list[float]] = {}
+    for (_, category, family), by_size in sorted(by_family.items()):
+        best_size = min(
+            by_size, key=lambda size: (-by_size[size], size)
+        )
+        optima.setdefault((category, family.order), []).append(best_size)
+        name = family_name(family)
+        for size, precision in by_size.items():
+            curve_points.setdefault((category, name, size), []).append(precision)
+
+    return {
+        "context.csv": [("category", "order", "cells", "avg_optimal_size")] + [
+            (category, order, len(sizes), f"{sum(sizes) / len(sizes):.3f}")
+            for (category, order), sizes in sorted(optima.items(), key=_by_category)
+        ],
+        "context_curves.csv": [("category", "family", "size", "words", "precision")] + [
+            (category, family, size, len(values), f"{sum(values) / len(values):.6f}")
+            for (category, family, size), values in sorted(curve_points.items(),
+                                                           key=_by_category)
+        ],
     }

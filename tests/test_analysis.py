@@ -2,7 +2,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import evidence_reports_reference, mfs_baseline, stats_rows_reference
+from oracles import (
+    adjacency_experiment_reference,
+    content_ablation_reference,
+    context_report_reference,
+    evidence_reports_reference,
+    mfs_baseline,
+    selection_comparison_reference,
+    shift_study_reference,
+    stats_rows_reference,
+)
 from wsdlab import (
     ADJACENCY_CELLS,
     PseudowordConfig,
@@ -23,8 +32,9 @@ from wsdlab import (
     shift_study,
     stats_rows,
 )
-from wsdlab.analysis import ABLATION_HEADER
+from wsdlab.analysis import ABLATION_HEADER, ANCHORED_COMBINATION, PLAIN_BIGRAM
 from wsdlab.corpus import CATEGORIES
+from wsdlab.criteria import Criterion
 from wsdlab.evaluation import DecisionRecord, GridResult, WordResult
 
 
@@ -424,6 +434,56 @@ def test_context_csv_schema():
     rows = context_report(grid)["context.csv"]
     assert rows[0] == ("category", "order", "cells", "avg_optimal_size")
     assert rows[1] == ("noun", 1, 1, "1.000")
+
+
+# --- every grid reducer against its first version ----------------------------------
+
+# Criteria that pair up under each reducer: filter partners for the ablation,
+# size families for the context report, shifts for the shift study.
+_POOL = tuple(Criterion(order, "lemma", "leftright", name, size=size, shift=shift)
+              for order in (1, 2) for name in ("all", "content") for size in (1, 2, 3)
+              for shift in (0, 1))
+_PRECISION = st.integers(0, 10).map(lambda k: k / 10)  # so that optimum sizes tie
+
+
+def _same_rows(reducer, reference, grid):
+    """The reducer's rows equal the reference's, or both raise the same error."""
+    try:
+        expected = reference(grid)
+    except (KeyError, ValueError) as exc:
+        with pytest.raises(type(exc)) as raised:
+            reducer(grid)
+        assert str(raised.value) == str(exc)
+    else:
+        assert reducer(grid) == expected
+
+
+@st.composite
+def _grid_results(draw, cells, drop=True):
+    """A GridResult as grid_search orders it: word-ascending, then the cells
+    in grid order; several words per category, and with ``drop`` some
+    (word, cell) results missing."""
+    categories = draw(st.lists(st.sampled_from(CATEGORIES), min_size=1, max_size=7))
+    words = sorted((f"w{n}", category) for n, category in enumerate(categories))
+    return GridResult(tuple(
+        WordResult(lemma, category, cell, "nb", precision, (precision,), ())
+        for lemma, category in words for cell in cells
+        for precision in [draw(_PRECISION)]
+        if not (drop and draw(st.integers(0, 9)) == 0)
+    ), (), "nb")
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), criteria=st.lists(st.sampled_from(_POOL), min_size=1, max_size=12,
+                                         unique=True))
+def test_grid_reducers_equal_their_first_version(data, criteria):
+    grid = data.draw(_grid_results([(criterion,) for criterion in criteria]))
+    _same_rows(content_ablation, content_ablation_reference, grid)
+    _same_rows(context_report, context_report_reference, grid)
+    _same_rows(selection_comparison, selection_comparison_reference, grid)
+    _same_rows(shift_study, shift_study_reference, grid)
+    adjacency = data.draw(_grid_results([ANCHORED_COMBINATION, (PLAIN_BIGRAM,)], drop=False))
+    _same_rows(adjacency_experiment, adjacency_experiment_reference, adjacency)
 
 
 def test_evidence_profile_csv_schema():

@@ -256,6 +256,25 @@ def test_bom_prefixed_corpus_and_targets_give_the_same_reports(workspace):
         ).read_bytes()
 
 
+def test_crlf_and_cr_line_ends_give_the_same_reports(workspace, monkeypatch):
+    monkeypatch.chdir(workspace)
+    for tag, end in (("crlf", b"\r\n"), ("cr", b"\r")):
+        for name in ("corpus.tsv", "targets.tsv"):
+            text = (workspace / "gen" / name).read_bytes()
+            (workspace / f"{tag}-{name}").write_bytes(text.replace(b"\n", end))
+    for command, report, extra in (
+        ("stats", "stats.csv", ()),
+        ("evaluate", "evaluate.csv", ("--criterion", "[1gr|lemma|ordered|all]@1")),
+    ):
+        for name, prefix in (("lf", "gen/"), ("crlf", "crlf-"), ("cr", "cr-")):
+            assert main([command, "--corpus", f"{prefix}corpus.tsv",
+                         "--targets", f"{prefix}targets.tsv", *extra,
+                         "-o", f"{command}-ends-{name}"]) == 0
+        reports = {(workspace / f"{command}-ends-{name}" / report).read_bytes()
+                   for name in ("lf", "crlf", "cr")}
+        assert len(reports) == 1
+
+
 def test_bom_prefixed_configs_parse(workspace):
     (workspace / "bom.grid").write_bytes(BOM + b"orders = 1\nsizes = 1-2\n")
     result = wsdlab("grid", "--corpus", "gen/corpus.tsv", "--targets", "gen/targets.tsv",
@@ -539,13 +558,13 @@ def test_grid_config_is_read_once(workspace, monkeypatch, command, read):
     (workspace / "once.grid").write_text("orders = 1\ntags = lemma\nsizes = 1\n")
     (workspace / "once.cfg").write_text(PW_CONFIG)
     reads = []
-    read_text = Path.read_text
+    read_bytes = Path.read_bytes
 
-    def counting_read_text(self, *args, **kwargs):
+    def counting_read_bytes(self):
         reads.append(self.name)
-        return read_text(self, *args, **kwargs)
+        return read_bytes(self)
 
-    monkeypatch.setattr(Path, "read_text", counting_read_text)
+    monkeypatch.setattr(Path, "read_bytes", counting_read_bytes)
     monkeypatch.chdir(workspace)
     with contextlib.redirect_stderr(io.StringIO()):
         status = main([*command, "-o", f"once-{command[0]}"])
@@ -578,6 +597,51 @@ def test_an_empty_target_lemma_is_listed_with_the_other_problems(workspace):
         "error: k must be >= 2",
     ]
     assert not (workspace / "nothing-empty-lemma").exists()
+
+
+def _pipe(data: bytes) -> int:
+    """The read end of a pipe that holds ``data``, its write end closed."""
+    read, write = os.pipe()
+    os.write(write, data)
+    os.close(write)
+    return read
+
+
+@pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="needs /dev/fd")
+def test_an_inherited_pipe_is_an_input_read_once(workspace, monkeypatch, capsys):
+    monkeypatch.chdir(workspace)
+    targets = (workspace / "gen" / "targets.tsv").read_bytes()
+    fd = _pipe(targets)
+    try:
+        piped = main(["stats", "--corpus", "gen/corpus.tsv", "--targets", f"/dev/fd/{fd}",
+                      "-o", "stats-piped"])
+    finally:
+        os.close(fd)
+    assert piped == 0
+    assert main(["stats", "--corpus", "gen/corpus.tsv", "--targets", "gen/targets.tsv",
+                 "-o", "stats-filed"]) == 0
+    assert ((workspace / "stats-piped" / "stats.csv").read_bytes()
+            == (workspace / "stats-filed" / "stats.csv").read_bytes())
+    # The digest is of the bytes the run read: a second read of the pipe
+    # would find it empty.
+    meta = json.loads((workspace / "stats-piped" / "run.meta").read_text())
+    assert meta["inputs"][f"/dev/fd/{fd}"] == hashlib.sha256(targets).hexdigest()
+    capsys.readouterr()
+
+    fd = _pipe(b"chef\tadverb\n\tnoun\nmot\tnoun\nmot\tnoun\n")
+    try:
+        status = main(["stats", "--corpus", "gen/corpus.tsv", "--targets", f"/dev/fd/{fd}",
+                       "-o", "stats-piped-bad"])
+    finally:
+        os.close(fd)
+    assert status == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: targets /dev/fd/{fd}: targets line 1: unknown category 'adverb'; "
+        "expected one of ('noun', 'adjective', 'verb')",
+        f"error: targets /dev/fd/{fd}: targets line 2: empty lemma",
+        f"error: targets /dev/fd/{fd}: targets line 4: duplicate target 'mot'",
+    ]
+    assert not (workspace / "stats-piped-bad").exists()
 
 
 def test_bad_grid_values_exit_2_before_work(workspace):

@@ -24,9 +24,9 @@ from wsdlab import (
     grid_rows,
     grid_search,
     kfold_split,
-    macro_average,
     parse_corpus,
     parse_criterion,
+    selection_comparison,
     train_dl,
 )
 from wsdlab import evaluation
@@ -286,8 +286,9 @@ def test_grid_search_category_averages():
     result = grid_search(
         corpus, [("bananeporte", "noun")], small_grid(), "nb", k=10, seed=0
     )
-    averages = macro_average(result.by_criterion()["[1gr|lemma|ordered|all]@1"])
-    assert averages == {"noun": 1.0}
+    # The per-category macro average, as the selection report prints it.
+    assert selection_comparison(result)[1] == ("[1gr|lemma|ordered|all]@1", "noun", 1,
+                                               "1.000000")
 
 
 def test_grid_search_combined_cells_and_records():
@@ -405,20 +406,6 @@ def test_order_preserving_sense_renaming_keeps_precisions(data):
 def _word_result(lemma, category, precision):
     return WordResult(lemma, category, (parse_criterion("[1gr|lemma|ordered|all]@1"),), "nb",
                       precision, (precision,), ())
-
-
-def test_macro_average():
-    results = [
-        _word_result("a", "noun", 0.9),
-        _word_result("b", "noun", 0.7),
-        _word_result("c", "verb", 0.819),
-    ]
-    averages = macro_average(results)
-    assert averages["noun"] == pytest.approx(0.8)
-    assert averages["verb"] == pytest.approx(0.819)
-    assert macro_average([_word_result("x", "noun", 0.5)] * 20)["noun"] == 0.5
-    with pytest.raises(ValueError):
-        macro_average([])
 
 
 def test_write_grid_csv():
