@@ -223,16 +223,19 @@ def shift_criteria(criterion: Criterion, shifts: Sequence[int]) -> list[Criterio
     """The criterion at each window shift, in the given order.
 
     Shift 0 must be included: it is the reference every delta is taken
-    against.  A repeated shift is an error, as its rows would merge.
+    against.  A repeated shift is an error, as its rows would merge, and so
+    is a criterion with a shift of its own, which would be replaced.
     """
     problems = []
+    if criterion.shift != 0:
+        problems.append("the base criterion must have no shift")
     if 0 not in shifts:
         problems.append("the shift list must include 0 (the symmetric reference)")
     repeated = sorted({shift for shift in shifts if shifts.count(shift) > 1})
     if repeated:
         problems.append(f"the shift list repeats {', '.join(map(str, repeated))}")
     if problems:
-        raise ValueError("; ".join(problems))
+        raise ValueError("\n".join(problems))
     return [replace(criterion, shift=shift) for shift in shifts]
 
 

@@ -13,13 +13,17 @@ An input is any path that exists and is not a directory, so a pipe or a
 process substitution will do; each is read once.  Exit
 codes: 0 success, 2 bad configuration, 3 corpus parse error, 4 empty result
 set, 5 a worker process died (no reports are written), 130 interrupted by
-Ctrl-C.  argparse only names the options and ``RunConfig`` holds their
-defaults.  One checking pass reads each small input once (the targets file,
-the grid config, the pseudo-word config) and lists every bad option value (a
-number, a shift list, a prior or content mode) with every problem of those
-files before work starts; only an unknown option or a missing required one
-(``-o``, ``evaluate --criterion``, ``pseudoword --config``) ends the run in
-argparse at once.
+Ctrl-C.  Each subcommand takes only the settings it reads: ``evidence``
+runs the decision list, so it has no ``--classifier`` (its ``RunConfig``
+holds ``dl``) and no NB ``--prior-mode``, and ``adjacency``, whose cells keep
+every token, has no ``--content-mode``.  argparse only names the options and
+``RunConfig`` holds their defaults; ``run.meta``'s configuration is the whole
+``RunConfig``.  One checking pass reads each small input once (the targets
+file, the grid config, the pseudo-word config) and lists every bad option
+value (a number, a shift list, a prior or content mode) with the options that
+do not convert and every problem of those files before work starts; only an
+unknown option or a missing required one (``-o``, ``evaluate --criterion``,
+``pseudoword --config``) ends the run in argparse at once.
 """
 
 from __future__ import annotations
@@ -30,9 +34,9 @@ import hashlib
 import json
 import sys
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 from . import __version__
 from .analysis import (
@@ -59,6 +63,7 @@ from .corpus import (
     serialize_corpus,
 )
 from .criteria import (
+    CONTENT_MODE_PROBLEM,
     CONTENT_MODES,
     Criterion,
     CriterionGrid,
@@ -93,7 +98,6 @@ class RunConfig:
     shifts: tuple[int, ...] = (0, 1)
     content_mode: str = "reindex"
     config: Path | None = None
-    diagnostics: list[str] = field(default_factory=list)
 
 
 def _found(label: str, path: Path, problems: list[str]) -> bool:
@@ -151,7 +155,7 @@ class Experiment:
 
     cells: Callable[[RunConfig, CriterionGrid], CriterionGrid | list[Cell]]
     reports: Callable[[GridResult], dict[str, list[tuple]]]
-    classifier: str | None = None  # fixed classifier, overriding --classifier
+    classifier: str | None = None  # the one classifier it runs, set in its RunConfig
     keep_records: bool = False
 
 
@@ -187,14 +191,14 @@ EXPERIMENTS = {
 COMMANDS = ("stats", *EXPERIMENTS, "pseudoword")
 
 
-def _check(config: RunConfig) -> tuple[
+def _check(config: RunConfig, diagnostics: Sequence[str]) -> tuple[
         list[str], dict[str, str], list[tuple[str, str]] | None,
         CriterionGrid | list[Cell] | None, SmoothingParams | None, PseudowordConfig | None]:
-    """Every configuration problem, not just the first, and what the run
-    builds from its small inputs, each read once before the corpus: the
-    sha256 of each input read, targets, grid cells, smoothing, pseudo-word
-    config (None where absent or bad)."""
-    problems = list(config.diagnostics)
+    """Every configuration problem, not just the first, after ``diagnostics``,
+    and what the run builds from its small inputs, each read once before the
+    corpus: the sha256 of each input read, targets, grid cells, smoothing,
+    pseudo-word config (None where absent or bad)."""
+    problems = list(diagnostics)
     inputs: dict[str, str] = {}
     targets = cells = smoothing = pw_config = None
     if config.subcommand not in COMMANDS:
@@ -230,6 +234,9 @@ def _check(config: RunConfig) -> tuple[
             check_classifier(config.classifier)
         except ValueError as exc:
             problems.append(str(exc))
+        fixed = EXPERIMENTS[config.subcommand].classifier
+        if fixed not in (None, config.classifier):
+            problems.append(f"{config.subcommand} runs the {fixed} classifier only")
         if config.k < 2:
             problems.append("k must be >= 2")
         try:
@@ -239,7 +246,7 @@ def _check(config: RunConfig) -> tuple[
         if config.jobs < 1:
             problems.append("jobs must be >= 1")
         if config.content_mode not in CONTENT_MODES:
-            problems.append(f"content mode must be one of {CONTENT_MODES}")
+            problems.append(CONTENT_MODE_PROBLEM)
         grid, path = default_grid(), _grid_path(config)
         if path is not None and _found("grid config", path, problems):
             try:
@@ -262,12 +269,9 @@ def write_csv(path: Path, rows: list[tuple]) -> None:
 def _write_meta(config: RunConfig, extra: dict) -> None:
     """``run.meta``: the configuration and ``extra``, whose ``inputs`` holds
     the sha256 of the bytes read from each input."""
-    meta = {name: str(value) if isinstance(value, Path) else value
-            for name, value in asdict(config).items() if name != "diagnostics"}
-    meta.update(tool="wsdlab", version=__version__, **extra)
+    meta = {**asdict(config), "tool": "wsdlab", "version": __version__, **extra}
     (config.output / "run.meta").write_text(
-        json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+        json.dumps(meta, indent=2, sort_keys=True, default=str) + "\n", encoding="utf-8")
 
 
 def _pseudoword(config: RunConfig, pw_config: PseudowordConfig, inputs: dict[str, str]) -> int:
@@ -298,9 +302,7 @@ def _evaluate(config: RunConfig, inputs, corpus, targets, cells, smoothing) -> i
     experiment = EXPERIMENTS[config.subcommand]
     try:
         result = grid_search(
-            corpus, targets, cells,
-            experiment.classifier or config.classifier,
-            smoothing, config.k, config.seed,
+            corpus, targets, cells, config.classifier, smoothing, config.k, config.seed,
             jobs=config.jobs, content_mode=config.content_mode,
             keep_records=experiment.keep_records,
         )
@@ -315,16 +317,16 @@ def _evaluate(config: RunConfig, inputs, corpus, targets, cells, smoothing) -> i
         return EXIT_EMPTY
     return _write_reports(config, experiment.reports(result), {
         "inputs": inputs,
-        "classifier": result.classifier,
         "skipped": [f"{s.lemma} ({s.category})" for s in result.skipped],
         "workers": result.workers,
         "cells": len(result.results),
     })
 
 
-def run(config: RunConfig) -> int:
-    """Execute one subcommand; returns the process exit code."""
-    problems, inputs, targets, cells, smoothing, pw_config = _check(config)
+def run(config: RunConfig, diagnostics: Sequence[str] = ()) -> int:
+    """Execute one subcommand, after ``diagnostics``, the problems found in
+    building ``config``; returns the process exit code."""
+    problems, inputs, targets, cells, smoothing, pw_config = _check(config, diagnostics)
     if problems:
         for problem in problems:
             print(f"error: {problem}", file=sys.stderr)
@@ -346,20 +348,28 @@ def run(config: RunConfig) -> int:
     return _evaluate(config, inputs, corpus, targets, cells, smoothing)
 
 
-def _add_common(parser: argparse.ArgumentParser, *, evaluation: bool) -> None:
+# Each evaluation setting's option and help text.
+_SETTINGS = {
+    "--classifier": "classifier id: nb or dl",
+    "--m": "m-estimate strength",
+    "--prior-mode": "NB feature prior: " + " or ".join(PRIOR_MODES),
+    "--k": "cross-validation folds",
+    "--seed": "fold-plan seed",
+    "--jobs": "worker processes",
+    "--content-mode": "filtered-window indexing: " + " or ".join(CONTENT_MODES),
+}
+
+
+def _subcommand(subparsers, name: str, summary: str, *settings: str) -> argparse.ArgumentParser:
+    """A subcommand reading a corpus and targets, with these evaluation ``settings``."""
+    parser = subparsers.add_parser(name, help=summary)
     parser.add_argument("--corpus", type=Path, help="corpus file (vertical TSV)")
     parser.add_argument("--targets", type=Path,
                         help="targets file (lemma<TAB>category per line)")
     parser.add_argument("-o", "--output", type=Path, required=True, help="output directory")
-    if evaluation:
-        parser.add_argument("--classifier", help="classifier id: nb or dl")
-        parser.add_argument("--m", help="m-estimate strength")
-        parser.add_argument("--prior-mode", help="NB feature prior: " + " or ".join(PRIOR_MODES))
-        parser.add_argument("--k", help="cross-validation folds")
-        parser.add_argument("--seed", help="fold-plan seed")
-        parser.add_argument("--jobs", help="worker processes")
-        parser.add_argument("--content-mode",
-                            help="filtered-window indexing: " + " or ".join(CONTENT_MODES))
+    for option in settings:
+        parser.add_argument(option, help=_SETTINGS[option])
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -370,41 +380,37 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"wsdlab {__version__}")
     subparsers = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = subparsers.add_parser("stats", help="per-word frequency/sense/entropy/MFS table")
-    _add_common(p, evaluation=False)
+    _subcommand(subparsers, "stats", "per-word frequency/sense/entropy/MFS table")
 
-    p = subparsers.add_parser("evaluate", help="cross-validate one criterion")
-    _add_common(p, evaluation=True)
+    p = _subcommand(subparsers, "evaluate", "cross-validate one criterion", *_SETTINGS)
     p.add_argument("--criterion", required=True,
                    help="criterion string; combine several with '+'")
 
-    p = subparsers.add_parser("grid", help="cross-validate a criterion grid")
-    _add_common(p, evaluation=True)
+    p = _subcommand(subparsers, "grid", "cross-validate a criterion grid", *_SETTINGS)
     p.add_argument("--grid", default="default",
                    help="'default' (the 576-criterion space) or a grid config file")
 
-    p = subparsers.add_parser("evidence", help="decision-evidence profile (DL)")
-    _add_common(p, evaluation=True)
+    # The decision list only: no --classifier, and no NB --prior-mode.
+    p = _subcommand(subparsers, "evidence", "decision-evidence profile (DL)",
+                    "--m", "--k", "--seed", "--jobs", "--content-mode")
     p.add_argument("--criterion", default="[1gr|mform|ordered|all]@2",
                    help="unigram criterion to profile")
 
-    p = subparsers.add_parser("ablation", help="all-words vs content-words decrease")
-    _add_common(p, evaluation=True)
+    p = _subcommand(subparsers, "ablation", "all-words vs content-words decrease", *_SETTINGS)
     p.add_argument("--grid", default="default",
                    help="'default' or a grid config file (must pair all/content)")
 
-    p = subparsers.add_parser("selection", help="all/content/selected filter comparison")
-    _add_common(p, evaluation=True)
+    p = _subcommand(subparsers, "selection", "all/content/selected filter comparison", *_SETTINGS)
     p.add_argument("--criterion", default="[1gr|mform|ordered|all]@2",
                    help="base criterion (filter must be 'all')")
 
-    p = subparsers.add_parser("shift", help="shifted-window study")
-    _add_common(p, evaluation=True)
+    p = _subcommand(subparsers, "shift", "shifted-window study", *_SETTINGS)
     p.add_argument("--criterion", default="[1gr|lemma|ordered|all]@2")
     p.add_argument("--shifts", help="comma-separated signed shifts; must include 0")
 
-    p = subparsers.add_parser("adjacency", help="anchored n-gram combination experiment")
-    _add_common(p, evaluation=True)
+    # Both of its cells keep every token: no filtered-window --content-mode.
+    _subcommand(subparsers, "adjacency", "anchored n-gram combination experiment",
+                "--classifier", "--m", "--prior-mode", "--k", "--seed", "--jobs")
 
     p = subparsers.add_parser("pseudoword", help="generate a pseudo-word corpus")
     p.add_argument("--config", type=Path, required=True, help="pseudo-word config file")
@@ -425,27 +431,29 @@ _CONVERTERS = {
 }
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    """Each given option over ``RunConfig``'s defaults; a value that does not
-    convert becomes a diagnostic, listed with every other problem."""
-    config = RunConfig(args.subcommand, args.output)
+def config_from_args(args: argparse.Namespace) -> tuple[RunConfig, list[str]]:
+    """Each given option over ``RunConfig``'s defaults and a subcommand's
+    fixed classifier, and a diagnostic for each value that does not convert."""
+    config, diagnostics = RunConfig(args.subcommand, args.output), []
     if args.subcommand == "pseudoword":
         config.seed = None  # resolved from the config file
+    elif args.subcommand in EXPERIMENTS:
+        config.classifier = EXPERIMENTS[args.subcommand].classifier or config.classifier
     for name, value in vars(args).items():
         convert, what = _CONVERTERS.get(name, (None, None))
         try:
             if value is not None:
                 setattr(config, name, convert(value) if convert else value)
         except ValueError:
-            config.diagnostics.append(f"{name} must be {what}, not {value!r}")
-    return config
+            diagnostics.append(f"{name} must be {what}, not {value!r}")
+    return config, diagnostics
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    config = config_from_args(args)
+    config, diagnostics = config_from_args(args)
     try:
-        return run(config)
+        return run(config, diagnostics)
     except KeyboardInterrupt:
         print("error: interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED

@@ -305,6 +305,14 @@ class PseudowordConfig:
             (self.category not in CATEGORIES, f"category must be one of {CATEGORIES}"),
             (not self.filler_pos, "filler_pos must be non-empty"),
         ) if bad]
+        # Each value is written as a column of a corpus or targets line.
+        values = {"sources": self.sources, "signal_values": self.signal_values or (),
+                  "target": (self.target,) if self.target else (),
+                  "target_pos": (self.target_pos,), "signal_pos": (self.signal_pos,),
+                  "filler_pos": self.filler_pos}
+        problems.extend(f"{name} value {value!r} must be non-empty, with no tab or line break"
+                        for name, given in values.items() for value in given
+                        if "\t" in value or value.splitlines() != [value])
         if problems:
             raise ValueError("\n".join(problems))
 

@@ -38,6 +38,8 @@ TAGS = ("mform", "lemma", "ems", "cgems")
 POSITIONINGS = ("ordered", "leftright", "unordered")
 FILTERS = ("all", "content", "selected")
 CONTENT_MODES = ("reindex", "keep_gaps")
+# The problem with any other content mode, wherever one is checked.
+CONTENT_MODE_PROBLEM = f"content mode must be one of {CONTENT_MODES}"
 
 # Coarse tags counted as content words (open classes).
 CONTENT_TAGS = frozenset({"NCOM", "NPRO", "ADJ", "ADV", "VCON", "VINF", "VPAR"})
@@ -281,7 +283,7 @@ def _ngrams(
     """Each n-gram a criterion takes from an occurrence's window, in emission
     order: its key and its window entries, (offset, token) pairs."""
     if content_mode not in CONTENT_MODES:
-        raise ValueError(f"content_mode must be one of {CONTENT_MODES}")
+        raise ValueError(CONTENT_MODE_PROBLEM)
     tokens = corpus.document(occurrence.document_id).tokens
     index = occurrence.token_index
     if criterion.filter == "all":

@@ -206,7 +206,6 @@ class GridResult:
 
     results: tuple[WordResult, ...]
     skipped: tuple[SkippedWord, ...]
-    classifier: str
     workers: int = field(default=1, compare=False)
 
 
@@ -322,12 +321,7 @@ def grid_search(
     finally:
         _POOL_STATE.clear()
 
-    return GridResult(
-        results=tuple(results),
-        skipped=tuple(skipped),
-        classifier=classifier,
-        workers=1 if context is None else workers,
-    )
+    return GridResult(tuple(results), tuple(skipped), 1 if context is None else workers)
 
 
 def grid_rows(results: Iterable[WordResult]) -> list[tuple]:

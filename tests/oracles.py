@@ -402,7 +402,7 @@ def grid_rows_oracle(corpus, targets, cells, classifier, smoothing, k, seed, *,
     rows += [(r.lemma, r.category, "+".join(map(str, r.cell)), max(c.size for c in r.cell),
               r.classifier, f"{r.precision:.6f}", ";".join(f"{p:.6f}" for p in r.fold_precisions))
              for r in results]
-    return rows, GridResult(tuple(results), (), classifier)
+    return rows, GridResult(tuple(results), ())
 
 
 # --- statistics and evidence reports -------------------------------------------

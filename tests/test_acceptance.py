@@ -220,7 +220,7 @@ def test_criterion_09_evidence_profile_consistency():
     result = cross_validate(
         corpus, plan, parse_criterion("[1gr|lemma|ordered|all]@1"), "dl"
     )
-    rows = evidence_reports(GridResult((result,), (), "dl"))["evidence_profile.csv"][1:]
+    rows = evidence_reports(GridResult((result,), ()))["evidence_profile.csv"][1:]
     fallbacks = [record for record in result.records if record.used_fallback]
     correct = sum(row[3] for row in rows) + sum(record.correct for record in fallbacks)
     assert correct / len(result.records) == result.precision

@@ -105,7 +105,7 @@ UNIGRAM = (parse_criterion("[1gr|mform|ordered|all]@2"),)
 def evidence(records, category="noun"):
     """The evidence reports of one word's decision records."""
     result = WordResult("mot", category, UNIGRAM, "dl", 0.0, (), tuple(records))
-    return evidence_reports(GridResult((result,), (), "dl"))
+    return evidence_reports(GridResult((result,), ()))
 
 
 # (falls back, correct, tag, offset) of one decision
@@ -134,7 +134,7 @@ def test_evidence_reports_equal_the_reference(words):
         ))
         for n, (category, falls_back, decisions) in enumerate(words)
     )
-    grid = GridResult(results, (), "dl")
+    grid = GridResult(results, ())
     assert evidence_reports(grid) == evidence_reports_reference(grid)
 
 
@@ -168,7 +168,7 @@ def test_profile_consistency_with_word_result():
     occurrences = extract_occurrences(corpus, lemma, category)
     plan = kfold_split(occurrences, 10, 1)
     result = cross_validate(corpus, plan, parse_criterion("[1gr|lemma|ordered|all]@1"), "dl")
-    rows = evidence_reports(GridResult((result,), (), "dl"))["evidence_profile.csv"][1:]
+    rows = evidence_reports(GridResult((result,), ()))["evidence_profile.csv"][1:]
     fallbacks = [r for r in result.records if r.used_fallback]
     assert fallbacks  # the engineered sparsity forces fallbacks
     correct = sum(row[3] for row in rows) + sum(r.correct for r in fallbacks)
@@ -206,7 +206,7 @@ def grid_result_from(rows):
                    (precision,), ())
         for lemma, category, criterion, precision in rows
     )
-    return GridResult(results, (), "dl")
+    return GridResult(results, ())
 
 
 def test_ablation_pair_decrease():
@@ -470,7 +470,7 @@ def _grid_results(draw, cells, drop=True):
         for lemma, category in words for cell in cells
         for precision in [draw(_PRECISION)]
         if not (drop and draw(st.integers(0, 9)) == 0)
-    ), (), "nb")
+    ), ())
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 import wsdlab as package
 from wsdlab import evaluation
-from wsdlab.cli import COMMANDS, RunConfig, main, run
+from wsdlab.cli import COMMANDS, RunConfig, build_parser, main, run
 from test_acceptance import SMALL_GRID, _build_three_category_workspace
 
 # The subprocesses run in other directories, so the package is put on their
@@ -149,6 +150,16 @@ def test_run_meta_holds_exactly_the_configuration(workspace):
                     "--prior-mode", "senses", "--k", "5", "--seed", "3", "--jobs", "2",
                     "--content-mode", "keep_gaps", "-o", "meta", cwd=workspace)
     assert result.returncode == 0, result.stderr
+    evidence = wsdlab("evidence", "--corpus", "gen/corpus.tsv", "--targets", "gen/targets.tsv",
+                      "--criterion", "[1gr|lemma|ordered|content]@1", "--m", "0.5", "--k", "5",
+                      "--seed", "3", "--jobs", "2", "--content-mode", "keep_gaps",
+                      "-o", "meta-evidence", cwd=workspace)
+    assert evidence.returncode == 0, evidence.stderr
+    adjacency = wsdlab("adjacency", "--corpus", "gen/corpus.tsv", "--targets", "gen/targets.tsv",
+                       "--classifier", "dl", "--m", "0.5", "--prior-mode", "senses", "--k", "5",
+                       "--seed", "3", "--jobs", "2", "-o", "meta-adjacency", cwd=workspace)
+    assert adjacency.returncode == 0, adjacency.stderr
+    inputs = {name: _sha256(workspace / name) for name in ("gen/corpus.tsv", "gen/targets.tsv")}
     defaults = {
         "tool": "wsdlab", "version": package.__version__, "corpus": None, "targets": None,
         "criterion": None, "grid": None, "classifier": "nb", "m": 1.0,
@@ -168,6 +179,19 @@ def test_run_meta_holds_exactly_the_configuration(workspace):
             "output": "meta",
             "inputs": {name: _sha256(workspace / name)
                        for name in ("gen/corpus.tsv", "gen/targets.tsv", "meta.grid")},
+            "skipped": [], "workers": evaluation.worker_count(2, 2), "cells": 2,
+        },
+        "meta-evidence": {  # the decision list, fixed in its configuration
+            **defaults, "subcommand": "evidence", "corpus": "gen/corpus.tsv",
+            "targets": "gen/targets.tsv", "criterion": "[1gr|lemma|ordered|content]@1",
+            "classifier": "dl", "m": 0.5, "k": 5, "seed": 3, "jobs": 2,
+            "content_mode": "keep_gaps", "output": "meta-evidence", "inputs": inputs,
+            "skipped": [], "workers": 1, "cells": 1,
+        },
+        "meta-adjacency": {
+            **defaults, "subcommand": "adjacency", "corpus": "gen/corpus.tsv",
+            "targets": "gen/targets.tsv", "classifier": "dl", "m": 0.5, "prior_mode": "senses",
+            "k": 5, "seed": 3, "jobs": 2, "output": "meta-adjacency", "inputs": inputs,
             "skipped": [], "workers": evaluation.worker_count(2, 2), "cells": 2,
         },
     }
@@ -498,6 +522,91 @@ def test_evidence_rejects_non_unigram(workspace):
     assert "unigram" in result.stderr
 
 
+def test_each_subcommand_takes_only_the_settings_it_reads():
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    options = {name: [option for action in parser._actions for option in action.option_strings
+                      if option not in ("-h", "--help")]
+               for name, parser in subparsers.choices.items()}
+    inputs = ["--corpus", "--targets", "-o", "--output"]
+    every = ["--classifier", "--m", "--prior-mode", "--k", "--seed", "--jobs", "--content-mode"]
+    assert options == {
+        "stats": inputs,
+        "evaluate": inputs + every + ["--criterion"],
+        "grid": inputs + every + ["--grid"],
+        # The decision list reads neither a classifier id nor an NB prior mode.
+        "evidence": inputs + ["--m", "--k", "--seed", "--jobs", "--content-mode", "--criterion"],
+        "ablation": inputs + every + ["--grid"],
+        "selection": inputs + every + ["--criterion"],
+        "shift": inputs + every + ["--criterion", "--shifts"],
+        # Both adjacency cells keep every token, so no content mode applies.
+        "adjacency": inputs + ["--classifier", "--m", "--prior-mode", "--k", "--seed", "--jobs"],
+        "pseudoword": ["--config", "--seed", "-o", "--output"],
+    }
+
+
+@pytest.mark.parametrize("argv", [
+    ["evidence", "--classifier", "nb"],
+    ["evidence", "--classifier", "dl"],
+    ["evidence", "--prior-mode", "senses"],
+    ["adjacency", "--content-mode", "keep_gaps"],
+])
+def test_a_setting_the_subcommand_does_not_read_is_an_unknown_option(workspace, capsys, argv):
+    out = workspace / "unread"
+    with pytest.raises(SystemExit) as raised:
+        main([*argv, "--corpus", str(workspace / "gen" / "corpus.tsv"),
+              "--targets", str(workspace / "gen" / "targets.tsv"), "-o", str(out)])
+    assert raised.value.code == 2
+    assert f"unrecognized arguments: {argv[1]} {argv[2]}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_an_evidence_config_runs_the_decision_list_only(workspace, capsys):
+    inputs = {"corpus": workspace / "gen" / "corpus.tsv",
+              "targets": workspace / "gen" / "targets.tsv",
+              "criterion": "[1gr|mform|ordered|all]@2"}
+    bad = RunConfig("evidence", workspace / "evidence-nb", **inputs, k=1)
+    assert run(bad) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: evidence runs the dl classifier only", "error: k must be >= 2"]
+    assert not (workspace / "evidence-nb").exists()
+    good = RunConfig("evidence", workspace / "evidence-dl", **inputs, classifier="dl", k=5)
+    assert run(good) == 0
+    meta = json.loads((workspace / "evidence-dl" / "run.meta").read_text())
+    assert meta["classifier"] == "dl" and meta["cells"] == 1
+
+
+def test_pseudoword_values_are_single_columns(tmp_path, monkeypatch, capsys):
+    """A value that is empty, or holds a tab or a line break, would break the
+    corpus or targets line it is written to: each is listed with the other
+    problems, and nothing is written."""
+    (tmp_path / "tabs.cfg").write_text(
+        "sources = a\tz, b\ncounts = 10\ntarget = w\tx\ntarget_pos =\n"
+        "signal_pos = NCOM\tX\nfiller_pos = DET, A\tB\nnoise = 2\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(["pseudoword", "--config", "tabs.cfg", "--seed", "y", "-o", "gen"]) == 2
+    rule = "must be non-empty, with no tab or line break"
+    assert capsys.readouterr().err.splitlines() == [
+        "error: seed must be an integer, not 'y'",
+        "error: noise must be in [0, 1]",
+        f"error: sources value 'a\\tz' {rule}",
+        f"error: target value 'w\\tx' {rule}",
+        f"error: target_pos value '' {rule}",
+        f"error: signal_pos value 'NCOM\\tX' {rule}",
+        f"error: filler_pos value 'A\\tB' {rule}",
+    ]
+    assert not (tmp_path / "gen").exists()
+    # Line breaks can only come through the API: the config reader splits lines.
+    with pytest.raises(ValueError) as raised:
+        package.PseudowordConfig(sources=("a", "b\u2028c"), counts=(5, 5),
+                                 signal_values=("x\r", ""))
+    assert str(raised.value).splitlines() == [
+        f"sources value 'b\\u2028c' {rule}",
+        f"signal_values value 'x\\r' {rule}", f"signal_values value '' {rule}"]
+    # An empty target is unset: the pseudo-target joins the sources.
+    assert package.PseudowordConfig(("a", "b"), (5, 5), target="").target_lemma == "ab"
+
+
 def test_validate_config_rejects_bad_evaluation_inputs(tmp_path, capsys):
     grid = tmp_path / "bad.grid"
     grid.write_text("tags = lemma, bogus\nsizes = 1, 0\norders = 1, 1\n")
@@ -509,6 +618,10 @@ def test_validate_config_rejects_bad_evaluation_inputs(tmp_path, capsys):
         (["selection", "--criterion", "[1gr|lemma|ordered|content]@1"], ["filter 'all'"]),
         (["shift", "--criterion", "[1gr|lemma|ordered|all]@1", "--shifts", "0,1,1"],
          ["repeats 1"]),
+        (["shift", "--criterion", "[1gr|lemma|ordered|all]@2shift+1", "--shifts", "1,1",
+          "--k", "1"],
+         ["k must be >= 2", "the base criterion must have no shift",
+          "the shift list must include 0 (the symmetric reference)", "repeats 1"]),
         (["evaluate", "--criterion", "[1gr|lemma|ordered|all]@1", "--m", "nan"],
          ["m must be finite"]),
         (["grid", "--grid", str(grid)],
@@ -829,11 +942,12 @@ _OPTIONS = {
     "stats": _ODD,
     "evaluate": _EVALUATION + _CRITERIA + _ODD,
     "grid": _EVALUATION + _ODD,
-    "evidence": _EVALUATION + _CRITERIA + _ODD,
+    "evidence": [o for o in _EVALUATION if o[0] not in ("--classifier", "--prior-mode")]
+    + _CRITERIA + _ODD,
     "ablation": _EVALUATION + _ODD,
     "selection": _EVALUATION + _CRITERIA + _ODD,
     "shift": _EVALUATION + _CRITERIA + _ODD + [("--shifts", v) for v in ("0,1", "1", "x")],
-    "adjacency": _EVALUATION + _ODD,
+    "adjacency": [o for o in _EVALUATION if o[0] != "--content-mode"] + _ODD,
     "pseudoword": [("--seed", "3"), ("--seed", "x"), ("--config", "{dir}/missing.cfg")],
 }
 

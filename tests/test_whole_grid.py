@@ -144,11 +144,14 @@ def test_cli_reports_equal_the_whole_grid_oracle(run):
         (root / "grid.cfg").write_text("".join(
             f"{key} = {', '.join(map(str, values))}\n" for key, values in run["grid"].items()),
             encoding="utf-8")
-        # (command, its own options, classifier, the cells it runs)
+        # (command, its own options, classifier, the cells it runs); evidence
+        # runs the decision list, so it takes no --classifier or --prior-mode.
+        choice = ["--classifier", run["classifier"], "--prior-mode", smoothing.prior_mode]
         plans = [
-            ("grid", ["--grid", str(root / "grid.cfg")], run["classifier"], run["grid_cells"]),
-            ("evaluate", ["--criterion", "+".join(map(str, run["cell"]))], run["classifier"],
-             [run["cell"]]),
+            ("grid", ["--grid", str(root / "grid.cfg"), *choice], run["classifier"],
+             run["grid_cells"]),
+            ("evaluate", ["--criterion", "+".join(map(str, run["cell"])), *choice],
+             run["classifier"], [run["cell"]]),
         ]
         if run["classifier"] == "dl":
             plans.append(("evidence", ["--criterion", str(run["unigram"])], "dl",
@@ -165,8 +168,7 @@ def test_cli_reports_equal_the_whole_grid_oracle(run):
                 status = main([
                     command, "--corpus", str(root / "corpus.tsv"),
                     "--targets", str(root / "targets.tsv"), *options,
-                    "--classifier", classifier, "--m", str(smoothing.m),
-                    "--prior-mode", smoothing.prior_mode, "--k", str(run["k"]),
+                    "--m", str(smoothing.m), "--k", str(run["k"]),
                     "--seed", str(run["seed"]), "--content-mode", run["content_mode"],
                     "--jobs", jobs, "-o", str(out)])
                 assert status == 0
