@@ -17,7 +17,7 @@ from dataclasses import replace
 from typing import Sequence
 
 from .corpus import CATEGORIES, Corpus, extract_occurrences
-from .criteria import Criterion, CriterionGrid, cell_name, family_name, format_criterion
+from .criteria import Cell, Criterion, CriterionGrid, cell_name, family_name, format_criterion
 from .evaluation import GridResult
 
 STATS_HEADER = ("word", "category", "frequency", "senses", "entropy", "mfs")
@@ -58,11 +58,11 @@ def _partners(grid_result: GridResult, field: str, reference: object) -> dict[tu
     return dict(sorted(partners.items()))
 
 
-def _columns(grid_result: GridResult) -> dict[tuple[Criterion, ...], dict[str, list[float]]]:
+def _columns(grid_result: GridResult) -> dict[Cell, dict[str, list[float]]]:
     """Per cell, in grid order: each category's word precisions, categories
     in report order, then every word's precisions under ``all`` (which sorts
     after every category).  Each column keeps the results' word order."""
-    cells: dict[tuple[Criterion, ...], dict[str, list[float]]] = {}
+    cells: dict[Cell, dict[str, list[float]]] = {}
     for result in grid_result.results:
         columns = cells.setdefault(result.cell, {"all": []})
         columns.setdefault(result.category, []).append(result.precision)
@@ -201,11 +201,11 @@ def evidence_reports(grid_result: GridResult) -> dict[str, list[tuple]]:
     }
 
 
-def selection_criteria(base_criterion: Criterion) -> list[Criterion]:
-    """One criterion under the all/content/selected filters."""
+def selection_criteria(base_criterion: Criterion) -> list[Cell]:
+    """The cells of one criterion under the all/content/selected filters."""
     if base_criterion.filter != "all":
         raise ValueError("the base criterion must use filter 'all'")
-    return [replace(base_criterion, filter=name) for name in ("all", "content", "selected")]
+    return [(replace(base_criterion, filter=name),) for name in ("all", "content", "selected")]
 
 
 def selection_comparison(grid_result: GridResult) -> list[tuple]:
@@ -219,8 +219,8 @@ def selection_comparison(grid_result: GridResult) -> list[tuple]:
     return rows
 
 
-def shift_criteria(criterion: Criterion, shifts: Sequence[int]) -> list[Criterion]:
-    """The criterion at each window shift, in the given order.
+def shift_criteria(criterion: Criterion, shifts: Sequence[int]) -> list[Cell]:
+    """The cells of the criterion at each window shift, in the given order.
 
     Shift 0 must be included: it is the reference every delta is taken
     against.  A repeated shift is an error, as its rows would merge, and so
@@ -236,7 +236,7 @@ def shift_criteria(criterion: Criterion, shifts: Sequence[int]) -> list[Criterio
         problems.append(f"the shift list repeats {', '.join(map(str, repeated))}")
     if problems:
         raise ValueError("\n".join(problems))
-    return [replace(criterion, shift=shift) for shift in shifts]
+    return [(replace(criterion, shift=shift),) for shift in shifts]
 
 
 def shift_study(grid_result: GridResult) -> list[tuple]:
@@ -260,7 +260,7 @@ ANCHORED_COMBINATION = tuple(
     for order in (2, 3, 4, 5)
 )
 PLAIN_BIGRAM = Criterion(2, "lemma", "leftright", "all", size=4)
-ADJACENCY_CELLS = (ANCHORED_COMBINATION, PLAIN_BIGRAM)
+ADJACENCY_CELLS = (ANCHORED_COMBINATION, (PLAIN_BIGRAM,))
 
 
 def adjacency_experiment(grid_result: GridResult) -> list[tuple]:

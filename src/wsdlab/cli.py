@@ -17,13 +17,16 @@ Ctrl-C.  Each subcommand takes only the settings it reads: ``evidence``
 runs the decision list, so it has no ``--classifier`` (its ``RunConfig``
 holds ``dl``) and no NB ``--prior-mode``, and ``adjacency``, whose cells keep
 every token, has no ``--content-mode``.  argparse only names the options and
-``RunConfig`` holds their defaults; ``run.meta``'s configuration is the whole
-``RunConfig``.  One checking pass reads each small input once (the targets
-file, the grid config, the pseudo-word config) and lists every bad option
-value (a number, a shift list, a prior or content mode) with the options that
-do not convert and every problem of those files before work starts; only an
-unknown option or a missing required one (``-o``, ``evaluate --criterion``,
-``pseudoword --config``) ends the run in argparse at once.
+``RunConfig`` holds their defaults, except the ``--criterion`` of
+``evidence``, ``selection`` and ``shift``: its default is in the subcommand's
+``EXPERIMENTS`` row, which ``run`` reads when the ``RunConfig`` has none.
+``run.meta``'s configuration is the whole ``RunConfig``.  One checking pass
+reads each small input once (the targets file, the grid config, the
+pseudo-word config) and lists every bad option value (a number, a shift list,
+a prior or content mode) with the options that do not convert and every
+problem of those files before work starts; only an unknown option or a
+missing required one (``-o``, ``evaluate --criterion``, ``pseudoword
+--config``) ends the run in argparse at once.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import hashlib
 import json
 import sys
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -65,13 +68,15 @@ from .corpus import (
 from .criteria import (
     CONTENT_MODE_PROBLEM,
     CONTENT_MODES,
+    Cell,
     Criterion,
     CriterionGrid,
     default_grid,
+    enumerate_grid,
     parse_cell,
     parse_grid_config,
 )
-from .evaluation import Cell, GridResult, check_classifier, grid_rows, grid_search
+from .evaluation import GridResult, check_classifier, grid_rows, grid_search
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -118,8 +123,8 @@ def _read_input(path: Path, inputs: dict[str, str]) -> str:
     return data.decode("utf-8-sig").replace("\r\n", "\n").replace("\r", "\n")
 
 
-def _criteria(config: RunConfig) -> tuple[Criterion, ...]:
-    """The ``--criterion`` parts; several are combined with '+'."""
+def _criteria(config: RunConfig) -> Cell:
+    """The ``--criterion`` cell; several criteria are combined with '+'."""
     if not config.criterion:
         raise ValueError("a criterion is required (--criterion)")
     return parse_cell(config.criterion)
@@ -132,11 +137,11 @@ def _criterion(config: RunConfig) -> Criterion:
     return parts[0]
 
 
-def _evidence_cells(config: RunConfig) -> list[Criterion]:
+def _evidence_cells(config: RunConfig) -> list[Cell]:
     criterion = _criterion(config)
     if criterion.order != 1:
         raise ValueError("evidence profiles need a unigram criterion")
-    return [criterion]
+    return [(criterion,)]
 
 
 def _grid_path(config: RunConfig) -> Path | None:
@@ -153,10 +158,11 @@ class Experiment:
     reduces, not when this table is built, so wrappers installed on those
     attributes (as perfbench's tracer does) see every call."""
 
-    cells: Callable[[RunConfig, CriterionGrid], CriterionGrid | list[Cell]]
+    cells: Callable[[RunConfig, CriterionGrid], list[Cell]]
     reports: Callable[[GridResult], dict[str, list[tuple]]]
     classifier: str | None = None  # the one classifier it runs, set in its RunConfig
     keep_records: bool = False
+    criterion: str | None = None  # the --criterion it runs when its RunConfig has none
 
 
 EXPERIMENTS = {
@@ -165,23 +171,26 @@ EXPERIMENTS = {
         lambda result: {"evaluate.csv": grid_rows(result.results)},
     ),
     "grid": Experiment(
-        lambda config, grid: grid,
+        lambda config, grid: enumerate_grid(grid),
         lambda result: {"grid.csv": grid_rows(result.results), **context_report(result)},
     ),
     "evidence": Experiment(lambda config, grid: _evidence_cells(config),
                            lambda result: evidence_reports(result),
-                           classifier="dl", keep_records=True),
+                           classifier="dl", keep_records=True,
+                           criterion="[1gr|mform|ordered|all]@2"),
     "ablation": Experiment(
-        lambda config, grid: ablation_grid(grid),
+        lambda config, grid: enumerate_grid(ablation_grid(grid)),
         lambda result: {"ablation.csv": content_ablation(result)},
     ),
     "selection": Experiment(
         lambda config, grid: selection_criteria(_criterion(config)),
         lambda result: {"selection.csv": selection_comparison(result)},
+        criterion="[1gr|mform|ordered|all]@2",
     ),
     "shift": Experiment(
         lambda config, grid: shift_criteria(_criterion(config), config.shifts),
         lambda result: {"shift.csv": shift_study(result)},
+        criterion="[1gr|lemma|ordered|all]@2",
     ),
     "adjacency": Experiment(
         lambda config, grid: list(ADJACENCY_CELLS),
@@ -193,7 +202,7 @@ COMMANDS = ("stats", *EXPERIMENTS, "pseudoword")
 
 def _check(config: RunConfig, diagnostics: Sequence[str]) -> tuple[
         list[str], dict[str, str], list[tuple[str, str]] | None,
-        CriterionGrid | list[Cell] | None, SmoothingParams | None, PseudowordConfig | None]:
+        list[Cell] | None, SmoothingParams | None, PseudowordConfig | None]:
     """Every configuration problem, not just the first, after ``diagnostics``,
     and what the run builds from its small inputs, each read once before the
     corpus: the sha256 of each input read, targets, grid cells, smoothing,
@@ -326,6 +335,8 @@ def _evaluate(config: RunConfig, inputs, corpus, targets, cells, smoothing) -> i
 def run(config: RunConfig, diagnostics: Sequence[str] = ()) -> int:
     """Execute one subcommand, after ``diagnostics``, the problems found in
     building ``config``; returns the process exit code."""
+    if config.criterion is None and config.subcommand in EXPERIMENTS:
+        config = replace(config, criterion=EXPERIMENTS[config.subcommand].criterion)
     problems, inputs, targets, cells, smoothing, pw_config = _check(config, diagnostics)
     if problems:
         for problem in problems:
@@ -393,19 +404,17 @@ def build_parser() -> argparse.ArgumentParser:
     # The decision list only: no --classifier, and no NB --prior-mode.
     p = _subcommand(subparsers, "evidence", "decision-evidence profile (DL)",
                     "--m", "--k", "--seed", "--jobs", "--content-mode")
-    p.add_argument("--criterion", default="[1gr|mform|ordered|all]@2",
-                   help="unigram criterion to profile")
+    p.add_argument("--criterion", help="unigram criterion to profile")
 
     p = _subcommand(subparsers, "ablation", "all-words vs content-words decrease", *_SETTINGS)
     p.add_argument("--grid", default="default",
                    help="'default' or a grid config file (must pair all/content)")
 
     p = _subcommand(subparsers, "selection", "all/content/selected filter comparison", *_SETTINGS)
-    p.add_argument("--criterion", default="[1gr|mform|ordered|all]@2",
-                   help="base criterion (filter must be 'all')")
+    p.add_argument("--criterion", help="base criterion (filter must be 'all')")
 
     p = _subcommand(subparsers, "shift", "shifted-window study", *_SETTINGS)
-    p.add_argument("--criterion", default="[1gr|lemma|ordered|all]@2")
+    p.add_argument("--criterion")
     p.add_argument("--shifts", help="comma-separated signed shifts; must include 0")
 
     # Both of its cells keep every token: no filtered-window --content-mode.

@@ -313,6 +313,17 @@ class PseudowordConfig:
         problems.extend(f"{name} value {value!r} must be non-empty, with no tab or line break"
                         for name, given in values.items() for value in given
                         if "\t" in value or value.splitlines() != [value])
+        # The target lemma starts its targets line, and it and each signal value
+        # start corpus token lines.
+        if self.target_lemma.startswith("#"):
+            problems.append(f"target lemma {self.target_lemma!r} must not start with '#', "
+                            "which opens a comment in the targets file")
+        problems.extend(f"{name} {value!r} must not start with '#doc ', "
+                        "which opens a document in the corpus file"
+                        for name, value in (("target lemma", self.target_lemma),
+                                            *(("signal_values value", value)
+                                              for value in self.signal_values or ()))
+                        if value.startswith("#doc "))
         if problems:
             raise ValueError("\n".join(problems))
 
@@ -322,7 +333,12 @@ class PseudowordConfig:
 
 
 def _parse_csv_list(value: str) -> tuple[str, ...]:
-    return tuple(item.strip() for item in value.split(",") if item.strip())
+    """The comma-separated items of a value, stripped: none for an empty
+    value, and an empty item among others is an error."""
+    items = tuple(item.strip() for item in value.split(",")) if value.strip() else ()
+    if "" in items:
+        raise ValueError(f"empty item in {value!r}")
+    return items
 
 
 def _parse_int_csv_list(value: str) -> tuple[int, ...]:
@@ -352,9 +368,10 @@ def _read_config(text: str, label: str, converters: dict[str, Callable[[str], An
                  build: Callable[..., Any], required: tuple[str, ...] = ()) -> Any:
     """``build(**values)`` from the flat ``key = value`` config format, which
     skips blank and ``#`` lines.  Malformed lines, repeated and unknown keys,
-    missing ``required`` keys (then nothing is built), values that do not
-    convert and the problems ``build`` raises are raised together in one
-    ``ValueError``, one per line of its message, each named by ``label``."""
+    missing ``required`` keys, values that do not convert (nothing is built
+    while a ``required`` value is missing or does not convert) and the
+    problems ``build`` raises are raised together in one ``ValueError``, one
+    per line of its message, each named by ``label``."""
     raw: dict[str, str] = {}
     problems: list[str] = []
     for number, line in enumerate(text.splitlines(), start=1):
@@ -383,7 +400,7 @@ def _read_config(text: str, label: str, converters: dict[str, Callable[[str], An
             except ValueError as exc:
                 problems.append(f"{label} {key}: {exc}")
     try:
-        built = None if missing else build(**values)
+        built = build(**values) if all(key in values for key in required) else None
     except ValueError as exc:
         problems.append(str(exc))
     if problems:

@@ -111,12 +111,16 @@ def _format(criterion: Criterion, size: str) -> str:
     )
 
 
-def cell_name(cell: Sequence[Criterion]) -> str:
+# A grid cell: the criteria whose feature vectors combine into one.
+Cell = tuple[Criterion, ...]
+
+
+def cell_name(cell: Cell) -> str:
     """The name of a grid cell: its criteria joined by '+'."""
     return "+".join(format_criterion(c) for c in cell)
 
 
-def parse_cell(text: str) -> tuple[Criterion, ...]:
+def parse_cell(text: str) -> Cell:
     """The criteria of a cell name, the inverse of ``cell_name``; only a '+'
     before a '[' joins, as ``shift+1`` holds one too.  A cell may not repeat
     a criterion."""
@@ -205,12 +209,12 @@ def default_grid() -> CriterionGrid:
     return CriterionGrid()
 
 
-def enumerate_grid(grid: CriterionGrid) -> list[Criterion]:
-    """Cartesian product in deterministic order: orders, then tags, then
-    positionings, then filters, then sizes.  Shift 0 and non-anchored
-    throughout."""
+def enumerate_grid(grid: CriterionGrid) -> list[Cell]:
+    """The grid's one-criterion cells, its Cartesian product in deterministic
+    order: orders, then tags, then positionings, then filters, then sizes.
+    Shift 0 and non-anchored throughout."""
     return [
-        Criterion(order, tag, positioning, filt, size)
+        (Criterion(order, tag, positioning, filt, size),)
         for order, tag, positioning, filt, size in itertools.product(
             grid.orders, grid.tags, grid.positionings, grid.filters, grid.sizes
         )
@@ -219,10 +223,7 @@ def enumerate_grid(grid: CriterionGrid) -> list[Criterion]:
 
 def _parse_int_list(value: str) -> tuple[int, ...]:
     items: list[int] = []
-    for part in value.split(","):
-        part = part.strip()
-        if not part:
-            continue
+    for part in _parse_csv_list(value):
         span = re.fullmatch(r"(\d+)-(\d+)", part)
         if span:
             items.extend(range(int(span.group(1)), int(span.group(2)) + 1))
@@ -350,7 +351,7 @@ def extract_features(corpus: Corpus, occurrence: Occurrence, criterion: Criterio
     return tuple(sorted({key for key, _ in _ngrams(corpus, occurrence, criterion, content_mode)}))
 
 
-def feature_span(corpus: Corpus, occurrence: Occurrence, cell: Sequence[Criterion], key: str,
+def feature_span(corpus: Corpus, occurrence: Occurrence, cell: Cell, key: str,
                  *, content_mode: str = "reindex") -> Span:
     """The span of a key of a cell's vector for one occurrence: the window
     offsets and coarse tags of the first n-gram that yields it.  In a cell
@@ -365,19 +366,18 @@ def feature_span(corpus: Corpus, occurrence: Occurrence, cell: Sequence[Criterio
     raise KeyError(key)
 
 
-def combine_features(criteria: Sequence[Criterion],
-                     vectors: Sequence[tuple[str, ...]]) -> tuple[str, ...]:
+def combine_features(cell: Cell, vectors: Sequence[tuple[str, ...]]) -> tuple[str, ...]:
     """Union of the vectors that the criteria of one cell extract from the
-    same occurrence, ``vectors[i]`` from ``criteria[i]``, keys ascending.
+    same occurrence, ``vectors[i]`` from ``cell[i]``, keys ascending.
 
     A one-criterion cell's union is its vector; with several criteria, keys
     are namespaced by their criterion's canonical string so features from
     different criteria can never collide.
     """
-    if len(criteria) == 1:
+    if len(cell) == 1:
         return vectors[0]
     return tuple(sorted(
         f"{format_criterion(criterion)}::{key}"
-        for criterion, vector in zip(criteria, vectors, strict=True)
+        for criterion, vector in zip(cell, vectors, strict=True)
         for key in vector
     ))

@@ -1,8 +1,8 @@
 """Cross-validation harness and criterion grid search.
 
 Folds are stratified by gold sense and fully determined by (occurrences, k,
-seed), so any run is reproducible bit-for-bit.  The (word x criterion) grid is
-evaluated cell by cell; cells are independent, so they can be dispatched to a
+seed), so any run is reproducible bit-for-bit.  The (word x cell) grid is
+evaluated pair by pair; pairs are independent, so they can be dispatched to a
 worker pool without affecting the results.
 """
 
@@ -26,12 +26,10 @@ from .classifiers import (
 )
 from .corpus import Corpus, Occurrence, extract_occurrences
 from .criteria import (
-    Criterion,
-    CriterionGrid,
+    Cell,
     Span,
     cell_name,
     combine_features,
-    enumerate_grid,
     extract_features,
     feature_span,
 )
@@ -114,7 +112,7 @@ class DecisionRecord:
 class WordResult:
     lemma: str
     category: str
-    cell: tuple[Criterion, ...]
+    cell: Cell
     classifier: str
     precision: float
     fold_precisions: tuple[float, ...]
@@ -136,30 +134,29 @@ class SkippedWord:
 def cross_validate(
     corpus: Corpus,
     plan: FoldPlan,
-    criteria: Criterion | Sequence[Criterion],
+    cell: Cell,
     classifier: str,
     smoothing: SmoothingParams = SmoothingParams(),
     *,
     content_mode: str = "reindex",
-    keep_records: bool = True,
+    keep_records: bool = False,
 ) -> WordResult:
     """Train on k-1 folds, classify the held-out fold, for every fold.
 
-    ``criteria`` may be a single criterion or several; several are combined
-    into one namespaced feature vector per occurrence.  Precision pools
-    correct decisions over all folds, so every occurrence counts exactly once.
+    The cell's criteria give one combined feature vector per occurrence.
+    Precision pools correct decisions over all folds, so every occurrence
+    counts exactly once.
     """
     check_classifier(classifier)
-    criteria = (criteria,) if isinstance(criteria, Criterion) else tuple(criteria)
-    if not criteria:
+    if not cell:
         raise ValueError("at least one criterion is required")
     # Looked up on every call, not bound at import, so a tracer can wrap them.
     train, classify = (train_nb, classify_nb) if classifier == "nb" else (train_dl, classify_dl)
     occurrences = plan.occurrences
     vectors = [
-        combine_features(criteria, [
+        combine_features(cell, [
             extract_features(corpus, occ, criterion, content_mode=content_mode)
-            for criterion in criteria
+            for criterion in cell
         ])
         for occ in occurrences
     ]
@@ -182,7 +179,7 @@ def cross_validate(
                 records.append(DecisionRecord(
                     occ.id, occ.sense, prediction.sense, prediction.used_fallback,
                     None if prediction.key is None else feature_span(
-                        corpus, occ, criteria, prediction.key, content_mode=content_mode),
+                        corpus, occ, cell, prediction.key, content_mode=content_mode),
                 ))
         fold_precisions.append(correct / len(test_idx) if test_idx else 0.0)
         total_correct += correct
@@ -190,7 +187,7 @@ def cross_validate(
     return WordResult(
         lemma=occurrences[0].lemma,
         category=occurrences[0].category,
-        cell=criteria,
+        cell=cell,
         classifier=classifier,
         precision=total_correct / len(occurrences),
         fold_precisions=tuple(fold_precisions),
@@ -209,10 +206,6 @@ class GridResult:
     workers: int = field(default=1, compare=False)
 
 
-# One grid cell: a criterion, or several combined into one feature vector.
-Cell = Criterion | Sequence[Criterion]
-
-
 def worker_count(jobs: int, cells: int) -> int:
     """Pool size for ``cells`` cells: at most ``jobs``, the cells, and the
     CPUs this process may run on; at least 1."""
@@ -229,13 +222,13 @@ def worker_count(jobs: int, cells: int) -> int:
 # pickling of the corpus), and emptied when it returns.
 _POOL_STATE: dict = {}
 
-# Cells per task sent to a pool worker.
-_CHUNK_CELLS = 8
+# (word, cell) pairs per task sent to a pool worker.
+_CHUNK = 8
 
 
-def _eval_cells(cells: Sequence[tuple[int, int]]) -> list[WordResult]:
+def _eval_cells(tasks: Sequence[tuple[int, int]]) -> list[WordResult]:
     state = _POOL_STATE
-    return [state["evaluate"](state["plans"][wi], state["criteria"][ci]) for wi, ci in cells]
+    return [state["evaluate"](state["plans"][wi], state["cells"][ci]) for wi, ci in tasks]
 
 
 def _end_on_interrupt() -> None:
@@ -247,7 +240,7 @@ def _end_on_interrupt() -> None:
 def grid_search(
     corpus: Corpus,
     targets: Sequence[tuple[str, str]],
-    grid: CriterionGrid | Sequence[Cell],
+    cells: Sequence[Cell],
     classifier: str,
     smoothing: SmoothingParams = SmoothingParams(),
     k: int = 10,
@@ -259,14 +252,12 @@ def grid_search(
 ) -> GridResult:
     """Cross-validate every (target word, cell) pair.
 
-    A cell is a criterion or a sequence of criteria combined into one
-    feature vector.  Words with fewer occurrences than k are skipped with a
-    warning record rather than failing the run.  Results are ordered
-    word-ascending then grid-order, independent of the worker count; decision
-    records are kept only when ``keep_records`` is set.
+    Words with fewer occurrences than k are skipped with a warning record
+    rather than failing the run.  Results are ordered word-ascending then in
+    cell order, independent of the worker count; decision records are kept
+    only when ``keep_records`` is set.
     """
-    criteria = enumerate_grid(grid) if isinstance(grid, CriterionGrid) else list(grid)
-    if not criteria:
+    if not cells:
         raise ValueError("empty criterion list")
     if not targets:
         raise ValueError("empty target list")
@@ -283,8 +274,8 @@ def grid_search(
             continue
         plans.append(kfold_split(occurrences, k, seed))
 
-    cells = [(wi, ci) for wi in range(len(plans)) for ci in range(len(criteria))]
-    workers = worker_count(jobs, len(cells))
+    tasks = [(wi, ci) for wi in range(len(plans)) for ci in range(len(cells))]
+    workers = worker_count(jobs, len(tasks))
     try:
         context = multiprocessing.get_context("fork") if workers > 1 else None
     except ValueError:  # no fork on this platform: run serially
@@ -293,10 +284,10 @@ def grid_search(
     # sees every cell.
     evaluate = partial(cross_validate, corpus, classifier=classifier, smoothing=smoothing,
                        content_mode=content_mode, keep_records=keep_records)
-    _POOL_STATE.update(evaluate=evaluate, plans=plans, criteria=criteria)
+    _POOL_STATE.update(evaluate=evaluate, plans=plans, cells=cells)
     try:
         if context is None:
-            results = _eval_cells(cells)
+            results = _eval_cells(tasks)
         else:
             # SIGINT stays blocked until every worker is forked, so that each
             # starts with it blocked and only unblocks it once it takes the
@@ -307,8 +298,8 @@ def grid_search(
             try:
                 mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
                 try:
-                    chunks = [pool.submit(_eval_cells, cells[start:start + _CHUNK_CELLS])
-                              for start in range(0, len(cells), _CHUNK_CELLS)]
+                    chunks = [pool.submit(_eval_cells, tasks[start:start + _CHUNK])
+                              for start in range(0, len(tasks), _CHUNK)]
                 finally:
                     signal.pthread_sigmask(signal.SIG_SETMASK, mask)
                 results = [result for chunk in chunks for result in chunk.result()]

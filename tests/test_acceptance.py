@@ -37,6 +37,7 @@ from wsdlab import (
     train_nb,
 )
 from oracles import dl_scan_oracle, mfs_baseline, nb_posterior_oracle
+from wsdlab.criteria import parse_cell
 from wsdlab.evaluation import GridResult
 
 
@@ -158,9 +159,9 @@ def test_criterion_07_planted_signal_separation():
     corpus = generate_pseudoword_corpus(config, 11)
     occurrences = extract_occurrences(corpus, config.target_lemma, "noun")
     plan = kfold_split(occurrences, 10, 0)
-    unigram1 = parse_criterion("[1gr|lemma|ordered|all]@1")
+    unigram1 = parse_cell("[1gr|lemma|ordered|all]@1")
     for classifier in ("nb", "dl"):
-        result = cross_validate(corpus, plan, unigram1, classifier, keep_records=False)
+        result = cross_validate(corpus, plan, unigram1, classifier)
         assert result.precision == 1.0
 
     # (b) the signal lives only in the left-adjacent lemma pair: each token
@@ -173,16 +174,12 @@ def test_criterion_07_planted_signal_separation():
     pair_occurrences = extract_occurrences(pair_corpus, pair_config.target_lemma, "noun")
     pair_plan = kfold_split(pair_occurrences, 10, 0)
     baseline = mfs_baseline(pair_occurrences)
-    bigram = parse_criterion("[2gr|lemma|leftright|all]@2")
-    unigram2 = parse_criterion("[1gr|lemma|ordered|all]@2")
+    bigram = parse_cell("[2gr|lemma|leftright|all]@2")
+    unigram2 = parse_cell("[1gr|lemma|ordered|all]@2")
     for classifier in ("nb", "dl"):
-        pair_result = cross_validate(
-            pair_corpus, pair_plan, bigram, classifier, keep_records=False
-        )
+        pair_result = cross_validate(pair_corpus, pair_plan, bigram, classifier)
         assert pair_result.precision >= 0.99
-        unigram_result = cross_validate(
-            pair_corpus, pair_plan, unigram2, classifier, keep_records=False
-        )
+        unigram_result = cross_validate(pair_corpus, pair_plan, unigram2, classifier)
         assert unigram_result.precision <= baseline + 0.05
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0
@@ -200,9 +197,9 @@ def test_criterion_08_fallback_accounting():
     corpus = generate_pseudoword_corpus(config, 23)
     occurrences = extract_occurrences(corpus, config.target_lemma, "noun")
     plan = kfold_split(occurrences, 10, 0)
-    criterion = parse_criterion("[1gr|lemma|ordered|all]@1")
+    cell = parse_cell("[1gr|lemma|ordered|all]@1")
     for classifier in ("nb", "dl"):
-        result = cross_validate(corpus, plan, criterion, classifier)
+        result = cross_validate(corpus, plan, cell, classifier, keep_records=True)
         assert all(record.used_fallback for record in result.records)
         assert all(record.predicted == "banane" for record in result.records)
         assert result.precision == 0.7
@@ -218,7 +215,7 @@ def test_criterion_09_evidence_profile_consistency():
     occurrences = extract_occurrences(corpus, config.target_lemma, "noun")
     plan = kfold_split(occurrences, 10, 0)
     result = cross_validate(
-        corpus, plan, parse_criterion("[1gr|lemma|ordered|all]@1"), "dl"
+        corpus, plan, parse_cell("[1gr|lemma|ordered|all]@1"), "dl", keep_records=True
     )
     rows = evidence_reports(GridResult((result,), ()))["evidence_profile.csv"][1:]
     fallbacks = [record for record in result.records if record.used_fallback]

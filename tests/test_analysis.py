@@ -34,7 +34,7 @@ from wsdlab import (
 )
 from wsdlab.analysis import ABLATION_HEADER, ANCHORED_COMBINATION, PLAIN_BIGRAM
 from wsdlab.corpus import CATEGORIES
-from wsdlab.criteria import Criterion
+from wsdlab.criteria import Criterion, parse_cell
 from wsdlab.evaluation import DecisionRecord, GridResult, WordResult
 
 
@@ -167,7 +167,8 @@ def test_profile_consistency_with_word_result():
     corpus, (lemma, category) = pseudo_corpus(noise=0.5, vocabulary=2000, counts=(70, 30))
     occurrences = extract_occurrences(corpus, lemma, category)
     plan = kfold_split(occurrences, 10, 1)
-    result = cross_validate(corpus, plan, parse_criterion("[1gr|lemma|ordered|all]@1"), "dl")
+    result = cross_validate(corpus, plan, parse_cell("[1gr|lemma|ordered|all]@1"), "dl",
+                            keep_records=True)
     rows = evidence_reports(GridResult((result,), ()))["evidence_profile.csv"][1:]
     fallbacks = [r for r in result.records if r.used_fallback]
     assert fallbacks  # the engineered sparsity forces fallbacks

@@ -16,8 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wsdlab as package
-from wsdlab import evaluation
-from wsdlab.cli import COMMANDS, RunConfig, build_parser, main, run
+from wsdlab import cli, evaluation
+from wsdlab.cli import COMMANDS, EXPERIMENTS, RunConfig, build_parser, main, run
+from wsdlab.criteria import Criterion, parse_grid_config
 from test_acceptance import SMALL_GRID, _build_three_category_workspace
 
 # The subprocesses run in other directories, so the package is put on their
@@ -576,6 +577,75 @@ def test_an_evidence_config_runs_the_decision_list_only(workspace, capsys):
     assert meta["classifier"] == "dl" and meta["cells"] == 1
 
 
+# Each evaluation subcommand's options beyond the inputs in the walk below.
+_CELL_OPTIONS = {
+    "evaluate": {"criterion": "[1gr|lemma|ordered|all]@2+[2gr|lemma|leftright|all]@3"},
+    "grid": {"grid": "small.grid"},
+    "evidence": {"classifier": "dl"},
+    "ablation": {"grid": "small.grid"},
+    "shift": {"shifts": (0, 1, -1)},
+}
+
+
+def test_every_experiment_cross_validates_its_cells_for_each_word(three_categories,
+                                                                  monkeypatch):
+    """A cell is a tuple of criteria from an experiment's cell list to each
+    word's results, in the same order."""
+    results = []
+
+    def recording(*args, **kwargs):
+        results.append(evaluation.grid_search(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "grid_search", recording)
+    grid = parse_grid_config(SMALL_GRID)
+    words = len((three_categories / "targets.tsv").read_text().splitlines())
+    for command, experiment in EXPERIMENTS.items():
+        options = {"criterion": experiment.criterion, **_CELL_OPTIONS.get(command, {})}
+        if "grid" in options:
+            options["grid"] = str(three_categories / options["grid"])
+        config = RunConfig(command, three_categories / f"cells-{command}",
+                           three_categories / "corpus.tsv", three_categories / "targets.tsv",
+                           k=5, **options)
+        cells = experiment.cells(config, grid)
+        assert type(cells) is list and cells, command
+        assert all(type(cell) is tuple and cell
+                   and all(type(c) is Criterion for c in cell) for cell in cells), command
+        assert run(config) == 0, command
+        by_word = {}
+        for result in results.pop().results:
+            by_word.setdefault(result.lemma, []).append(result.cell)
+        assert list(by_word.values()) == [cells] * words, command
+
+
+@pytest.mark.parametrize("command", ["evidence", "selection", "shift"])
+def test_a_config_without_a_criterion_runs_the_cli_default(workspace, command):
+    """The default --criterion is the subcommand's, not argparse's: a
+    RunConfig built without one runs it and writes the CLI's run.meta."""
+    out = workspace / f"default-{command}"
+    inputs = {"corpus": workspace / "gen" / "corpus.tsv",
+              "targets": workspace / "gen" / "targets.tsv"}
+    assert main([command, "--corpus", str(inputs["corpus"]), "--targets",
+                 str(inputs["targets"]), "--k", "5", "-o", str(out)]) == 0
+    written = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert json.loads(written["run.meta"])["criterion"] == EXPERIMENTS[command].criterion
+    for path in out.iterdir():
+        path.unlink()
+    config = RunConfig(command, out, **inputs, k=5,
+                       classifier=EXPERIMENTS[command].classifier or "nb")
+    assert run(config) == 0
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == written
+
+
+def test_evaluate_still_needs_a_criterion(workspace, capsys):
+    out = workspace / "no-criterion"
+    config = RunConfig("evaluate", out, workspace / "gen" / "corpus.tsv",
+                       workspace / "gen" / "targets.tsv")
+    assert run(config) == 2
+    assert capsys.readouterr().err == "error: a criterion is required (--criterion)\n"
+    assert not out.exists()
+
+
 def test_pseudoword_values_are_single_columns(tmp_path, monkeypatch, capsys):
     """A value that is empty, or holds a tab or a line break, would break the
     corpus or targets line it is written to: each is listed with the other
@@ -605,6 +675,56 @@ def test_pseudoword_values_are_single_columns(tmp_path, monkeypatch, capsys):
         f"signal_values value 'x\\r' {rule}", f"signal_values value '' {rule}"]
     # An empty target is unset: the pseudo-target joins the sources.
     assert package.PseudowordConfig(("a", "b"), (5, 5), target="").target_lemma == "ab"
+
+
+@pytest.mark.parametrize("config, expected", [
+    ("sources = a, b\ntarget = #doc x\nsignal_values = #doc q, r\n", [
+        "target lemma '#doc x' must not start with '#', which opens a comment in the "
+        "targets file",
+        "target lemma '#doc x' must not start with '#doc ', which opens a document in the "
+        "corpus file",
+        "signal_values value '#doc q' must not start with '#doc ', which opens a document "
+        "in the corpus file",
+    ]),
+    ("sources = #a, b\n", [
+        "target lemma '#ab' must not start with '#', which opens a comment in the "
+        "targets file",
+    ]),
+])
+def test_pseudoword_values_the_generated_files_would_misread(tmp_path, monkeypatch, capsys,
+                                                             config, expected):
+    """The targets file reads a line that starts with '#' as a comment, and
+    the corpus file one that starts with '#doc ' as a document header."""
+    (tmp_path / "pw.cfg").write_text(config)
+    monkeypatch.chdir(tmp_path)
+    assert main(["pseudoword", "--config", "pw.cfg", "-o", "gen"]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {line}" for line in expected]
+    assert not (tmp_path / "gen").exists()
+
+
+@pytest.mark.parametrize("command, name, config, expected", [
+    ("pseudoword", "pw.cfg", "sources = a,,b\n", ["config sources: empty item in 'a,,b'"]),
+    ("pseudoword", "pw.cfg", "sources = a, b\ncounts = 10,,20\nfiller_pos = NCOM, DET,\n", [
+        "config counts: empty item in '10,,20'",
+        "config filler_pos: empty item in 'NCOM, DET,'",
+    ]),
+    # An empty value is still an empty set, with its own problem.
+    ("grid", "bad.grid", "orders = 1,,2\nsizes = 1,2,\nfilters =\n", [
+        "grid config orders: empty item in '1,,2'",
+        "grid config sizes: empty item in '1,2,'",
+        "grid parameter set 'filters' is empty",
+    ]),
+])
+def test_an_empty_list_item_is_a_problem(workspace, tmp_path, monkeypatch, capsys,
+                                         command, name, config, expected):
+    (tmp_path / name).write_text(config)
+    monkeypatch.chdir(tmp_path)
+    argv = (["pseudoword", "--config", name] if command == "pseudoword" else
+            ["grid", "--corpus", str(workspace / "gen" / "corpus.tsv"),
+             "--targets", str(workspace / "gen" / "targets.tsv"), "--grid", name])
+    assert main([*argv, "-o", "out"]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {line}" for line in expected]
+    assert not (tmp_path / "out").exists()
 
 
 def test_validate_config_rejects_bad_evaluation_inputs(tmp_path, capsys):

@@ -27,10 +27,11 @@ from wsdlab.criteria import cell_name, family_name, feature_span, parse_cell
 # --- grid enumeration ----------------------------------------------------------
 
 def test_default_grid_has_576_criteria():
-    criteria = enumerate_grid(default_grid())
-    assert len(criteria) == 576
-    assert len(set(criteria)) == 576
-    assert all(c.shift == 0 and not c.anchored for c in criteria)
+    cells = enumerate_grid(default_grid())
+    assert len(cells) == 576
+    assert len(set(cells)) == 576
+    assert all(len(cell) == 1 and cell[0].shift == 0 and not cell[0].anchored
+               for cell in cells)
 
 
 def test_grid_restricted_sizes():
@@ -38,19 +39,19 @@ def test_grid_restricted_sizes():
 
 
 def test_grid_single_family():
-    criteria = enumerate_grid(
+    cells = enumerate_grid(
         CriterionGrid(orders=(2,), tags=("lemma",), positionings=("leftright",),
                       filters=("all",))
     )
-    assert [c.size for c in criteria] == [1, 2, 3, 4, 5, 6, 7, 8]
+    assert [c.size for (c,) in cells] == [1, 2, 3, 4, 5, 6, 7, 8]
 
 
 def test_grid_enumeration_order():
-    criteria = enumerate_grid(default_grid())
+    cells = enumerate_grid(default_grid())
     # sizes vary fastest, orders slowest
-    assert format_criterion(criteria[0]) == "[1gr|mform|ordered|all]@1"
-    assert format_criterion(criteria[1]) == "[1gr|mform|ordered|all]@2"
-    assert format_criterion(criteria[-1]) == "[3gr|cgems|unordered|content]@8"
+    assert cell_name(cells[0]) == "[1gr|mform|ordered|all]@1"
+    assert cell_name(cells[1]) == "[1gr|mform|ordered|all]@2"
+    assert cell_name(cells[-1]) == "[3gr|cgems|unordered|content]@8"
 
 
 def test_grid_rejects_empty_set():

@@ -30,7 +30,7 @@ from wsdlab import (
     train_dl,
 )
 from wsdlab import evaluation
-from wsdlab.criteria import feature_span
+from wsdlab.criteria import feature_span, parse_cell
 from wsdlab.evaluation import GRID_CSV_HEADER, WordResult, worker_count
 from oracles import held_out_scan, mfs_baseline
 
@@ -114,9 +114,9 @@ def test_kfold_partition_properties(counts, k, seed):
 def test_planted_signal_is_fully_separable():
     corpus, occurrences = signal_corpus()
     plan = kfold_split(occurrences, 10, 0)
-    criterion = parse_criterion("[1gr|lemma|ordered|all]@1")
+    cell = parse_cell("[1gr|lemma|ordered|all]@1")
     for classifier in ("nb", "dl"):
-        result = cross_validate(corpus, plan, criterion, classifier)
+        result = cross_validate(corpus, plan, cell, classifier)
         assert result.precision == 1.0
         assert all(p == 1.0 for p in result.fold_precisions)
 
@@ -125,9 +125,9 @@ def test_destroyed_signal_tracks_mfs():
     corpus, occurrences = signal_corpus(noise=1.0, vocabulary=10, seed=0)
     plan = kfold_split(occurrences, 10, 0)
     baseline = mfs_baseline(occurrences)
-    criterion = parse_criterion("[1gr|lemma|ordered|all]@1")
+    cell = parse_cell("[1gr|lemma|ordered|all]@1")
     for classifier in ("nb", "dl"):
-        result = cross_validate(corpus, plan, criterion, classifier, keep_records=False)
+        result = cross_validate(corpus, plan, cell, classifier)
         assert abs(result.precision - baseline) <= 0.1
 
 
@@ -137,9 +137,9 @@ def test_destroyed_signal_with_constant_fillers_is_exactly_mfs():
     corpus, occurrences = signal_corpus(counts=(140, 60), noise=1.0, vocabulary=1)
     plan = kfold_split(occurrences, 10, 0)
     baseline = mfs_baseline(occurrences)
-    criterion = parse_criterion("[1gr|lemma|ordered|all]@1")
+    cell = parse_cell("[1gr|lemma|ordered|all]@1")
     for classifier in ("nb", "dl"):
-        result = cross_validate(corpus, plan, criterion, classifier, keep_records=False)
+        result = cross_validate(corpus, plan, cell, classifier)
         assert result.precision == pytest.approx(baseline)
 
 
@@ -148,8 +148,7 @@ def test_monosemous_word_scores_one():
     plan = kfold_split(occurrences, 10, 0)
     for classifier in ("nb", "dl"):
         result = cross_validate(
-            corpus, plan, parse_criterion("[1gr|lemma|ordered|all]@1"),
-            classifier, keep_records=False,
+            corpus, plan, parse_cell("[1gr|lemma|ordered|all]@1"), classifier
         )
         assert result.precision == 1.0
 
@@ -158,7 +157,7 @@ def test_every_occurrence_classified_once():
     corpus, occurrences = signal_corpus(counts=(30, 30), noise=0.5)
     plan = kfold_split(occurrences, 10, 0)
     result = cross_validate(
-        corpus, plan, parse_criterion("[1gr|lemma|ordered|all]@2"), "dl"
+        corpus, plan, parse_cell("[1gr|lemma|ordered|all]@2"), "dl", keep_records=True
     )
     assert len(result.records) == len(occurrences)
     assert sorted(r.occurrence_id for r in result.records) == sorted(
@@ -177,7 +176,8 @@ def test_unknown_test_contexts_all_fall_back():
     plan = kfold_split(occurrences, 5, 1)
     for classifier in ("nb", "dl"):
         result = cross_validate(
-            corpus, plan, parse_criterion("[1gr|lemma|ordered|all]@1"), classifier
+            corpus, plan, parse_cell("[1gr|lemma|ordered|all]@1"), classifier,
+            keep_records=True,
         )
         assert all(r.used_fallback for r in result.records)
         assert all(r.predicted == "banane" for r in result.records)
@@ -191,7 +191,7 @@ def test_evidence_recorded_only_for_dl_decisions():
     # In the '+' cell the leftright keys sort first, so they win every tie with
     # the ordered ones: the deciding criterion is not the cell's first.
     for cell in ((criterion,), (criterion, parse_criterion("[1gr|lemma|leftright|all]@1"))):
-        dl = cross_validate(corpus, plan, cell, "dl")
+        dl = cross_validate(corpus, plan, cell, "dl", keep_records=True)
         # Each fold's deciding keys, retrained here: the evidence is their span.
         vectors = [combine_features(cell, [extract_features(corpus, occ, c) for c in cell])
                    for occ in occurrences]
@@ -207,18 +207,15 @@ def test_evidence_recorded_only_for_dl_decisions():
                 if key is not None:
                     assert record.evidence == feature_span(corpus, occurrences[i], cell, key)
         assert next(records, None) is None
-    nb = cross_validate(corpus, plan, criterion, "nb")
+    nb = cross_validate(corpus, plan, (criterion,), "nb", keep_records=True)
     assert all(r.evidence is None for r in nb.records)
 
 
 def test_combined_criteria_in_cross_validation():
     corpus, occurrences = signal_corpus(counts=(30, 30))
     plan = kfold_split(occurrences, 10, 0)
-    criteria = [
-        parse_criterion("[2gr|lemma|leftright|all]@1anchored"),
-        parse_criterion("[3gr|lemma|leftright|all]@2anchored"),
-    ]
-    result = cross_validate(corpus, plan, criteria, "nb", keep_records=False)
+    cell = parse_cell("[2gr|lemma|leftright|all]@1anchored+[3gr|lemma|leftright|all]@2anchored")
+    result = cross_validate(corpus, plan, cell, "nb")
     assert "+" in result.criterion
     assert result.precision == 1.0  # adjacent signal is visible to anchored bigrams
 
@@ -230,8 +227,7 @@ def test_fold_with_single_sense_training_is_valid():
     plan = kfold_split(occurrences, 10, 0)
     for classifier in ("nb", "dl"):
         result = cross_validate(
-            corpus, plan, parse_criterion("[1gr|lemma|ordered|all]@1"),
-            classifier, keep_records=False,
+            corpus, plan, parse_cell("[1gr|lemma|ordered|all]@1"), classifier
         )
         assert result.precision == pytest.approx(0.95)
 
@@ -239,10 +235,10 @@ def test_fold_with_single_sense_training_is_valid():
 # --- grid search ---------------------------------------------------------------------
 
 def small_grid():
-    return CriterionGrid(
+    return enumerate_grid(CriterionGrid(
         orders=(1,), tags=("lemma",), positionings=("ordered",),
         filters=("all",), sizes=(1, 2, 3),
-    )
+    ))
 
 
 def test_grid_search_shapes_and_order():
@@ -296,13 +292,13 @@ def test_grid_search_combined_cells_and_records():
     plan = kfold_split(occurrences, 10, 0)
     parts = (parse_criterion("[1gr|lemma|ordered|all]@1"),
              parse_criterion("[2gr|lemma|leftright|all]@2"))
-    result = grid_search(corpus, [("bananeporte", "noun")], [parts, parts[0]], "dl",
+    result = grid_search(corpus, [("bananeporte", "noun")], [parts, parts[:1]], "dl",
                          k=10, seed=0, keep_records=True)
     assert [r.cell for r in result.results] == [parts, parts[:1]]
     assert [r.criterion for r in result.results] == [
         "[1gr|lemma|ordered|all]@1+[2gr|lemma|leftright|all]@2", "[1gr|lemma|ordered|all]@1"]
-    assert list(result.results) == [cross_validate(corpus, plan, parts, "dl"),
-                                    cross_validate(corpus, plan, parts[0], "dl")]
+    assert list(result.results) == [cross_validate(corpus, plan, cell, "dl", keep_records=True)
+                                    for cell in (parts, parts[:1])]
     without = grid_search(corpus, [("bananeporte", "noun")], [parts], "dl", k=10, seed=0)
     assert without.results[0].records == ()
 
@@ -329,7 +325,7 @@ def test_grid_search_looks_up_the_traced_functions_at_call_time(monkeypatch, cla
         monkeypatch.setattr(evaluation, name, counting)
     corpus, occurrences = signal_corpus(counts=(20, 20))
     grid = small_grid()
-    cells, n, k = len(enumerate_grid(grid)), len(occurrences), 5
+    cells, n, k = len(grid), len(occurrences), 5
     grid_search(corpus, [("bananeporte", "noun")], grid, classifier, k=k)
     assert calls == {"extract": n * cells, "train": k * cells, "classify": n * cells}
 
@@ -346,7 +342,7 @@ def test_cross_validate_rejects_unknown_classifier():
     corpus, occurrences = signal_corpus(counts=(20, 20))
     plan = kfold_split(occurrences, 10, 0)
     with pytest.raises(ValueError, match="unknown classifier 'NB': valid ids are nb, dl"):
-        cross_validate(corpus, plan, parse_criterion("[1gr|lemma|ordered|all]@1"), "NB")
+        cross_validate(corpus, plan, parse_cell("[1gr|lemma|ordered|all]@1"), "NB")
 
 
 def test_grid_search_validation():
@@ -362,7 +358,7 @@ def test_grid_search_validation():
 _SENSE_NAME = st.text("abcxyz", min_size=1, max_size=3)
 _CONTEXT = [Token(f"c{i}", f"c{i}", pos, pos) for i, pos in
             enumerate(("NCOM", "DET", "ADJ", "PREP", "NCOM", "DET"))]
-_RENAMING_CELLS = [parse_criterion(text) for text in (
+_RENAMING_CELLS = [parse_cell(text) for text in (
     "[1gr|lemma|ordered|all]@2", "[2gr|lemma|leftright|content]@2",
     "[1gr|cgems|unordered|all]@1",
 )]
