@@ -48,7 +48,6 @@ from .criteria import (
     parse_grid_config,
 )
 from .evaluation import (
-    DecisionRecord,
     FoldPlan,
     GridResult,
     WordResult,

@@ -154,26 +154,26 @@ def content_ablation(grid_result: GridResult) -> list[tuple]:
 
 def evidence_reports(grid_result: GridResult) -> dict[str, list[tuple]]:
     """The three evidence reports of a decision-list grid run with records
-    kept.  Each decision that did not fall back is credited, within its
+    kept.  Each decision whose fallback bit is clear is credited, within its
     word's category, to the coarse tag and window offset of its evidence,
     which must be a single token: multi-token evidence has no single
     part-of-speech to credit."""
     uses: Counter[tuple[str, str, int]] = Counter()
     correct: Counter[tuple[str, str, int]] = Counter()
     for result in grid_result.results:
-        for record in result.records:
-            if record.used_fallback:
+        for i, span in enumerate(result.evidence):
+            if result.fallback >> i & 1:
                 continue
-            if record.evidence is None:
+            if span is None:
                 raise ValueError(
                     "record lacks evidence: evidence profiles need decision-list runs"
                 )
-            offsets, cgems = record.evidence
+            offsets, cgems = span
             if len(offsets) != 1:
                 raise ValueError("evidence profiles need unigram criteria (single-token evidence)")
             key = (result.category, cgems[0], offsets[0])
             uses[key] += 1
-            correct[key] += record.correct
+            correct[key] += result.correct >> i & 1
 
     space_rows = [EVIDENCE_SPACE_HEADER]
     offsets_by_tag: dict[str, dict[str, list[int]]] = {}  # category -> tag -> offsets

@@ -168,11 +168,11 @@ class Experiment:
 EXPERIMENTS = {
     "evaluate": Experiment(
         lambda config, grid: [_criteria(config)],
-        lambda result: {"evaluate.csv": grid_rows(result.results)},
+        lambda result: {"evaluate.csv": grid_rows(result)},
     ),
     "grid": Experiment(
         lambda config, grid: enumerate_grid(grid),
-        lambda result: {"grid.csv": grid_rows(result.results), **context_report(result)},
+        lambda result: {"grid.csv": grid_rows(result), **context_report(result)},
     ),
     "evidence": Experiment(lambda config, grid: _evidence_cells(config),
                            lambda result: evidence_reports(result),
@@ -398,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="criterion string; combine several with '+'")
 
     p = _subcommand(subparsers, "grid", "cross-validate a criterion grid", *_SETTINGS)
-    p.add_argument("--grid", default="default",
+    p.add_argument("--grid",
                    help="'default' (the 576-criterion space) or a grid config file")
 
     # The decision list only: no --classifier, and no NB --prior-mode.
@@ -407,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--criterion", help="unigram criterion to profile")
 
     p = _subcommand(subparsers, "ablation", "all-words vs content-words decrease", *_SETTINGS)
-    p.add_argument("--grid", default="default",
+    p.add_argument("--grid",
                    help="'default' or a grid config file (must pair all/content)")
 
     p = _subcommand(subparsers, "selection", "all/content/selected filter comparison", *_SETTINGS)

@@ -3,7 +3,9 @@
 Folds are stratified by gold sense and fully determined by (occurrences, k,
 seed), so any run is reproducible bit-for-bit.  The (word x cell) grid is
 evaluated pair by pair; pairs are independent, so they can be dispatched to a
-worker pool without affecting the results.
+worker pool without affecting the results.  A pair's result is its decisions,
+one bit per occurrence of the word's fold plan (decided right, decided by the
+fallback); every precision is derived from those bits.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import signal
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .classifiers import (
     SmoothingParams,
@@ -63,6 +65,16 @@ class FoldPlan:
             folds[fold].append(i)
         return tuple(map(tuple, folds))
 
+    @cached_property
+    def _masks(self) -> tuple[int, ...]:
+        """Each fold's occurrences as bits."""
+        return tuple(sum(1 << i for i in fold) for fold in self.held_out)
+
+    def fold_precisions(self, correct: int) -> tuple[float, ...]:
+        """Each fold's share of the ``correct`` bits, 0.0 for an empty fold."""
+        return tuple((correct & mask).bit_count() / len(fold) if fold else 0.0
+                     for fold, mask in zip(self.held_out, self._masks))
+
 
 def kfold_split(occurrences: Sequence[Occurrence], k: int, seed: int) -> FoldPlan:
     """Deterministic stratified k-fold assignment.
@@ -91,32 +103,24 @@ def kfold_split(occurrences: Sequence[Occurrence], k: int, seed: int) -> FoldPla
 
 
 @dataclass(frozen=True)
-class DecisionRecord:
-    """Trace of one classified occurrence.  The evidence is the span of the
-    key that decided, which ``cross_validate`` asks ``feature_span`` for only
-    when it keeps records (vectors and classifiers hold only keys): present
-    only for decision-list decisions that did not fall back."""
-
-    occurrence_id: str
-    gold: str
-    predicted: str
-    used_fallback: bool
-    evidence: Span | None = None
-
-    @property
-    def correct(self) -> bool:
-        return self.predicted == self.gold
-
-
-@dataclass(frozen=True)
 class WordResult:
+    """One cell's decisions on a word: bit i of ``correct`` (``fallback``) is
+    set when occurrence i of its fold plan was decided right (by the
+    most-frequent-sense fallback).  ``evidence``, kept only with records, holds
+    each decision's deciding-key span (None for NB or a fallback)."""
+
     lemma: str
     category: str
     cell: Cell
     classifier: str
-    precision: float
-    fold_precisions: tuple[float, ...]
-    records: tuple[DecisionRecord, ...]
+    decisions: int
+    correct: int
+    fallback: int
+    evidence: tuple[Span | None, ...] = ()
+
+    @property
+    def precision(self) -> float:
+        return self.correct.bit_count() / self.decisions
 
     @property
     def criterion(self) -> str:
@@ -143,9 +147,9 @@ def cross_validate(
 ) -> WordResult:
     """Train on k-1 folds, classify the held-out fold, for every fold.
 
-    The cell's criteria give one combined feature vector per occurrence.
-    Precision pools correct decisions over all folds, so every occurrence
-    counts exactly once.
+    The cell's criteria give one combined feature vector per occurrence, and
+    every occurrence is decided exactly once, by the model of the folds that
+    hold it out.
     """
     check_classifier(classifier)
     if not cell:
@@ -163,46 +167,39 @@ def cross_validate(
 
     pairs = [(vector, occ.sense) for vector, occ in zip(vectors, occurrences)]
 
-    records: list[DecisionRecord] = []
-    fold_precisions: list[float] = []
-    total_correct = 0
+    # Fields, not Predictions, packed after the loop: a bit set per decision
+    # makes a new int, and each held Prediction is one more object for the GC.
+    n = len(occurrences)
+    senses, keys, fallbacks = [None] * n, [None] * n, [False] * n
     for fold, test_idx in enumerate(plan.held_out):
         model = train([pair for pair, f in zip(pairs, plan.assignment) if f != fold], smoothing)
-        correct = 0
         for i in test_idx:
-            prediction = classify(model, vectors[i])
-            occ = occurrences[i]
-            if prediction.sense == occ.sense:
-                correct += 1
-            if keep_records:
-                # No key (NB, or a fallback) has no span.
-                records.append(DecisionRecord(
-                    occ.id, occ.sense, prediction.sense, prediction.used_fallback,
-                    None if prediction.key is None else feature_span(
-                        corpus, occ, cell, prediction.key, content_mode=content_mode),
-                ))
-        fold_precisions.append(correct / len(test_idx) if test_idx else 0.0)
-        total_correct += correct
+            senses[i], _, keys[i], fallbacks[i] = classify(model, vectors[i])
 
     return WordResult(
-        lemma=occurrences[0].lemma,
-        category=occurrences[0].category,
-        cell=cell,
-        classifier=classifier,
-        precision=total_correct / len(occurrences),
-        fold_precisions=tuple(fold_precisions),
-        records=tuple(records),
+        occurrences[0].lemma, occurrences[0].category, cell, classifier, n,
+        _bits([sense == occ.sense for sense, occ in zip(senses, occurrences)]),
+        _bits(fallbacks),
+        tuple(None if key is None else feature_span(corpus, occ, cell, key,
+                                                    content_mode=content_mode)
+              for key, occ in zip(keys, occurrences)) if keep_records else (),
     )
+
+
+def _bits(flags: list[bool]) -> int:
+    """The int whose bit i is set where ``flags[i]`` is true."""
+    return int(bytes(flags)[::-1].translate(bytes.maketrans(b"\0\1", b"01")), 2)
 
 
 @dataclass(frozen=True)
 class GridResult:
-    """Full (word x criterion) precision matrix plus the skipped words.
-    ``workers``, the number of processes that evaluated it (1 when serial),
-    is left out of equality: results do not depend on it."""
+    """Every (word x cell) result, the skipped words and each word's fold plan
+    by (lemma, category).  ``workers``, the number of processes that evaluated
+    it (1 when serial), is left out of equality: results do not depend on it."""
 
     results: tuple[WordResult, ...]
     skipped: tuple[SkippedWord, ...]
+    plans: dict[tuple[str, str], FoldPlan] = field(default_factory=dict)
     workers: int = field(default=1, compare=False)
 
 
@@ -254,8 +251,8 @@ def grid_search(
 
     Words with fewer occurrences than k are skipped with a warning record
     rather than failing the run.  Results are ordered word-ascending then in
-    cell order, independent of the worker count; decision records are kept
-    only when ``keep_records`` is set.
+    cell order, independent of the worker count; each decision's evidence is
+    kept only when ``keep_records`` is set.
     """
     if not cells:
         raise ValueError("empty criterion list")
@@ -263,7 +260,7 @@ def grid_search(
         raise ValueError("empty target list")
     check_classifier(classifier)
 
-    plans: list[FoldPlan] = []
+    plans: dict[tuple[str, str], FoldPlan] = {}
     skipped: list[SkippedWord] = []
     for lemma, category in sorted(targets):
         occurrences = extract_occurrences(corpus, lemma, category)
@@ -272,7 +269,7 @@ def grid_search(
                 SkippedWord(lemma, category, f"{len(occurrences)} occurrences < k={k}")
             )
             continue
-        plans.append(kfold_split(occurrences, k, seed))
+        plans[lemma, category] = kfold_split(occurrences, k, seed)
 
     tasks = [(wi, ci) for wi in range(len(plans)) for ci in range(len(cells))]
     workers = worker_count(jobs, len(tasks))
@@ -284,7 +281,7 @@ def grid_search(
     # sees every cell.
     evaluate = partial(cross_validate, corpus, classifier=classifier, smoothing=smoothing,
                        content_mode=content_mode, keep_records=keep_records)
-    _POOL_STATE.update(evaluate=evaluate, plans=plans, cells=cells)
+    _POOL_STATE.update(evaluate=evaluate, plans=list(plans.values()), cells=cells)
     try:
         if context is None:
             results = _eval_cells(tasks)
@@ -312,14 +309,16 @@ def grid_search(
     finally:
         _POOL_STATE.clear()
 
-    return GridResult(tuple(results), tuple(skipped), 1 if context is None else workers)
+    return GridResult(tuple(results), tuple(skipped), plans,
+                      1 if context is None else workers)
 
 
-def grid_rows(results: Iterable[WordResult]) -> list[tuple]:
-    """``grid.csv`` rows: one per (word, cell), in the given order."""
+def grid_rows(grid_result: GridResult) -> list[tuple]:
+    """``grid.csv`` rows: one per (word, cell), in result order."""
+    plans = grid_result.plans
     return [GRID_CSV_HEADER] + [
         (result.lemma, result.category, result.criterion, max(c.size for c in result.cell),
-         result.classifier, f"{result.precision:.6f}",
-         ";".join(f"{p:.6f}" for p in result.fold_precisions))
-        for result in results
+         result.classifier, f"{result.precision:.6f}", ";".join(f"{p:.6f}" for p in (
+             plans[result.lemma, result.category].fold_precisions(result.correct))))
+        for result in grid_result.results
     ]

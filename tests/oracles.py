@@ -14,8 +14,10 @@ by joining a list of every line, the statistics and evidence reports
 with the report classes and helpers they were first built from, the five
 grid reducers (ablation, selection, shift, adjacency, context) with the
 grouping loop each was first written with, and a whole
-grid run's ``grid.csv`` rows and decision records with a fold loop that
-recounts every fold from scratch out of the pieces above.
+grid run's ``grid.csv`` rows and decisions with a fold loop that
+recounts every fold from scratch out of the pieces above.  Last,
+``result_of_precision`` builds a ``WordResult`` whose precision is a given
+float, for the reducers' tests.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from wsdlab.criteria import (
     family_name,
     format_criterion,
 )
-from wsdlab.evaluation import DecisionRecord, GridResult, WordResult, kfold_split
+from wsdlab.evaluation import WordResult, kfold_split
 
 
 def smoothed(event: int, condition: int, prior: float, m: float) -> float:
@@ -358,15 +360,48 @@ def cell_features_full_context(corpus, occurrence, cell, *, content_mode="reinde
                        for key, span in vector.items()))
 
 
+@dataclass(frozen=True)
+class Decision:
+    """One held-out decision: whether it was right, whether the fallback
+    made it, and the span of the key that decided (None without one)."""
+
+    correct: bool
+    used_fallback: bool
+    evidence: tuple | None
+
+
+@dataclass(frozen=True)
+class Outcome:
+    """One (word, cell)'s decisions, in occurrence order."""
+
+    lemma: str
+    category: str
+    cell: tuple
+    classifier: str
+    records: tuple[Decision, ...]
+
+    @property
+    def correct(self) -> frozenset[int]:
+        """The indices of the occurrences decided right."""
+        return frozenset(i for i, record in enumerate(self.records) if record.correct)
+
+    @property
+    def fallback(self) -> frozenset[int]:
+        """The indices of the occurrences the fallback decided."""
+        return frozenset(i for i, record in enumerate(self.records) if record.used_fallback)
+
+
 def grid_rows_oracle(corpus, targets, cells, classifier, smoothing, k, seed, *,
                      content_mode="reindex"):
-    """``grid.csv``'s rows, header first, and the ``GridResult`` they format,
-    decision records included.  Words with fewer than ``k`` occurrences are
-    left out.  Each fold's training set is picked by a scan of the fold
-    assignment and recounted from scratch for every decision: NB by the
-    per-key references, the decision list by the brute-force scan, whose key
-    is looked up in the occurrence's vector for the record's evidence."""
-    results = []
+    """``grid.csv``'s rows, header first, and the ``Outcome`` of each row.
+    Words with fewer than ``k`` occurrences are left out.  Each fold's
+    training set is picked by a scan of the fold assignment and recounted
+    from scratch for every decision: NB by the per-key references, the
+    decision list by the brute-force scan, whose key is looked up in the
+    occurrence's vector for the decision's evidence."""
+    rows = [("word", "category", "criterion", "size", "classifier", "precision",
+             "fold_precisions")]
+    outcomes = []
     for lemma, category in sorted(targets):
         occurrences = occurrences_scan(corpus, lemma, category)
         if len(occurrences) < k:
@@ -375,7 +410,7 @@ def grid_rows_oracle(corpus, targets, cells, classifier, smoothing, k, seed, *,
         for cell in cells:
             vectors = [cell_features_full_context(corpus, occ, cell, content_mode=content_mode)
                        for occ in occurrences]
-            records = []
+            records = {}
             fold_precisions = []
             for fold in range(k):
                 training = [(vector, occ.sense)
@@ -389,20 +424,17 @@ def grid_rows_oracle(corpus, targets, cells, classifier, smoothing, k, seed, *,
                         sense, _, key, fallback = classify_nb_per_key(model, vectors[i])
                     else:
                         sense, fallback, key = dl_scan_oracle(training, smoothing, vectors[i])
-                    occ = occurrences[i]
                     evidence = None if key is None else vectors[i][key]
-                    records.append(DecisionRecord(occ.id, occ.sense, sense, fallback, evidence))
-                    correct += sense == occ.sense
+                    records[i] = Decision(sense == occurrences[i].sense, fallback, evidence)
+                    correct += sense == occurrences[i].sense
                 fold_precisions.append(correct / len(held_out))
-            precision = sum(record.correct for record in records) / len(occurrences)
-            results.append(WordResult(lemma, category, tuple(cell), classifier, precision,
-                                      tuple(fold_precisions), tuple(records)))
-    rows = [("word", "category", "criterion", "size", "classifier", "precision",
-             "fold_precisions")]
-    rows += [(r.lemma, r.category, "+".join(map(str, r.cell)), max(c.size for c in r.cell),
-              r.classifier, f"{r.precision:.6f}", ";".join(f"{p:.6f}" for p in r.fold_precisions))
-             for r in results]
-    return rows, GridResult(tuple(results), ())
+            outcome = Outcome(lemma, category, tuple(cell), classifier,
+                              tuple(records[i] for i in range(len(occurrences))))
+            outcomes.append(outcome)
+            rows.append((lemma, category, "+".join(map(str, cell)), max(c.size for c in cell),
+                         classifier, f"{len(outcome.correct) / len(occurrences):.6f}",
+                         ";".join(f"{p:.6f}" for p in fold_precisions)))
+    return rows, outcomes
 
 
 # --- statistics and evidence reports -------------------------------------------
@@ -609,11 +641,12 @@ def _category_order(category):
         return (len(CATEGORIES), category)
 
 
-def evidence_reports_reference(grid_result) -> dict[str, list[tuple]]:
-    """The three evidence reports from one evidence_profile per category."""
+def evidence_reports_reference(outcomes) -> dict[str, list[tuple]]:
+    """The three evidence reports from one evidence_profile per category,
+    over the decisions of ``Outcome``s."""
     records = {}
-    for result in grid_result.results:
-        records.setdefault(result.category, []).extend(result.records)
+    for outcome in outcomes:
+        records.setdefault(outcome.category, []).extend(outcome.records)
     profile_rows = [("category", "tag", "uses", "correct", "precision_pct", "usage_pct")]
     space_rows = [("category", "tag", "offset", "uses", "correct")]
     summary_rows = [("category", "tag", "offsets")]
@@ -770,3 +803,13 @@ def context_report_reference(grid_result) -> dict[str, list[tuple]]:
                                                            key=_by_category)
         ],
     }
+
+
+# --- results of a given precision ------------------------------------------------
+
+def result_of_precision(lemma, category, cell, classifier, precision, decisions=1000):
+    """A ``WordResult`` whose precision is exactly ``precision``: the first
+    ``round(precision * decisions)`` of its ``decisions`` are right."""
+    right = round(precision * decisions)
+    assert right / decisions == precision, precision
+    return WordResult(lemma, category, cell, classifier, decisions, (1 << right) - 1, 0)

@@ -200,8 +200,10 @@ def test_criterion_08_fallback_accounting():
     cell = parse_cell("[1gr|lemma|ordered|all]@1")
     for classifier in ("nb", "dl"):
         result = cross_validate(corpus, plan, cell, classifier, keep_records=True)
-        assert all(record.used_fallback for record in result.records)
-        assert all(record.predicted == "banane" for record in result.records)
+        # Every decision falls back to banane: right exactly on its occurrences.
+        assert result.fallback == (1 << len(occurrences)) - 1
+        assert result.correct == sum(1 << i for i, occ in enumerate(occurrences)
+                                     if occ.sense == "banane")
         assert result.precision == 0.7
     report(8, "zero-overlap test folds: 100% fallback to the training MFS")
 
@@ -218,13 +220,13 @@ def test_criterion_09_evidence_profile_consistency():
         corpus, plan, parse_cell("[1gr|lemma|ordered|all]@1"), "dl", keep_records=True
     )
     rows = evidence_reports(GridResult((result,), ()))["evidence_profile.csv"][1:]
-    fallbacks = [record for record in result.records if record.used_fallback]
-    correct = sum(row[3] for row in rows) + sum(record.correct for record in fallbacks)
-    assert correct / len(result.records) == result.precision
+    fallbacks = result.fallback.bit_count()
+    correct = sum(row[3] for row in rows) + (result.correct & result.fallback).bit_count()
+    assert correct / result.decisions == result.precision
     uses = sum(row[2] for row in rows)
-    assert uses == len(result.records) - len(fallbacks)
+    assert uses == result.decisions - fallbacks
     report(9, f"profile reconstructs precision {result.precision:.4f} exactly; "
-              f"usage sums to 100% ({uses} decisions besides {len(fallbacks)} fallbacks)")
+              f"usage sums to 100% ({uses} decisions besides {fallbacks} fallbacks)")
 
 
 PW_CONFIGS = {

@@ -3,11 +3,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    Decision,
+    Outcome,
     adjacency_experiment_reference,
     content_ablation_reference,
     context_report_reference,
     evidence_reports_reference,
     mfs_baseline,
+    result_of_precision,
     selection_comparison_reference,
     shift_study_reference,
     stats_rows_reference,
@@ -35,7 +38,7 @@ from wsdlab import (
 from wsdlab.analysis import ABLATION_HEADER, ANCHORED_COMBINATION, PLAIN_BIGRAM
 from wsdlab.corpus import CATEGORIES
 from wsdlab.criteria import Criterion, parse_cell
-from wsdlab.evaluation import DecisionRecord, GridResult, WordResult
+from wsdlab.evaluation import GridResult, WordResult
 
 
 def pseudo_corpus(seed=17, **kwargs):
@@ -67,16 +70,6 @@ def adjacency(corpus, target):
     )
 
 
-def record(tag, offset, correct, fallback=False, n=0):
-    return DecisionRecord(
-        occurrence_id=f"d:{n}",
-        gold="g",
-        predicted="g" if correct else "x",
-        used_fallback=fallback,
-        evidence=None if fallback else ((offset,), (tag,)),
-    )
-
-
 # --- statistics -----------------------------------------------------------------
 
 _SENSES = st.sampled_from(("x", "y", "z", ""))  # "" leaves a token untagged
@@ -102,21 +95,43 @@ def test_stats_rows_equal_the_reference(words):
 UNIGRAM = (parse_criterion("[1gr|mform|ordered|all]@2"),)
 
 
+def record(tag, offset, correct, fallback=False):
+    """One decision; a fallback has no evidence."""
+    return Decision(correct, fallback, None if fallback else ((offset,), (tag,)))
+
+
+def decided(records, lemma="mot", category="noun"):
+    """A decision-list result of these decisions, in occurrence order."""
+    return WordResult(lemma, category, UNIGRAM, "dl", len(records),
+                      sum(r.correct << i for i, r in enumerate(records)),
+                      sum(r.used_fallback << i for i, r in enumerate(records)),
+                      tuple(r.evidence for r in records))
+
+
 def evidence(records, category="noun"):
-    """The evidence reports of one word's decision records."""
-    result = WordResult("mot", category, UNIGRAM, "dl", 0.0, (), tuple(records))
-    return evidence_reports(GridResult((result,), ()))
+    """The evidence reports of one word's decisions."""
+    return evidence_reports(GridResult((decided(records, category=category),), ()))
 
 
 # (falls back, correct, tag, offset) of one decision
 _DECISION = st.tuples(st.booleans(), st.booleans(), st.sampled_from(("NCOM", "DET", "ADJ")),
                       st.sampled_from((-3, -2, -1, 1, 2, 3)))
+# (category, every decision falls back, decisions) of each word
+_WORDS = st.lists(st.tuples(st.sampled_from(CATEGORIES), st.booleans(),
+                            st.lists(_DECISION, max_size=15)),
+                  min_size=1, max_size=5)
+
+
+def _outcomes(words):
+    """The oracle's view of drawn ``_WORDS``: one ``Outcome`` per word."""
+    return [Outcome(f"w{n}", category, UNIGRAM, "dl", tuple(
+                record(tag, offset, correct, fallback=falls_back or fallback)
+                for fallback, correct, tag, offset in decisions))
+            for n, (category, falls_back, decisions) in enumerate(words)]
 
 
 @settings(max_examples=200, deadline=None)
-@given(words=st.lists(st.tuples(st.sampled_from(CATEGORIES), st.booleans(),
-                                st.lists(_DECISION, max_size=15)),
-                      min_size=1, max_size=5))
+@given(words=_WORDS)
 @example(words=[
     ("verb", False, [(False, True, "NCOM", -2), (False, False, "NCOM", 2),
                      (False, True, "NCOM", 1), (False, True, "NCOM", -1)]),
@@ -127,39 +142,46 @@ _DECISION = st.tuples(st.booleans(), st.booleans(), st.sampled_from(("NCOM", "DE
 def test_evidence_reports_equal_the_reference(words):
     """Words in any category order; a category that only falls back; offsets
     that tie on usage."""
-    results = tuple(
-        WordResult(f"w{n}", category, UNIGRAM, "dl", 0.0, (), tuple(
-            record(tag, offset, correct, fallback=falls_back or fallback, n=i)
-            for i, (fallback, correct, tag, offset) in enumerate(decisions)
-        ))
-        for n, (category, falls_back, decisions) in enumerate(words)
-    )
-    grid = GridResult(results, ())
-    assert evidence_reports(grid) == evidence_reports_reference(grid)
+    outcomes = _outcomes(words)
+    grid = GridResult(tuple(decided(o.records, o.lemma, o.category) for o in outcomes), ())
+    assert evidence_reports(grid) == evidence_reports_reference(outcomes)
+
+
+@settings(max_examples=100, deadline=None)
+@given(words=_WORDS)
+def test_evidence_reports_count_the_decisions_without_a_fallback_bit(words):
+    results = [decided(o.records, o.lemma, o.category) for o in _outcomes(words)]
+    space = evidence_reports(GridResult(tuple(results), ()))["evidence_space.csv"][1:]
+    assert sum(row[3] for row in space) == sum(
+        r.decisions - r.fallback.bit_count() for r in results)
+    assert sum(row[4] for row in space) == sum(
+        (r.correct & ~r.fallback).bit_count() for r in results)
 
 
 def test_profile_counts_per_tag():
-    records = [record("NCOM", -1, i < 9, n=i) for i in range(10)]
+    records = [record("NCOM", -1, i < 9) for i in range(10)]
     assert evidence(records)["evidence_profile.csv"][1:] == [
         ("noun", "NCOM", 10, 9, "90.0", "100.0")
     ]
 
 
 def test_profile_all_fallback_is_empty():
-    records = [record("", 0, True, fallback=True, n=i) for i in range(4)]
+    records = [record("", 0, True, fallback=True)] * 4
     reports = evidence(records)
     assert [rows[1:] for rows in reports.values()] == [[], [], []]
 
 
 def test_profile_rejects_nb_records():
-    bad = DecisionRecord("d:0", "g", "g", used_fallback=False)
-    with pytest.raises(ValueError, match="decision-list"):
+    bad = Decision(True, False, None)
+    with pytest.raises(ValueError, match="^record lacks evidence: evidence profiles need "
+                                         "decision-list runs$"):
         evidence([bad])
 
 
 def test_profile_rejects_multitoken_evidence():
-    bad = DecisionRecord("d:0", "g", "g", False, evidence=((-2, -1), ("DET", "NCOM")))
-    with pytest.raises(ValueError, match="unigram"):
+    bad = Decision(True, False, ((-2, -1), ("DET", "NCOM")))
+    with pytest.raises(ValueError, match=r"^evidence profiles need unigram criteria "
+                                         r"\(single-token evidence\)$"):
         evidence([bad])
 
 
@@ -170,11 +192,11 @@ def test_profile_consistency_with_word_result():
     result = cross_validate(corpus, plan, parse_cell("[1gr|lemma|ordered|all]@1"), "dl",
                             keep_records=True)
     rows = evidence_reports(GridResult((result,), ()))["evidence_profile.csv"][1:]
-    fallbacks = [r for r in result.records if r.used_fallback]
+    fallbacks = result.fallback.bit_count()
     assert fallbacks  # the engineered sparsity forces fallbacks
-    correct = sum(row[3] for row in rows) + sum(r.correct for r in fallbacks)
-    assert correct / len(result.records) == result.precision
-    decided = len(result.records) - len(fallbacks)
+    correct = sum(row[3] for row in rows) + (result.correct & result.fallback).bit_count()
+    assert correct / result.decisions == result.precision
+    decided = result.decisions - fallbacks
     assert sum(row[2] for row in rows) == decided  # usage sums to 100%
     for row in rows:
         assert row[3] <= row[2]
@@ -183,10 +205,10 @@ def test_profile_consistency_with_word_result():
 
 def test_space_summary_orders_and_ties():
     records = (
-        [record("NCOM", -2, True, n=i) for i in range(5)]
-        + [record("NCOM", 2, True, n=i + 10) for i in range(5)]
-        + [record("NCOM", 3, True, n=20)]
-        + [record("DET", -1, True, n=30)]
+        [record("NCOM", -2, True)] * 5
+        + [record("NCOM", 2, True)] * 5
+        + [record("NCOM", 3, True)]
+        + [record("DET", -1, True)]
     )
     # tied peaks resolve to smaller |offset| first
     assert evidence(records)["evidence_summary.csv"][1:] == [
@@ -195,7 +217,7 @@ def test_space_summary_orders_and_ties():
 
 
 def test_space_summary_uniform_prefers_near_offsets():
-    records = [record("ADJ", o, True, n=i) for i, o in enumerate([-3, -1, 2, 4])]
+    records = [record("ADJ", o, True) for o in [-3, -1, 2, 4]]
     assert evidence(records)["evidence_summary.csv"][1:] == [("noun", "ADJ", "-1;+2")]
 
 
@@ -203,8 +225,7 @@ def test_space_summary_uniform_prefers_near_offsets():
 
 def grid_result_from(rows):
     results = tuple(
-        WordResult(lemma, category, (parse_criterion(criterion),), "dl", precision,
-                   (precision,), ())
+        result_of_precision(lemma, category, (parse_criterion(criterion),), "dl", precision)
         for lemma, category, criterion, precision in rows
     )
     return GridResult(results, ())
@@ -467,7 +488,7 @@ def _grid_results(draw, cells, drop=True):
     categories = draw(st.lists(st.sampled_from(CATEGORIES), min_size=1, max_size=7))
     words = sorted((f"w{n}", category) for n, category in enumerate(categories))
     return GridResult(tuple(
-        WordResult(lemma, category, cell, "nb", precision, (precision,), ())
+        result_of_precision(lemma, category, cell, "nb", precision)
         for lemma, category in words for cell in cells
         for precision in [draw(_PRECISION)]
         if not (drop and draw(st.integers(0, 9)) == 0)
@@ -488,7 +509,7 @@ def test_grid_reducers_equal_their_first_version(data, criteria):
 
 
 def test_evidence_profile_csv_schema():
-    reports = evidence([record("NCOM", -1, True, n=i) for i in range(3)])
+    reports = evidence([record("NCOM", -1, True)] * 3)
     rows = reports["evidence_profile.csv"]
     assert rows[0] == ("category", "tag", "uses", "correct", "precision_pct", "usage_pct")
     assert rows[1] == ("noun", "NCOM", 3, 3, "100.0", "100.0")

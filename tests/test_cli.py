@@ -637,6 +637,21 @@ def test_a_config_without_a_criterion_runs_the_cli_default(workspace, command):
     assert {path.name: path.read_bytes() for path in out.iterdir()} == written
 
 
+def test_a_default_grid_run_records_no_grid(workspace):
+    """The default grid has one record, a ``RunConfig`` grid of None: ``grid``
+    without --grid and a ``RunConfig`` built without a grid write the same
+    run.meta, apart from the output directory."""
+    inputs = {"corpus": workspace / "gen" / "corpus.tsv",
+              "targets": workspace / "gen" / "targets.tsv"}
+    outputs = (workspace / "default-grid-cli", workspace / "default-grid-config")
+    assert main(["grid", "--corpus", str(inputs["corpus"]), "--targets",
+                 str(inputs["targets"]), "--k", "5", "-o", str(outputs[0])]) == 0
+    assert run(RunConfig("grid", outputs[1], **inputs, k=5)) == 0
+    cli_meta, config_meta = (json.loads((out / "run.meta").read_text()) for out in outputs)
+    assert cli_meta["grid"] is None
+    assert {**cli_meta, "output": None} == {**config_meta, "output": None}
+
+
 def test_evaluate_still_needs_a_criterion(workspace, capsys):
     out = workspace / "no-criterion"
     config = RunConfig("evaluate", out, workspace / "gen" / "corpus.tsv",

@@ -31,7 +31,7 @@ from wsdlab import (
 )
 from wsdlab import evaluation
 from wsdlab.criteria import feature_span, parse_cell
-from wsdlab.evaluation import GRID_CSV_HEADER, WordResult, worker_count
+from wsdlab.evaluation import GRID_CSV_HEADER, FoldPlan, GridResult, WordResult, worker_count
 from oracles import held_out_scan, mfs_baseline
 
 
@@ -118,7 +118,7 @@ def test_planted_signal_is_fully_separable():
     for classifier in ("nb", "dl"):
         result = cross_validate(corpus, plan, cell, classifier)
         assert result.precision == 1.0
-        assert all(p == 1.0 for p in result.fold_precisions)
+        assert plan.fold_precisions(result.correct) == (1.0,) * 10
 
 
 def test_destroyed_signal_tracks_mfs():
@@ -159,12 +159,13 @@ def test_every_occurrence_classified_once():
     result = cross_validate(
         corpus, plan, parse_cell("[1gr|lemma|ordered|all]@2"), "dl", keep_records=True
     )
-    assert len(result.records) == len(occurrences)
-    assert sorted(r.occurrence_id for r in result.records) == sorted(
-        o.id for o in occurrences
-    )
-    pooled = sum(r.correct for r in result.records) / len(result.records)
-    assert result.precision == pytest.approx(pooled, abs=1e-12)
+    assert result.decisions == len(occurrences) == len(result.evidence)
+    # No bit past the last occurrence; the fallback bits are a subset of the
+    # decisions, and each decision without a fallback has its evidence.
+    assert result.correct >> result.decisions == result.fallback >> result.decisions == 0
+    assert [span is None for span in result.evidence] == [
+        bool(result.fallback >> i & 1) for i in range(result.decisions)]
+    assert result.precision == result.correct.bit_count() / len(occurrences)
 
 
 def test_unknown_test_contexts_all_fall_back():
@@ -179,8 +180,10 @@ def test_unknown_test_contexts_all_fall_back():
             corpus, plan, parse_cell("[1gr|lemma|ordered|all]@1"), classifier,
             keep_records=True,
         )
-        assert all(r.used_fallback for r in result.records)
-        assert all(r.predicted == "banane" for r in result.records)
+        # Every decision falls back to banane: right exactly on its occurrences.
+        assert result.fallback == (1 << len(occurrences)) - 1
+        assert result.correct == sum(1 << i for i, occ in enumerate(occurrences)
+                                     if occ.sense == "banane")
         assert result.precision == pytest.approx(0.7)
 
 
@@ -192,23 +195,26 @@ def test_evidence_recorded_only_for_dl_decisions():
     # the ordered ones: the deciding criterion is not the cell's first.
     for cell in ((criterion,), (criterion, parse_criterion("[1gr|lemma|leftright|all]@1"))):
         dl = cross_validate(corpus, plan, cell, "dl", keep_records=True)
-        # Each fold's deciding keys, retrained here: the evidence is their span.
+        # Each fold's decisions, retrained here: occurrence i's bits are its
+        # decision's, and the evidence is the span of its deciding key.
         vectors = [combine_features(cell, [extract_features(corpus, occ, c) for c in cell])
                    for occ in occurrences]
-        records = iter(dl.records)
+        assert dl.decisions == len(dl.evidence) == len(occurrences)
         for fold, held_out in enumerate(plan.held_out):
             model = train_dl([(vector, occ.sense) for vector, occ, f
                               in zip(vectors, occurrences, plan.assignment) if f != fold],
                              SmoothingParams())
             for i in held_out:
-                record, key = next(records), classify_dl(model, vectors[i]).key
-                assert record.occurrence_id == occurrences[i].id
-                assert (record.evidence is None) == record.used_fallback == (key is None)
-                if key is not None:
-                    assert record.evidence == feature_span(corpus, occurrences[i], cell, key)
-        assert next(records, None) is None
+                prediction = classify_dl(model, vectors[i])
+                assert dl.correct >> i & 1 == (prediction.sense == occurrences[i].sense)
+                assert dl.fallback >> i & 1 == prediction.used_fallback
+                assert (dl.evidence[i] is None) == prediction.used_fallback
+                assert prediction.used_fallback == (prediction.key is None)
+                if prediction.key is not None:
+                    assert dl.evidence[i] == feature_span(corpus, occurrences[i], cell,
+                                                          prediction.key)
     nb = cross_validate(corpus, plan, (criterion,), "nb", keep_records=True)
-    assert all(r.evidence is None for r in nb.records)
+    assert nb.evidence == (None,) * len(occurrences)
 
 
 def test_combined_criteria_in_cross_validation():
@@ -299,8 +305,9 @@ def test_grid_search_combined_cells_and_records():
         "[1gr|lemma|ordered|all]@1+[2gr|lemma|leftright|all]@2", "[1gr|lemma|ordered|all]@1"]
     assert list(result.results) == [cross_validate(corpus, plan, cell, "dl", keep_records=True)
                                     for cell in (parts, parts[:1])]
+    assert result.plans == {("bananeporte", "noun"): plan}
     without = grid_search(corpus, [("bananeporte", "noun")], [parts], "dl", k=10, seed=0)
-    assert without.results[0].records == ()
+    assert without.results[0].evidence == ()
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -392,21 +399,29 @@ def test_order_preserving_sense_renaming_keeps_precisions(data):
                         k=3, seed=seed)
             for names in (senses, renamed)
         )
-        assert [(r.criterion, r.precision, r.fold_precisions) for r in before.results] == [
-            (r.criterion, r.precision, r.fold_precisions) for r in after.results
+        assert before.plans[("w", "noun")].assignment == after.plans[("w", "noun")].assignment
+        assert [(r.criterion, r.correct, r.fallback) for r in before.results] == [
+            (r.criterion, r.correct, r.fallback) for r in after.results
         ]
 
 
 # --- aggregation ---------------------------------------------------------------------
 
-def _word_result(lemma, category, precision):
-    return WordResult(lemma, category, (parse_criterion("[1gr|lemma|ordered|all]@1"),), "nb",
-                      precision, (precision,), ())
-
-
 def test_write_grid_csv():
-    results = [_word_result("mot", "noun", 0.75)]
-    assert grid_rows(results) == [
+    _, occurrences = make_occurrences(["a", "a", "b", "b"])
+    plan = kfold_split(occurrences, 2, 0)
+    first, second = plan.held_out
+    # Both decisions of the first fold right, one of the second.
+    correct = sum(1 << i for i in (*first, second[0]))
+    result = WordResult("mot", "noun", (parse_criterion("[1gr|lemma|ordered|all]@1"),), "nb",
+                        4, correct, 0)
+    assert grid_rows(GridResult((result,), (), {("mot", "noun"): plan})) == [
         GRID_CSV_HEADER,
-        ("mot", "noun", "[1gr|lemma|ordered|all]@1", 1, "nb", "0.750000", "0.750000"),
+        ("mot", "noun", "[1gr|lemma|ordered|all]@1", 1, "nb", "0.750000", "1.000000;0.500000"),
     ]
+
+
+def test_an_empty_fold_has_precision_zero():
+    _, occurrences = make_occurrences(["a", "b"])
+    plan = FoldPlan(3, tuple(occurrences), (0, 0))
+    assert plan.fold_precisions(0b01) == (0.5, 0.0, 0.0)

@@ -8,7 +8,9 @@ rows with the program's: one runs the CLI (``grid`` and ``evaluate``, and
 ``evidence`` for the decision list) at ``--jobs 1`` and ``--jobs 2`` and
 compares the report bytes; the other, much cheaper per example and so run
 on many more, calls ``grid_search`` under both classifiers and both prior
-modes and compares the rows and every decision record, evidence included.
+modes and compares the rows.  Both compare every decision too: each
+result's correct and fallback bits with the oracle's index sets, and under
+``grid_search`` each decision's evidence.
 NB decisions come from the per-key references, which are bit-identical to
 ``classify_nb``, so exact ties need not be avoided.
 """
@@ -18,6 +20,7 @@ import io
 import itertools
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -34,6 +37,7 @@ from wsdlab import (
     grid_search,
     parse_corpus,
 )
+from wsdlab import cli
 from wsdlab.cli import main
 from wsdlab.criteria import CONTENT_MODES, FILTERS, POSITIONINGS, TAGS
 from oracles import (
@@ -127,6 +131,30 @@ def oracle(run, cells, classifier, smoothing):
                             content_mode=run["content_mode"])
 
 
+def bits(mask):
+    """The indices of the set bits of ``mask``."""
+    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def decisions(results):
+    """Each result's key, decision count and correct and fallback indices."""
+    return [(r.lemma, r.category, r.cell, r.classifier, r.decisions, bits(r.correct),
+             bits(r.fallback)) for r in results]
+
+
+def oracle_decisions(outcomes):
+    return [(o.lemma, o.category, o.cell, o.classifier, len(o.records), o.correct, o.fallback)
+            for o in outcomes]
+
+
+def keeping(results):
+    """``cli.grid_search`` patched to add each ``GridResult`` to ``results``."""
+    def search(*args, **kwargs):
+        results.append(grid_search(*args, **kwargs))
+        return results[-1]
+    return mock.patch.object(cli, "grid_search", search)
+
+
 def csv_text(rows):
     stream = io.StringIO()
     csv.writer(stream, lineterminator="\n").writerows(rows)
@@ -157,23 +185,27 @@ def test_cli_reports_equal_the_whole_grid_oracle(run):
             plans.append(("evidence", ["--criterion", str(run["unigram"])], "dl",
                           [(run["unigram"],)]))
         for command, options, classifier, cells in plans:
-            rows, result = oracle(run, cells, classifier, smoothing)
+            rows, outcomes = oracle(run, cells, classifier, smoothing)
             if command == "evidence":
                 want = {name: csv_text(rows)
-                        for name, rows in evidence_reports_reference(result).items()}
+                        for name, rows in evidence_reports_reference(outcomes).items()}
             else:
                 want = {f"{command}.csv": csv_text(rows)}
             for jobs in ("1", "2"):
                 out = root / f"{command}{jobs}"
-                status = main([
-                    command, "--corpus", str(root / "corpus.tsv"),
-                    "--targets", str(root / "targets.tsv"), *options,
-                    "--m", str(smoothing.m), "--k", str(run["k"]),
-                    "--seed", str(run["seed"]), "--content-mode", run["content_mode"],
-                    "--jobs", jobs, "-o", str(out)])
+                results = []
+                with keeping(results):
+                    status = main([
+                        command, "--corpus", str(root / "corpus.tsv"),
+                        "--targets", str(root / "targets.tsv"), *options,
+                        "--m", str(smoothing.m), "--k", str(run["k"]),
+                        "--seed", str(run["seed"]), "--content-mode", run["content_mode"],
+                        "--jobs", jobs, "-o", str(out)])
                 assert status == 0
                 for name, text in want.items():
                     assert (out / name).read_text(encoding="utf-8") == text, (command, jobs, name)
+                (result,) = results
+                assert decisions(result.results) == oracle_decisions(outcomes), (command, jobs)
 
 
 @settings(max_examples=150, deadline=None)
@@ -183,8 +215,10 @@ def test_grid_search_equals_the_whole_grid_oracle(run):
     cells = run["grid_cells"] + [run["cell"]]
     for classifier, prior_mode in (("nb", "feature-values"), ("nb", "senses"), ("dl", "senses")):
         smoothing = SmoothingParams(run["smoothing"].m, prior_mode)
-        rows, expected = oracle(run, cells, classifier, smoothing)
+        rows, outcomes = oracle(run, cells, classifier, smoothing)
         result = grid_search(corpus, run["targets"], cells, classifier, smoothing, run["k"],
                              run["seed"], content_mode=run["content_mode"], keep_records=True)
-        assert grid_rows(result.results) == rows
-        assert result.results == expected.results  # the decision records too
+        assert grid_rows(result) == rows
+        assert decisions(result.results) == oracle_decisions(outcomes)
+        assert [r.evidence for r in result.results] == [
+            tuple(record.evidence for record in o.records) for o in outcomes]
