@@ -1,10 +1,11 @@
 """wsdlab: systematic evaluation of word-sense-disambiguation criteria.
 
-Pipeline: parse a vertical tagged corpus, extract contextual features per
-criterion, train Naive Bayes or decision-list classifiers with m-estimate
-smoothing, evaluate them under stratified k-fold cross-validation, and emit
-the analysis report suite (evidence profiles, filter ablations, window
-studies) as CSV.
+Pipeline: parse a vertical tagged corpus, look up each target word's
+occurrences (each carries its document's tokens), extract contextual features
+per criterion from them, train Naive Bayes or decision-list classifiers with
+m-estimate smoothing, evaluate them under stratified k-fold cross-validation,
+and emit the analysis report suite (evidence profiles, filter ablations,
+window studies) as CSV.
 """
 
 __version__ = "0.1.0"

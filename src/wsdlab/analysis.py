@@ -152,6 +152,10 @@ def content_ablation(grid_result: GridResult) -> list[tuple]:
     return rows
 
 
+# The problem with a result that holds no span for a decision to credit.
+_NO_EVIDENCE = "record lacks evidence: evidence profiles need decision-list runs"
+
+
 def evidence_reports(grid_result: GridResult) -> dict[str, list[tuple]]:
     """The three evidence reports of a decision-list grid run with records
     kept.  Each decision whose fallback bit is clear is credited, within its
@@ -161,13 +165,14 @@ def evidence_reports(grid_result: GridResult) -> dict[str, list[tuple]]:
     uses: Counter[tuple[str, str, int]] = Counter()
     correct: Counter[tuple[str, str, int]] = Counter()
     for result in grid_result.results:
+        # A run without records keeps no evidence at all.
+        if len(result.evidence) < result.decisions:
+            raise ValueError(_NO_EVIDENCE)
         for i, span in enumerate(result.evidence):
             if result.fallback >> i & 1:
                 continue
             if span is None:
-                raise ValueError(
-                    "record lacks evidence: evidence profiles need decision-list runs"
-                )
+                raise ValueError(_NO_EVIDENCE)
             offsets, cgems = span
             if len(offsets) != 1:
                 raise ValueError("evidence profiles need unigram criteria (single-token evidence)")

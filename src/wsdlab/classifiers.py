@@ -74,15 +74,13 @@ class Prediction(NamedTuple):
 
 @dataclass(frozen=True)
 class NBModel:
-    """Trained Naive Bayes state: priors (keyed in sorted sense order) and
-    their logs, per-(feature, sense) presence counts, and per sense a table
-    from each presence count a known feature can have for that sense (0
-    included) to the log of its smoothed conditional."""
+    """Trained Naive Bayes state: per sense, in sorted sense order, its log
+    prior and a table from each presence count a known feature can have for
+    that sense (0 included) to the log of its smoothed conditional; and the
+    per-(feature, sense) presence counts."""
 
-    priors: dict[str, float]
-    log_priors: dict[str, float]
+    senses: dict[str, tuple[float, dict[int, float]]]
     cond_counts: dict[str, dict[str, int]]
-    log_tables: dict[str, dict[int, float]]
     fallback: str
 
 
@@ -140,22 +138,15 @@ def train_nb(
     senses = sorted(sense_counts)
     uniform_over = len(cond) if smoothing.prior_mode == "feature-values" else len(senses)
     prior = 1.0 / max(uniform_over, 2)
-    priors = {s: sense_counts[s] / n for s in senses}
-    log_tables = {}
+    rows = {}
     for sense in senses:
         tally = per_sense[sense]
         total = sum(tally.values())
-        log_tables[sense] = {
+        rows[sense] = math.log(sense_counts[sense] / n), {
             count: _log_conditional(count, total, prior, smoothing.m)
             for count in {0, *tally.values()}
         }
-    return NBModel(
-        priors=priors,
-        log_priors={s: math.log(p) for s, p in priors.items()},
-        cond_counts=cond,
-        log_tables=log_tables,
-        fallback=majority_sense(sense_counts),
-    )
+    return NBModel(senses=rows, cond_counts=cond, fallback=majority_sense(sense_counts))
 
 
 def _log_conditional(event: int, condition: int, prior: float, m: float) -> float:
@@ -170,20 +161,21 @@ def _log_conditional(event: int, condition: int, prior: float, m: float) -> floa
 def classify_nb(model: NBModel, vector: Keys) -> Prediction:
     """Argmax over senses of log prior + sum of log smoothed conditionals of
     the vector's *known* features.  A vector with no known feature falls back
-    to the training most-frequent sense.  Ties break toward the higher prior,
-    then the lexicographically smaller sense.
+    to the training most-frequent sense.  Ties break toward the higher prior
+    (ranked by its log, which orders priors alike), then the lexicographically
+    smaller sense.
     """
     cond_counts = model.cond_counts
     active = [cond_counts[key] for key in vector if key in cond_counts]
     if not active:
-        return Prediction(model.fallback, model.log_priors[model.fallback], None, True)
+        return Prediction(model.fallback, model.senses[model.fallback][0], None, True)
     best_sense = None
     best = (-math.inf, -math.inf)
-    for sense, table in model.log_tables.items():  # sorted; first wins remaining ties
-        score = model.log_priors[sense]
+    for sense, (log_prior, table) in model.senses.items():  # sorted; first wins ties
+        score = log_prior
         for by_sense in active:  # sorted keys: deterministic summation order
             score += table[by_sense.get(sense, 0)]
-        ranked = (score, model.priors[sense])
+        ranked = (score, log_prior)
         if best_sense is None or ranked > best:
             best_sense, best = sense, ranked
     return Prediction(best_sense, best[0], None, False)

@@ -4,7 +4,8 @@ The corpus file format is vertical UTF-8 text, one token per line with five
 tab-separated columns ``mform<TAB>lemma<TAB>ems<TAB>cgems<TAB>sense`` where the
 sense column may be empty.  A line starting with ``#doc `` opens a new document
 whose id is the remainder of the line; blank lines are ignored.  Context
-windows never cross document boundaries, so documents are the unit of context.
+windows never cross document boundaries, so documents are the unit of context:
+an occurrence carries its document's token tuple.
 """
 
 from __future__ import annotations
@@ -73,42 +74,36 @@ class Document:
 @dataclass(frozen=True)
 class Corpus:
     documents: tuple[Document, ...]
-    _by_id: dict = field(init=False, repr=False, compare=False)
-    # lemma -> (document id, token index, sense) of its sense-tagged tokens,
-    # in corpus order.
+    # lemma -> (document, token index, sense) of its sense-tagged tokens, in
+    # corpus order.
     _tagged: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "documents", tuple(self.documents))
-        by_id: dict[str, Document] = {}
-        tagged: dict[str, list[tuple[str, int, str]]] = {}
+        ids: set[str] = set()
+        tagged: dict[str, list[tuple[Document, int, str]]] = {}
         for doc in self.documents:
-            if doc.id in by_id:
+            if doc.id in ids:
                 raise ValueError(f"duplicate document id {doc.id!r}")
-            by_id[doc.id] = doc
+            ids.add(doc.id)
             for index, tok in enumerate(doc.tokens):
                 if tok.sense is not None:
-                    tagged.setdefault(tok.lemma, []).append((doc.id, index, tok.sense))
-        object.__setattr__(self, "_by_id", by_id)
+                    tagged.setdefault(tok.lemma, []).append((doc, index, tok.sense))
         object.__setattr__(self, "_tagged", tagged)
-
-    def document(self, doc_id: str) -> Document:
-        return self._by_id[doc_id]
 
 
 @dataclass(frozen=True)
 class Occurrence:
-    """A single sense-tagged instance of a target word."""
+    """A single sense-tagged instance of a target word.  ``tokens`` is its
+    document's token tuple itself, the context every criterion reads; it is
+    left out of equality, hashing and repr."""
 
     document_id: str
     token_index: int
     lemma: str
     category: str
     sense: str
-
-    @property
-    def id(self) -> str:
-        return f"{self.document_id}:{self.token_index}"
+    tokens: tuple[Token, ...] = field(compare=False, repr=False)
 
 
 def _split_lines(text: str) -> Iterator[str]:
@@ -213,8 +208,8 @@ def extract_occurrences(corpus: Corpus, lemma: str, category: str) -> tuple[Occu
     if category not in CATEGORIES:
         raise ValueError(f"unknown category {category!r}; expected one of {CATEGORIES}")
     return tuple(
-        Occurrence(doc_id, index, lemma, category, sense)
-        for doc_id, index, sense in corpus._tagged.get(lemma, ())
+        Occurrence(doc.id, index, lemma, category, sense, doc.tokens)
+        for doc, index, sense in corpus._tagged.get(lemma, ())
     )
 
 

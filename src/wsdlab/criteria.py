@@ -4,7 +4,8 @@ A criterion is named ``[<n>gr|<tag>|<positioning>|<filter>]@<size>`` with
 optional ``shift<sign><digits>`` and ``anchored`` suffixes, e.g.
 ``[2gr|lemma|leftright|all]@4`` or ``[1gr|mform|ordered|all]@2shift+1``.
 It maps a target occurrence to a set of features: n-grams of tag values drawn
-from the context window ``[-size+shift, size+shift]`` around the target.
+from the context window ``[-size+shift, size+shift]`` around the target, read
+from the occurrence's own ``tokens`` (its document's).
 
 Positioning decides how much location information a feature key retains:
 
@@ -32,7 +33,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Iterator, Mapping, Sequence
 
-from .corpus import Corpus, Occurrence, Token, _parse_csv_list, _read_config
+from .corpus import Occurrence, Token, _parse_csv_list, _read_config
 
 TAGS = ("mform", "lemma", "ems", "cgems")
 POSITIONINGS = ("ordered", "leftright", "unordered")
@@ -279,13 +280,13 @@ def _survivors(
 
 
 def _ngrams(
-    corpus: Corpus, occurrence: Occurrence, criterion: Criterion, content_mode: str
+    occurrence: Occurrence, criterion: Criterion, content_mode: str
 ) -> Iterator[tuple[str, list[tuple[int, Token]]]]:
     """Each n-gram a criterion takes from an occurrence's window, in emission
     order: its key and its window entries, (offset, token) pairs."""
     if content_mode not in CONTENT_MODES:
         raise ValueError(CONTENT_MODE_PROBLEM)
-    tokens = corpus.document(occurrence.document_id).tokens
+    tokens = occurrence.tokens
     index = occurrence.token_index
     if criterion.filter == "all":
         allowed = None
@@ -342,16 +343,16 @@ def _ngrams(
         yield prefix(first) + "_".join(texts[s:s + order]), window[s:s + order]
 
 
-def extract_features(corpus: Corpus, occurrence: Occurrence, criterion: Criterion, *,
+def extract_features(occurrence: Occurrence, criterion: Criterion, *,
                      content_mode: str = "reindex") -> tuple[str, ...]:
     """The feature vector a criterion yields for one occurrence: its distinct
     keys, ascending.  Pure function of the occurrence's document slice and
     the criterion; at a document edge the window truncates silently, so the
     vector may be empty."""
-    return tuple(sorted({key for key, _ in _ngrams(corpus, occurrence, criterion, content_mode)}))
+    return tuple(sorted({key for key, _ in _ngrams(occurrence, criterion, content_mode)}))
 
 
-def feature_span(corpus: Corpus, occurrence: Occurrence, cell: Cell, key: str,
+def feature_span(occurrence: Occurrence, cell: Cell, key: str,
                  *, content_mode: str = "reindex") -> Span:
     """The span of a key of a cell's vector for one occurrence: the window
     offsets and coarse tags of the first n-gram that yields it.  In a cell
@@ -360,7 +361,7 @@ def feature_span(corpus: Corpus, occurrence: Occurrence, cell: Cell, key: str,
     if len(cell) > 1:
         name, _, key = key.partition("::")
         criterion = {format_criterion(c): c for c in cell}[name]
-    for found, entries in _ngrams(corpus, occurrence, criterion, content_mode):
+    for found, entries in _ngrams(occurrence, criterion, content_mode):
         if found == key:
             return tuple(o for o, _ in entries), tuple(t.cgems for _, t in entries)
     raise KeyError(key)

@@ -1,7 +1,9 @@
 """Cross-validation harness and criterion grid search.
 
 Folds are stratified by gold sense and fully determined by (occurrences, k,
-seed), so any run is reproducible bit-for-bit.  The (word x cell) grid is
+seed), so any run is reproducible bit-for-bit.  Only ``grid_search`` reads a
+corpus, to look up each word's occurrences; each carries its document's tokens,
+so cross-validation needs nothing else.  The (word x cell) grid is
 evaluated pair by pair; pairs are independent, so they can be dispatched to a
 worker pool without affecting the results.  A pair's result is its decisions,
 one bit per occurrence of the word's fold plan (decided right, decided by the
@@ -136,7 +138,6 @@ class SkippedWord:
 
 
 def cross_validate(
-    corpus: Corpus,
     plan: FoldPlan,
     cell: Cell,
     classifier: str,
@@ -159,7 +160,7 @@ def cross_validate(
     occurrences = plan.occurrences
     vectors = [
         combine_features(cell, [
-            extract_features(corpus, occ, criterion, content_mode=content_mode)
+            extract_features(occ, criterion, content_mode=content_mode)
             for criterion in cell
         ])
         for occ in occurrences
@@ -180,8 +181,7 @@ def cross_validate(
         occurrences[0].lemma, occurrences[0].category, cell, classifier, n,
         _bits([sense == occ.sense for sense, occ in zip(senses, occurrences)]),
         _bits(fallbacks),
-        tuple(None if key is None else feature_span(corpus, occ, cell, key,
-                                                    content_mode=content_mode)
+        tuple(None if key is None else feature_span(occ, cell, key, content_mode=content_mode)
               for key, occ in zip(keys, occurrences)) if keep_records else (),
     )
 
@@ -213,10 +213,11 @@ def worker_count(jobs: int, cells: int) -> int:
     return max(1, min(jobs, cells, cpus))
 
 
-# Grid state: the cell evaluator (cross_validate bound to the corpus and the
-# run's settings), the fold plans and the cells.  Filled by grid_search in the
-# parent before any cell runs (forked workers inherit it without per-task
-# pickling of the corpus), and emptied when it returns.
+# Grid state: the cell evaluator (cross_validate bound to the run's settings),
+# the fold plans and the cells.  Filled by grid_search in the parent before any
+# cell runs, and emptied when it returns.  Forked workers inherit it, and with
+# it the documents that the plans' occurrences reference, without per-task
+# pickling.
 _POOL_STATE: dict = {}
 
 # (word, cell) pairs per task sent to a pool worker.
@@ -279,7 +280,7 @@ def grid_search(
         context = None
     # cross_validate is looked up on each call, so a tracer's wrapper on it
     # sees every cell.
-    evaluate = partial(cross_validate, corpus, classifier=classifier, smoothing=smoothing,
+    evaluate = partial(cross_validate, classifier=classifier, smoothing=smoothing,
                        content_mode=content_mode, keep_records=keep_records)
     _POOL_STATE.update(evaluate=evaluate, plans=list(plans.values()), cells=cells)
     try:

@@ -208,7 +208,7 @@ def occurrences_scan(corpus, lemma, category):
     for doc in corpus.documents:
         for index, tok in enumerate(doc.tokens):
             if tok.lemma == lemma and tok.sense is not None:
-                found.append(Occurrence(doc.id, index, lemma, category, tok.sense))
+                found.append(Occurrence(doc.id, index, lemma, category, tok.sense, doc.tokens))
     return tuple(found)
 
 
@@ -295,8 +295,7 @@ def features_full_context(corpus, occurrence, criterion, *, content_mode="reinde
     context, cut down to the window afterwards."""
     if content_mode not in CONTENT_MODES:
         raise ValueError(f"content_mode must be one of {CONTENT_MODES}")
-    doc = corpus.document(occurrence.document_id)
-    tokens = doc.tokens
+    (tokens,) = [doc.tokens for doc in corpus.documents if doc.id == occurrence.document_id]
     index = occurrence.token_index
     allowed = {
         "all": None, "content": CONTENT_TAGS, "selected": SELECTED_TAGS[occurrence.category]

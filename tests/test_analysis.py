@@ -178,6 +178,16 @@ def test_profile_rejects_nb_records():
         evidence([bad])
 
 
+def test_profile_rejects_a_run_without_records():
+    corpus, target = pseudo_corpus()
+    grid = grid_search(corpus, [target], [parse_cell("[1gr|lemma|ordered|all]@1")], "dl",
+                       k=10, seed=0, keep_records=False)
+    assert grid.results[0].decisions > grid.results[0].fallback.bit_count()
+    with pytest.raises(ValueError, match="^record lacks evidence: evidence profiles need "
+                                         "decision-list runs$"):
+        evidence_reports(grid)
+
+
 def test_profile_rejects_multitoken_evidence():
     bad = Decision(True, False, ((-2, -1), ("DET", "NCOM")))
     with pytest.raises(ValueError, match=r"^evidence profiles need unigram criteria "
@@ -189,7 +199,7 @@ def test_profile_consistency_with_word_result():
     corpus, (lemma, category) = pseudo_corpus(noise=0.5, vocabulary=2000, counts=(70, 30))
     occurrences = extract_occurrences(corpus, lemma, category)
     plan = kfold_split(occurrences, 10, 1)
-    result = cross_validate(corpus, plan, parse_cell("[1gr|lemma|ordered|all]@1"), "dl",
+    result = cross_validate(plan, parse_cell("[1gr|lemma|ordered|all]@1"), "dl",
                             keep_records=True)
     rows = evidence_reports(GridResult((result,), ()))["evidence_profile.csv"][1:]
     fallbacks = result.fallback.bit_count()
@@ -332,7 +342,7 @@ def test_selection_shares_fold_plans():
         alone = grid_search(corpus, [target], [criterion], "nb", k=10, seed=0)
         assert row == (alone.results[0].criterion, "noun", 1,
                        f"{alone.results[0].precision:.6f}")
-        assert alone.results[0] == cross_validate(corpus, plan, criterion, "nb",
+        assert alone.results[0] == cross_validate(plan, criterion, "nb",
                                                   keep_records=False)
 
 

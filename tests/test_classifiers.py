@@ -83,17 +83,17 @@ def toy_training():
 
 def test_train_nb_priors_and_counts():
     model = train_nb(toy_training())
-    assert model.priors == {"A": 0.5, "B": 0.5}
-    assert model.log_priors == {"A": math.log(0.5), "B": math.log(0.5)}
     assert model.cond_counts == {"x": {"A": 5}, "y": {"B": 5}}
     # each sense has 5 features; m = 1 with a prior of 1/2, uniform over {x, y}
     table = {0: math.log(0.5 / 6), 5: math.log(5.5 / 6)}
-    assert model.log_tables == {"A": table, "B": table}
+    assert model.senses == {"A": (math.log(0.5), table), "B": (math.log(0.5), table)}
+    assert list(model.senses) == ["A", "B"]
 
 
 def test_train_nb_single_sense():
     model = train_nb([(vec("x"), "A") for _ in range(10)])
-    assert model.priors == {"A": 1.0}
+    assert list(model.senses) == ["A"]
+    assert model.senses["A"][0] == math.log(1.0)
 
 
 def test_train_nb_empty_rejected():

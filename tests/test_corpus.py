@@ -23,6 +23,7 @@ from wsdlab import (
     Corpus,
     CorpusParseError,
     Document,
+    Occurrence,
     PseudowordConfig,
     Token,
     extract_occurrences,
@@ -229,6 +230,29 @@ def test_extract_occurrences_count_matches_tagged_tokens(table_corpus):
 def test_extract_occurrences_rejects_unknown_category(table_corpus):
     with pytest.raises(ValueError, match="category"):
         extract_occurrences(table_corpus, "mettre", "adverb")
+
+
+def test_occurrences_hold_their_documents_token_tuple(table_corpus):
+    # "copy" holds a token tuple equal to the first document's, not the same.
+    first = table_corpus.documents[0]
+    corpus = Corpus(table_corpus.documents + (Document("copy", tuple(list(first.tokens))),))
+    documents = {doc.id: doc for doc in corpus.documents}
+    occurrences = (extract_occurrences(corpus, "mettre", "verb")
+                   + extract_occurrences(corpus, "détention", "noun"))
+    assert [occ.document_id for occ in occurrences] == [first.id, "copy"] * 2
+    for occ in occurrences:
+        assert occ.tokens is documents[occ.document_id].tokens
+
+
+def test_occurrence_tokens_are_left_out_of_equality_hash_and_repr():
+    tokens = (Token("x", "x", "X", "X"), Token("w", "w", "W", "W", "s"))
+    occurrence = Occurrence("d", 1, "w", "noun", "s", tokens)
+    other = dataclasses.replace(occurrence, tokens=tokens[1:])
+    assert occurrence == other
+    assert hash(occurrence) == hash(other)
+    assert repr(occurrence) == repr(other) == (
+        "Occurrence(document_id='d', token_index=1, lemma='w', category='noun', sense='s')"
+    )
 
 
 _indexed_token = st.builds(

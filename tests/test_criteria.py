@@ -203,19 +203,19 @@ def _occurrence(corpus, lemma, category="noun"):
     return occurrence
 
 
-def _spans(corpus, occurrence, cell, *, content_mode="reindex"):
+def _spans(occurrence, cell, *, content_mode="reindex"):
     """Each key of a cell's vector with its ``feature_span``, keys ascending."""
     cell = (cell,) if isinstance(cell, Criterion) else tuple(cell)
     vector = combine_features(cell, [
-        extract_features(corpus, occurrence, c, content_mode=content_mode) for c in cell
+        extract_features(occurrence, c, content_mode=content_mode) for c in cell
     ])
-    return {key: feature_span(corpus, occurrence, cell, key, content_mode=content_mode)
+    return {key: feature_span(occurrence, cell, key, content_mode=content_mode)
             for key in vector}
 
 
 def test_extract_unigrams_ordered(table_corpus):
     occurrence = _occurrence(table_corpus, "détention")
-    vector = _spans(table_corpus, occurrence, parse_criterion("[1gr|lemma|ordered|all]@2"))
+    vector = _spans(occurrence, parse_criterion("[1gr|lemma|ordered|all]@2"))
     assert tuple(vector) == ("-1:de", "-2:pratique")
     assert {offsets for offsets, _ in vector.values()} == {(-2,), (-1,)}
 
@@ -223,14 +223,14 @@ def test_extract_unigrams_ordered(table_corpus):
 def test_extract_bigram_leftright(table_corpus):
     occurrence = _occurrence(table_corpus, "détention")
     vector = extract_features(
-        table_corpus, occurrence, parse_criterion("[2gr|lemma|leftright|all]@2")
+        occurrence, parse_criterion("[2gr|lemma|leftright|all]@2")
     )
     assert vector == ("L:pratique_de",)
 
 
 def test_extract_content_filter_reindexes(table_corpus):
     occurrence = _occurrence(table_corpus, "détention")
-    vector = _spans(table_corpus, occurrence, parse_criterion("[1gr|lemma|ordered|content]@1"))
+    vector = _spans(occurrence, parse_criterion("[1gr|lemma|ordered|content]@1"))
     # "des" (DET) is dropped; "pratique" (NCOM) becomes the new offset -1
     assert vector == {"-1:pratique": ((-1,), ("NCOM",))}
 
@@ -238,12 +238,12 @@ def test_extract_content_filter_reindexes(table_corpus):
 def test_extract_content_filter_keep_gaps(table_corpus):
     occurrence = _occurrence(table_corpus, "détention")
     vector = extract_features(
-        table_corpus, occurrence, parse_criterion("[1gr|lemma|ordered|content]@1"),
+        occurrence, parse_criterion("[1gr|lemma|ordered|content]@1"),
         content_mode="keep_gaps",
     )
     assert vector == ()  # offset -1 holds a dropped DET; no survivor at -1
     wider = extract_features(
-        table_corpus, occurrence, parse_criterion("[1gr|lemma|ordered|content]@2"),
+        occurrence, parse_criterion("[1gr|lemma|ordered|content]@2"),
         content_mode="keep_gaps",
     )
     assert wider == ("-2:pratique",)  # original offsets preserved
@@ -252,7 +252,7 @@ def test_extract_content_filter_keep_gaps(table_corpus):
 def test_extract_document_edge_truncates(table_corpus):
     occurrence = _occurrence(table_corpus, "mettre", "verb")
     vector = extract_features(
-        table_corpus, occurrence, parse_criterion("[1gr|lemma|ordered|all]@2")
+        occurrence, parse_criterion("[1gr|lemma|ordered|all]@2")
     )
     assert vector == ("1:fin", "2:à")  # no left context at all
 
@@ -261,7 +261,7 @@ def test_extract_empty_vector_at_edge():
     corpus = parse_corpus("seul\tseul\tADJ\tADJ\ts1")
     occurrence = _occurrence(corpus, "seul", "adjective")
     vector = extract_features(
-        corpus, occurrence, parse_criterion("[1gr|lemma|ordered|all]@3")
+        occurrence, parse_criterion("[1gr|lemma|ordered|all]@3")
     )
     assert len(vector) == 0
 
@@ -269,7 +269,7 @@ def test_extract_empty_vector_at_edge():
 def test_extract_shifted_window(table_corpus):
     occurrence = _occurrence(table_corpus, "mettre", "verb")
     vector = extract_features(
-        table_corpus, occurrence, parse_criterion("[1gr|lemma|ordered|all]@1shift+2")
+        occurrence, parse_criterion("[1gr|lemma|ordered|all]@1shift+2")
     )
     assert vector == ("1:fin", "2:à", "3:le")  # window [1, 3]
 
@@ -280,12 +280,12 @@ def test_extract_unordered_drops_position():
     )
     occurrence = _occurrence(corpus, "cible")
     vector = extract_features(
-        corpus, occurrence, parse_criterion("[1gr|lemma|unordered|all]@1")
+        occurrence, parse_criterion("[1gr|lemma|unordered|all]@1")
     )
     # identical lemma left and right collapses to a single positionless key
     assert vector == ("même",)
     ordered = extract_features(
-        corpus, occurrence, parse_criterion("[1gr|lemma|ordered|all]@1")
+        occurrence, parse_criterion("[1gr|lemma|ordered|all]@1")
     )
     assert ordered == ("-1:même", "1:même")
 
@@ -294,7 +294,7 @@ def test_ngrams_never_span_target():
     occurrence = _occurrence(MID_TARGET_CORPUS, "pratique")
     for positioning in ("ordered", "leftright", "unordered"):
         vector = _spans(
-            MID_TARGET_CORPUS, occurrence, Criterion(2, "lemma", positioning, "all", size=2)
+            occurrence, Criterion(2, "lemma", positioning, "all", size=2)
         )
         for offsets, _ in vector.values():
             assert 0 not in offsets
@@ -305,7 +305,7 @@ def test_ngrams_never_span_target():
 def test_features_lie_in_shifted_window():
     occurrence = _occurrence(MID_TARGET_CORPUS, "pratique")
     criterion = Criterion(1, "lemma", "ordered", "all", size=2, shift=-1)
-    vector = _spans(MID_TARGET_CORPUS, occurrence, criterion)
+    vector = _spans(occurrence, criterion)
     assert vector
     for offsets, _ in vector.values():
         for offset in offsets:
@@ -317,7 +317,7 @@ def test_window_monotone_in_size():
     previous = set()
     for size in range(1, 6):
         vector = extract_features(
-            MID_TARGET_CORPUS, occurrence, Criterion(1, "lemma", "ordered", "all", size)
+            occurrence, Criterion(1, "lemma", "ordered", "all", size)
         )
         assert previous <= set(vector)
         previous = set(vector)
@@ -326,7 +326,7 @@ def test_window_monotone_in_size():
 def test_anchored_spans_contain_target():
     occurrence = _occurrence(MID_TARGET_CORPUS, "pratique")
     vector = _spans(
-        MID_TARGET_CORPUS, occurrence, parse_criterion("[2gr|lemma|leftright|all]@1anchored")
+        occurrence, parse_criterion("[2gr|lemma|leftright|all]@1anchored")
     )
     assert tuple(vector) == ("A-1:le_pratique", "A0:pratique_de")
     for offsets, _ in vector.values():
@@ -336,7 +336,7 @@ def test_anchored_spans_contain_target():
 def test_anchored_trigram_windows():
     occurrence = _occurrence(MID_TARGET_CORPUS, "pratique")
     vector = extract_features(
-        MID_TARGET_CORPUS, occurrence, parse_criterion("[3gr|lemma|leftright|all]@2anchored")
+        occurrence, parse_criterion("[3gr|lemma|leftright|all]@2anchored")
     )
     assert set(vector) == {
         "A-2:à_le_pratique", "A-1:le_pratique_de", "A0:pratique_de_détention",
@@ -350,7 +350,7 @@ def test_selected_filter_uses_target_category():
     corpus = parse_corpus(text)
     noun_occ = _occurrence(corpus, "mot", "noun")
     selected = extract_features(
-        corpus, noun_occ, parse_criterion("[1gr|lemma|ordered|selected]@1")
+        noun_occ, parse_criterion("[1gr|lemma|ordered|selected]@1")
     )
     # nouns keep neither DET nor ADV: both neighbours are filtered out
     assert selected == ()
@@ -359,7 +359,7 @@ def test_selected_filter_uses_target_category():
     )
     adj_occ = _occurrence(adjective_like, "mot", "adjective")
     selected_adj = extract_features(
-        adjective_like, adj_occ, parse_criterion("[1gr|lemma|ordered|selected]@1")
+        adj_occ, parse_criterion("[1gr|lemma|ordered|selected]@1")
     )
     # adjectives keep DET and ADV indicators
     assert selected_adj == ("-1:un", "1:vite")
@@ -371,7 +371,7 @@ def test_key_escaping_keeps_keys_injective():
     )
     occurrence = _occurrence(corpus, "cible")
     vector = extract_features(
-        corpus, occurrence, parse_criterion("[1gr|lemma|ordered|all]@1")
+        occurrence, parse_criterion("[1gr|lemma|ordered|all]@1")
     )
     assert vector == ("-1:a\\_b", "1:c")
 
@@ -379,8 +379,8 @@ def test_key_escaping_keeps_keys_injective():
 def test_extraction_is_pure(table_corpus):
     occurrence = _occurrence(table_corpus, "détention")
     criterion = parse_criterion("[2gr|lemma|leftright|all]@3")
-    first = extract_features(table_corpus, occurrence, criterion)
-    second = extract_features(table_corpus, occurrence, criterion)
+    first = extract_features(occurrence, criterion)
+    second = extract_features(occurrence, criterion)
     assert first == second
 
 
@@ -401,11 +401,11 @@ def test_adjacent_unigram_equivalent_to_anchored_bigram():
     backward: dict[str, str] = {}
     for occ in occurrences:
         u_keys = {
-            key for key, (offsets, _) in _spans(corpus, occ, unigram).items()
+            key for key, (offsets, _) in _spans(occ, unigram).items()
             if offsets == (-1,)
         }
         b_keys = {
-            key for key, (offsets, _) in _spans(corpus, occ, bigram).items()
+            key for key, (offsets, _) in _spans(occ, bigram).items()
             if offsets == (-1, 0)
         }
         (u,) = u_keys
@@ -501,24 +501,24 @@ def test_extraction_equals_full_context_reference(
     every key's ``feature_span`` equal the whole-context reference's."""
     tokens, index = document
     corpus = Corpus((Document("d", tokens),))
-    occurrence = Occurrence("d", index, "t", category, "s")
+    occurrence = Occurrence("d", index, "t", category, "s", tokens)
     reference = features_full_context(corpus, occurrence, criterion, content_mode=content_mode)
     assert extract_features(
-        corpus, occurrence, criterion, content_mode=content_mode
+        occurrence, criterion, content_mode=content_mode
     ) == tuple(reference)
     cell = tuple(dict.fromkeys((criterion, *others)))
     if len(cell) > 1:
         reference = cell_features_full_context(
             corpus, occurrence, cell, content_mode=content_mode
         )
-    assert _spans(corpus, occurrence, cell, content_mode=content_mode) == reference
+    assert _spans(occurrence, cell, content_mode=content_mode) == reference
     assert list(reference) == sorted(reference)
 
 
 def test_combine_single_vector_is_identity(table_corpus):
     occurrence = _occurrence(table_corpus, "détention")
     criterion = parse_criterion("[1gr|lemma|ordered|all]@2")
-    vector = extract_features(table_corpus, occurrence, criterion)
+    vector = extract_features(occurrence, criterion)
     assert combine_features((criterion,), [vector]) == vector
 
 
@@ -539,7 +539,7 @@ def test_anchored_combination_features_all_contain_target():
         Criterion(order, "lemma", "leftright", "all", size=order - 1, anchored=True)
         for order in (2, 3, 4, 5)
     ]
-    combined = _spans(MID_TARGET_CORPUS, occurrence, criteria)
+    combined = _spans(occurrence, criteria)
     assert len(combined) > 0
     for offsets, _ in combined.values():
         assert 0 in offsets

@@ -116,7 +116,7 @@ def test_planted_signal_is_fully_separable():
     plan = kfold_split(occurrences, 10, 0)
     cell = parse_cell("[1gr|lemma|ordered|all]@1")
     for classifier in ("nb", "dl"):
-        result = cross_validate(corpus, plan, cell, classifier)
+        result = cross_validate(plan, cell, classifier)
         assert result.precision == 1.0
         assert plan.fold_precisions(result.correct) == (1.0,) * 10
 
@@ -127,7 +127,7 @@ def test_destroyed_signal_tracks_mfs():
     baseline = mfs_baseline(occurrences)
     cell = parse_cell("[1gr|lemma|ordered|all]@1")
     for classifier in ("nb", "dl"):
-        result = cross_validate(corpus, plan, cell, classifier)
+        result = cross_validate(plan, cell, classifier)
         assert abs(result.precision - baseline) <= 0.1
 
 
@@ -139,7 +139,7 @@ def test_destroyed_signal_with_constant_fillers_is_exactly_mfs():
     baseline = mfs_baseline(occurrences)
     cell = parse_cell("[1gr|lemma|ordered|all]@1")
     for classifier in ("nb", "dl"):
-        result = cross_validate(corpus, plan, cell, classifier)
+        result = cross_validate(plan, cell, classifier)
         assert result.precision == pytest.approx(baseline)
 
 
@@ -148,7 +148,7 @@ def test_monosemous_word_scores_one():
     plan = kfold_split(occurrences, 10, 0)
     for classifier in ("nb", "dl"):
         result = cross_validate(
-            corpus, plan, parse_cell("[1gr|lemma|ordered|all]@1"), classifier
+            plan, parse_cell("[1gr|lemma|ordered|all]@1"), classifier
         )
         assert result.precision == 1.0
 
@@ -157,7 +157,7 @@ def test_every_occurrence_classified_once():
     corpus, occurrences = signal_corpus(counts=(30, 30), noise=0.5)
     plan = kfold_split(occurrences, 10, 0)
     result = cross_validate(
-        corpus, plan, parse_cell("[1gr|lemma|ordered|all]@2"), "dl", keep_records=True
+        plan, parse_cell("[1gr|lemma|ordered|all]@2"), "dl", keep_records=True
     )
     assert result.decisions == len(occurrences) == len(result.evidence)
     # No bit past the last occurrence; the fallback bits are a subset of the
@@ -177,7 +177,7 @@ def test_unknown_test_contexts_all_fall_back():
     plan = kfold_split(occurrences, 5, 1)
     for classifier in ("nb", "dl"):
         result = cross_validate(
-            corpus, plan, parse_cell("[1gr|lemma|ordered|all]@1"), classifier,
+            plan, parse_cell("[1gr|lemma|ordered|all]@1"), classifier,
             keep_records=True,
         )
         # Every decision falls back to banane: right exactly on its occurrences.
@@ -194,10 +194,10 @@ def test_evidence_recorded_only_for_dl_decisions():
     # In the '+' cell the leftright keys sort first, so they win every tie with
     # the ordered ones: the deciding criterion is not the cell's first.
     for cell in ((criterion,), (criterion, parse_criterion("[1gr|lemma|leftright|all]@1"))):
-        dl = cross_validate(corpus, plan, cell, "dl", keep_records=True)
+        dl = cross_validate(plan, cell, "dl", keep_records=True)
         # Each fold's decisions, retrained here: occurrence i's bits are its
         # decision's, and the evidence is the span of its deciding key.
-        vectors = [combine_features(cell, [extract_features(corpus, occ, c) for c in cell])
+        vectors = [combine_features(cell, [extract_features(occ, c) for c in cell])
                    for occ in occurrences]
         assert dl.decisions == len(dl.evidence) == len(occurrences)
         for fold, held_out in enumerate(plan.held_out):
@@ -211,9 +211,9 @@ def test_evidence_recorded_only_for_dl_decisions():
                 assert (dl.evidence[i] is None) == prediction.used_fallback
                 assert prediction.used_fallback == (prediction.key is None)
                 if prediction.key is not None:
-                    assert dl.evidence[i] == feature_span(corpus, occurrences[i], cell,
+                    assert dl.evidence[i] == feature_span(occurrences[i], cell,
                                                           prediction.key)
-    nb = cross_validate(corpus, plan, (criterion,), "nb", keep_records=True)
+    nb = cross_validate(plan, (criterion,), "nb", keep_records=True)
     assert nb.evidence == (None,) * len(occurrences)
 
 
@@ -221,7 +221,7 @@ def test_combined_criteria_in_cross_validation():
     corpus, occurrences = signal_corpus(counts=(30, 30))
     plan = kfold_split(occurrences, 10, 0)
     cell = parse_cell("[2gr|lemma|leftright|all]@1anchored+[3gr|lemma|leftright|all]@2anchored")
-    result = cross_validate(corpus, plan, cell, "nb")
+    result = cross_validate(plan, cell, "nb")
     assert "+" in result.criterion
     assert result.precision == 1.0  # adjacent signal is visible to anchored bigrams
 
@@ -233,7 +233,7 @@ def test_fold_with_single_sense_training_is_valid():
     plan = kfold_split(occurrences, 10, 0)
     for classifier in ("nb", "dl"):
         result = cross_validate(
-            corpus, plan, parse_cell("[1gr|lemma|ordered|all]@1"), classifier
+            plan, parse_cell("[1gr|lemma|ordered|all]@1"), classifier
         )
         assert result.precision == pytest.approx(0.95)
 
@@ -303,7 +303,7 @@ def test_grid_search_combined_cells_and_records():
     assert [r.cell for r in result.results] == [parts, parts[:1]]
     assert [r.criterion for r in result.results] == [
         "[1gr|lemma|ordered|all]@1+[2gr|lemma|leftright|all]@2", "[1gr|lemma|ordered|all]@1"]
-    assert list(result.results) == [cross_validate(corpus, plan, cell, "dl", keep_records=True)
+    assert list(result.results) == [cross_validate(plan, cell, "dl", keep_records=True)
                                     for cell in (parts, parts[:1])]
     assert result.plans == {("bananeporte", "noun"): plan}
     without = grid_search(corpus, [("bananeporte", "noun")], [parts], "dl", k=10, seed=0)
@@ -349,7 +349,7 @@ def test_cross_validate_rejects_unknown_classifier():
     corpus, occurrences = signal_corpus(counts=(20, 20))
     plan = kfold_split(occurrences, 10, 0)
     with pytest.raises(ValueError, match="unknown classifier 'NB': valid ids are nb, dl"):
-        cross_validate(corpus, plan, parse_cell("[1gr|lemma|ordered|all]@1"), "NB")
+        cross_validate(plan, parse_cell("[1gr|lemma|ordered|all]@1"), "NB")
 
 
 def test_grid_search_validation():
