@@ -144,11 +144,6 @@ def _evidence_cells(config: RunConfig) -> list[Cell]:
     return [(criterion,)]
 
 
-def _grid_path(config: RunConfig) -> Path | None:
-    """The grid config file, or None for the default grid."""
-    return None if config.grid in (None, "default") else Path(config.grid)
-
-
 @dataclass(frozen=True)
 class Experiment:
     """One evaluation subcommand: the grid cells it cross-validates, from the
@@ -256,7 +251,7 @@ def _check(config: RunConfig, diagnostics: Sequence[str]) -> tuple[
             problems.append("jobs must be >= 1")
         if config.content_mode not in CONTENT_MODES:
             problems.append(CONTENT_MODE_PROBLEM)
-        grid, path = default_grid(), _grid_path(config)
+        grid, path = default_grid(), None if config.grid is None else Path(config.grid)
         if path is not None and _found("grid config", path, problems):
             try:
                 grid = parse_grid_config(_read_input(path, inputs))
@@ -430,7 +425,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # Each option argparse passes on as text: its converter, and what it must be.
+# The default grid has one record, None, whether --grid is omitted or 'default'.
 _CONVERTERS = {
+    "grid": (lambda text: None if text == "default" else text, "a grid config file"),
     "m": (float, "a number"),
     "k": (int, "an integer"),
     "seed": (int, "an integer"),

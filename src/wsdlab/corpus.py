@@ -249,6 +249,15 @@ def parse_targets(text: str) -> list[tuple[str, str]]:
 SIGNAL_MODES = ("unigram", "pair")
 
 
+class ConfigError(ValueError):
+    """A config type's problems, one per line of the message, each given as
+    ``(fields, problem)``: the space-separated fields it reads, and its text."""
+
+    def __init__(self, problems: list[tuple[str, str]]) -> None:
+        super().__init__("\n".join(problem for _, problem in problems))
+        self.problems = problems
+
+
 @dataclass(frozen=True)
 class PseudowordConfig:
     """Recipe for a synthetic ambiguous-word corpus.
@@ -279,48 +288,55 @@ class PseudowordConfig:
     def __post_init__(self) -> None:
         pair = self.signal_mode == "pair"
         offsets = sorted(self.signal_offsets)
-        problems = [problem for bad, problem in (
-            (len(self.sources) < 2, "a pseudo-word needs at least 2 source lemmas"),
-            (len(self.counts) != len(self.sources), "counts must match sources one-to-one"),
-            (any(c < 1 for c in self.counts), "per-sense counts must be positive"),
-            (self.signal_mode not in SIGNAL_MODES, f"signal_mode must be one of {SIGNAL_MODES}"),
-            (not offsets, "at least one signal offset is required"),
-            (0 in offsets, "signal offsets must be non-zero"),
-            (any(abs(o) > self.width for o in offsets),
+        problems = [(fields, problem) for fields, bad, problem in (
+            ("sources", len(self.sources) < 2, "a pseudo-word needs at least 2 source lemmas"),
+            ("counts sources", len(self.counts) != len(self.sources),
+             "counts must match sources one-to-one"),
+            ("counts", any(c < 1 for c in self.counts), "per-sense counts must be positive"),
+            ("signal_mode", self.signal_mode not in SIGNAL_MODES,
+             f"signal_mode must be one of {SIGNAL_MODES}"),
+            ("signal_offsets", not offsets, "at least one signal offset is required"),
+            ("signal_offsets", 0 in offsets, "signal offsets must be non-zero"),
+            ("signal_offsets width", any(abs(o) > self.width for o in offsets),
              "signal offsets must lie within the context width"),
-            (pair and len(self.sources) != 2, "pair mode supports exactly 2 sources"),
-            (pair and (len(offsets) != 2 or offsets[1] != offsets[0] + 1),
+            ("signal_mode sources", pair and len(self.sources) != 2,
+             "pair mode supports exactly 2 sources"),
+            ("signal_mode signal_offsets",
+             pair and (len(offsets) != 2 or offsets[1] != offsets[0] + 1),
              "pair mode needs exactly 2 consecutive offsets"),
-            (pair and self.signal_values is not None, "signal_values apply to unigram mode only"),
-            (self.signal_values is not None and len(self.signal_values) != len(self.sources),
+            ("signal_mode signal_values", pair and self.signal_values is not None,
+             "signal_values apply to unigram mode only"),
+            ("signal_values sources",
+             self.signal_values is not None and len(self.signal_values) != len(self.sources),
              "signal_values must match sources one-to-one"),
-            (not 0.0 <= self.noise <= 1.0, "noise must be in [0, 1]"),
-            (self.vocabulary < 1, "vocabulary size must be >= 1"),
-            (self.width < 1, "context width must be >= 1"),
-            (self.category not in CATEGORIES, f"category must be one of {CATEGORIES}"),
-            (not self.filler_pos, "filler_pos must be non-empty"),
+            ("noise", not 0.0 <= self.noise <= 1.0, "noise must be in [0, 1]"),
+            ("vocabulary", self.vocabulary < 1, "vocabulary size must be >= 1"),
+            ("width", self.width < 1, "context width must be >= 1"),
+            ("category", self.category not in CATEGORIES, f"category must be one of {CATEGORIES}"),
+            ("filler_pos", not self.filler_pos, "filler_pos must be non-empty"),
         ) if bad]
         # Each value is written as a column of a corpus or targets line.
         values = {"sources": self.sources, "signal_values": self.signal_values or (),
                   "target": (self.target,) if self.target else (),
                   "target_pos": (self.target_pos,), "signal_pos": (self.signal_pos,),
                   "filler_pos": self.filler_pos}
-        problems.extend(f"{name} value {value!r} must be non-empty, with no tab or line break"
-                        for name, given in values.items() for value in given
+        problems.extend((name, f"{name} value {value!r} must be non-empty, with no tab or "
+                         "line break") for name, given in values.items() for value in given
                         if "\t" in value or value.splitlines() != [value])
         # The target lemma starts its targets line, and it and each signal value
         # start corpus token lines.
         if self.target_lemma.startswith("#"):
-            problems.append(f"target lemma {self.target_lemma!r} must not start with '#', "
-                            "which opens a comment in the targets file")
-        problems.extend(f"{name} {value!r} must not start with '#doc ', "
-                        "which opens a document in the corpus file"
-                        for name, value in (("target lemma", self.target_lemma),
-                                            *(("signal_values value", value)
-                                              for value in self.signal_values or ()))
+            problems.append(("sources target", f"target lemma {self.target_lemma!r} must not "
+                             "start with '#', which opens a comment in the targets file"))
+        problems.extend((fields, f"{name} {value!r} must not start with '#doc ', "
+                         "which opens a document in the corpus file")
+                        for fields, name, value in (
+                            ("sources target", "target lemma", self.target_lemma),
+                            *(("signal_values", "signal_values value", value)
+                              for value in self.signal_values or ()))
                         if value.startswith("#doc "))
         if problems:
-            raise ValueError("\n".join(problems))
+            raise ConfigError(problems)
 
     @property
     def target_lemma(self) -> str:
@@ -365,8 +381,10 @@ def _read_config(text: str, label: str, converters: dict[str, Callable[[str], An
     skips blank and ``#`` lines.  Malformed lines, repeated and unknown keys,
     missing ``required`` keys, values that do not convert (nothing is built
     while a ``required`` value is missing or does not convert) and the
-    problems ``build`` raises are raised together in one ``ValueError``, one
-    per line of its message, each named by ``label``."""
+    ``ConfigError`` problems of ``build`` are raised together in one
+    ``ValueError``, one per line of its message, each named by ``label``.
+    A default stands in for a value that does not convert, so no problem
+    that reads one is listed."""
     raw: dict[str, str] = {}
     problems: list[str] = []
     for number, line in enumerate(text.splitlines(), start=1):
@@ -396,8 +414,9 @@ def _read_config(text: str, label: str, converters: dict[str, Callable[[str], An
                 problems.append(f"{label} {key}: {exc}")
     try:
         built = build(**values) if all(key in values for key in required) else None
-    except ValueError as exc:
-        problems.append(str(exc))
+    except ConfigError as exc:
+        problems.extend(problem for fields, problem in exc.problems
+                        if all(key in values or key not in raw for key in fields.split()))
     if problems:
         raise ValueError("\n".join(problems))
     return built
@@ -413,8 +432,8 @@ def _pseudoword_config(sources: tuple[str, ...], counts: tuple[int, ...] = (100,
 def parse_pseudoword_config(text: str) -> PseudowordConfig:
     """Parse the flat ``key = value`` pseudo-word config format.  Malformed
     lines, repeated and unknown keys, a missing ``sources`` key, values that
-    do not convert and every problem ``PseudowordConfig`` finds are raised
-    together in one ``ValueError``, one per line of its message."""
+    do not convert and the ``PseudowordConfig`` problems of those that do are
+    raised together in one ``ValueError``, one per line of its message."""
     return _read_config(text, "config", _PSEUDOWORD_KEYS, _pseudoword_config,
                         required=("sources",))
 
@@ -448,7 +467,6 @@ def generate_pseudoword_corpus(config: PseudowordConfig, seed: int) -> Corpus:
         return Token(lemma, lemma, config.signal_pos, config.signal_pos)
 
     documents = []
-    serial = 0
     for sense_index, (source, count) in enumerate(zip(config.sources, config.counts)):
         for _ in range(count):
             if config.signal_mode == "pair":
@@ -457,19 +475,13 @@ def generate_pseudoword_corpus(config: PseudowordConfig, seed: int) -> Corpus:
                     pair_offsets[0]: pair_values[0][flip],
                     pair_offsets[1]: pair_values[1][flip if sense_index == 0 else 1 - flip],
                 }
-            tokens = []
-            for offset in range(-config.width, config.width + 1):
-                if offset == 0:
-                    tokens.append(
-                        Token(target, target, config.target_pos, config.target_pos, source)
-                    )
-                elif offset in config.signal_offsets:
-                    if config.signal_mode == "pair":
-                        tokens.append(signal_token(planted[offset]))
-                    else:
-                        tokens.append(signal_token(cues[sense_index]))
-                else:
-                    tokens.append(filler_token())
-            documents.append(Document(f"{target}-{serial:05d}", tuple(tokens)))
-            serial += 1
+            else:
+                planted = dict.fromkeys(config.signal_offsets, cues[sense_index])
+            tokens = tuple(
+                Token(target, target, config.target_pos, config.target_pos, source)
+                if offset == 0 else signal_token(planted[offset]) if offset in planted
+                else filler_token()
+                for offset in range(-config.width, config.width + 1)
+            )
+            documents.append(Document(f"{target}-{len(documents):05d}", tokens))
     return Corpus(tuple(documents))

@@ -33,7 +33,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Iterator, Mapping, Sequence
 
-from .corpus import Occurrence, Token, _parse_csv_list, _read_config
+from .corpus import ConfigError, Occurrence, Token, _parse_csv_list, _read_config
 
 TAGS = ("mform", "lemma", "ems", "cgems")
 POSITIONINGS = ("ordered", "leftright", "unordered")
@@ -184,18 +184,18 @@ class CriterionGrid:
         for name in ("orders", "tags", "positionings", "filters", "sizes"):
             values = getattr(self, name)
             if not values:
-                problems.append(f"grid parameter set {name!r} is empty")
+                problems.append((name, f"grid parameter set {name!r} is empty"))
             for value in values:
                 try:
                     # Each set is named by the plural of the field it varies.
                     replace(probe, **{name[:-1]: value})
                 except ValueError as exc:
-                    problems.append(f"grid config {name}: {exc}")
+                    problems.append((name, f"grid config {name}: {exc}"))
             repeated = sorted({str(v) for v, n in Counter(values).items() if n > 1})
             if repeated:
-                problems.append(f"grid config {name}: repeated {', '.join(repeated)}")
+                problems.append((name, f"grid config {name}: repeated {', '.join(repeated)}"))
         if problems:
-            raise ValueError("\n".join(problems))
+            raise ConfigError(problems)
 
     def __len__(self) -> int:
         return (
@@ -226,10 +226,10 @@ def _parse_int_list(value: str) -> tuple[int, ...]:
     items: list[int] = []
     for part in _parse_csv_list(value):
         span = re.fullmatch(r"(\d+)-(\d+)", part)
-        if span:
-            items.extend(range(int(span.group(1)), int(span.group(2)) + 1))
-        else:
-            items.append(int(part))
+        low, high = map(int, span.groups()) if span else (int(part),) * 2
+        if low > high:
+            raise ValueError(f"reversed range {part!r}")
+        items.extend(range(low, high + 1))
     return tuple(items)
 
 
@@ -246,10 +246,10 @@ _GRID_KEYS = {"orders": _parse_int_list, "tags": _parse_csv_list,
 
 def parse_grid_config(text: str) -> CriterionGrid:
     """Parse a grid config file: ``orders/tags/positionings/filters/sizes``
-    keys with comma-separated values (sizes also accept ``1-8`` ranges).
-    Malformed lines, repeated and unknown keys, values that do not convert
-    and every problem ``CriterionGrid`` finds are raised together in one
-    ``ValueError``, one per line of its message."""
+    keys with comma-separated values (orders and sizes also accept ascending
+    ``1-8`` ranges).  Malformed lines, repeated and unknown keys, values that
+    do not convert and every problem ``CriterionGrid`` finds are raised
+    together in one ``ValueError``, one per line of its message."""
     return _read_config(text, "grid config", _GRID_KEYS, CriterionGrid)
 
 

@@ -53,36 +53,28 @@ def check_classifier(classifier: str) -> None:
 
 @dataclass(frozen=True)
 class FoldPlan:
-    """Stratified partition of one word's occurrences into k folds."""
+    """A stratified partition of one word's occurrences into k folds:
+    ``folds[f]`` holds fold f's held-out occurrence indices, ascending."""
 
-    k: int
     occurrences: tuple[Occurrence, ...]
-    assignment: tuple[int, ...]
-
-    @cached_property
-    def held_out(self) -> tuple[tuple[int, ...], ...]:
-        """Each fold's occurrence indices, ascending."""
-        folds: list[list[int]] = [[] for _ in range(self.k)]
-        for i, fold in enumerate(self.assignment):
-            folds[fold].append(i)
-        return tuple(map(tuple, folds))
+    folds: tuple[tuple[int, ...], ...]
 
     @cached_property
     def _masks(self) -> tuple[int, ...]:
         """Each fold's occurrences as bits."""
-        return tuple(sum(1 << i for i in fold) for fold in self.held_out)
+        return tuple(sum(1 << i for i in fold) for fold in self.folds)
 
     def fold_precisions(self, correct: int) -> tuple[float, ...]:
         """Each fold's share of the ``correct`` bits, 0.0 for an empty fold."""
         return tuple((correct & mask).bit_count() / len(fold) if fold else 0.0
-                     for fold, mask in zip(self.held_out, self._masks))
+                     for fold, mask in zip(self.folds, self._masks))
 
 
 def kfold_split(occurrences: Sequence[Occurrence], k: int, seed: int) -> FoldPlan:
-    """Deterministic stratified k-fold assignment.
+    """Deterministic stratified k-fold partition.
 
-    Each sense group is shuffled and dealt round-robin, rotating the starting
-    fold between groups, so fold sizes differ by at most one overall and
+    The shuffled sense groups are dealt round-robin into the folds as one
+    run, in sense order, so fold sizes differ by at most one overall and
     within every sense.
     """
     if k < 2:
@@ -93,15 +85,11 @@ def kfold_split(occurrences: Sequence[Occurrence], k: int, seed: int) -> FoldPla
     for position, occ in enumerate(occurrences):
         groups.setdefault(occ.sense, []).append(position)
     rng = random.Random(seed)
-    assignment = [0] * len(occurrences)
-    offset = 0
-    for sense in sorted(groups):
-        positions = groups[sense][:]
+    dealt: list[int] = []
+    for _, positions in sorted(groups.items()):
         rng.shuffle(positions)
-        for j, position in enumerate(positions):
-            assignment[position] = (offset + j) % k
-        offset = (offset + len(positions)) % k
-    return FoldPlan(k, tuple(occurrences), tuple(assignment))
+        dealt += positions
+    return FoldPlan(tuple(occurrences), tuple(tuple(sorted(dealt[f::k])) for f in range(k)))
 
 
 @dataclass(frozen=True)
@@ -172,9 +160,11 @@ def cross_validate(
     # makes a new int, and each held Prediction is one more object for the GC.
     n = len(occurrences)
     senses, keys, fallbacks = [None] * n, [None] * n, [False] * n
-    for fold, test_idx in enumerate(plan.held_out):
-        model = train([pair for pair, f in zip(pairs, plan.assignment) if f != fold], smoothing)
-        for i in test_idx:
+    # A tally reads only counts, so each fold trains on the others in fold order.
+    folds = plan.folds
+    for f, held_out in enumerate(folds):
+        model = train([pairs[i] for fold in folds[:f] + folds[f + 1:] for i in fold], smoothing)
+        for i in held_out:
             senses[i], _, keys[i], fallbacks[i] = classify(model, vectors[i])
 
     return WordResult(

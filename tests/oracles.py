@@ -2,27 +2,27 @@
 
 These deliberately avoid the code paths under test: both classifier oracles
 recount everything from the training set, Naive Bayes is verified with plain
-probability products (no logs), the decision list with a brute-force scan
-over the vector's keys, the count tables, NB log scores and DL rules with
-per-key training that calls ``m_estimate`` and ``feature_strength`` for every
-key (the floats the fast paths must reproduce bit for bit), fold membership
-with a scan of the assignment per fold, occurrence lookup with a scan of the
-whole corpus, feature extraction by building the document's full left
-and right context before the window is applied, corpus parsing with one
-``str.splitlines()`` and fresh strings for every line, and corpus rendering
-by joining a list of every line, the statistics and evidence reports
-with the report classes and helpers they were first built from, the five
-grid reducers (ablation, selection, shift, adjacency, context) with the
-grouping loop each was first written with, and a whole
-grid run's ``grid.csv`` rows and decisions with a fold loop that
-recounts every fold from scratch out of the pieces above.  Last,
-``result_of_precision`` builds a ``WordResult`` whose precision is a given
-float, for the reducers' tests.
+probability products (no logs), the decision list with a brute-force scan over
+the vector's keys, the count tables, NB log scores and DL rules with per-key
+training that calls ``m_estimate`` and ``feature_strength`` for every key (the
+floats the fast paths must reproduce bit for bit), fold membership by
+assigning each occurrence its fold one at a time, occurrence lookup with a
+scan of the whole corpus, feature extraction by building the document's full
+left and right context before the window is applied, corpus parsing with one
+``str.splitlines()`` and fresh strings for every line, and corpus rendering by
+joining a list of every line, the statistics and evidence reports with the
+report classes and helpers they were first built from, the five grid reducers
+(ablation, selection, shift, adjacency, context) with the grouping loop each
+was first written with, and a whole grid run's ``grid.csv`` rows and decisions
+with a fold loop that recounts every fold from scratch out of the pieces
+above. Last, ``result_of_precision`` builds a ``WordResult`` whose precision
+is a given float, for the reducers' tests.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -48,7 +48,7 @@ from wsdlab.criteria import (
     family_name,
     format_criterion,
 )
-from wsdlab.evaluation import WordResult, kfold_split
+from wsdlab.evaluation import WordResult
 
 
 def smoothed(event: int, condition: int, prior: float, m: float) -> float:
@@ -193,11 +193,24 @@ def dl_rules_per_key(training, smoothing):
     return rules, majority_sense(sense_counts)
 
 
-def held_out_scan(plan):
-    """Each fold's occurrence indices, by one scan of the assignment per fold."""
-    return tuple(
-        tuple(i for i, f in enumerate(plan.assignment) if f == fold) for fold in range(plan.k)
-    )
+def kfold_assignment(occurrences, k, seed):
+    """Each occurrence's fold, by the stratified split that ``kfold_split``
+    deals into folds: each sense group, in sorted sense order, is shuffled
+    and its occurrences are assigned round-robin one at a time, the starting
+    fold rotating between groups."""
+    groups = {}
+    for position, occ in enumerate(occurrences):
+        groups.setdefault(occ.sense, []).append(position)
+    rng = random.Random(seed)
+    assignment = [0] * len(occurrences)
+    offset = 0
+    for sense in sorted(groups):
+        positions = groups[sense][:]
+        rng.shuffle(positions)
+        for j, position in enumerate(positions):
+            assignment[position] = (offset + j) % k
+        offset = (offset + len(positions)) % k
+    return tuple(assignment)
 
 
 def occurrences_scan(corpus, lemma, category):
@@ -394,7 +407,7 @@ def grid_rows_oracle(corpus, targets, cells, classifier, smoothing, k, seed, *,
                      content_mode="reindex"):
     """``grid.csv``'s rows, header first, and the ``Outcome`` of each row.
     Words with fewer than ``k`` occurrences are left out.  Each fold's
-    training set is picked by a scan of the fold assignment and recounted
+    training set is picked by a scan of ``kfold_assignment`` and recounted
     from scratch for every decision: NB by the per-key references, the
     decision list by the brute-force scan, whose key is looked up in the
     occurrence's vector for the decision's evidence."""
@@ -405,7 +418,7 @@ def grid_rows_oracle(corpus, targets, cells, classifier, smoothing, k, seed, *,
         occurrences = occurrences_scan(corpus, lemma, category)
         if len(occurrences) < k:
             continue
-        assignment = kfold_split(occurrences, k, seed).assignment
+        assignment = kfold_assignment(occurrences, k, seed)
         for cell in cells:
             vectors = [cell_features_full_context(corpus, occ, cell, content_mode=content_mode)
                        for occ in occurrences]

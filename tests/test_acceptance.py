@@ -138,15 +138,11 @@ def test_criterion_06_fold_laws():
     )
     occurrences = extract_occurrences(corpus, "w", "noun")
     plan = kfold_split(occurrences, 10, 0)
-    fold_of = dict(zip(plan.occurrences, plan.assignment))
-    assert len(fold_of) == 200  # partition covers every occurrence exactly once
-    sizes = Counter(plan.assignment)
-    assert sorted(sizes) == list(range(10))
-    assert all(size == 20 for size in sizes.values())
-    per_fold = {f: Counter() for f in range(10)}
-    for occ, fold in fold_of.items():
-        per_fold[fold][occ.sense] += 1
-    assert all(c == Counter({"x": 14, "y": 6}) for c in per_fold.values())
+    # The folds cover every occurrence exactly once.
+    assert sorted(i for fold in plan.folds for i in fold) == list(range(200))
+    assert [len(fold) for fold in plan.folds] == [20] * 10
+    assert all(Counter(plan.occurrences[i].sense for i in fold) == Counter({"x": 14, "y": 6})
+               for fold in plan.folds)
     report(6, "stratified 10-fold split of 200 occurrences: folds of 20, 14/6 per sense")
 
 

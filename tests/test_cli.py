@@ -639,17 +639,20 @@ def test_a_config_without_a_criterion_runs_the_cli_default(workspace, command):
 
 def test_a_default_grid_run_records_no_grid(workspace):
     """The default grid has one record, a ``RunConfig`` grid of None: ``grid``
-    without --grid and a ``RunConfig`` built without a grid write the same
-    run.meta, apart from the output directory."""
+    without --grid, ``grid --grid default`` and a ``RunConfig`` built without
+    a grid write the same run.meta, apart from the output directory."""
     inputs = {"corpus": workspace / "gen" / "corpus.tsv",
               "targets": workspace / "gen" / "targets.tsv"}
-    outputs = (workspace / "default-grid-cli", workspace / "default-grid-config")
-    assert main(["grid", "--corpus", str(inputs["corpus"]), "--targets",
-                 str(inputs["targets"]), "--k", "5", "-o", str(outputs[0])]) == 0
-    assert run(RunConfig("grid", outputs[1], **inputs, k=5)) == 0
-    cli_meta, config_meta = (json.loads((out / "run.meta").read_text()) for out in outputs)
-    assert cli_meta["grid"] is None
-    assert {**cli_meta, "output": None} == {**config_meta, "output": None}
+    outputs = (workspace / "default-grid-cli", workspace / "default-grid-named",
+               workspace / "default-grid-config")
+    command = ["grid", "--corpus", str(inputs["corpus"]), "--targets", str(inputs["targets"]),
+               "--k", "5"]
+    assert main([*command, "-o", str(outputs[0])]) == 0
+    assert main([*command, "--grid", "default", "-o", str(outputs[1])]) == 0
+    assert run(RunConfig("grid", outputs[2], **inputs, k=5)) == 0
+    metas = [json.loads((out / "run.meta").read_text()) for out in outputs]
+    assert metas[0]["grid"] is None
+    assert all({**meta, "output": None} == {**metas[0], "output": None} for meta in metas)
 
 
 def test_evaluate_still_needs_a_criterion(workspace, capsys):
@@ -710,6 +713,31 @@ def test_pseudoword_values_the_generated_files_would_misread(tmp_path, monkeypat
                                                              config, expected):
     """The targets file reads a line that starts with '#' as a comment, and
     the corpus file one that starts with '#doc ' as a document header."""
+    (tmp_path / "pw.cfg").write_text(config)
+    monkeypatch.chdir(tmp_path)
+    assert main(["pseudoword", "--config", "pw.cfg", "-o", "gen"]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {line}" for line in expected]
+    assert not (tmp_path / "gen").exists()
+
+
+@pytest.mark.parametrize("config, expected", [
+    # The default offset, -1, stands in for the one that does not convert, so
+    # pair mode's offset problem would be about it, not about the value given.
+    ("sources = a, b\nsignal_mode = pair\nsignal_offsets = -2, x\n",
+     ["config signal_offsets: invalid literal for int() with base 10: 'x'"]),
+    # The problems that read no such value are still listed.
+    ("sources = a\nsignal_mode = pair\nsignal_offsets = -2, x\nnoise = 2\n", [
+        "config signal_offsets: invalid literal for int() with base 10: 'x'",
+        "a pseudo-word needs at least 2 source lemmas",
+        "pair mode supports exactly 2 sources",
+        "noise must be in [0, 1]",
+    ]),
+    # Nor are the offsets given judged against the default width.
+    ("sources = a, b\nsignal_offsets = -12, 3\nwidth = w\n",
+     ["config width: invalid literal for int() with base 10: 'w'"]),
+])
+def test_no_problem_reads_the_default_behind_a_value_that_does_not_convert(
+        tmp_path, monkeypatch, capsys, config, expected):
     (tmp_path / "pw.cfg").write_text(config)
     monkeypatch.chdir(tmp_path)
     assert main(["pseudoword", "--config", "pw.cfg", "-o", "gen"]) == 2

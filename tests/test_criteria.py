@@ -83,6 +83,19 @@ def test_parse_grid_config():
     assert len(enumerate_grid(grid)) == 2 * 1 * 2 * 2 * 4
     with pytest.raises(ValueError):
         parse_grid_config("tags = bogus")
+    assert parse_grid_config("orders = 2-2\nsizes = 4-4").sizes == (4,)
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("sizes = 1, 8-3", ["grid config sizes: reversed range '8-3'"]),
+    # Listed with the grid's other problems.
+    ("orders = 3-1\nsizes = 0", ["grid config orders: reversed range '3-1'",
+                                 "grid config sizes: context size must be >= 1"]),
+])
+def test_a_reversed_range_is_a_listed_problem(text, expected):
+    with pytest.raises(ValueError) as err:
+        parse_grid_config(text)
+    assert str(err.value).splitlines() == expected
 
 
 # --- criterion grammar -----------------------------------------------------------

@@ -32,7 +32,7 @@ from wsdlab import (
 from wsdlab import evaluation
 from wsdlab.criteria import feature_span, parse_cell
 from wsdlab.evaluation import GRID_CSV_HEADER, FoldPlan, GridResult, WordResult, worker_count
-from oracles import held_out_scan, mfs_baseline
+from oracles import kfold_assignment, mfs_baseline
 
 
 def make_occurrences(senses):
@@ -54,18 +54,15 @@ def signal_corpus(counts=(200, 200), seed=11, **kwargs):
 def test_kfold_partitions_evenly():
     _, occurrences = make_occurrences(["a"] * 50 + ["b"] * 50)
     plan = kfold_split(occurrences, 10, 3)
-    sizes = Counter(plan.assignment)
-    assert sorted(sizes) == list(range(10))
-    assert all(size == 10 for size in sizes.values())
+    assert [len(fold) for fold in plan.folds] == [10] * 10
 
 
 def test_kfold_stratifies_senses():
     _, occurrences = make_occurrences(["a"] * 140 + ["b"] * 60)
     plan = kfold_split(occurrences, 10, 0)
-    per_fold = {f: Counter() for f in range(10)}
-    for occ, fold in zip(plan.occurrences, plan.assignment):
-        per_fold[fold][occ.sense] += 1
-    assert all(c == Counter({"a": 14, "b": 6}) for c in per_fold.values())
+    assert len(plan.folds) == 10
+    assert all(Counter(plan.occurrences[i].sense for i in fold) == Counter({"a": 14, "b": 6})
+               for fold in plan.folds)
 
 
 def test_kfold_deterministic_and_seed_sensitive():
@@ -95,18 +92,34 @@ def test_kfold_partition_properties(counts, k, seed):
         return
     _, occurrences = make_occurrences(senses)
     plan = kfold_split(occurrences, k, seed)
-    assert len(plan.assignment) == len(occurrences)
-    fold_sizes = Counter(plan.assignment)
-    assert max(fold_sizes.values()) - min(fold_sizes.values() or [0]) <= 1
-    assert sum(fold_sizes.values()) == len(occurrences)
-    by_sense_fold: dict[str, Counter] = {}
-    for occ, fold in zip(plan.occurrences, plan.assignment):
-        by_sense_fold.setdefault(occ.sense, Counter())[fold] += 1
-    for sense, folds in by_sense_fold.items():
-        spread = [folds.get(f, 0) for f in range(k)]
+    assert len(plan.folds) == k
+    fold_sizes = [len(fold) for fold in plan.folds]
+    assert max(fold_sizes) - min(fold_sizes) <= 1
+    assert sum(fold_sizes) == len(occurrences)
+    for sense in set(senses):
+        spread = [sum(plan.occurrences[i].sense == sense for i in fold) for fold in plan.folds]
         assert max(spread) - min(spread) <= 1
-    assert plan.held_out == held_out_scan(plan)
-    assert sorted(i for fold in plan.held_out for i in fold) == list(range(len(occurrences)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    counts=st.lists(st.integers(1, 30), min_size=1, max_size=5),
+    k=st.integers(2, 12),
+    seed=st.integers(0, 2**32),
+    data=st.data(),
+)
+def test_kfold_folds_are_the_assignment_oracles_partition(counts, k, seed, data):
+    # Sense groups interleaved in any order, not one block per sense.
+    senses = data.draw(st.permutations([f"s{i}" for i, n in enumerate(counts) for _ in range(n)]))
+    if len(senses) < k:
+        return
+    _, occurrences = make_occurrences(senses)
+    folds = kfold_split(occurrences, k, seed).folds
+    assignment = kfold_assignment(occurrences, k, seed)
+    assert folds == tuple(tuple(i for i, f in enumerate(assignment) if f == fold)
+                          for fold in range(k))
+    assert all(list(fold) == sorted(fold) for fold in folds)
+    assert sorted(i for fold in folds for i in fold) == list(range(len(occurrences)))
 
 
 # --- cross-validation --------------------------------------------------------------
@@ -200,9 +213,9 @@ def test_evidence_recorded_only_for_dl_decisions():
         vectors = [combine_features(cell, [extract_features(occ, c) for c in cell])
                    for occ in occurrences]
         assert dl.decisions == len(dl.evidence) == len(occurrences)
-        for fold, held_out in enumerate(plan.held_out):
-            model = train_dl([(vector, occ.sense) for vector, occ, f
-                              in zip(vectors, occurrences, plan.assignment) if f != fold],
+        for held_out in plan.folds:
+            model = train_dl([(vector, occ.sense) for i, (vector, occ)
+                              in enumerate(zip(vectors, occurrences)) if i not in held_out],
                              SmoothingParams())
             for i in held_out:
                 prediction = classify_dl(model, vectors[i])
@@ -399,7 +412,7 @@ def test_order_preserving_sense_renaming_keeps_precisions(data):
                         k=3, seed=seed)
             for names in (senses, renamed)
         )
-        assert before.plans[("w", "noun")].assignment == after.plans[("w", "noun")].assignment
+        assert before.plans[("w", "noun")].folds == after.plans[("w", "noun")].folds
         assert [(r.criterion, r.correct, r.fallback) for r in before.results] == [
             (r.criterion, r.correct, r.fallback) for r in after.results
         ]
@@ -410,7 +423,7 @@ def test_order_preserving_sense_renaming_keeps_precisions(data):
 def test_write_grid_csv():
     _, occurrences = make_occurrences(["a", "a", "b", "b"])
     plan = kfold_split(occurrences, 2, 0)
-    first, second = plan.held_out
+    first, second = plan.folds
     # Both decisions of the first fold right, one of the second.
     correct = sum(1 << i for i in (*first, second[0]))
     result = WordResult("mot", "noun", (parse_criterion("[1gr|lemma|ordered|all]@1"),), "nb",
@@ -423,5 +436,5 @@ def test_write_grid_csv():
 
 def test_an_empty_fold_has_precision_zero():
     _, occurrences = make_occurrences(["a", "b"])
-    plan = FoldPlan(3, tuple(occurrences), (0, 0))
+    plan = FoldPlan(tuple(occurrences), ((0, 1), (), ()))
     assert plan.fold_precisions(0b01) == (0.5, 0.0, 0.0)
