@@ -49,11 +49,11 @@ from .criteria import (
     parse_grid_config,
 )
 from .evaluation import (
+    CVParams,
     FoldPlan,
     GridResult,
     WordResult,
     cross_validate,
-    grid_rows,
     grid_search,
     kfold_split,
 )
@@ -63,6 +63,7 @@ from .analysis import (
     content_ablation,
     context_report,
     evidence_reports,
+    grid_rows,
     selection_comparison,
     selection_criteria,
     shift_criteria,

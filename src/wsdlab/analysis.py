@@ -1,12 +1,12 @@
-"""Report suite: the CSV rows of every report but grid.csv and evaluate.csv.
+"""Report suite: the CSV rows of every report.
 
-Covers: per-target corpus statistics; precision/usage profiles of
-decision-list evidence by coarse part-of-speech and by window offset;
-ablation of word filters against the all-words baseline; three-way filter
-comparison under identical folds; window shift studies; the anchored n-gram
-combination experiment; and optimal context-size summaries.  Each reducer
-returns its report as CSV rows, header first, every value as the file prints
-it; the exact schemas are listed in the package README.
+Covers: each (word, cell)'s precisions; per-target corpus statistics;
+precision/usage profiles of decision-list evidence by coarse part-of-speech
+and by window offset; ablation of word filters against the all-words
+baseline; three-way filter comparison under identical folds; window shift
+studies; the anchored n-gram combination experiment; and optimal context-size
+summaries.  Each reducer returns its report as CSV rows, header first, every
+value as the file prints it; the exact schemas are listed in the package README.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ from .corpus import CATEGORIES, Corpus, extract_occurrences
 from .criteria import Cell, Criterion, CriterionGrid, cell_name, family_name, format_criterion
 from .evaluation import GridResult
 
+GRID_CSV_HEADER = ("word", "category", "criterion", "size", "classifier",
+                   "precision", "fold_precisions")
 STATS_HEADER = ("word", "category", "frequency", "senses", "entropy", "mfs")
 EVIDENCE_PROFILE_HEADER = ("category", "tag", "uses", "correct", "precision_pct", "usage_pct")
 EVIDENCE_SPACE_HEADER = ("category", "tag", "offset", "uses", "correct")
@@ -73,6 +75,17 @@ def _columns(grid_result: GridResult) -> dict[Cell, dict[str, list[float]]]:
 
 def _mean(values: Sequence[float]) -> float:
     return sum(values) / len(values)
+
+
+def grid_rows(grid_result: GridResult) -> list[tuple]:
+    """``grid.csv`` rows: one per (word, cell), in result order."""
+    plans, classifier = grid_result.plans, grid_result.params.classifier
+    return [GRID_CSV_HEADER] + [
+        (result.lemma, result.category, result.criterion, max(c.size for c in result.cell),
+         classifier, f"{result.precision:.6f}", ";".join(f"{p:.6f}" for p in (
+             plans[result.lemma, result.category].fold_precisions(result.correct))))
+        for result in grid_result.results
+    ]
 
 
 def stats_rows(corpus: Corpus, targets: Sequence[tuple[str, str]]) -> list[tuple]:

@@ -49,6 +49,7 @@ from .analysis import (
     content_ablation,
     context_report,
     evidence_reports,
+    grid_rows,
     selection_comparison,
     selection_criteria,
     shift_criteria,
@@ -66,7 +67,6 @@ from .corpus import (
     serialize_corpus,
 )
 from .criteria import (
-    CONTENT_MODE_PROBLEM,
     CONTENT_MODES,
     Cell,
     Criterion,
@@ -76,7 +76,7 @@ from .criteria import (
     parse_cell,
     parse_grid_config,
 )
-from .evaluation import GridResult, check_classifier, grid_rows, grid_search
+from .evaluation import CVParams, GridResult, grid_search
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -195,16 +195,26 @@ EXPERIMENTS = {
 COMMANDS = ("stats", *EXPERIMENTS, "pseudoword")
 
 
+def _built(problems: list[str], build: Callable, *args, prefix: str = ""):
+    """``build(*args)``; or None, once each line of the ``ValueError`` it
+    raised is added to ``problems`` after ``prefix``."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        problems.extend(prefix + line for line in str(exc).splitlines())
+        return None
+
+
 def _check(config: RunConfig, diagnostics: Sequence[str]) -> tuple[
         list[str], dict[str, str], list[tuple[str, str]] | None,
-        list[Cell] | None, SmoothingParams | None, PseudowordConfig | None]:
+        list[Cell] | None, CVParams | None, PseudowordConfig | None]:
     """Every configuration problem, not just the first, after ``diagnostics``,
-    and what the run builds from its small inputs, each read once before the
-    corpus: the sha256 of each input read, targets, grid cells, smoothing,
-    pseudo-word config (None where absent or bad)."""
+    and what the run builds before the corpus, each small input read once: the
+    sha256 of each input read, targets, grid cells, ``CVParams``, pseudo-word
+    config (None where absent; none is used when there is a problem)."""
     problems = list(diagnostics)
     inputs: dict[str, str] = {}
-    targets = cells = smoothing = pw_config = None
+    targets = cells = params = pw_config = None
     if config.subcommand not in COMMANDS:
         problems.append(f"unknown subcommand {config.subcommand!r}")
     existing = next(p for p in (config.output, *config.output.parents) if p.exists())
@@ -214,11 +224,9 @@ def _check(config: RunConfig, diagnostics: Sequence[str]) -> tuple[
         if config.config is None:
             problems.append("pseudoword needs --config")
         elif _found("config", config.config, problems):
-            try:
-                pw_config = parse_pseudoword_config(_read_input(config.config, inputs))
-            except ValueError as exc:
-                problems.extend(str(exc).splitlines())
-        return problems, inputs, targets, cells, smoothing, pw_config
+            pw_config = _built(problems, lambda: parse_pseudoword_config(
+                _read_input(config.config, inputs)))
+        return problems, inputs, targets, cells, params, pw_config
 
     if config.corpus is None:
         problems.append("a corpus file is required (--corpus)")
@@ -227,41 +235,25 @@ def _check(config: RunConfig, diagnostics: Sequence[str]) -> tuple[
     if config.targets is None:
         problems.append("a targets file is required (--targets)")
     elif _found("targets", config.targets, problems):
-        try:
-            targets = parse_targets(_read_input(config.targets, inputs))
-        except ValueError as exc:
-            problems.extend(f"targets {config.targets}: {line}"
-                            for line in str(exc).splitlines())
+        targets = _built(problems, lambda: parse_targets(_read_input(config.targets, inputs)),
+                         prefix=f"targets {config.targets}: ")
 
     if config.subcommand in EXPERIMENTS:
-        try:
-            check_classifier(config.classifier)
-        except ValueError as exc:
-            problems.append(str(exc))
-        fixed = EXPERIMENTS[config.subcommand].classifier
+        experiment = EXPERIMENTS[config.subcommand]
+        fixed = experiment.classifier
         if fixed not in (None, config.classifier):
             problems.append(f"{config.subcommand} runs the {fixed} classifier only")
-        if config.k < 2:
-            problems.append("k must be >= 2")
-        try:
-            smoothing = SmoothingParams(config.m, config.prior_mode)
-        except ValueError as exc:
-            problems.extend(str(exc).splitlines())
+        smoothing = _built(problems, SmoothingParams, config.m, config.prior_mode)
+        # The default stands in for bad smoothing values, so CVParams is checked too.
+        params = _built(problems, CVParams, config.classifier, smoothing or SmoothingParams(),
+                        config.k, config.seed, config.content_mode, experiment.keep_records)
         if config.jobs < 1:
             problems.append("jobs must be >= 1")
-        if config.content_mode not in CONTENT_MODES:
-            problems.append(CONTENT_MODE_PROBLEM)
         grid, path = default_grid(), None if config.grid is None else Path(config.grid)
         if path is not None and _found("grid config", path, problems):
-            try:
-                grid = parse_grid_config(_read_input(path, inputs))
-            except ValueError as exc:
-                problems.extend(str(exc).splitlines())
-        try:
-            cells = EXPERIMENTS[config.subcommand].cells(config, grid)
-        except ValueError as exc:
-            problems.extend(str(exc).splitlines())
-    return problems, inputs, targets, cells, smoothing, pw_config
+            grid = _built(problems, lambda: parse_grid_config(_read_input(path, inputs))) or grid
+        cells = _built(problems, experiment.cells, config, grid)
+    return problems, inputs, targets, cells, params, pw_config
 
 
 def write_csv(path: Path, rows: list[tuple]) -> None:
@@ -301,15 +293,10 @@ def _write_reports(config: RunConfig, reports: dict[str, list[tuple]], extra: di
     return EXIT_OK
 
 
-def _evaluate(config: RunConfig, inputs, corpus, targets, cells, smoothing) -> int:
+def _evaluate(config: RunConfig, inputs, corpus, targets, cells, params) -> int:
     """The shared path of every evaluation subcommand."""
-    experiment = EXPERIMENTS[config.subcommand]
     try:
-        result = grid_search(
-            corpus, targets, cells, config.classifier, smoothing, config.k, config.seed,
-            jobs=config.jobs, content_mode=config.content_mode,
-            keep_records=experiment.keep_records,
-        )
+        result = grid_search(corpus, targets, cells, params, jobs=config.jobs)
     except BrokenProcessPool as exc:
         print(f"error: a worker process died ({exc}); no reports written", file=sys.stderr)
         return EXIT_WORKER
@@ -319,7 +306,7 @@ def _evaluate(config: RunConfig, inputs, corpus, targets, cells, smoothing) -> i
     if not result.results:
         print("error: no target word has enough occurrences", file=sys.stderr)
         return EXIT_EMPTY
-    return _write_reports(config, experiment.reports(result), {
+    return _write_reports(config, EXPERIMENTS[config.subcommand].reports(result), {
         "inputs": inputs,
         "skipped": [f"{s.lemma} ({s.category})" for s in result.skipped],
         "workers": result.workers,
@@ -332,7 +319,7 @@ def run(config: RunConfig, diagnostics: Sequence[str] = ()) -> int:
     building ``config``; returns the process exit code."""
     if config.criterion is None and config.subcommand in EXPERIMENTS:
         config = replace(config, criterion=EXPERIMENTS[config.subcommand].criterion)
-    problems, inputs, targets, cells, smoothing, pw_config = _check(config, diagnostics)
+    problems, inputs, targets, cells, params, pw_config = _check(config, diagnostics)
     if problems:
         for problem in problems:
             print(f"error: {problem}", file=sys.stderr)
@@ -351,7 +338,7 @@ def run(config: RunConfig, diagnostics: Sequence[str] = ()) -> int:
     if config.subcommand == "stats":
         return _write_reports(config, {"stats.csv": stats_rows(corpus, targets)},
                               {"inputs": inputs})
-    return _evaluate(config, inputs, corpus, targets, cells, smoothing)
+    return _evaluate(config, inputs, corpus, targets, cells, params)
 
 
 # Each evaluation setting's option and help text.

@@ -19,7 +19,7 @@ CATEGORIES = ("noun", "adjective", "verb")
 # Document id assigned to tokens that appear before any "#doc " header.
 IMPLICIT_DOC_ID = "doc0"
 
-# The tag columns of a token, in file order; none may be empty.
+# The tag columns of a token, in file order (a criterion's tags); none may be empty.
 TOKEN_FIELDS = ("mform", "lemma", "ems", "cgems")
 
 # About how many characters of its text parse_corpus splits into lines at

@@ -33,9 +33,8 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Iterator, Mapping, Sequence
 
-from .corpus import ConfigError, Occurrence, Token, _parse_csv_list, _read_config
+from .corpus import TOKEN_FIELDS, ConfigError, Occurrence, Token, _parse_csv_list, _read_config
 
-TAGS = ("mform", "lemma", "ems", "cgems")
 POSITIONINGS = ("ordered", "leftright", "unordered")
 FILTERS = ("all", "content", "selected")
 CONTENT_MODES = ("reindex", "keep_gaps")
@@ -77,7 +76,8 @@ class Criterion:
     def __post_init__(self) -> None:
         problems = [problem for bad, problem in (
             (self.order < 1, "n-gram order must be >= 1"),
-            (self.tag not in TAGS, f"unknown tag {self.tag!r}; expected one of {TAGS}"),
+            (self.tag not in TOKEN_FIELDS,
+             f"unknown tag {self.tag!r}; expected one of {TOKEN_FIELDS}"),
             (self.positioning not in POSITIONINGS,
              f"unknown positioning {self.positioning!r}; expected one of {POSITIONINGS}"),
             (self.filter not in FILTERS,
@@ -173,13 +173,13 @@ class CriterionGrid:
     """Finite parameter sets whose Cartesian product is a criterion space."""
 
     orders: tuple[int, ...] = (1, 2, 3)
-    tags: tuple[str, ...] = TAGS
+    tags: tuple[str, ...] = TOKEN_FIELDS
     positionings: tuple[str, ...] = POSITIONINGS
     filters: tuple[str, ...] = ("all", "content")
     sizes: tuple[int, ...] = (1, 2, 3, 4, 5, 6, 7, 8)
 
     def __post_init__(self) -> None:
-        probe = Criterion(1, TAGS[0], POSITIONINGS[0], FILTERS[0], 1)
+        probe = Criterion(1, TOKEN_FIELDS[0], POSITIONINGS[0], FILTERS[0], 1)
         problems = []
         for name in ("orders", "tags", "positionings", "filters", "sizes"):
             values = getattr(self, name)

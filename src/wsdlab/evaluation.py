@@ -30,6 +30,8 @@ from .classifiers import (
 )
 from .corpus import Corpus, Occurrence, extract_occurrences
 from .criteria import (
+    CONTENT_MODE_PROBLEM,
+    CONTENT_MODES,
     Cell,
     Span,
     cell_name,
@@ -40,15 +42,29 @@ from .criteria import (
 
 CLASSIFIERS = ("nb", "dl")
 
-GRID_CSV_HEADER = ("word", "category", "criterion", "size", "classifier",
-                   "precision", "fold_precisions")
 
+@dataclass(frozen=True)
+class CVParams:
+    """How every cell of a grid is cross-validated: the classifier and its
+    smoothing, the k-fold draw (``k`` folds from ``seed``), the filtered-window
+    ``content_mode``, and whether each decision's evidence is kept."""
 
-def check_classifier(classifier: str) -> None:
-    """Raise ``ValueError`` unless ``classifier`` is one of ``CLASSIFIERS``."""
-    if classifier not in CLASSIFIERS:
-        raise ValueError(f"unknown classifier {classifier!r}: "
-                         f"valid ids are {', '.join(CLASSIFIERS)}")
+    classifier: str
+    smoothing: SmoothingParams = SmoothingParams()
+    k: int = 10
+    seed: int = 0
+    content_mode: str = "reindex"
+    keep_records: bool = False
+
+    def __post_init__(self) -> None:
+        problems = [problem for bad, problem in (
+            (self.classifier not in CLASSIFIERS, f"unknown classifier {self.classifier!r}: "
+                                                 f"valid ids are {', '.join(CLASSIFIERS)}"),
+            (self.k < 2, "k must be >= 2"),
+            (self.content_mode not in CONTENT_MODES, CONTENT_MODE_PROBLEM),
+        ) if bad]
+        if problems:
+            raise ValueError("\n".join(problems))
 
 
 @dataclass(frozen=True)
@@ -94,15 +110,15 @@ def kfold_split(occurrences: Sequence[Occurrence], k: int, seed: int) -> FoldPla
 
 @dataclass(frozen=True)
 class WordResult:
-    """One cell's decisions on a word: bit i of ``correct`` (``fallback``) is
-    set when occurrence i of its fold plan was decided right (by the
-    most-frequent-sense fallback).  ``evidence``, kept only with records, holds
-    each decision's deciding-key span (None for NB or a fallback)."""
+    """One cell's decisions on a word, under its ``GridResult``'s ``params``:
+    bit i of ``correct`` (``fallback``) is set when occurrence i of its fold
+    plan was decided right (by the most-frequent-sense fallback).
+    ``evidence``, kept only with records, holds each decision's deciding-key
+    span (None for NB or a fallback)."""
 
     lemma: str
     category: str
     cell: Cell
-    classifier: str
     decisions: int
     correct: int
     fallback: int
@@ -125,26 +141,19 @@ class SkippedWord:
     reason: str
 
 
-def cross_validate(
-    plan: FoldPlan,
-    cell: Cell,
-    classifier: str,
-    smoothing: SmoothingParams = SmoothingParams(),
-    *,
-    content_mode: str = "reindex",
-    keep_records: bool = False,
-) -> WordResult:
+def cross_validate(plan: FoldPlan, cell: Cell, params: CVParams) -> WordResult:
     """Train on k-1 folds, classify the held-out fold, for every fold.
 
     The cell's criteria give one combined feature vector per occurrence, and
-    every occurrence is decided exactly once, by the model of the folds that
-    hold it out.
+    every occurrence is decided exactly once, under ``params``, by the model
+    of the folds that hold it out (``params.k`` and ``seed`` drew the plan).
     """
-    check_classifier(classifier)
     if not cell:
         raise ValueError("at least one criterion is required")
     # Looked up on every call, not bound at import, so a tracer can wrap them.
-    train, classify = (train_nb, classify_nb) if classifier == "nb" else (train_dl, classify_dl)
+    train, classify = ((train_nb, classify_nb) if params.classifier == "nb"
+                       else (train_dl, classify_dl))
+    smoothing, content_mode = params.smoothing, params.content_mode
     occurrences = plan.occurrences
     vectors = [
         combine_features(cell, [
@@ -168,11 +177,11 @@ def cross_validate(
             senses[i], _, keys[i], fallbacks[i] = classify(model, vectors[i])
 
     return WordResult(
-        occurrences[0].lemma, occurrences[0].category, cell, classifier, n,
+        occurrences[0].lemma, occurrences[0].category, cell, n,
         _bits([sense == occ.sense for sense, occ in zip(senses, occurrences)]),
         _bits(fallbacks),
         tuple(None if key is None else feature_span(occ, cell, key, content_mode=content_mode)
-              for key, occ in zip(keys, occurrences)) if keep_records else (),
+              for key, occ in zip(keys, occurrences)) if params.keep_records else (),
     )
 
 
@@ -183,12 +192,14 @@ def _bits(flags: list[bool]) -> int:
 
 @dataclass(frozen=True)
 class GridResult:
-    """Every (word x cell) result, the skipped words and each word's fold plan
-    by (lemma, category).  ``workers``, the number of processes that evaluated
-    it (1 when serial), is left out of equality: results do not depend on it."""
+    """Every (word x cell) result under ``params``, the skipped words and each
+    word's fold plan by (lemma, category).  ``workers``, the number of
+    processes that evaluated it (1 when serial), is left out of equality:
+    results do not depend on it."""
 
     results: tuple[WordResult, ...]
     skipped: tuple[SkippedWord, ...]
+    params: CVParams
     plans: dict[tuple[str, str], FoldPlan] = field(default_factory=dict)
     workers: int = field(default=1, compare=False)
 
@@ -229,38 +240,31 @@ def grid_search(
     corpus: Corpus,
     targets: Sequence[tuple[str, str]],
     cells: Sequence[Cell],
-    classifier: str,
-    smoothing: SmoothingParams = SmoothingParams(),
-    k: int = 10,
-    seed: int = 0,
+    params: CVParams,
     *,
     jobs: int = 1,
-    content_mode: str = "reindex",
-    keep_records: bool = False,
 ) -> GridResult:
-    """Cross-validate every (target word, cell) pair.
+    """Cross-validate every (target word, cell) pair under ``params``.
 
     Words with fewer occurrences than k are skipped with a warning record
     rather than failing the run.  Results are ordered word-ascending then in
     cell order, independent of the worker count; each decision's evidence is
-    kept only when ``keep_records`` is set.
+    kept only when ``params.keep_records`` is set.
     """
     if not cells:
         raise ValueError("empty criterion list")
     if not targets:
         raise ValueError("empty target list")
-    check_classifier(classifier)
 
     plans: dict[tuple[str, str], FoldPlan] = {}
     skipped: list[SkippedWord] = []
     for lemma, category in sorted(targets):
         occurrences = extract_occurrences(corpus, lemma, category)
-        if len(occurrences) < k:
-            skipped.append(
-                SkippedWord(lemma, category, f"{len(occurrences)} occurrences < k={k}")
-            )
-            continue
-        plans[lemma, category] = kfold_split(occurrences, k, seed)
+        if len(occurrences) < params.k:
+            reason = f"{len(occurrences)} occurrences < k={params.k}"
+            skipped.append(SkippedWord(lemma, category, reason))
+        else:
+            plans[lemma, category] = kfold_split(occurrences, params.k, params.seed)
 
     tasks = [(wi, ci) for wi in range(len(plans)) for ci in range(len(cells))]
     workers = worker_count(jobs, len(tasks))
@@ -270,8 +274,7 @@ def grid_search(
         context = None
     # cross_validate is looked up on each call, so a tracer's wrapper on it
     # sees every cell.
-    evaluate = partial(cross_validate, classifier=classifier, smoothing=smoothing,
-                       content_mode=content_mode, keep_records=keep_records)
+    evaluate = partial(cross_validate, params=params)
     _POOL_STATE.update(evaluate=evaluate, plans=list(plans.values()), cells=cells)
     try:
         if context is None:
@@ -300,16 +303,6 @@ def grid_search(
     finally:
         _POOL_STATE.clear()
 
-    return GridResult(tuple(results), tuple(skipped), plans,
+    return GridResult(tuple(results), tuple(skipped), params, plans,
                       1 if context is None else workers)
 
-
-def grid_rows(grid_result: GridResult) -> list[tuple]:
-    """``grid.csv`` rows: one per (word, cell), in result order."""
-    plans = grid_result.plans
-    return [GRID_CSV_HEADER] + [
-        (result.lemma, result.category, result.criterion, max(c.size for c in result.cell),
-         result.classifier, f"{result.precision:.6f}", ";".join(f"{p:.6f}" for p in (
-             plans[result.lemma, result.category].fold_precisions(result.correct))))
-        for result in grid_result.results
-    ]

@@ -819,9 +819,9 @@ def context_report_reference(grid_result) -> dict[str, list[tuple]]:
 
 # --- results of a given precision ------------------------------------------------
 
-def result_of_precision(lemma, category, cell, classifier, precision, decisions=1000):
+def result_of_precision(lemma, category, cell, precision, decisions=1000):
     """A ``WordResult`` whose precision is exactly ``precision``: the first
     ``round(precision * decisions)`` of its ``decisions`` are right."""
     right = round(precision * decisions)
     assert right / decisions == precision, precision
-    return WordResult(lemma, category, cell, classifier, decisions, (1 << right) - 1, 0)
+    return WordResult(lemma, category, cell, decisions, (1 << right) - 1, 0)

@@ -17,6 +17,7 @@ import pytest
 
 import wsdlab
 from wsdlab import (
+    CVParams,
     PseudowordConfig,
     SmoothingParams,
     classify_dl,
@@ -157,7 +158,7 @@ def test_criterion_07_planted_signal_separation():
     plan = kfold_split(occurrences, 10, 0)
     unigram1 = parse_cell("[1gr|lemma|ordered|all]@1")
     for classifier in ("nb", "dl"):
-        result = cross_validate(plan, unigram1, classifier)
+        result = cross_validate(plan, unigram1, CVParams(classifier))
         assert result.precision == 1.0
 
     # (b) the signal lives only in the left-adjacent lemma pair: each token
@@ -173,9 +174,9 @@ def test_criterion_07_planted_signal_separation():
     bigram = parse_cell("[2gr|lemma|leftright|all]@2")
     unigram2 = parse_cell("[1gr|lemma|ordered|all]@2")
     for classifier in ("nb", "dl"):
-        pair_result = cross_validate(pair_plan, bigram, classifier)
+        pair_result = cross_validate(pair_plan, bigram, CVParams(classifier))
         assert pair_result.precision >= 0.99
-        unigram_result = cross_validate(pair_plan, unigram2, classifier)
+        unigram_result = cross_validate(pair_plan, unigram2, CVParams(classifier))
         assert unigram_result.precision <= baseline + 0.05
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0
@@ -195,7 +196,7 @@ def test_criterion_08_fallback_accounting():
     plan = kfold_split(occurrences, 10, 0)
     cell = parse_cell("[1gr|lemma|ordered|all]@1")
     for classifier in ("nb", "dl"):
-        result = cross_validate(plan, cell, classifier, keep_records=True)
+        result = cross_validate(plan, cell, CVParams(classifier, keep_records=True))
         # Every decision falls back to banane: right exactly on its occurrences.
         assert result.fallback == (1 << len(occurrences)) - 1
         assert result.correct == sum(1 << i for i, occ in enumerate(occurrences)
@@ -212,10 +213,9 @@ def test_criterion_09_evidence_profile_consistency():
     corpus = generate_pseudoword_corpus(config, 29)
     occurrences = extract_occurrences(corpus, config.target_lemma, "noun")
     plan = kfold_split(occurrences, 10, 0)
-    result = cross_validate(
-        plan, parse_cell("[1gr|lemma|ordered|all]@1"), "dl", keep_records=True
-    )
-    rows = evidence_reports(GridResult((result,), ()))["evidence_profile.csv"][1:]
+    params = CVParams("dl", keep_records=True)
+    result = cross_validate(plan, parse_cell("[1gr|lemma|ordered|all]@1"), params)
+    rows = evidence_reports(GridResult((result,), (), params))["evidence_profile.csv"][1:]
     fallbacks = result.fallback.bit_count()
     correct = sum(row[3] for row in rows) + (result.correct & result.fallback).bit_count()
     assert correct / result.decisions == result.precision

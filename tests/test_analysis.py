@@ -17,6 +17,7 @@ from oracles import (
 )
 from wsdlab import (
     ADJACENCY_CELLS,
+    CVParams,
     PseudowordConfig,
     adjacency_experiment,
     content_ablation,
@@ -54,19 +55,19 @@ def pseudo_corpus(seed=17, **kwargs):
 
 def selection(corpus, target, base):
     return selection_comparison(
-        grid_search(corpus, [target], selection_criteria(base), "nb", k=10, seed=0)
+        grid_search(corpus, [target], selection_criteria(base), CVParams("nb"))
     )
 
 
 def shifts(corpus, target, criterion, values):
     return shift_study(
-        grid_search(corpus, [target], shift_criteria(criterion, values), "nb", k=10, seed=0)
+        grid_search(corpus, [target], shift_criteria(criterion, values), CVParams("nb"))
     )
 
 
 def adjacency(corpus, target):
     return adjacency_experiment(
-        grid_search(corpus, [target], ADJACENCY_CELLS, "nb", k=10, seed=0)
+        grid_search(corpus, [target], ADJACENCY_CELLS, CVParams("nb"))
     )
 
 
@@ -93,6 +94,8 @@ def test_stats_rows_equal_the_reference(words):
 # --- evidence profile ---------------------------------------------------------
 
 UNIGRAM = (parse_criterion("[1gr|mform|ordered|all]@2"),)
+# How an evidence run cross-validates: the decision list, with records.
+EVIDENCE = CVParams("dl", keep_records=True)
 
 
 def record(tag, offset, correct, fallback=False):
@@ -102,7 +105,7 @@ def record(tag, offset, correct, fallback=False):
 
 def decided(records, lemma="mot", category="noun"):
     """A decision-list result of these decisions, in occurrence order."""
-    return WordResult(lemma, category, UNIGRAM, "dl", len(records),
+    return WordResult(lemma, category, UNIGRAM, len(records),
                       sum(r.correct << i for i, r in enumerate(records)),
                       sum(r.used_fallback << i for i, r in enumerate(records)),
                       tuple(r.evidence for r in records))
@@ -110,7 +113,7 @@ def decided(records, lemma="mot", category="noun"):
 
 def evidence(records, category="noun"):
     """The evidence reports of one word's decisions."""
-    return evidence_reports(GridResult((decided(records, category=category),), ()))
+    return evidence_reports(GridResult((decided(records, category=category),), (), EVIDENCE))
 
 
 # (falls back, correct, tag, offset) of one decision
@@ -143,7 +146,8 @@ def test_evidence_reports_equal_the_reference(words):
     """Words in any category order; a category that only falls back; offsets
     that tie on usage."""
     outcomes = _outcomes(words)
-    grid = GridResult(tuple(decided(o.records, o.lemma, o.category) for o in outcomes), ())
+    grid = GridResult(tuple(decided(o.records, o.lemma, o.category) for o in outcomes), (),
+                      EVIDENCE)
     assert evidence_reports(grid) == evidence_reports_reference(outcomes)
 
 
@@ -151,7 +155,7 @@ def test_evidence_reports_equal_the_reference(words):
 @given(words=_WORDS)
 def test_evidence_reports_count_the_decisions_without_a_fallback_bit(words):
     results = [decided(o.records, o.lemma, o.category) for o in _outcomes(words)]
-    space = evidence_reports(GridResult(tuple(results), ()))["evidence_space.csv"][1:]
+    space = evidence_reports(GridResult(tuple(results), (), EVIDENCE))["evidence_space.csv"][1:]
     assert sum(row[3] for row in space) == sum(
         r.decisions - r.fallback.bit_count() for r in results)
     assert sum(row[4] for row in space) == sum(
@@ -180,8 +184,8 @@ def test_profile_rejects_nb_records():
 
 def test_profile_rejects_a_run_without_records():
     corpus, target = pseudo_corpus()
-    grid = grid_search(corpus, [target], [parse_cell("[1gr|lemma|ordered|all]@1")], "dl",
-                       k=10, seed=0, keep_records=False)
+    grid = grid_search(corpus, [target], [parse_cell("[1gr|lemma|ordered|all]@1")],
+                       CVParams("dl"))
     assert grid.results[0].decisions > grid.results[0].fallback.bit_count()
     with pytest.raises(ValueError, match="^record lacks evidence: evidence profiles need "
                                          "decision-list runs$"):
@@ -199,9 +203,8 @@ def test_profile_consistency_with_word_result():
     corpus, (lemma, category) = pseudo_corpus(noise=0.5, vocabulary=2000, counts=(70, 30))
     occurrences = extract_occurrences(corpus, lemma, category)
     plan = kfold_split(occurrences, 10, 1)
-    result = cross_validate(plan, parse_cell("[1gr|lemma|ordered|all]@1"), "dl",
-                            keep_records=True)
-    rows = evidence_reports(GridResult((result,), ()))["evidence_profile.csv"][1:]
+    result = cross_validate(plan, parse_cell("[1gr|lemma|ordered|all]@1"), EVIDENCE)
+    rows = evidence_reports(GridResult((result,), (), EVIDENCE))["evidence_profile.csv"][1:]
     fallbacks = result.fallback.bit_count()
     assert fallbacks  # the engineered sparsity forces fallbacks
     correct = sum(row[3] for row in rows) + (result.correct & result.fallback).bit_count()
@@ -235,10 +238,10 @@ def test_space_summary_uniform_prefers_near_offsets():
 
 def grid_result_from(rows):
     results = tuple(
-        result_of_precision(lemma, category, (parse_criterion(criterion),), "dl", precision)
+        result_of_precision(lemma, category, (parse_criterion(criterion),), precision)
         for lemma, category, criterion, precision in rows
     )
-    return GridResult(results, ())
+    return GridResult(results, (), CVParams("dl"))
 
 
 def test_ablation_pair_decrease():
@@ -339,11 +342,10 @@ def test_selection_shares_fold_plans():
     rows = selection(corpus, target, base)[1:]
     plan = kfold_split(extract_occurrences(corpus, *target), 10, 0)
     for row, criterion in zip(rows, selection_criteria(base), strict=True):
-        alone = grid_search(corpus, [target], [criterion], "nb", k=10, seed=0)
+        alone = grid_search(corpus, [target], [criterion], CVParams("nb"))
         assert row == (alone.results[0].criterion, "noun", 1,
                        f"{alone.results[0].precision:.6f}")
-        assert alone.results[0] == cross_validate(plan, criterion, "nb",
-                                                  keep_records=False)
+        assert alone.results[0] == cross_validate(plan, criterion, CVParams("nb"))
 
 
 def test_selection_csv_schema():
@@ -498,11 +500,11 @@ def _grid_results(draw, cells, drop=True):
     categories = draw(st.lists(st.sampled_from(CATEGORIES), min_size=1, max_size=7))
     words = sorted((f"w{n}", category) for n, category in enumerate(categories))
     return GridResult(tuple(
-        result_of_precision(lemma, category, cell, "nb", precision)
+        result_of_precision(lemma, category, cell, precision)
         for lemma, category in words for cell in cells
         for precision in [draw(_PRECISION)]
         if not (drop and draw(st.integers(0, 9)) == 0)
-    ), ())
+    ), (), CVParams("nb"))
 
 
 @settings(max_examples=300, deadline=None)

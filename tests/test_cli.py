@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -213,8 +214,8 @@ def test_every_bad_option_value_is_listed_without_usage(workspace, capsys):
     assert capsys.readouterr().err.splitlines() == [
         "error: m must be a number, not 'abc'",
         "error: k must be an integer, not 'x'",
-        "error: unknown classifier 'svm': valid ids are nb, dl",
         "error: prior_mode must be one of ('feature-values', 'senses')",
+        "error: unknown classifier 'svm': valid ids are nb, dl",
         "error: content mode must be one of ('reindex', 'keep_gaps')",
     ]
     assert not (workspace / "nothing10").exists()
@@ -485,9 +486,9 @@ def test_validate_config_lists_all_problems(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == [
         f"error: corpus file not found: {tmp_path / 'missing.tsv'}",
         f"error: targets file not found: {tmp_path / 'missing-targets.tsv'}",
+        "error: smoothing strength m must be >= 0",
         "error: unknown classifier 'svm': valid ids are nb, dl",
         "error: k must be >= 2",
-        "error: smoothing strength m must be >= 0",
     ]
     assert not (tmp_path / "out").exists()
 
@@ -616,6 +617,41 @@ def test_every_experiment_cross_validates_its_cells_for_each_word(three_categori
         for result in results.pop().results:
             by_word.setdefault(result.lemma, []).append(result.cell)
         assert list(by_word.values()) == [cells] * words, command
+
+
+def test_no_run_meta_key_names_a_setting(three_categories, tmp_path, monkeypatch):
+    """``run.meta`` is the ``RunConfig``'s fields and then the keys a run
+    adds; an added key that named a field would silently replace that
+    setting.  Every subcommand's added keys are checked."""
+    settings = {field.name for field in dataclasses.fields(RunConfig)}
+    added = {}
+    write_meta = cli._write_meta
+
+    def recording(config, extra):
+        added[config.subcommand] = {"tool", "version", *extra}
+        write_meta(config, extra)
+
+    monkeypatch.setattr(cli, "_write_meta", recording)
+    (tmp_path / "pw.cfg").write_text(PW_CONFIG, encoding="utf-8")
+    inputs = {"corpus": three_categories / "corpus.tsv",
+              "targets": three_categories / "targets.tsv"}
+    for command in COMMANDS:
+        out = tmp_path / command
+        if command == "pseudoword":
+            config = RunConfig(command, out, config=tmp_path / "pw.cfg", seed=None)
+        else:
+            options = dict(_CELL_OPTIONS.get(command, {}))
+            if "grid" in options:
+                options["grid"] = str(three_categories / options["grid"])
+            config = RunConfig(command, out, **inputs, k=5, **options)
+        assert run(config) == 0, command
+        assert not added[command] & settings, command
+        meta = json.loads((out / "run.meta").read_text(encoding="utf-8"))
+        assert set(meta) == settings | added[command], command
+    assert set(added) == set(COMMANDS)
+    assert set().union(*added.values()) == {
+        "tool", "version", "inputs", "skipped", "workers", "cells", "pseudoword_seed",
+        "occurrences"}
 
 
 @pytest.mark.parametrize("command", ["evidence", "selection", "shift"])

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from wsdlab import (
     Corpus,
     CriterionGrid,
+    CVParams,
     Document,
     PseudowordConfig,
     SmoothingParams,
@@ -21,7 +22,6 @@ from wsdlab import (
     extract_features,
     extract_occurrences,
     generate_pseudoword_corpus,
-    grid_rows,
     grid_search,
     kfold_split,
     parse_corpus,
@@ -31,7 +31,8 @@ from wsdlab import (
 )
 from wsdlab import evaluation
 from wsdlab.criteria import feature_span, parse_cell
-from wsdlab.evaluation import GRID_CSV_HEADER, FoldPlan, GridResult, WordResult, worker_count
+from wsdlab.analysis import GRID_CSV_HEADER, grid_rows
+from wsdlab.evaluation import FoldPlan, GridResult, WordResult, worker_count
 from oracles import kfold_assignment, mfs_baseline
 
 
@@ -129,7 +130,7 @@ def test_planted_signal_is_fully_separable():
     plan = kfold_split(occurrences, 10, 0)
     cell = parse_cell("[1gr|lemma|ordered|all]@1")
     for classifier in ("nb", "dl"):
-        result = cross_validate(plan, cell, classifier)
+        result = cross_validate(plan, cell, CVParams(classifier))
         assert result.precision == 1.0
         assert plan.fold_precisions(result.correct) == (1.0,) * 10
 
@@ -140,7 +141,7 @@ def test_destroyed_signal_tracks_mfs():
     baseline = mfs_baseline(occurrences)
     cell = parse_cell("[1gr|lemma|ordered|all]@1")
     for classifier in ("nb", "dl"):
-        result = cross_validate(plan, cell, classifier)
+        result = cross_validate(plan, cell, CVParams(classifier))
         assert abs(result.precision - baseline) <= 0.1
 
 
@@ -152,7 +153,7 @@ def test_destroyed_signal_with_constant_fillers_is_exactly_mfs():
     baseline = mfs_baseline(occurrences)
     cell = parse_cell("[1gr|lemma|ordered|all]@1")
     for classifier in ("nb", "dl"):
-        result = cross_validate(plan, cell, classifier)
+        result = cross_validate(plan, cell, CVParams(classifier))
         assert result.precision == pytest.approx(baseline)
 
 
@@ -161,7 +162,7 @@ def test_monosemous_word_scores_one():
     plan = kfold_split(occurrences, 10, 0)
     for classifier in ("nb", "dl"):
         result = cross_validate(
-            plan, parse_cell("[1gr|lemma|ordered|all]@1"), classifier
+            plan, parse_cell("[1gr|lemma|ordered|all]@1"), CVParams(classifier)
         )
         assert result.precision == 1.0
 
@@ -170,7 +171,7 @@ def test_every_occurrence_classified_once():
     corpus, occurrences = signal_corpus(counts=(30, 30), noise=0.5)
     plan = kfold_split(occurrences, 10, 0)
     result = cross_validate(
-        plan, parse_cell("[1gr|lemma|ordered|all]@2"), "dl", keep_records=True
+        plan, parse_cell("[1gr|lemma|ordered|all]@2"), CVParams("dl", keep_records=True)
     )
     assert result.decisions == len(occurrences) == len(result.evidence)
     # No bit past the last occurrence; the fallback bits are a subset of the
@@ -190,8 +191,7 @@ def test_unknown_test_contexts_all_fall_back():
     plan = kfold_split(occurrences, 5, 1)
     for classifier in ("nb", "dl"):
         result = cross_validate(
-            plan, parse_cell("[1gr|lemma|ordered|all]@1"), classifier,
-            keep_records=True,
+            plan, parse_cell("[1gr|lemma|ordered|all]@1"), CVParams(classifier, keep_records=True)
         )
         # Every decision falls back to banane: right exactly on its occurrences.
         assert result.fallback == (1 << len(occurrences)) - 1
@@ -207,7 +207,7 @@ def test_evidence_recorded_only_for_dl_decisions():
     # In the '+' cell the leftright keys sort first, so they win every tie with
     # the ordered ones: the deciding criterion is not the cell's first.
     for cell in ((criterion,), (criterion, parse_criterion("[1gr|lemma|leftright|all]@1"))):
-        dl = cross_validate(plan, cell, "dl", keep_records=True)
+        dl = cross_validate(plan, cell, CVParams("dl", keep_records=True))
         # Each fold's decisions, retrained here: occurrence i's bits are its
         # decision's, and the evidence is the span of its deciding key.
         vectors = [combine_features(cell, [extract_features(occ, c) for c in cell])
@@ -226,7 +226,7 @@ def test_evidence_recorded_only_for_dl_decisions():
                 if prediction.key is not None:
                     assert dl.evidence[i] == feature_span(occurrences[i], cell,
                                                           prediction.key)
-    nb = cross_validate(plan, (criterion,), "nb", keep_records=True)
+    nb = cross_validate(plan, (criterion,), CVParams("nb", keep_records=True))
     assert nb.evidence == (None,) * len(occurrences)
 
 
@@ -234,7 +234,7 @@ def test_combined_criteria_in_cross_validation():
     corpus, occurrences = signal_corpus(counts=(30, 30))
     plan = kfold_split(occurrences, 10, 0)
     cell = parse_cell("[2gr|lemma|leftright|all]@1anchored+[3gr|lemma|leftright|all]@2anchored")
-    result = cross_validate(plan, cell, "nb")
+    result = cross_validate(plan, cell, CVParams("nb"))
     assert "+" in result.criterion
     assert result.precision == 1.0  # adjacent signal is visible to anchored bigrams
 
@@ -246,7 +246,7 @@ def test_fold_with_single_sense_training_is_valid():
     plan = kfold_split(occurrences, 10, 0)
     for classifier in ("nb", "dl"):
         result = cross_validate(
-            plan, parse_cell("[1gr|lemma|ordered|all]@1"), classifier
+            plan, parse_cell("[1gr|lemma|ordered|all]@1"), CVParams(classifier)
         )
         assert result.precision == pytest.approx(0.95)
 
@@ -262,9 +262,7 @@ def small_grid():
 
 def test_grid_search_shapes_and_order():
     corpus, _ = signal_corpus(counts=(30, 30))
-    result = grid_search(
-        corpus, [("bananeporte", "noun")], small_grid(), "nb", k=10, seed=0
-    )
+    result = grid_search(corpus, [("bananeporte", "noun")], small_grid(), CVParams("nb"))
     assert [r.criterion for r in result.results] == [
         "[1gr|lemma|ordered|all]@1",
         "[1gr|lemma|ordered|all]@2",
@@ -279,9 +277,7 @@ def test_grid_search_skips_small_words():
         corpus,
         [("bananeporte", "noun"), ("fantôme", "noun")],
         small_grid(),
-        "nb",
-        k=10,
-        seed=0,
+        CVParams("nb"),
     )
     assert len(result.skipped) == 1
     assert result.skipped[0].lemma == "fantôme"
@@ -290,17 +286,15 @@ def test_grid_search_skips_small_words():
 
 def test_grid_search_parallel_equals_sequential():
     corpus, _ = signal_corpus(counts=(20, 20), noise=0.4, seed=2)
-    args = (corpus, [("bananeporte", "noun")], small_grid(), "dl")
-    sequential = grid_search(*args, k=5, seed=3, jobs=1)
-    parallel = grid_search(*args, k=5, seed=3, jobs=4)
+    args = (corpus, [("bananeporte", "noun")], small_grid(), CVParams("dl", k=5, seed=3))
+    sequential = grid_search(*args, jobs=1)
+    parallel = grid_search(*args, jobs=4)
     assert sequential == parallel
 
 
 def test_grid_search_category_averages():
     corpus, _ = signal_corpus(counts=(30, 30))
-    result = grid_search(
-        corpus, [("bananeporte", "noun")], small_grid(), "nb", k=10, seed=0
-    )
+    result = grid_search(corpus, [("bananeporte", "noun")], small_grid(), CVParams("nb"))
     # The per-category macro average, as the selection report prints it.
     assert selection_comparison(result)[1] == ("[1gr|lemma|ordered|all]@1", "noun", 1,
                                                "1.000000")
@@ -311,15 +305,16 @@ def test_grid_search_combined_cells_and_records():
     plan = kfold_split(occurrences, 10, 0)
     parts = (parse_criterion("[1gr|lemma|ordered|all]@1"),
              parse_criterion("[2gr|lemma|leftright|all]@2"))
-    result = grid_search(corpus, [("bananeporte", "noun")], [parts, parts[:1]], "dl",
-                         k=10, seed=0, keep_records=True)
+    params = CVParams("dl", keep_records=True)
+    result = grid_search(corpus, [("bananeporte", "noun")], [parts, parts[:1]], params)
     assert [r.cell for r in result.results] == [parts, parts[:1]]
     assert [r.criterion for r in result.results] == [
         "[1gr|lemma|ordered|all]@1+[2gr|lemma|leftright|all]@2", "[1gr|lemma|ordered|all]@1"]
-    assert list(result.results) == [cross_validate(plan, cell, "dl", keep_records=True)
+    assert list(result.results) == [cross_validate(plan, cell, params)
                                     for cell in (parts, parts[:1])]
+    assert result.params == params
     assert result.plans == {("bananeporte", "noun"): plan}
-    without = grid_search(corpus, [("bananeporte", "noun")], [parts], "dl", k=10, seed=0)
+    without = grid_search(corpus, [("bananeporte", "noun")], [parts], CVParams("dl"))
     assert without.results[0].evidence == ()
 
 
@@ -327,7 +322,7 @@ def test_grid_search_combined_cells_and_records():
 def test_grid_search_keeps_nothing_alive_after_it_returns(jobs):
     corpus, _ = signal_corpus(counts=(20, 20))
     alive = weakref.ref(corpus)
-    grid_search(corpus, [("bananeporte", "noun")], small_grid(), "nb", k=5, jobs=jobs)
+    grid_search(corpus, [("bananeporte", "noun")], small_grid(), CVParams("nb", k=5), jobs=jobs)
     del corpus
     gc.collect()
     assert alive() is None
@@ -346,7 +341,7 @@ def test_grid_search_looks_up_the_traced_functions_at_call_time(monkeypatch, cla
     corpus, occurrences = signal_corpus(counts=(20, 20))
     grid = small_grid()
     cells, n, k = len(grid), len(occurrences), 5
-    grid_search(corpus, [("bananeporte", "noun")], grid, classifier, k=k)
+    grid_search(corpus, [("bananeporte", "noun")], grid, CVParams(classifier, k=k))
     assert calls == {"extract": n * cells, "train": k * cells, "classify": n * cells}
 
 
@@ -358,21 +353,34 @@ def test_worker_count_is_bounded():
     assert worker_count(8, 0) == 1
 
 
-def test_cross_validate_rejects_unknown_classifier():
+def test_cv_params_lists_every_problem_at_once():
+    with pytest.raises(ValueError) as info:
+        CVParams("svm", k=1, content_mode="x")
+    assert str(info.value).splitlines() == [
+        "unknown classifier 'svm': valid ids are nb, dl",
+        "k must be >= 2",
+        "content mode must be one of ('reindex', 'keep_gaps')",
+    ]
+
+
+def test_cv_params_rejects_unknown_classifier():
+    with pytest.raises(ValueError, match="^unknown classifier 'NB': valid ids are nb, dl$"):
+        CVParams("NB")
+
+
+def test_cross_validate_rejects_an_empty_cell():
     corpus, occurrences = signal_corpus(counts=(20, 20))
     plan = kfold_split(occurrences, 10, 0)
-    with pytest.raises(ValueError, match="unknown classifier 'NB': valid ids are nb, dl"):
-        cross_validate(plan, parse_cell("[1gr|lemma|ordered|all]@1"), "NB")
+    with pytest.raises(ValueError, match="at least one criterion is required"):
+        cross_validate(plan, (), CVParams("nb"))
 
 
 def test_grid_search_validation():
     corpus, _ = signal_corpus(counts=(20, 20))
-    with pytest.raises(ValueError):
-        grid_search(corpus, [], small_grid(), "nb")
-    with pytest.raises(ValueError):
-        grid_search(corpus, [("bananeporte", "noun")], [], "nb")
-    with pytest.raises(ValueError):
-        grid_search(corpus, [("bananeporte", "noun")], small_grid(), "svm")
+    with pytest.raises(ValueError, match="empty target list"):
+        grid_search(corpus, [], small_grid(), CVParams("nb"))
+    with pytest.raises(ValueError, match="empty criterion list"):
+        grid_search(corpus, [("bananeporte", "noun")], [], CVParams("nb"))
 
 
 _SENSE_NAME = st.text("abcxyz", min_size=1, max_size=3)
@@ -408,8 +416,8 @@ def test_order_preserving_sense_renaming_keeps_precisions(data):
 
     for classifier in ("nb", "dl"):
         before, after = (
-            grid_search(corpus_with(names), [("w", "noun")], _RENAMING_CELLS, classifier,
-                        k=3, seed=seed)
+            grid_search(corpus_with(names), [("w", "noun")], _RENAMING_CELLS,
+                        CVParams(classifier, k=3, seed=seed))
             for names in (senses, renamed)
         )
         assert before.plans[("w", "noun")].folds == after.plans[("w", "noun")].folds
@@ -426,9 +434,10 @@ def test_write_grid_csv():
     first, second = plan.folds
     # Both decisions of the first fold right, one of the second.
     correct = sum(1 << i for i in (*first, second[0]))
-    result = WordResult("mot", "noun", (parse_criterion("[1gr|lemma|ordered|all]@1"),), "nb",
+    result = WordResult("mot", "noun", (parse_criterion("[1gr|lemma|ordered|all]@1"),),
                         4, correct, 0)
-    assert grid_rows(GridResult((result,), (), {("mot", "noun"): plan})) == [
+    grid = GridResult((result,), (), CVParams("nb", k=2), {("mot", "noun"): plan})
+    assert grid_rows(grid) == [
         GRID_CSV_HEADER,
         ("mot", "noun", "[1gr|lemma|ordered|all]@1", 1, "nb", "0.750000", "1.000000;0.500000"),
     ]

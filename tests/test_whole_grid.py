@@ -28,18 +28,20 @@ from hypothesis import strategies as st
 from wsdlab import (
     Corpus,
     Criterion,
+    CVParams,
     Document,
     PseudowordConfig,
     SmoothingParams,
     Token,
     generate_pseudoword_corpus,
-    grid_rows,
     grid_search,
     parse_corpus,
 )
 from wsdlab import cli
+from wsdlab.analysis import grid_rows
 from wsdlab.cli import main
-from wsdlab.criteria import CONTENT_MODES, FILTERS, POSITIONINGS, TAGS
+from wsdlab.corpus import TOKEN_FIELDS
+from wsdlab.criteria import CONTENT_MODES, FILTERS, POSITIONINGS
 from oracles import (
     evidence_reports_reference,
     grid_rows_oracle,
@@ -99,7 +101,7 @@ def criteria(order=st.integers(1, 3)):
     return st.builds(
         lambda order, tag, positioning, filt, size, shift, anchored: Criterion(
             order, tag, positioning, filt, size, shift, anchored and order > 1),
-        order, st.sampled_from(TAGS), st.sampled_from(POSITIONINGS), st.sampled_from(FILTERS),
+        order, st.sampled_from(TOKEN_FIELDS), st.sampled_from(POSITIONINGS), st.sampled_from(FILTERS),
         st.integers(1, 3), st.integers(-2, 2), st.booleans())
 
 
@@ -107,7 +109,7 @@ def criteria(order=st.integers(1, 3)):
 def runs(draw):
     k = draw(st.integers(2, 3))
     corpus, targets_text, targets = draw(corpora(k))
-    grid = {"orders": draw(subset([1, 2, 3])), "tags": draw(subset(TAGS)),
+    grid = {"orders": draw(subset([1, 2, 3])), "tags": draw(subset(TOKEN_FIELDS)),
             "positionings": draw(subset(POSITIONINGS)), "filters": draw(subset(FILTERS)),
             "sizes": draw(subset([1, 2, 3]))}
     cells = [(Criterion(*values),) for values in itertools.product(*grid.values())]
@@ -136,10 +138,11 @@ def bits(mask):
     return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-def decisions(results):
-    """Each result's key, decision count and correct and fallback indices."""
-    return [(r.lemma, r.category, r.cell, r.classifier, r.decisions, bits(r.correct),
-             bits(r.fallback)) for r in results]
+def decisions(grid_result):
+    """Each result's key, the run's classifier, and the result's decision
+    count and correct and fallback indices."""
+    return [(r.lemma, r.category, r.cell, grid_result.params.classifier, r.decisions,
+             bits(r.correct), bits(r.fallback)) for r in grid_result.results]
 
 
 def oracle_decisions(outcomes):
@@ -205,7 +208,7 @@ def test_cli_reports_equal_the_whole_grid_oracle(run):
                 for name, text in want.items():
                     assert (out / name).read_text(encoding="utf-8") == text, (command, jobs, name)
                 (result,) = results
-                assert decisions(result.results) == oracle_decisions(outcomes), (command, jobs)
+                assert decisions(result) == oracle_decisions(outcomes), (command, jobs)
 
 
 @settings(max_examples=150, deadline=None)
@@ -216,9 +219,11 @@ def test_grid_search_equals_the_whole_grid_oracle(run):
     for classifier, prior_mode in (("nb", "feature-values"), ("nb", "senses"), ("dl", "senses")):
         smoothing = SmoothingParams(run["smoothing"].m, prior_mode)
         rows, outcomes = oracle(run, cells, classifier, smoothing)
-        result = grid_search(corpus, run["targets"], cells, classifier, smoothing, run["k"],
-                             run["seed"], content_mode=run["content_mode"], keep_records=True)
+        params = CVParams(classifier, smoothing, run["k"], run["seed"], run["content_mode"],
+                          keep_records=True)
+        result = grid_search(corpus, run["targets"], cells, params)
+        assert result.params == params
         assert grid_rows(result) == rows
-        assert decisions(result.results) == oracle_decisions(outcomes)
+        assert decisions(result) == oracle_decisions(outcomes)
         assert [r.evidence for r in result.results] == [
             tuple(record.evidence for record in o.records) for o in outcomes]
