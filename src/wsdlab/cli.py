@@ -98,7 +98,7 @@ class RunConfig:
     m: float = 1.0
     prior_mode: str = "feature-values"
     k: int = 10
-    seed: int = 0
+    seed: int | None = 0  # None only for pseudoword: its config file's seed
     jobs: int = 1
     shifts: tuple[int, ...] = (0, 1)
     content_mode: str = "reindex"

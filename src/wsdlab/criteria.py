@@ -132,6 +132,12 @@ def parse_cell(text: str) -> Cell:
     return cell
 
 
+def _positioning(name: str) -> str:
+    """A positioning as written in a criterion or a grid config: ``position``
+    is read as ``ordered``."""
+    return "ordered" if name == "position" else name
+
+
 _SUFFIX_RE = re.compile(r"^(\d+)(?:shift([+-]\d+))?(anchored)?$")
 
 
@@ -152,8 +158,6 @@ def parse_criterion(text: str) -> Criterion:
     if not match:
         raise CriterionParseError(f"bad n-gram parameter {par1!r} (expected e.g. '2gr')")
     order = int(match.group(1))
-    if positioning == "position":
-        positioning = "ordered"
     suffix_match = _SUFFIX_RE.match(suffix)
     if not suffix_match:
         raise CriterionParseError(f"bad size/shift/anchored suffix {suffix!r}")
@@ -161,7 +165,7 @@ def parse_criterion(text: str) -> Criterion:
     shift = int(suffix_match.group(2)) if suffix_match.group(2) else 0
     anchored = suffix_match.group(3) is not None
     try:
-        return Criterion(order, tag, positioning, filt, size, shift, anchored)
+        return Criterion(order, tag, _positioning(positioning), filt, size, shift, anchored)
     except ValueError as exc:
         raise CriterionParseError(
             "\n".join(f"{text!r}: {problem}" for problem in str(exc).splitlines())
@@ -233,15 +237,10 @@ def _parse_int_list(value: str) -> tuple[int, ...]:
     return tuple(items)
 
 
-def _parse_positionings(value: str) -> tuple[str, ...]:
-    """Positionings, with ``position`` read as ``ordered``."""
-    return tuple("ordered" if v == "position" else v for v in _parse_csv_list(value))
-
-
 # Each grid config key with the converter from its text value.
 _GRID_KEYS = {"orders": _parse_int_list, "tags": _parse_csv_list,
-              "positionings": _parse_positionings, "filters": _parse_csv_list,
-              "sizes": _parse_int_list}
+              "positionings": lambda value: tuple(map(_positioning, _parse_csv_list(value))),
+              "filters": _parse_csv_list, "sizes": _parse_int_list}
 
 
 def parse_grid_config(text: str) -> CriterionGrid:

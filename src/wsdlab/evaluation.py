@@ -3,10 +3,12 @@
 Folds are stratified by gold sense and fully determined by (occurrences, k,
 seed), so any run is reproducible bit-for-bit.  Only ``grid_search`` reads a
 corpus, to look up each word's occurrences; each carries its document's tokens,
-so cross-validation needs nothing else.  The (word x cell) grid is
-evaluated pair by pair; pairs are independent, so they can be dispatched to a
-worker pool without affecting the results.  A pair's result is its decisions,
-one bit per occurrence of the word's fold plan (decided right, decided by the
+so cross-validation needs nothing else.  The (word x cell) grid is evaluated
+pair by pair; pairs are independent, so they can be dispatched to a worker pool
+without affecting the results.  ``grid_search`` keeps no state between calls
+(a pool's workers get the grid from their initializer), so concurrent calls in
+one process do not affect each other.  A pair's result is its decisions, one
+bit per occurrence of the word's fold plan (decided right, decided by the
 fallback); every precision is derived from those bits.
 """
 
@@ -18,7 +20,7 @@ import random
 import signal
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Sequence
 
 from .classifiers import (
@@ -60,7 +62,9 @@ class CVParams:
         problems = [problem for bad, problem in (
             (self.classifier not in CLASSIFIERS, f"unknown classifier {self.classifier!r}: "
                                                  f"valid ids are {', '.join(CLASSIFIERS)}"),
-            (self.k < 2, "k must be >= 2"),
+            (not isinstance(self.k, int), f"k must be an integer, not {self.k!r}"),
+            (isinstance(self.k, int) and self.k < 2, "k must be >= 2"),
+            (not isinstance(self.seed, int), f"seed must be an integer, not {self.seed!r}"),
             (self.content_mode not in CONTENT_MODES, CONTENT_MODE_PROBLEM),
         ) if bad]
         if problems:
@@ -204,34 +208,34 @@ class GridResult:
     workers: int = field(default=1, compare=False)
 
 
-def worker_count(jobs: int, cells: int) -> int:
-    """Pool size for ``cells`` cells: at most ``jobs``, the cells, and the
-    CPUs this process may run on; at least 1."""
+def worker_count(jobs: int, pairs: int) -> int:
+    """Pool size for ``pairs`` (word, cell) pairs: at most ``jobs``, the
+    pairs, and the CPUs this process may run on; at least 1."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # not available on every platform
         cpus = os.cpu_count() or 1
-    return max(1, min(jobs, cells, cpus))
+    return max(1, min(jobs, pairs, cpus))
 
 
-# Grid state: the cell evaluator (cross_validate bound to the run's settings),
-# the fold plans and the cells.  Filled by grid_search in the parent before any
-# cell runs, and emptied when it returns.  Forked workers inherit it, and with
-# it the documents that the plans' occurrences reference, without per-task
-# pickling.
-_POOL_STATE: dict = {}
+# A pool worker's grid (fold plans, cells, CVParams), set by its initializer;
+# the parent never sets it.  Forked workers inherit the initializer's arguments,
+# and with them the plans' documents, without pickling.
+_WORKER_GRID: tuple = ()
 
 # (word, cell) pairs per task sent to a pool worker.
 _CHUNK = 8
 
 
 def _eval_cells(tasks: Sequence[tuple[int, int]]) -> list[WordResult]:
-    state = _POOL_STATE
-    return [state["evaluate"](state["plans"][wi], state["cells"][ci]) for wi, ci in tasks]
+    plans, cells, params = _WORKER_GRID
+    return [cross_validate(plans[wi], cells[ci], params) for wi, ci in tasks]
 
 
-def _end_on_interrupt() -> None:
-    """Pool worker initializer: SIGINT ends the worker, then is unblocked."""
+def _start_worker(plans: list[FoldPlan], cells: Sequence[Cell], params: CVParams) -> None:
+    """Pool worker initializer: keeps the grid; SIGINT ends the worker, then is unblocked."""
+    global _WORKER_GRID
+    _WORKER_GRID = plans, cells, params
     signal.signal(signal.SIGINT, signal.SIG_DFL)
     signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
 
@@ -266,42 +270,36 @@ def grid_search(
         else:
             plans[lemma, category] = kfold_split(occurrences, params.k, params.seed)
 
-    tasks = [(wi, ci) for wi in range(len(plans)) for ci in range(len(cells))]
-    workers = worker_count(jobs, len(tasks))
+    workers = worker_count(jobs, len(plans) * len(cells))
     try:
         context = multiprocessing.get_context("fork") if workers > 1 else None
     except ValueError:  # no fork on this platform: run serially
         context = None
-    # cross_validate is looked up on each call, so a tracer's wrapper on it
-    # sees every cell.
-    evaluate = partial(cross_validate, params=params)
-    _POOL_STATE.update(evaluate=evaluate, plans=list(plans.values()), cells=cells)
-    try:
-        if context is None:
-            results = _eval_cells(tasks)
-        else:
-            # SIGINT stays blocked until every worker is forked, so that each
-            # starts with it blocked and only unblocks it once it takes the
-            # default action: on Ctrl-C a worker ends at once, silently and
-            # without starting another cell, and the parent reports it.
-            pool = ProcessPoolExecutor(max_workers=workers, mp_context=context,
-                                       initializer=_end_on_interrupt)
+    if context is None:
+        results = [cross_validate(plan, cell, params) for plan in plans.values() for cell in cells]
+    else:
+        tasks = [(wi, ci) for wi in range(len(plans)) for ci in range(len(cells))]
+        # SIGINT stays blocked until every worker is forked, so that each
+        # starts with it blocked and only unblocks it once it takes the
+        # default action: on Ctrl-C a worker ends at once, silently and
+        # without starting another cell, and the parent reports it.
+        pool = ProcessPoolExecutor(max_workers=workers, mp_context=context,
+                                   initializer=_start_worker,
+                                   initargs=(list(plans.values()), cells, params))
+        try:
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
             try:
-                mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-                try:
-                    chunks = [pool.submit(_eval_cells, tasks[start:start + _CHUNK])
-                              for start in range(0, len(tasks), _CHUNK)]
-                finally:
-                    signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-                results = [result for chunk in chunks for result in chunk.result()]
+                chunks = [pool.submit(_eval_cells, tasks[start:start + _CHUNK])
+                          for start in range(0, len(tasks), _CHUNK)]
             finally:
-                # Pending chunks are cancelled by the pool's own thread. Not
-                # pool.map: it cancels them from this thread, which before
-                # Python 3.12 races the pool marking them broken when the
-                # workers end, and that thread then prints a traceback.
-                pool.shutdown(cancel_futures=True)
-    finally:
-        _POOL_STATE.clear()
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            results = [result for chunk in chunks for result in chunk.result()]
+        finally:
+            # Pending chunks are cancelled by the pool's own thread. Not
+            # pool.map: it cancels them from this thread, which before
+            # Python 3.12 races the pool marking them broken when the
+            # workers end, and that thread then prints a traceback.
+            pool.shutdown(cancel_futures=True)
 
     return GridResult(tuple(results), tuple(skipped), params, plans,
                       1 if context is None else workers)

@@ -700,6 +700,31 @@ def test_evaluate_still_needs_a_criterion(workspace, capsys):
     assert not out.exists()
 
 
+def test_an_evaluation_without_a_fold_seed_writes_nothing(workspace, capsys):
+    """Only pseudoword takes its seed from elsewhere, its config file; folds
+    drawn from no seed would differ from run to run."""
+    out = workspace / "no-seed"
+    config = RunConfig("evaluate", out, workspace / "gen" / "corpus.tsv",
+                       workspace / "gen" / "targets.tsv", "[1gr|lemma|ordered|all]@1",
+                       k=5, seed=None)
+    assert run(config) == 2
+    assert capsys.readouterr().err == "error: seed must be an integer, not None\n"
+    assert not out.exists()
+
+
+def test_a_k_that_is_not_an_integer_is_listed_with_the_other_problems(workspace, capsys):
+    out = workspace / "text-k"
+    config = RunConfig("evaluate", out, workspace / "gen" / "corpus.tsv",
+                       workspace / "gen" / "targets.tsv", "[1gr|lemma|ordered|all]@1",
+                       classifier="svm", k="5")
+    assert run(config) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: unknown classifier 'svm': valid ids are nb, dl",
+        "error: k must be an integer, not '5'",
+    ]
+    assert not out.exists()
+
+
 def test_pseudoword_values_are_single_columns(tmp_path, monkeypatch, capsys):
     """A value that is empty, or holds a tab or a line break, would break the
     corpus or targets line it is written to: each is listed with the other

@@ -1,7 +1,9 @@
 import gc
 import os
+import threading
 import weakref
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
@@ -328,6 +330,27 @@ def test_grid_search_keeps_nothing_alive_after_it_returns(jobs):
     assert alive() is None
 
 
+def test_concurrent_grid_searches_keep_to_their_own_corpus():
+    """grid_search keeps no state between calls: two threads' serial runs,
+    each on its own pseudo-word corpus, equal that corpus's run alone.  Each
+    run takes a few switch intervals, so the threads interleave."""
+    runs = []
+    for sources, seed in ((("banane", "porte"), 11), (("chat", "lune", "mer"), 12)):
+        config = PseudowordConfig(sources=sources, counts=(200,) * len(sources), noise=0.3)
+        runs.append((generate_pseudoword_corpus(config, seed),
+                     [(config.target_lemma, config.category)], small_grid(), CVParams("nb", k=5)))
+    alone = [grid_search(*args) for args in runs]
+    start = threading.Barrier(len(runs))
+
+    def together(args):
+        start.wait(timeout=60)
+        return grid_search(*args)
+
+    with ThreadPoolExecutor(len(runs)) as threads:
+        for _ in range(5):
+            assert list(threads.map(together, runs, timeout=120)) == alone
+
+
 @pytest.mark.parametrize("classifier", ["nb", "dl"])
 def test_grid_search_looks_up_the_traced_functions_at_call_time(monkeypatch, classifier):
     # perfbench's tracer wraps these module attributes; binding them at import
@@ -360,6 +383,16 @@ def test_cv_params_lists_every_problem_at_once():
         "unknown classifier 'svm': valid ids are nb, dl",
         "k must be >= 2",
         "content mode must be one of ('reindex', 'keep_gaps')",
+    ]
+
+
+def test_cv_params_lists_a_k_or_seed_that_is_not_an_integer():
+    # A seed of None would draw the folds from OS randomness.
+    with pytest.raises(ValueError) as info:
+        CVParams("nb", k="5", seed=None)
+    assert str(info.value).splitlines() == [
+        "k must be an integer, not '5'",
+        "seed must be an integer, not None",
     ]
 
 
