@@ -2,44 +2,39 @@
 
 Subcommands: stats, evaluate, grid, evidence, ablation, selection, shift,
 adjacency, pseudoword.  Each evaluation subcommand is a list of grid cells
-plus the reports it reduces the results to: all seven run through one
-``grid_search`` call, so all honour ``--jobs`` and report the words they skip
-(too few occurrences for k folds) on stderr and in ``run.meta``.  ``stats``
-reduces the corpus itself.  A report is its CSV rows, and every run's reports
-take one path out: ``write_csv`` writes each, then a ``run.meta`` JSON
-captures the full configuration and the sha256 of the bytes read from each
-input, so any run can be replayed exactly and the replay's inputs checked.
-An input is any path that exists and is not a directory, so a pipe or a
-process substitution will do; each is read once.  Exit
-codes: 0 success, 2 bad configuration, 3 corpus parse error, 4 empty result
-set, 5 a worker process died (no reports are written), 130 interrupted by
-Ctrl-C.  Each subcommand takes only the settings it reads: ``evidence``
-runs the decision list, so it has no ``--classifier`` (its ``RunConfig``
-holds ``dl``) and no NB ``--prior-mode``, and ``adjacency``, whose cells keep
-every token, has no ``--content-mode``.  argparse only names the options and
-``RunConfig`` holds their defaults, except the ``--criterion`` of
-``evidence``, ``selection`` and ``shift``: its default is in the subcommand's
-``EXPERIMENTS`` row, which ``run`` reads when the ``RunConfig`` has none.
-``run.meta``'s configuration is the whole ``RunConfig``.  One checking pass
-reads each small input once (the targets file, the grid config, the
-pseudo-word config) and lists every bad option value (a number, a shift list,
-a prior or content mode) with the options that do not convert and every
-problem of those files before work starts; only an unknown option or a
-missing required one (``-o``, ``evaluate --criterion``, ``pseudoword
---config``) ends the run in argparse at once.
+and a reduction of their results to reports (its ``EXPERIMENTS`` row), run
+through one ``grid_search`` call, so all honour ``--jobs`` and report the
+words they skip on stderr and in ``run.meta``.  Every report leaves through
+``write_csv``, then ``run.meta`` records the whole ``RunConfig`` and the
+sha256 of the bytes read from each input (any path that is not a directory,
+so a pipe will do; each is read once).  Exit codes: 0 success, 2 bad
+configuration, 3 corpus parse error, 4 empty result set, 5 a worker process
+died (no reports are written), 130 interrupted by Ctrl-C.
+
+Each subcommand takes only the settings it reads (``evidence``, which runs
+the decision list, has no ``--classifier`` and no ``--prior-mode``;
+``adjacency`` no ``--content-mode``).  argparse only names the options;
+``RunConfig`` holds their defaults, save the ``--criterion`` of ``evidence``,
+``selection`` and ``shift``, which ``run`` reads from the ``EXPERIMENTS``
+row when the ``RunConfig`` has none, and its annotations their types:
+``main`` converts each option's text by them (``convert``), and ``run``
+checks every field against them, so a bad value from the command line or
+from Python is one problem, listed with all the problems of the small inputs
+(targets, grid and pseudo-word configs) before work starts.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import json
 import sys
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import asdict, dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, get_args, get_origin, get_type_hints
 
 from . import __version__
 from .analysis import (
@@ -60,6 +55,8 @@ from .classifiers import SmoothingParams, PRIOR_MODES
 from .corpus import (
     CorpusParseError,
     PseudowordConfig,
+    _unwrap,
+    convert,
     generate_pseudoword_corpus,
     parse_corpus,
     parse_pseudoword_config,
@@ -103,15 +100,6 @@ class RunConfig:
     shifts: tuple[int, ...] = (0, 1)
     content_mode: str = "reindex"
     config: Path | None = None
-
-
-def _found(label: str, path: Path, problems: list[str]) -> bool:
-    """Whether an input path can be read: it exists and is not a directory
-    (a pipe will do).  If not, the problem is added to ``problems``."""
-    if path.exists() and not path.is_dir():
-        return True
-    problems.append(f"{label} file not found: {path}")
-    return False
 
 
 def _read_input(path: Path, inputs: dict[str, str]) -> str:
@@ -205,43 +193,87 @@ def _built(problems: list[str], build: Callable, *args, prefix: str = ""):
         return None
 
 
-def _check(config: RunConfig, diagnostics: Sequence[str]) -> tuple[
+# What a value of each ``RunConfig`` annotation must be, as a problem names it.
+_KINDS = {Path: "a path", int: "an integer", float: "a number", str: "text",
+          tuple[int, ...]: "comma-separated integers"}
+
+
+def _typed(hint, value):
+    """``value`` as a field annotated ``hint`` holds it, a path from a ``str``, a
+    float from an int and a tuple from a list too; TypeError if of another type."""
+    base = _unwrap(hint)
+    if value is None and base is not hint:
+        return None
+    if get_origin(base) is tuple and isinstance(value, (list, tuple)):
+        return tuple(_typed(get_args(base)[0], item) for item in value)
+    accepted = {Path: (str, Path), float: (int, float)}.get(base, base)
+    if isinstance(value, bool) or get_origin(base) or not isinstance(value, accepted):
+        raise TypeError
+    return base(value)
+
+
+def _type_check(config: RunConfig) -> tuple[RunConfig, dict[str, str]]:
+    """``config`` with each field of its annotation's type, and each bad
+    field's problem by name; a bad field's default, if any, stands in."""
+    hints, values, bad = get_type_hints(RunConfig), {}, {}
+    for field in fields(RunConfig):
+        value = values[field.name] = getattr(config, field.name)
+        try:
+            values[field.name] = _typed(hints[field.name], value)
+        except TypeError:
+            kind = _KINDS[_unwrap(hints[field.name])]
+            bad[field.name] = f"{field.name} must be {kind}, not {value!r}"
+            if field.default is not MISSING:
+                values[field.name] = field.default
+    return RunConfig(**values), bad
+
+
+def _check(config: RunConfig, bad: dict[str, str]) -> tuple[
         list[str], dict[str, str], list[tuple[str, str]] | None,
         list[Cell] | None, CVParams | None, PseudowordConfig | None]:
-    """Every configuration problem, not just the first, after ``diagnostics``,
-    and what the run builds before the corpus, each small input read once: the
-    sha256 of each input read, targets, grid cells, ``CVParams``, pseudo-word
-    config (None where absent; none is used when there is a problem)."""
-    problems = list(diagnostics)
+    """Every configuration problem, the ``bad`` fields' first, and what the
+    run builds before the corpus, each small input read once: the sha256 of
+    each input read, targets, grid cells, ``CVParams``, pseudo-word config
+    (None where absent or bad; none is used when there is a problem)."""
+    problems = list(bad.values())
     inputs: dict[str, str] = {}
     targets = cells = params = pw_config = None
+    if "subcommand" in bad:
+        return problems, inputs, targets, cells, params, pw_config
     if config.subcommand not in COMMANDS:
         problems.append(f"unknown subcommand {config.subcommand!r}")
-    existing = next(p for p in (config.output, *config.output.parents) if p.exists())
-    if not existing.is_dir():
-        problems.append(f"--output {config.output}: {existing} exists and is not a directory")
+    if "output" not in bad:
+        existing = next(p for p in (config.output, *config.output.parents) if p.exists())
+        if not existing.is_dir():
+            problems.append(f"--output {config.output}: {existing} exists and is not a directory")
+
+    def found(name: str, missing: str = "", label: str = "") -> Path | None:
+        """The path ``name`` if it exists and is not a directory (a pipe will do); else
+        None, with its problem listed (``missing`` if none is given and none was bad)."""
+        path = getattr(config, name)
+        if path is not None and Path(path).exists() and not Path(path).is_dir():
+            return Path(path)
+        if path is not None:
+            problems.append(f"{label or name} file not found: {path}")
+        elif missing and name not in bad:
+            problems.append(missing)
+        return None
+
     if config.subcommand == "pseudoword":
-        if config.config is None:
-            problems.append("pseudoword needs --config")
-        elif _found("config", config.config, problems):
+        if found("config", "pseudoword needs --config"):
             pw_config = _built(problems, lambda: parse_pseudoword_config(
                 _read_input(config.config, inputs)))
         return problems, inputs, targets, cells, params, pw_config
 
-    if config.corpus is None:
-        problems.append("a corpus file is required (--corpus)")
-    else:
-        _found("corpus", config.corpus, problems)
-    if config.targets is None:
-        problems.append("a targets file is required (--targets)")
-    elif _found("targets", config.targets, problems):
+    found("corpus", "a corpus file is required (--corpus)")
+    if found("targets", "a targets file is required (--targets)"):
         targets = _built(problems, lambda: parse_targets(_read_input(config.targets, inputs)),
                          prefix=f"targets {config.targets}: ")
 
     if config.subcommand in EXPERIMENTS:
         experiment = EXPERIMENTS[config.subcommand]
         fixed = experiment.classifier
-        if fixed not in (None, config.classifier):
+        if fixed not in (None, config.classifier) and "classifier" not in bad:
             problems.append(f"{config.subcommand} runs the {fixed} classifier only")
         smoothing = _built(problems, SmoothingParams, config.m, config.prior_mode)
         # The default stands in for bad smoothing values, so CVParams is checked too.
@@ -249,10 +281,10 @@ def _check(config: RunConfig, diagnostics: Sequence[str]) -> tuple[
                         config.k, config.seed, config.content_mode, experiment.keep_records)
         if config.jobs < 1:
             problems.append("jobs must be >= 1")
-        grid, path = default_grid(), None if config.grid is None else Path(config.grid)
-        if path is not None and _found("grid config", path, problems):
+        grid, path = default_grid(), found("grid", label="grid config")
+        if path:
             grid = _built(problems, lambda: parse_grid_config(_read_input(path, inputs))) or grid
-        cells = _built(problems, experiment.cells, config, grid)
+        cells = None if "criterion" in bad else _built(problems, experiment.cells, config, grid)
     return problems, inputs, targets, cells, params, pw_config
 
 
@@ -314,12 +346,12 @@ def _evaluate(config: RunConfig, inputs, corpus, targets, cells, params) -> int:
     })
 
 
-def run(config: RunConfig, diagnostics: Sequence[str] = ()) -> int:
-    """Execute one subcommand, after ``diagnostics``, the problems found in
-    building ``config``; returns the process exit code."""
-    if config.criterion is None and config.subcommand in EXPERIMENTS:
+def run(config: RunConfig) -> int:
+    """Execute one subcommand, its fields type-checked first; returns the exit code."""
+    config, bad = _type_check(config)
+    if config.criterion is None and "subcommand" not in bad and config.subcommand in EXPERIMENTS:
         config = replace(config, criterion=EXPERIMENTS[config.subcommand].criterion)
-    problems, inputs, targets, cells, params, pw_config = _check(config, diagnostics)
+    problems, inputs, targets, cells, params, pw_config = _check(config, bad)
     if problems:
         for problem in problems:
             print(f"error: {problem}", file=sys.stderr)
@@ -356,10 +388,9 @@ _SETTINGS = {
 def _subcommand(subparsers, name: str, summary: str, *settings: str) -> argparse.ArgumentParser:
     """A subcommand reading a corpus and targets, with these evaluation ``settings``."""
     parser = subparsers.add_parser(name, help=summary)
-    parser.add_argument("--corpus", type=Path, help="corpus file (vertical TSV)")
-    parser.add_argument("--targets", type=Path,
-                        help="targets file (lemma<TAB>category per line)")
-    parser.add_argument("-o", "--output", type=Path, required=True, help="output directory")
+    parser.add_argument("--corpus", help="corpus file (vertical TSV)")
+    parser.add_argument("--targets", help="targets file (lemma<TAB>category per line)")
+    parser.add_argument("-o", "--output", required=True, help="output directory")
     for option in settings:
         parser.add_argument(option, help=_SETTINGS[option])
     return parser
@@ -404,49 +435,29 @@ def build_parser() -> argparse.ArgumentParser:
                 "--classifier", "--m", "--prior-mode", "--k", "--seed", "--jobs")
 
     p = subparsers.add_parser("pseudoword", help="generate a pseudo-word corpus")
-    p.add_argument("--config", type=Path, required=True, help="pseudo-word config file")
+    p.add_argument("--config", required=True, help="pseudo-word config file")
     p.add_argument("--seed", help="generation seed (defaults to the config seed)")
-    p.add_argument("-o", "--output", type=Path, required=True, help="output directory")
+    p.add_argument("-o", "--output", required=True, help="output directory")
 
     return parser
 
 
-# Each option argparse passes on as text: its converter, and what it must be.
-# The default grid has one record, None, whether --grid is omitted or 'default'.
-_CONVERTERS = {
-    "grid": (lambda text: None if text == "default" else text, "a grid config file"),
-    "m": (float, "a number"),
-    "k": (int, "an integer"),
-    "seed": (int, "an integer"),
-    "jobs": (int, "an integer"),
-    "shifts": (lambda text: tuple(int(s) for s in text.split(",")),
-               "comma-separated integers"),
-}
-
-
-def config_from_args(args: argparse.Namespace) -> tuple[RunConfig, list[str]]:
-    """Each given option over ``RunConfig``'s defaults and a subcommand's
-    fixed classifier, and a diagnostic for each value that does not convert."""
-    config, diagnostics = RunConfig(args.subcommand, args.output), []
-    if args.subcommand == "pseudoword":
-        config.seed = None  # resolved from the config file
-    elif args.subcommand in EXPERIMENTS:
-        config.classifier = EXPERIMENTS[args.subcommand].classifier or config.classifier
-    for name, value in vars(args).items():
-        convert, what = _CONVERTERS.get(name, (None, None))
-        try:
-            if value is not None:
-                setattr(config, name, convert(value) if convert else value)
-        except ValueError:
-            diagnostics.append(f"{name} must be {what}, not {value!r}")
-    return config, diagnostics
-
-
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    config, diagnostics = config_from_args(args)
+    args = vars(build_parser().parse_args(argv))
+    config = RunConfig(args["subcommand"], args["output"])
+    if config.subcommand == "pseudoword":
+        config.seed = None  # resolved from the config file
+    elif config.subcommand in EXPERIMENTS:
+        config.classifier = EXPERIMENTS[config.subcommand].classifier or config.classifier
+    # run lists the text that does not convert; --grid default is no grid (None).
+    hints = get_type_hints(RunConfig)
+    for name, text in args.items():
+        if text is not None and (name, text) != ("grid", "default"):
+            with contextlib.suppress(ValueError):
+                text = convert(hints[name], text)
+            setattr(config, name, text)
     try:
-        return run(config, diagnostics)
+        return run(config)
     except KeyboardInterrupt:
         print("error: interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED

@@ -11,8 +11,10 @@ an occurrence carries its document's token tuple.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator
+from types import NoneType
+from typing import Any, Callable, Iterator, get_args, get_origin, get_type_hints
 
 CATEGORIES = ("noun", "adjective", "verb")
 
@@ -352,39 +354,45 @@ def _parse_csv_list(value: str) -> tuple[str, ...]:
     return items
 
 
-def _parse_int_csv_list(value: str) -> tuple[int, ...]:
-    return tuple(int(item) for item in _parse_csv_list(value))
+def _parse_int_list(value: str) -> tuple[int, ...]:
+    """A comma-separated list of integers and ascending ``low-high`` ranges."""
+    items: list[int] = []
+    for part in _parse_csv_list(value):
+        span = re.fullmatch(r"(\d+)-(\d+)", part)
+        low, high = map(int, span.groups()) if span else (int(part),) * 2
+        if low > high:
+            raise ValueError(f"reversed range {part!r}")
+        items.extend(range(low, high + 1))
+    return tuple(items)
 
 
-# Each pseudo-word config key with the converter from its text value.
-_PSEUDOWORD_KEYS = {
-    "sources": _parse_csv_list,
-    "counts": _parse_int_csv_list,
-    "signal_offsets": _parse_int_csv_list,
-    "signal_mode": str,
-    "signal_values": _parse_csv_list,
-    "noise": float,
-    "vocabulary": int,
-    "width": int,
-    "category": str,
-    "target": str,
-    "target_pos": str,
-    "signal_pos": str,
-    "filler_pos": _parse_csv_list,
-    "seed": int,
-}
+def _unwrap(hint: Any) -> Any:
+    """A field's annotation ``X | None`` as ``X``; any other as it is."""
+    return get_args(hint)[0] if NoneType in get_args(hint) else hint
 
 
-def _read_config(text: str, label: str, converters: dict[str, Callable[[str], Any]],
-                 build: Callable[..., Any], required: tuple[str, ...] = ()) -> Any:
-    """``build(**values)`` from the flat ``key = value`` config format, which
-    skips blank and ``#`` lines.  Malformed lines, repeated and unknown keys,
-    missing ``required`` keys, values that do not convert (nothing is built
-    while a ``required`` value is missing or does not convert) and the
-    ``ConfigError`` problems of ``build`` are raised together in one
-    ``ValueError``, one per line of its message, each named by ``label``.
-    A default stands in for a value that does not convert, so no problem
-    that reads one is listed."""
+def convert(hint: Any, text: str) -> Any:
+    """The value of a field annotated ``hint`` (``int``, ``float``, ``str``,
+    ``Path`` or a tuple of ints or strs, each possibly ``| None``) read from
+    its ``text``; a tuple's text is a comma-separated list (``_parse_csv_list``,
+    or ``_parse_int_list`` for ints).  ``ValueError`` if it does not convert."""
+    hint = _unwrap(hint)
+    if get_origin(hint) is tuple:
+        return _parse_int_list(text) if get_args(hint)[0] is int else _parse_csv_list(text)
+    return hint(text)
+
+
+def _read_config(text: str, label: str, owner: type, build: Callable[..., Any] | None = None,
+                 required: tuple[str, ...] = ()) -> Any:
+    """``build(**values)``, or ``owner(**values)``, from the flat ``key =
+    value`` format, which skips blank and ``#`` lines: each key is a field of
+    ``owner``, its value converted by the field's annotation (``convert``).
+    Malformed lines, repeated and unknown keys, missing ``required`` keys,
+    values that do not convert (nothing is built while a ``required`` one is
+    missing or does not convert) and the build's ``ConfigError`` problems are
+    raised together in one ``ValueError``, one per line, named by ``label``;
+    no problem that reads the default behind a bad value is listed."""
+    hints = get_type_hints(owner)
     raw: dict[str, str] = {}
     problems: list[str] = []
     for number, line in enumerate(text.splitlines(), start=1):
@@ -400,20 +408,20 @@ def _read_config(text: str, label: str, converters: dict[str, Callable[[str], An
             problems.append(f"{label} line {number}: repeated key {key!r}")
         raw[key] = value.strip()
 
-    unknown = sorted(set(raw) - set(converters))
+    unknown = sorted(set(raw) - set(hints))
     if unknown:
         problems.append(f"unknown {label} keys: {', '.join(unknown)}")
     missing = [key for key in required if key not in raw]
     problems.extend(f"{label} is missing the required {key!r} key" for key in missing)
     values: dict[str, Any] = {}
-    for key, convert in converters.items():
+    for key, hint in hints.items():
         if key in raw:
             try:
-                values[key] = convert(raw[key])
+                values[key] = convert(hint, raw[key])
             except ValueError as exc:
                 problems.append(f"{label} {key}: {exc}")
     try:
-        built = build(**values) if all(key in values for key in required) else None
+        built = (build or owner)(**values) if all(key in values for key in required) else None
     except ConfigError as exc:
         problems.extend(problem for fields, problem in exc.problems
                         if all(key in values or key not in raw for key in fields.split()))
@@ -430,11 +438,9 @@ def _pseudoword_config(sources: tuple[str, ...], counts: tuple[int, ...] = (100,
 
 
 def parse_pseudoword_config(text: str) -> PseudowordConfig:
-    """Parse the flat ``key = value`` pseudo-word config format.  Malformed
-    lines, repeated and unknown keys, a missing ``sources`` key, values that
-    do not convert and the ``PseudowordConfig`` problems of those that do are
-    raised together in one ``ValueError``, one per line of its message."""
-    return _read_config(text, "config", _PSEUDOWORD_KEYS, _pseudoword_config,
+    """Parse the flat ``key = value`` pseudo-word config format
+    (``_read_config``), whose ``sources`` key is required."""
+    return _read_config(text, "config", PseudowordConfig, _pseudoword_config,
                         required=("sources",))
 
 

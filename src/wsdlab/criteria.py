@@ -33,7 +33,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Iterator, Mapping, Sequence
 
-from .corpus import TOKEN_FIELDS, ConfigError, Occurrence, Token, _parse_csv_list, _read_config
+from .corpus import TOKEN_FIELDS, ConfigError, Occurrence, Token, _read_config
 
 POSITIONINGS = ("ordered", "leftright", "unordered")
 FILTERS = ("all", "content", "selected")
@@ -174,7 +174,8 @@ def parse_criterion(text: str) -> Criterion:
 
 @dataclass(frozen=True)
 class CriterionGrid:
-    """Finite parameter sets whose Cartesian product is a criterion space."""
+    """Finite parameter sets whose Cartesian product is a criterion space.
+    ``position`` among the positionings is read as ``ordered``."""
 
     orders: tuple[int, ...] = (1, 2, 3)
     tags: tuple[str, ...] = TOKEN_FIELDS
@@ -183,6 +184,7 @@ class CriterionGrid:
     sizes: tuple[int, ...] = (1, 2, 3, 4, 5, 6, 7, 8)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "positionings", tuple(map(_positioning, self.positionings)))
         probe = Criterion(1, TOKEN_FIELDS[0], POSITIONINGS[0], FILTERS[0], 1)
         problems = []
         for name in ("orders", "tags", "positionings", "filters", "sizes"):
@@ -226,30 +228,10 @@ def enumerate_grid(grid: CriterionGrid) -> list[Cell]:
     ]
 
 
-def _parse_int_list(value: str) -> tuple[int, ...]:
-    items: list[int] = []
-    for part in _parse_csv_list(value):
-        span = re.fullmatch(r"(\d+)-(\d+)", part)
-        low, high = map(int, span.groups()) if span else (int(part),) * 2
-        if low > high:
-            raise ValueError(f"reversed range {part!r}")
-        items.extend(range(low, high + 1))
-    return tuple(items)
-
-
-# Each grid config key with the converter from its text value.
-_GRID_KEYS = {"orders": _parse_int_list, "tags": _parse_csv_list,
-              "positionings": lambda value: tuple(map(_positioning, _parse_csv_list(value))),
-              "filters": _parse_csv_list, "sizes": _parse_int_list}
-
-
 def parse_grid_config(text: str) -> CriterionGrid:
-    """Parse a grid config file: ``orders/tags/positionings/filters/sizes``
-    keys with comma-separated values (orders and sizes also accept ascending
-    ``1-8`` ranges).  Malformed lines, repeated and unknown keys, values that
-    do not convert and every problem ``CriterionGrid`` finds are raised
-    together in one ``ValueError``, one per line of its message."""
-    return _read_config(text, "grid config", _GRID_KEYS, CriterionGrid)
+    """Parse a grid config file (``_read_config``): a comma-separated list
+    for each ``CriterionGrid`` field, with ``1-8`` ranges among the ints."""
+    return _read_config(text, "grid config", CriterionGrid)
 
 
 # A feature vector is the ascending tuple of its keys.  A span, the window

@@ -144,6 +144,27 @@ def test_run_meta_supports_exact_replay(workspace):
     assert replayed["inputs"] == meta["inputs"]
 
 
+def test_run_meta_replays_as_a_run_config(workspace, monkeypatch):
+    """``run.meta`` gives the paths back as strings and the shifts as a list;
+    ``run`` converts them, so its configuration replays as a ``RunConfig``."""
+    (workspace / "replay.grid").write_text("orders = 1,2\ntags = lemma\nsizes = 1-2\n")
+    monkeypatch.chdir(workspace)
+    assert main(["grid", "--corpus", "gen/corpus.tsv", "--targets", "gen/targets.tsv",
+                 "--grid", "replay.grid", "--k", "5", "--seed", "4", "-o", "replay-first"]) == 0
+    first, second = workspace / "replay-first", workspace / "replay-second"
+    meta = json.loads((first / "run.meta").read_text())
+    config = RunConfig(**{field.name: meta[field.name] for field in dataclasses.fields(RunConfig)})
+    config.output = "replay-second"
+    assert run(config) == 0
+    assert sorted(path.name for path in second.iterdir()) == sorted(
+        path.name for path in first.iterdir())
+    for path in first.glob("*.csv"):
+        assert (second / path.name).read_bytes() == path.read_bytes(), path.name
+    replayed = json.loads((second / "run.meta").read_text())
+    assert replayed["output"] == "replay-second"
+    assert {**replayed, "output": None} == {**meta, "output": None}
+
+
 def test_run_meta_holds_exactly_the_configuration(workspace):
     (workspace / "meta.grid").write_text(
         "orders = 1\ntags = lemma\npositionings = ordered\nfilters = all\nsizes = 1,2\n")
@@ -719,10 +740,83 @@ def test_a_k_that_is_not_an_integer_is_listed_with_the_other_problems(workspace,
                        classifier="svm", k="5")
     assert run(config) == 2
     assert capsys.readouterr().err.splitlines() == [
-        "error: unknown classifier 'svm': valid ids are nb, dl",
         "error: k must be an integer, not '5'",
+        "error: unknown classifier 'svm': valid ids are nb, dl",
     ]
     assert not out.exists()
+
+
+def _typed_config(command, tmp_path, field, value):
+    """A configuration that runs, on the workspace corpus (its paths relative
+    to the workspace), with ``value`` in ``field``."""
+    config = RunConfig(command, tmp_path / "out", config=Path("pw.cfg"))
+    if command != "pseudoword":
+        config = RunConfig(command, tmp_path / "out", Path("gen/corpus.tsv"),
+                           Path("gen/targets.tsv"), k=5, classifier="dl")
+        config.criterion = "[1gr|lemma|ordered|all]@1" if command == "evaluate" else None
+    setattr(config, field, value)
+    return config
+
+
+@pytest.mark.parametrize("command, field, value, recorded", [
+    ("evaluate", "corpus", "gen/corpus.tsv", "gen/corpus.tsv"),
+    ("pseudoword", "config", "pw.cfg", "pw.cfg"),
+    ("evaluate", "output", "typed-output", "typed-output"),
+    ("shift", "shifts", [0, 1], [0, 1]),
+    ("evaluate", "m", 1, 1.0),
+])
+def test_run_converts_the_values_run_meta_gives_back(workspace, tmp_path, monkeypatch, capsys,
+                                                     command, field, value, recorded):
+    """A path may be a ``str``, a number an int and a tuple a list: each is
+    recorded as the command line's value would be."""
+    monkeypatch.chdir(workspace)
+    config = _typed_config(command, tmp_path, field, value)
+    assert run(config) == 0
+    assert capsys.readouterr().err == ""
+    meta = json.loads((Path(config.output) / "run.meta").read_text())
+    assert json.dumps(meta[field]) == json.dumps(recorded)
+
+
+@pytest.mark.parametrize("command, field, value, problem", [
+    ("evaluate", "jobs", "2", "jobs must be an integer, not '2'"),
+    ("evaluate", "m", "1", "m must be a number, not '1'"),
+    ("evaluate", "k", 5.0, "k must be an integer, not 5.0"),
+    ("evaluate", "k", True, "k must be an integer, not True"),
+    ("evaluate", "seed", "0", "seed must be an integer, not '0'"),
+    ("shift", "shifts", "0,1", "shifts must be comma-separated integers, not '0,1'"),
+    ("shift", "shifts", [0, True], "shifts must be comma-separated integers, not [0, True]"),
+    ("evaluate", "content_mode", None, "content_mode must be text, not None"),
+    # A field whose default would be a problem of its own: nothing reads it.
+    ("evaluate", "criterion", 5, "criterion must be text, not 5"),
+    ("evaluate", "corpus", 5, "corpus must be a path, not 5"),
+    ("evaluate", "targets", b"t.tsv", "targets must be a path, not b't.tsv'"),
+    ("evidence", "classifier", 5, "classifier must be text, not 5"),
+    ("pseudoword", "config", 5, "config must be a path, not 5"),
+    ("evaluate", "output", None, "output must be a path, not None"),
+    ("evaluate", "subcommand", ["grid"], "subcommand must be text, not ['grid']"),
+])
+def test_a_field_of_another_type_is_one_problem(workspace, tmp_path, monkeypatch, capsys,
+                                                command, field, value, problem):
+    monkeypatch.chdir(workspace)
+    assert run(_typed_config(command, tmp_path, field, value)) == 2
+    assert capsys.readouterr().err == f"error: {problem}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_shifts_read_the_config_files_list_syntax(workspace, monkeypatch, capsys):
+    """Items are stripped, ascending ranges allowed, and an empty item is a
+    problem, as in a grid config's ``orders``."""
+    monkeypatch.chdir(workspace)
+    argv = ["shift", "--corpus", "gen/corpus.tsv", "--targets", "gen/targets.tsv", "--k", "5"]
+    assert main([*argv, "--shifts", "0,1", "-o", "shifts-list"]) == 0
+    assert main([*argv, "--shifts", " 0-1 ", "-o", "shifts-range"]) == 0
+    assert (workspace / "shifts-range" / "shift.csv").read_bytes() == (
+        workspace / "shifts-list" / "shift.csv").read_bytes()
+    capsys.readouterr()
+    assert main([*argv, "--shifts", "0,,1", "-o", "shifts-empty"]) == 2
+    assert capsys.readouterr().err == (
+        "error: shifts must be comma-separated integers, not '0,,1'\n")
+    assert not (workspace / "shifts-empty").exists()
 
 
 def test_pseudoword_values_are_single_columns(tmp_path, monkeypatch, capsys):
@@ -1217,4 +1311,53 @@ def test_cli_exits_with_a_code_not_a_traceback(invocation, corpus, targets, conf
                 code = main(argv)
             except SystemExit as exc:  # argparse rejects the arguments
                 code = exc.code
+    assert code in (0, 2, 3, 4)
+
+
+def _field_values(root: Path, command: str) -> dict[str, tuple]:
+    """Each ``RunConfig`` field's four kinds of value: a valid one, one of
+    another type, its text form and None."""
+    paths = {"output": root / "out", "corpus": root / "corpus.tsv",
+             "targets": root / "targets.tsv", "config": root / "pw.cfg"}
+    grid, criterion = str(root / "grid.cfg"), "[1gr|lemma|ordered|all]@1"
+    return {
+        **{name: (path, 5, str(path), None) for name, path in paths.items()},
+        "subcommand": (command, 5, command, None),
+        "criterion": (criterion, 5, criterion, None),
+        "grid": (grid, Path(grid), grid, None),
+        "classifier": ("dl", 5, "dl", None),
+        "m": (0.5, True, "0.5", None),
+        "prior_mode": ("senses", 5, "senses", None),
+        "k": (3, 3.0, "3", None),
+        "seed": (1, 1.0, "1", None),
+        "jobs": (1, True, "1", None),
+        "shifts": ((0, 1), 1, "0,1", None),
+        "content_mode": ("keep_gaps", 5, "keep_gaps", None),
+    }
+
+
+_FIELDS = [field.name for field in dataclasses.fields(RunConfig)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(command=st.sampled_from(COMMANDS),
+       kinds=st.dictionaries(st.sampled_from(_FIELDS), st.integers(0, 3), max_size=4))
+def test_run_exits_with_a_code_whatever_each_field_holds(command, kinds):
+    """A ``RunConfig`` built in Python ends ``run`` in an exit code, not an
+    exception, whatever kind of value each field holds: each field holds its
+    valid value but up to four, which hold a kind drawn for them."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        pseudoword = "sources = cible, autre\ncounts = 3\nwidth = 2\nvocabulary = 4\n"
+        (root / "pw.cfg").write_text(pseudoword, encoding="utf-8")
+        corpus = package.generate_pseudoword_corpus(package.parse_pseudoword_config(pseudoword), 1)
+        (root / "corpus.tsv").write_text(package.serialize_corpus(corpus), encoding="utf-8")
+        (root / "targets.tsv").write_text("cibleautre\tnoun\n", encoding="utf-8")
+        (root / "grid.cfg").write_text("orders = 1\ntags = lemma\nsizes = 1-2\n", encoding="utf-8")
+        values = _field_values(root, command)
+        config = RunConfig(**{name: kinds_of[kinds.get(name, 0)]
+                              for name, kinds_of in values.items()})
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = run(config)
     assert code in (0, 2, 3, 4)

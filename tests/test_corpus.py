@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import pickle
+import re
 from collections import Counter
 from pathlib import Path
 from unittest import mock
@@ -496,6 +497,42 @@ def test_parse_pseudoword_config():
     assert config.noise == 0.25
     assert config.category == "verb"
     assert config.seed == 13
+
+
+@pytest.mark.parametrize("text, field, expected", [
+    ("counts = 10-11", "counts", (10, 11)),
+    ("signal_offsets = -2, 1-2\nwidth = 3", "signal_offsets", (-2, 1, 2)),
+    ("filler_pos =  NCOM , DET", "filler_pos", ("NCOM", "DET")),
+])
+def test_every_pseudoword_list_reads_the_grid_config_list_syntax(text, field, expected):
+    """Items are stripped, and integer lists take ascending ranges, as a grid
+    config's ``orders`` and ``sizes`` do."""
+    config = parse_pseudoword_config(f"sources = a, b\n{text}")
+    assert getattr(config, field) == expected
+
+
+@pytest.mark.parametrize("hint, text, expected", [
+    (int, " 7", 7),
+    (float, "0.25", 0.25),
+    (str, "x", "x"),
+    (Path | None, "a/b.tsv", Path("a/b.tsv")),
+    (tuple[int, ...], "1, 3-4", (1, 3, 4)),
+    (tuple[str, ...] | None, "a, b", ("a", "b")),
+    (tuple[int, ...], "", ()),
+])
+def test_convert_reads_a_fields_text_by_its_annotation(hint, text, expected):
+    assert wsdlab.corpus.convert(hint, text) == expected
+
+
+@pytest.mark.parametrize("hint, text, problem", [
+    (int, "2.0", "invalid literal for int() with base 10: '2.0'"),
+    (float, "x", "could not convert string to float: 'x'"),
+    (tuple[int, ...], "1,,2", "empty item in '1,,2'"),
+    (tuple[int, ...], "3-1", "reversed range '3-1'"),
+])
+def test_convert_rejects_text_that_does_not_convert(hint, text, problem):
+    with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
+        wsdlab.corpus.convert(hint, text)
 
 
 def test_parse_pseudoword_config_rejects_unknown_key():

@@ -98,6 +98,21 @@ def test_a_reversed_range_is_a_listed_problem(text, expected):
     assert str(err.value).splitlines() == expected
 
 
+@pytest.mark.parametrize("grid", [
+    CriterionGrid(positionings=("position",)),
+    parse_grid_config("positionings = position"),
+    parse_grid_config("positionings = ordered"),
+])
+def test_the_grid_reads_position_as_ordered(grid):
+    assert grid == CriterionGrid(positionings=("ordered",))
+
+
+def test_position_and_ordered_in_one_grid_repeat_a_positioning():
+    with pytest.raises(ValueError) as err:
+        parse_grid_config("positionings = ordered, position")
+    assert str(err.value).splitlines() == ["grid config positionings: repeated ordered"]
+
+
 # --- criterion grammar -----------------------------------------------------------
 
 def test_parse_criterion_basic():
