@@ -16,11 +16,11 @@ the decision list, has no ``--classifier`` and no ``--prior-mode``;
 ``adjacency`` no ``--content-mode``).  argparse only names the options;
 ``RunConfig`` holds their defaults, save the ``--criterion`` of ``evidence``,
 ``selection`` and ``shift``, which ``run`` reads from the ``EXPERIMENTS``
-row when the ``RunConfig`` has none, and its annotations their types:
-``main`` converts each option's text by them (``convert``), and ``run``
-checks every field against them, so a bad value from the command line or
-from Python is one problem, listed with all the problems of the small inputs
-(targets, grid and pseudo-word configs) before work starts.
+row when the ``RunConfig`` has none (a ``default`` grid it reads as None), and
+its annotations their types: ``main`` only converts each option's text by them
+(``convert``), and ``run`` checks every field against them, so a bad value from
+the command line or from Python is one problem, listed with every problem of
+the small inputs (targets, grid and pseudo-word configs) before work starts.
 """
 
 from __future__ import annotations
@@ -199,11 +199,13 @@ _KINDS = {Path: "a path", int: "an integer", float: "a number", str: "text",
 
 
 def _typed(hint, value):
-    """``value`` as a field annotated ``hint`` holds it, a path from a ``str``, a
-    float from an int and a tuple from a list too; TypeError if of another type."""
+    """``value`` as a field annotated ``hint`` holds it (a path from a ``str``, a float from an
+    int, a tuple from a list); else TypeError, or ValueError if a tuple's text does not convert."""
     base = _unwrap(hint)
     if value is None and base is not hint:
         return None
+    if get_origin(base) is tuple and isinstance(value, str):
+        convert(base, value)  # for its ValueError: why the text does not convert
     if get_origin(base) is tuple and isinstance(value, (list, tuple)):
         return tuple(_typed(get_args(base)[0], item) for item in value)
     accepted = {Path: (str, Path), float: (int, float)}.get(base, base)
@@ -220,9 +222,10 @@ def _type_check(config: RunConfig) -> tuple[RunConfig, dict[str, str]]:
         value = values[field.name] = getattr(config, field.name)
         try:
             values[field.name] = _typed(hints[field.name], value)
-        except TypeError:
+        except (TypeError, ValueError) as exc:
             kind = _KINDS[_unwrap(hints[field.name])]
-            bad[field.name] = f"{field.name} must be {kind}, not {value!r}"
+            bad[field.name] = f"{field.name} must be {kind}, not {value!r}" + (
+                f" ({exc})" if isinstance(exc, ValueError) else "")
             if field.default is not MISSING:
                 values[field.name] = field.default
     return RunConfig(**values), bad
@@ -242,7 +245,9 @@ def _check(config: RunConfig, bad: dict[str, str]) -> tuple[
         return problems, inputs, targets, cells, params, pw_config
     if config.subcommand not in COMMANDS:
         problems.append(f"unknown subcommand {config.subcommand!r}")
-    if "output" not in bad:
+    if "output" not in bad and "\0" in str(config.output):
+        problems.append(f"--output {str(config.output)!r}: a path cannot hold a NUL byte")
+    elif "output" not in bad:
         existing = next(p for p in (config.output, *config.output.parents) if p.exists())
         if not existing.is_dir():
             problems.append(f"--output {config.output}: {existing} exists and is not a directory")
@@ -349,6 +354,7 @@ def _evaluate(config: RunConfig, inputs, corpus, targets, cells, params) -> int:
 def run(config: RunConfig) -> int:
     """Execute one subcommand, its fields type-checked first; returns the exit code."""
     config, bad = _type_check(config)
+    config = replace(config, grid=None if config.grid == "default" else config.grid)
     if config.criterion is None and "subcommand" not in bad and config.subcommand in EXPERIMENTS:
         config = replace(config, criterion=EXPERIMENTS[config.subcommand].criterion)
     problems, inputs, targets, cells, params, pw_config = _check(config, bad)
@@ -449,11 +455,10 @@ def main(argv: list[str] | None = None) -> int:
         config.seed = None  # resolved from the config file
     elif config.subcommand in EXPERIMENTS:
         config.classifier = EXPERIMENTS[config.subcommand].classifier or config.classifier
-    # run lists the text that does not convert; --grid default is no grid (None).
     hints = get_type_hints(RunConfig)
     for name, text in args.items():
-        if text is not None and (name, text) != ("grid", "default"):
-            with contextlib.suppress(ValueError):
+        if text is not None:
+            with contextlib.suppress(ValueError):  # run lists the text that does not convert
                 text = convert(hints[name], text)
             setattr(config, name, text)
     try:

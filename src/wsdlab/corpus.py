@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from types import NoneType
-from typing import Any, Callable, Iterator, get_args, get_origin, get_type_hints
+from typing import Any, Iterator, get_args, get_origin, get_type_hints
 
 CATEGORIES = ("noun", "adjective", "verb")
 
@@ -264,16 +264,16 @@ class ConfigError(ValueError):
 class PseudowordConfig:
     """Recipe for a synthetic ambiguous-word corpus.
 
-    Two or more source lemmas are merged into one pseudo-target; each source
-    acts as a "sense".  Discriminative context tokens are planted at
-    ``signal_offsets`` around every occurrence, then destroyed with
-    probability ``noise``.  In ``pair`` mode the two planted tokens are only
-    informative jointly: each token value occurs equally often with both
-    senses, but the pair determines the sense.
+    Two or more source lemmas, with ``counts`` occurrences each (one count, 100 by
+    default, is every source's), are merged into one pseudo-target; each source acts
+    as a "sense".  Discriminative context tokens are planted at ``signal_offsets``
+    around every occurrence, then destroyed with probability ``noise``.  In ``pair``
+    mode the two planted tokens are only informative jointly: each token value
+    occurs equally often with both senses, but the pair determines the sense.
     """
 
     sources: tuple[str, ...]
-    counts: tuple[int, ...]
+    counts: tuple[int, ...] = (100,)
     signal_offsets: tuple[int, ...] = (-1,)
     signal_mode: str = "unigram"
     signal_values: tuple[str, ...] | None = None
@@ -288,6 +288,8 @@ class PseudowordConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if len(self.counts) == 1:
+            object.__setattr__(self, "counts", self.counts * len(self.sources))
         pair = self.signal_mode == "pair"
         offsets = sorted(self.signal_offsets)
         problems = [(fields, problem) for fields, bad, problem in (
@@ -382,17 +384,17 @@ def convert(hint: Any, text: str) -> Any:
     return hint(text)
 
 
-def _read_config(text: str, label: str, owner: type, build: Callable[..., Any] | None = None,
-                 required: tuple[str, ...] = ()) -> Any:
-    """``build(**values)``, or ``owner(**values)``, from the flat ``key =
-    value`` format, which skips blank and ``#`` lines: each key is a field of
-    ``owner``, its value converted by the field's annotation (``convert``).
-    Malformed lines, repeated and unknown keys, missing ``required`` keys,
-    values that do not convert (nothing is built while a ``required`` one is
-    missing or does not convert) and the build's ``ConfigError`` problems are
-    raised together in one ``ValueError``, one per line, named by ``label``;
-    no problem that reads the default behind a bad value is listed."""
+def _read_config(text: str, label: str, owner: type) -> Any:
+    """``owner(**values)`` from the flat ``key = value`` format, which skips blank and
+    ``#`` lines: each key is a field of ``owner``, its value converted by the field's
+    annotation (``convert``); the fields without a default are required, and ``owner``
+    fills in and normalises the rest.  Malformed lines, repeated, unknown and missing
+    keys, values that do not convert (nothing is built while a required one is missing
+    or does not convert) and the owner's ``ConfigError`` problems are raised together in
+    one ``ValueError``, one per line, named by ``label``; no problem that reads the
+    default behind a bad value is listed."""
     hints = get_type_hints(owner)
+    required = [field.name for field in fields(owner) if field.default is MISSING]
     raw: dict[str, str] = {}
     problems: list[str] = []
     for number, line in enumerate(text.splitlines(), start=1):
@@ -411,8 +413,8 @@ def _read_config(text: str, label: str, owner: type, build: Callable[..., Any] |
     unknown = sorted(set(raw) - set(hints))
     if unknown:
         problems.append(f"unknown {label} keys: {', '.join(unknown)}")
-    missing = [key for key in required if key not in raw]
-    problems.extend(f"{label} is missing the required {key!r} key" for key in missing)
+    problems.extend(f"{label} is missing the required {key!r} key"
+                    for key in required if key not in raw)
     values: dict[str, Any] = {}
     for key, hint in hints.items():
         if key in raw:
@@ -421,27 +423,19 @@ def _read_config(text: str, label: str, owner: type, build: Callable[..., Any] |
             except ValueError as exc:
                 problems.append(f"{label} {key}: {exc}")
     try:
-        built = (build or owner)(**values) if all(key in values for key in required) else None
+        built = owner(**values) if all(key in values for key in required) else None
     except ConfigError as exc:
-        problems.extend(problem for fields, problem in exc.problems
-                        if all(key in values or key not in raw for key in fields.split()))
+        problems.extend(problem for fields_read, problem in exc.problems
+                        if all(key in values or key not in raw for key in fields_read.split()))
     if problems:
         raise ValueError("\n".join(problems))
     return built
 
 
-def _pseudoword_config(sources: tuple[str, ...], counts: tuple[int, ...] = (100,),
-                       **values) -> PseudowordConfig:
-    """A single per-sense count broadcasts to every source."""
-    return PseudowordConfig(sources, counts * len(sources) if len(counts) == 1 else counts,
-                            **values)
-
-
 def parse_pseudoword_config(text: str) -> PseudowordConfig:
-    """Parse the flat ``key = value`` pseudo-word config format
-    (``_read_config``), whose ``sources`` key is required."""
-    return _read_config(text, "config", PseudowordConfig, _pseudoword_config,
-                        required=("sources",))
+    """Parse the flat ``key = value`` pseudo-word config format (``_read_config``)
+    into the ``PseudowordConfig`` it describes, which requires ``sources``."""
+    return _read_config(text, "config", PseudowordConfig)
 
 
 def generate_pseudoword_corpus(config: PseudowordConfig, seed: int) -> Corpus:

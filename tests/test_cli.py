@@ -712,6 +712,27 @@ def test_a_default_grid_run_records_no_grid(workspace):
     assert all({**meta, "output": None} == {**metas[0], "output": None} for meta in metas)
 
 
+@pytest.mark.parametrize("command, reports", [
+    ("grid", ("grid.csv", "context.csv", "context_curves.csv")),
+    ("ablation", ("ablation.csv",)),
+])
+def test_a_config_naming_the_default_grid_runs_as_the_cli(workspace, command, reports):
+    """``grid="default"`` in a ``RunConfig`` built in Python is the default
+    grid, as ``--grid default`` is: the same reports, byte for byte, and the
+    same run.meta with no grid, apart from the output directory."""
+    inputs = {"corpus": workspace / "gen" / "corpus.tsv",
+              "targets": workspace / "gen" / "targets.tsv"}
+    outputs = workspace / f"named-{command}-cli", workspace / f"named-{command}-config"
+    assert main([command, "--corpus", str(inputs["corpus"]), "--targets", str(inputs["targets"]),
+                 "--grid", "default", "--k", "5", "-o", str(outputs[0])]) == 0
+    assert run(RunConfig(command, outputs[1], **inputs, grid="default", k=5)) == 0
+    for name in reports:
+        assert (outputs[1] / name).read_bytes() == (outputs[0] / name).read_bytes()
+    metas = [json.loads((out / "run.meta").read_text()) for out in outputs]
+    assert metas[0]["grid"] is None
+    assert {**metas[1], "output": None} == {**metas[0], "output": None}
+
+
 def test_evaluate_still_needs_a_criterion(workspace, capsys):
     out = workspace / "no-criterion"
     config = RunConfig("evaluate", out, workspace / "gen" / "corpus.tsv",
@@ -815,8 +836,40 @@ def test_shifts_read_the_config_files_list_syntax(workspace, monkeypatch, capsys
     capsys.readouterr()
     assert main([*argv, "--shifts", "0,,1", "-o", "shifts-empty"]) == 2
     assert capsys.readouterr().err == (
-        "error: shifts must be comma-separated integers, not '0,,1'\n")
+        "error: shifts must be comma-separated integers, not '0,,1' (empty item in '0,,1')\n")
     assert not (workspace / "shifts-empty").exists()
+
+
+@pytest.mark.parametrize("run_shift", ["cli", "python"])
+def test_shifts_that_do_not_convert_name_the_cause(workspace, monkeypatch, capsys, run_shift):
+    """The text of a tuple field that does not convert gives the reason, as a
+    config file's list does; nothing is written."""
+    monkeypatch.chdir(workspace)
+    if run_shift == "cli":
+        assert main(["shift", "--corpus", "gen/corpus.tsv", "--targets", "gen/targets.tsv",
+                     "--shifts", "1-0", "-o", "shifts-reversed"]) == 2
+    else:
+        assert run(RunConfig("shift", Path("shifts-reversed"), Path("gen/corpus.tsv"),
+                             Path("gen/targets.tsv"), shifts="1-0")) == 2
+    assert capsys.readouterr().err == (
+        "error: shifts must be comma-separated integers, not '1-0' (reversed range '1-0')\n")
+    assert not (workspace / "shifts-reversed").exists()
+
+
+def test_a_nul_byte_in_a_path_is_listed_with_the_other_problems(workspace, tmp_path,
+                                                                 monkeypatch, capsys):
+    """An output path holding a NUL byte is a problem before work starts; an
+    input path holding one is not found."""
+    monkeypatch.chdir(tmp_path)
+    config = RunConfig("evaluate", Path("o\0x"), Path("c\0x"), workspace / "gen" / "targets.tsv",
+                       criterion="[1gr|lemma|ordered|all]@1", k="5")
+    assert run(config) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: k must be an integer, not '5'",
+        "error: --output 'o\\x00x': a path cannot hold a NUL byte",
+        "error: corpus file not found: c\0x",
+    ]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_pseudoword_values_are_single_columns(tmp_path, monkeypatch, capsys):

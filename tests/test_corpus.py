@@ -583,6 +583,25 @@ def test_the_readme_pseudoword_config_block_parses():
     )
 
 
+def _readme_config_block():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    return readme.split("Config file keys:\n\n```\n", 1)[1].split("\n```\n", 1)[0]
+
+
+@pytest.mark.parametrize("text, values", [
+    ("sources = a, b\ncounts = 30", {"sources": ("a", "b"), "counts": (30,)}),
+    ("sources = a, b", {"sources": ("a", "b")}),
+    ("sources = a, b\ncounts = 10-11", {"sources": ("a", "b"), "counts": (10, 11)}),
+    (_readme_config_block(), {
+        "sources": ("banane", "porte"), "counts": (200,), "signal_values": ("jaune", "bois"),
+        "target": "bananeporte", "filler_pos": ("NCOM", "DET", "PREP")}),
+], ids=["single-count", "no-counts", "count-range", "readme"])
+def test_a_config_file_reads_as_the_config_built_in_python(text, values):
+    """``PseudowordConfig`` holds the ``counts`` default and broadcasts a
+    single count, so a file and a config built in Python agree."""
+    assert parse_pseudoword_config(text) == PseudowordConfig(**values)
+
+
 def test_generator_custom_signal_values():
     config = _config(signal_values=("jaune", "bois"))
     corpus = generate_pseudoword_corpus(config, 2)
