@@ -14,13 +14,13 @@ died (no reports are written), 130 interrupted by Ctrl-C.
 Each subcommand takes only the settings it reads (``evidence``, which runs
 the decision list, has no ``--classifier`` and no ``--prior-mode``;
 ``adjacency`` no ``--content-mode``).  argparse only names the options;
-``RunConfig`` holds their defaults, save the ``--criterion`` of ``evidence``,
-``selection`` and ``shift``, which ``run`` reads from the ``EXPERIMENTS``
-row when the ``RunConfig`` has none (a ``default`` grid it reads as None), and
-its annotations their types: ``main`` only converts each option's text by them
-(``convert``), and ``run`` checks every field against them, so a bad value from
-the command line or from Python is one problem, listed with every problem of
-the small inputs (targets, grid and pseudo-word configs) before work starts.
+``RunConfig`` holds their defaults, save a criterion or classifier it leaves
+None, which ``run`` reads from the subcommand's ``EXPERIMENTS`` row (``nb``
+for a row with no classifier; a ``default`` grid it reads as None), and its
+annotations their types: ``main`` only parses argv and converts each option's
+text by them (``convert``), and ``run`` checks every field against them, so a
+bad value from the command line or from Python is one problem, listed with every
+problem of the small inputs (targets, grid and pseudo-word configs) before work starts.
 """
 
 from __future__ import annotations
@@ -91,11 +91,11 @@ class RunConfig:
     targets: Path | None = None
     criterion: str | None = None
     grid: str | None = None
-    classifier: str = "nb"
+    classifier: str | None = None
     m: float = 1.0
     prior_mode: str = "feature-values"
     k: int = 10
-    seed: int | None = 0  # None only for pseudoword: its config file's seed
+    seed: int = 0
     jobs: int = 1
     shifts: tuple[int, ...] = (0, 1)
     content_mode: str = "reindex"
@@ -143,9 +143,9 @@ class Experiment:
 
     cells: Callable[[RunConfig, CriterionGrid], list[Cell]]
     reports: Callable[[GridResult], dict[str, list[tuple]]]
-    classifier: str | None = None  # the one classifier it runs, set in its RunConfig
+    classifier: str | None = None  # the only one it runs, and its RunConfig's if that is None
     keep_records: bool = False
-    criterion: str | None = None  # the --criterion it runs when its RunConfig has none
+    criterion: str | None = None  # its RunConfig's --criterion if that is None
 
 
 EXPERIMENTS = {
@@ -308,16 +308,14 @@ def _write_meta(config: RunConfig, extra: dict) -> None:
 
 
 def _pseudoword(config: RunConfig, pw_config: PseudowordConfig, inputs: dict[str, str]) -> int:
-    seed = config.seed if config.seed is not None else pw_config.seed
-    corpus = generate_pseudoword_corpus(pw_config, seed)
+    corpus = generate_pseudoword_corpus(pw_config, config.seed)
     outdir = config.output
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "corpus.tsv").write_text(serialize_corpus(corpus), encoding="utf-8")
     (outdir / "targets.tsv").write_text(
         f"{pw_config.target_lemma}\t{pw_config.category}\n", encoding="utf-8"
     )
-    _write_meta(config, {"inputs": inputs, "pseudoword_seed": seed,
-                         "occurrences": len(corpus.documents)})
+    _write_meta(config, {"inputs": inputs, "occurrences": len(corpus.documents)})
     return EXIT_OK
 
 
@@ -354,9 +352,12 @@ def _evaluate(config: RunConfig, inputs, corpus, targets, cells, params) -> int:
 def run(config: RunConfig) -> int:
     """Execute one subcommand, its fields type-checked first; returns the exit code."""
     config, bad = _type_check(config)
-    config = replace(config, grid=None if config.grid == "default" else config.grid)
-    if config.criterion is None and "subcommand" not in bad and config.subcommand in EXPERIMENTS:
-        config = replace(config, criterion=EXPERIMENTS[config.subcommand].criterion)
+    # A criterion or classifier left None is the subcommand's own; a "default" grid is None.
+    row = None if "subcommand" in bad else EXPERIMENTS.get(config.subcommand)
+    own = {"criterion": getattr(row, "criterion", None),
+           "classifier": getattr(row, "classifier", None) or "nb"}
+    config = replace(config, grid=None if config.grid == "default" else config.grid,
+                     **{name: own[name] for name in own if getattr(config, name) is None})
     problems, inputs, targets, cells, params, pw_config = _check(config, bad)
     if problems:
         for problem in problems:
@@ -442,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subparsers.add_parser("pseudoword", help="generate a pseudo-word corpus")
     p.add_argument("--config", required=True, help="pseudo-word config file")
-    p.add_argument("--seed", help="generation seed (defaults to the config seed)")
+    p.add_argument("--seed", help="generation seed")
     p.add_argument("-o", "--output", required=True, help="output directory")
 
     return parser
@@ -451,10 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = vars(build_parser().parse_args(argv))
     config = RunConfig(args["subcommand"], args["output"])
-    if config.subcommand == "pseudoword":
-        config.seed = None  # resolved from the config file
-    elif config.subcommand in EXPERIMENTS:
-        config.classifier = EXPERIMENTS[config.subcommand].classifier or config.classifier
     hints = get_type_hints(RunConfig)
     for name, text in args.items():
         if text is not None:

@@ -285,7 +285,6 @@ class PseudowordConfig:
     target_pos: str = "NCOM"
     signal_pos: str = "NCOM"
     filler_pos: tuple[str, ...] = ("NCOM", "DET", "PREP", "ADJ", "ADV", "VCON")
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if len(self.counts) == 1:

@@ -34,7 +34,6 @@ noise = 0.2
 vocabulary = 20
 width = 6
 category = noun
-seed = 5
 """
 
 
@@ -54,7 +53,7 @@ def wsdlab(*args, cwd):
 def workspace(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
     (root / "pw.cfg").write_text(PW_CONFIG, encoding="utf-8")
-    generated = wsdlab("pseudoword", "--config", "pw.cfg", "-o", "gen", cwd=root)
+    generated = wsdlab("pseudoword", "--config", "pw.cfg", "--seed", "5", "-o", "gen", cwd=root)
     assert generated.returncode == 0, generated.stderr
     return root
 
@@ -65,12 +64,13 @@ def test_pseudoword_outputs(workspace):
     meta = json.loads((workspace / "gen" / "run.meta").read_text())
     assert meta["subcommand"] == "pseudoword"
     assert meta["occurrences"] == 60
-    assert meta["pseudoword_seed"] == 5
+    assert meta["seed"] == 5
     assert meta["inputs"] == {"pw.cfg": _sha256(workspace / "pw.cfg")}
 
 
 def test_pseudoword_deterministic(workspace):
-    again = wsdlab("pseudoword", "--config", "pw.cfg", "-o", "gen2", cwd=workspace)
+    again = wsdlab("pseudoword", "--config", "pw.cfg", "--seed", "5", "-o", "gen2",
+                   cwd=workspace)
     assert again.returncode == 0
     assert (workspace / "gen" / "corpus.tsv").read_bytes() == (
         workspace / "gen2" / "corpus.tsv"
@@ -190,10 +190,10 @@ def test_run_meta_holds_exactly_the_configuration(workspace):
         "content_mode": "reindex", "config": None,
     }
     expected = {
-        "gen": {  # pseudoword without --seed: the seed comes from the config file
-            **defaults, "subcommand": "pseudoword", "seed": None, "config": "pw.cfg",
+        "gen": {
+            **defaults, "subcommand": "pseudoword", "seed": 5, "config": "pw.cfg",
             "output": "gen", "inputs": {"pw.cfg": _sha256(workspace / "pw.cfg")},
-            "pseudoword_seed": 5, "occurrences": 60,
+            "occurrences": 60,
         },
         "meta": {
             **defaults, "subcommand": "grid", "corpus": "gen/corpus.tsv",
@@ -329,7 +329,8 @@ def test_bom_prefixed_configs_parse(workspace):
     assert (result.returncode, result.stderr) == (0, "")
     assert json.loads((workspace / "grid-bom" / "run.meta").read_text())["cells"] == 48
     (workspace / "bom-pw.cfg").write_bytes(BOM + PW_CONFIG.encode())
-    result = wsdlab("pseudoword", "--config", "bom-pw.cfg", "-o", "gen-bom", cwd=workspace)
+    result = wsdlab("pseudoword", "--config", "bom-pw.cfg", "--seed", "5", "-o", "gen-bom",
+                    cwd=workspace)
     assert result.returncode == 0, result.stderr
     assert (workspace / "gen-bom" / "corpus.tsv").read_bytes() == (
         workspace / "gen" / "corpus.tsv"
@@ -588,12 +589,12 @@ def test_an_evidence_config_runs_the_decision_list_only(workspace, capsys):
     inputs = {"corpus": workspace / "gen" / "corpus.tsv",
               "targets": workspace / "gen" / "targets.tsv",
               "criterion": "[1gr|mform|ordered|all]@2"}
-    bad = RunConfig("evidence", workspace / "evidence-nb", **inputs, k=1)
+    bad = RunConfig("evidence", workspace / "evidence-nb", **inputs, classifier="nb", k=1)
     assert run(bad) == 2
     assert capsys.readouterr().err.splitlines() == [
         "error: evidence runs the dl classifier only", "error: k must be >= 2"]
     assert not (workspace / "evidence-nb").exists()
-    good = RunConfig("evidence", workspace / "evidence-dl", **inputs, classifier="dl", k=5)
+    good = RunConfig("evidence", workspace / "evidence-dl", **inputs, k=5)
     assert run(good) == 0
     meta = json.loads((workspace / "evidence-dl" / "run.meta").read_text())
     assert meta["classifier"] == "dl" and meta["cells"] == 1
@@ -603,7 +604,6 @@ def test_an_evidence_config_runs_the_decision_list_only(workspace, capsys):
 _CELL_OPTIONS = {
     "evaluate": {"criterion": "[1gr|lemma|ordered|all]@2+[2gr|lemma|leftright|all]@3"},
     "grid": {"grid": "small.grid"},
-    "evidence": {"classifier": "dl"},
     "ablation": {"grid": "small.grid"},
     "shift": {"shifts": (0, 1, -1)},
 }
@@ -659,7 +659,7 @@ def test_no_run_meta_key_names_a_setting(three_categories, tmp_path, monkeypatch
     for command in COMMANDS:
         out = tmp_path / command
         if command == "pseudoword":
-            config = RunConfig(command, out, config=tmp_path / "pw.cfg", seed=None)
+            config = RunConfig(command, out, config=tmp_path / "pw.cfg")
         else:
             options = dict(_CELL_OPTIONS.get(command, {}))
             if "grid" in options:
@@ -671,26 +671,33 @@ def test_no_run_meta_key_names_a_setting(three_categories, tmp_path, monkeypatch
         assert set(meta) == settings | added[command], command
     assert set(added) == set(COMMANDS)
     assert set().union(*added.values()) == {
-        "tool", "version", "inputs", "skipped", "workers", "cells", "pseudoword_seed",
-        "occurrences"}
+        "tool", "version", "inputs", "skipped", "workers", "cells", "occurrences"}
 
 
-@pytest.mark.parametrize("command", ["evidence", "selection", "shift"])
+@pytest.mark.parametrize("command", COMMANDS)
 def test_a_config_without_a_criterion_runs_the_cli_default(workspace, command):
-    """The default --criterion is the subcommand's, not argparse's: a
-    RunConfig built without one runs it and writes the CLI's run.meta."""
+    """Every default is the subcommand's, not argparse's: a RunConfig that
+    holds only what the command line gave, with its criterion and classifier
+    left None, writes the same files as ``main``, run.meta included."""
     out = workspace / f"default-{command}"
-    inputs = {"corpus": workspace / "gen" / "corpus.tsv",
-              "targets": workspace / "gen" / "targets.tsv"}
-    assert main([command, "--corpus", str(inputs["corpus"]), "--targets",
-                 str(inputs["targets"]), "--k", "5", "-o", str(out)]) == 0
+    (workspace / "default.grid").write_text("orders = 1\ntags = lemma\nfilters = all,content\n")
+    options = ({"config": workspace / "pw.cfg", "seed": 5} if command == "pseudoword" else
+               {"corpus": workspace / "gen" / "corpus.tsv",
+                "targets": workspace / "gen" / "targets.tsv"})
+    if command in EXPERIMENTS:
+        options["k"] = 5
+    options.update({"evaluate": {"criterion": "[1gr|lemma|ordered|all]@1"},
+                    "grid": {"grid": str(workspace / "default.grid")},
+                    "ablation": {"grid": str(workspace / "default.grid")}}.get(command, {}))
+    argv = [part for name, value in options.items() for part in (f"--{name}", str(value))]
+    assert main([command, *argv, "-o", str(out)]) == 0
     written = {path.name: path.read_bytes() for path in out.iterdir()}
-    assert json.loads(written["run.meta"])["criterion"] == EXPERIMENTS[command].criterion
+    meta, row = json.loads(written["run.meta"]), EXPERIMENTS.get(command)
+    assert meta["criterion"] == options.get("criterion", getattr(row, "criterion", None))
+    assert meta["classifier"] == (getattr(row, "classifier", None) or "nb")
     for path in out.iterdir():
         path.unlink()
-    config = RunConfig(command, out, **inputs, k=5,
-                       classifier=EXPERIMENTS[command].classifier or "nb")
-    assert run(config) == 0
+    assert run(RunConfig(command, out, **options)) == 0
     assert {path.name: path.read_bytes() for path in out.iterdir()} == written
 
 
@@ -743,8 +750,8 @@ def test_evaluate_still_needs_a_criterion(workspace, capsys):
 
 
 def test_an_evaluation_without_a_fold_seed_writes_nothing(workspace, capsys):
-    """Only pseudoword takes its seed from elsewhere, its config file; folds
-    drawn from no seed would differ from run to run."""
+    """Every run has a seed, 0 unless one is given; folds drawn from no seed
+    would differ from run to run."""
     out = workspace / "no-seed"
     config = RunConfig("evaluate", out, workspace / "gen" / "corpus.tsv",
                        workspace / "gen" / "targets.tsv", "[1gr|lemma|ordered|all]@1",
@@ -773,7 +780,7 @@ def _typed_config(command, tmp_path, field, value):
     config = RunConfig(command, tmp_path / "out", config=Path("pw.cfg"))
     if command != "pseudoword":
         config = RunConfig(command, tmp_path / "out", Path("gen/corpus.tsv"),
-                           Path("gen/targets.tsv"), k=5, classifier="dl")
+                           Path("gen/targets.tsv"), k=5)
         config.criterion = "[1gr|lemma|ordered|all]@1" if command == "evaluate" else None
     setattr(config, field, value)
     return config

@@ -487,7 +487,6 @@ def test_parse_pseudoword_config():
         vocabulary = 9
         width = 4
         category = verb
-        seed = 13
         """
     )
     assert config.sources == ("banane", "porte")
@@ -496,7 +495,6 @@ def test_parse_pseudoword_config():
     assert config.signal_mode == "pair"
     assert config.noise == 0.25
     assert config.category == "verb"
-    assert config.seed == 13
 
 
 @pytest.mark.parametrize("text, field, expected", [
@@ -544,13 +542,13 @@ def test_parse_pseudoword_config_rejects_unknown_key():
 
 def test_parse_pseudoword_config_reports_every_problem():
     with pytest.raises(ValueError) as err:
-        parse_pseudoword_config("counts = 5, x\nbogus = 1\nwidth = 4\nseed = s\nno equals")
+        parse_pseudoword_config("counts = 5, x\nbogus = 1\nwidth = 4\nnoise = s\nno equals")
     assert str(err.value).splitlines() == [
         "config line 5: expected 'key = value', got 'no equals'",
         "unknown config keys: bogus",
         "config is missing the required 'sources' key",
         "config counts: invalid literal for int() with base 10: 'x'",
-        "config seed: invalid literal for int() with base 10: 's'",
+        "config noise: could not convert string to float: 's'",
     ]
 
 
